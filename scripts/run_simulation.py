@@ -6,8 +6,9 @@ correction, plus the density comparison table and the Bessel-bridge
 Feynman-Kac estimate.  Outputs land in out/simulate/.  Flags appended
 on the command line override the defaults (e.g. --paths 100000).
 
-At the full path count the Feynman-Kac estimator dominates the runtime
-(three coordinates per step); expect a few minutes single-threaded.
+At the full path count the first-passage sweep and the Feynman-Kac
+estimator (which steps the bridge radius alone) take comparable shares
+of the runtime; expect a few minutes single-threaded.
 """
 
 import sys

@@ -396,6 +396,13 @@ def _mc_config(args) -> mc.MCConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _mc_threads(args) -> int:
+    threads = int(_resolve(args, "threads", 1))
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    return threads
+
+
 def _comparison_rows(cmp_table: mc.DensityComparison):
     return [
         (cmp_table.bin_edges[i], cmp_table.bin_edges[i + 1], cmp_table.empirical[i],
@@ -409,7 +416,7 @@ def cmd_simulate(args) -> int:
     cfg = _mc_config(args)
     x0 = float(_resolve(args, "x0", 1.0))
     n_bins = int(_resolve(args, "bins", 20))
-    threads = int(_resolve(args, "threads", 1))
+    threads = _mc_threads(args)
     if x0 <= 0.0:
         raise ConfigError("x0 must be positive")
     out = _out_dir(args)
@@ -436,7 +443,7 @@ def cmd_compare(args) -> int:
     cfg = _mc_config(args)
     x0 = float(_resolve(args, "x0", 1.0))
     n_bins = int(_resolve(args, "bins", 20))
-    threads = int(_resolve(args, "threads", 1))
+    threads = _mc_threads(args)
     if x0 <= 0.0:
         raise ConfigError("x0 must be positive")
     out = _out_dir(args)

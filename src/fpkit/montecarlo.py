@@ -11,13 +11,17 @@ Two estimators:
 * ``bessel_bridge_fk`` -- Feynman-Kac estimate of
   E[exp(-int_0^s f''(u) R_u du)] where R is a three-dimensional Bessel
   bridge from x at time 0 to the origin at time s, realized as the
-  modulus of a 3-D Brownian bridge (positivity is automatic).
+  modulus of a 3-D Brownian bridge (positivity is automatic) and
+  stepped on the radius alone.
 
-Reproducibility contract: paths are processed in fixed-size blocks and
-block ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``.  A path's
-stream is a pure function of (seed, path index), so results are
-independent of how blocks are scheduled across workers, and a single
-worker reproduces outputs bit for bit.
+Reproducibility contract: random streams belong to fixed 8,192-path
+blocks, and block ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``.
+Work is handed out in units of contiguous blocks, at most 65,536 paths
+each, that are stepped as one vector; every block fills its own slice of
+the unit's arrays and reports its own partial result, and partials are
+reduced in block order.  A path's stream is therefore a pure function of
+(seed, path index), and outputs are bit for bit the same for any thread
+count.
 """
 
 from __future__ import annotations
@@ -31,9 +35,12 @@ from scipy.stats import chi2
 from .boundary import Boundary, eval_fsecond, integral_fprime
 from .kernels import derived_kernel, heat_kernel, simpson_weights
 
-#: paths per RNG block; fixed so the block decomposition (and therefore
-#: every random stream) does not depend on worker count
-BLOCK_SIZE = 1 << 16
+#: paths per RNG stream block; fixed so the block decomposition (and
+#: therefore every random stream) does not depend on worker count
+BLOCK_SIZE = 1 << 13
+#: most paths in one work unit, the contiguous run of blocks one worker
+#: steps as a single vector
+MAX_UNIT_PATHS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,29 +113,46 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     )
 
 
-def _block_sizes(n_paths: int):
-    sizes = []
-    done = 0
-    while done < n_paths:
-        sizes.append(min(BLOCK_SIZE, n_paths - done))
-        done += sizes[-1]
-    return sizes
+def _units(n_paths: int, n_workers: int) -> list[range]:
+    """Split the blocks into contiguous work units, one per worker or more
+    so that none exceeds MAX_UNIT_PATHS; spare blocks go to the later units,
+    which hold the short trailing block."""
+    n_blocks = -(-n_paths // BLOCK_SIZE)
+    n_units = min(n_blocks, max(n_workers, -(-n_blocks // (MAX_UNIT_PATHS // BLOCK_SIZE))))
+    cuts = [k * n_blocks // n_units for k in range(n_units + 1)]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _run_blocks(worker, n_paths: int, n_workers: int):
-    """Run worker(block_index, block_size) for every block, results in block order."""
-    sizes = _block_sizes(n_paths)
-    if n_workers <= 1 or len(sizes) == 1:
-        return [worker(i, sz) for i, sz in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(worker, i, sz) for i, sz in enumerate(sizes)]
-        return [f.result() for f in futures]
+def _run_blocks(worker, seed: int, n_paths: int, n_workers: int) -> list:
+    """Per-block results of ``worker`` in block order.
+
+    ``worker(streams, size)`` steps one work unit of ``size`` paths, where
+    ``streams`` holds each block's (generator, slice of the unit), and
+    returns one result per block.
+    """
+    def unit(blocks: range):
+        size = min(blocks.stop * BLOCK_SIZE, n_paths) - blocks.start * BLOCK_SIZE
+        streams = [(_block_rng(seed, block), slice(lo, min(lo + BLOCK_SIZE, size)))
+                   for block, lo in zip(blocks, range(0, size, BLOCK_SIZE))]
+        return worker(streams, size)
+
+    units = _units(n_paths, n_workers)
+    if n_workers <= 1 or len(units) == 1:
+        per_unit = [unit(u) for u in units]
+    else:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            per_unit = list(pool.map(unit, units))
+    return [r for results in per_unit for r in results]
 
 
-def _antithetic_normals(rng, size: int, dtype=np.float64) -> np.ndarray:
-    half = (size + 1) // 2
-    z = rng.standard_normal(half, dtype=dtype)
-    return np.concatenate([z, -z])[:size]
+def _fill(draw, out: np.ndarray, antithetic: bool, mirror=np.negative) -> None:
+    """``draw`` into ``out``; antithetic: the second half is ``mirror`` of the first."""
+    if antithetic:
+        half = (out.size + 1) // 2
+        draw(dtype=out.dtype, out=out[:half])
+        mirror(out[:out.size - half], out=out[half:])
+    else:
+        draw(dtype=out.dtype, out=out)
 
 
 def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
@@ -154,30 +178,40 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
     sqrt_dt = np.float32(np.sqrt(dt))
     half_dt = np.float32(0.5 * dt)
 
-    def worker(block: int, size: int):
-        rng = _block_rng(cfg.seed, block)
+    def worker(streams, size: int):
         w = np.zeros(size, dtype=np.float32)
         crossed = np.zeros(size, dtype=bool)
         cross_step = np.zeros(size, dtype=np.int32)
+        z = np.empty(size, dtype=np.float32)
+        e = np.empty(size, dtype=np.float32)
+        d1 = np.empty(size, dtype=np.float32)
+        newly = np.empty(size, dtype=bool)
+        draws = [(rng, z[part], e[part]) for rng, part in streams]
         for j in range(n_steps):
-            if cfg.antithetic:
-                z = _antithetic_normals(rng, size, dtype=np.float32)
-            else:
-                z = rng.standard_normal(size, dtype=np.float32)
-            e = rng.standard_exponential(size, dtype=np.float32)
-            w_next = w + sqrt_dt * z
+            for rng, z_part, e_part in draws:
+                _fill(rng.standard_normal, z_part, cfg.antithetic)
+                rng.standard_exponential(dtype=np.float32, out=e_part)
             # exp(-2 d1 d2 / dt) bridge crossing collapses to one comparison:
-            # u < exp(-q) iff Exp(1) * dt/2 > d1 * d2 (direct hits give q <= 0)
-            q = (level[j] - w) * (level[j + 1] - w_next)
-            newly = ~crossed & (e * half_dt > q)
-            cross_step[newly] = j
+            # u < exp(-q) iff Exp(1) * dt/2 > d1 * d2 (direct hits give q <= 0);
+            # in place, z ends up holding q = d1 * d2
+            np.subtract(level[j], w, out=d1)
+            z *= sqrt_dt
+            w += z
+            np.subtract(level[j + 1], w, out=z)
+            z *= d1
+            e *= half_dt
+            np.greater(e, z, out=newly)
+            newly &= ~crossed
+            np.copyto(cross_step, j, where=newly)
             crossed |= newly
-            w = w_next
-        times = (cross_step[crossed].astype(np.float64) + 0.5) * dt
-        counts, _ = np.histogram(times, bins=edges)
-        return counts, int(np.count_nonzero(crossed))
+        results = []
+        for _, part in streams:
+            hit = crossed[part]
+            times = (cross_step[part][hit].astype(np.float64) + 0.5) * dt
+            results.append((np.histogram(times, bins=edges)[0], int(np.count_nonzero(hit))))
+        return results
 
-    results = _run_blocks(worker, cfg.n_paths, n_workers)
+    results = _run_blocks(worker, cfg.seed, cfg.n_paths, n_workers)
     counts = np.sum([r[0] for r in results], axis=0)
     n_crossed = int(sum(r[1] for r in results))
     return DensityHistogram(edges, counts / cfg.n_paths, n_crossed, cfg.n_paths)
@@ -249,16 +283,38 @@ def chi_square_vs_reference(hist: DensityHistogram, expected_masses: np.ndarray)
     return stat, float(chi2.sf(stat, dof))
 
 
+def _radial_step(radius: np.ndarray, shrink: float, var: float,
+                 z: np.ndarray, e: np.ndarray) -> None:
+    """One exact bridge step on the radius, in place; overwrites ``z`` and ``e``.
+
+    The 3-D step is pos' = shrink * pos + sqrt(var) * Z.  By rotational
+    invariance only |pos| = radius matters: the component of Z along pos
+    is one normal ``z``, and the two across it add z2^2 + z3^2, which is
+    2 Exp(1) in law, so |pos'| = sqrt((shrink r + sqrt(var) z)^2 + 2 var e)
+    with ``e`` ~ Exp(1).
+    """
+    radius *= shrink
+    z *= np.sqrt(var)
+    radius += z
+    np.square(radius, out=radius)
+    e *= 2.0 * var
+    radius += e
+    np.sqrt(radius, out=radius)
+
+
 def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
                      n_workers: int = 1) -> MCEstimate:
     """Feynman-Kac estimate of E[exp(-int_0^s f''(u) R_u du)], R a 3-D
     Bessel bridge from x at time 0 to the origin at time s.
 
     The bridge is the modulus of a 3-D Brownian bridge from (x, 0, 0) to
-    the origin, stepped by exact conditional sampling; the time integral
-    uses the trapezoid rule on the step grid.  With antithetic sampling
-    the Gaussian draws are negated pairwise and the estimator averages
-    within pairs (std_error then reflects the pair count).
+    the origin, stepped by exact conditional sampling of the radius alone
+    (``_radial_step``: one normal and one exponential per path-step); the
+    time integral uses the trapezoid rule on the step grid.  With
+    antithetic sampling the normals are negated pairwise, the exponentials
+    shared, and the estimator averages within pairs (std_error then
+    reflects the pair count).  Streams come per fixed 8,192-path block,
+    so the estimate is bit for bit the same for any ``n_workers``.
     """
     if x <= 0.0:
         raise ValueError(f"starting point must be positive, got {x}")
@@ -266,39 +322,39 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     n_steps = cfg.n_steps
     dt = s / n_steps
     t_nodes = np.linspace(0.0, s, n_steps + 1)
-    f2 = np.asarray(eval_fsecond(b, t_nodes), dtype=float)
+    # trapezoid weights folded with f''; the last node (R_s = 0) adds nothing
+    coef = dt * np.asarray(eval_fsecond(b, t_nodes), dtype=float)
+    coef[0] *= 0.5
 
-    def worker(block: int, size: int):
-        rng = _block_rng(cfg.seed, block)
-        pos = np.zeros((size, 3))
-        pos[:, 0] = x
-        integral = np.zeros(size)
-        g_prev = f2[0] * np.full(size, x)
-        for j in range(n_steps):
+    def worker(streams, size: int):
+        radius = np.full(size, x)
+        integral = np.full(size, coef[0] * x)
+        z = np.empty(size)
+        e = np.empty(size)
+        draws = [(rng, z[part], e[part]) for rng, part in streams]
+        for j in range(n_steps - 1):
             tau = s - t_nodes[j]
             shrink = (tau - dt) / tau
-            std = np.sqrt(max(dt * shrink, 0.0))
-            if cfg.antithetic:
-                half = (size + 1) // 2
-                zh = rng.standard_normal((half, 3))
-                z = np.concatenate([zh, -zh])[:size]
-            else:
-                z = rng.standard_normal((size, 3))
-            pos = pos * shrink + std * z
-            radius = np.sqrt(np.einsum("ij,ij->i", pos, pos))
-            g = f2[j + 1] * radius
-            integral += 0.5 * dt * (g_prev + g)
-            g_prev = g
+            for rng, z_part, e_part in draws:
+                _fill(rng.standard_normal, z_part, cfg.antithetic)
+                _fill(rng.standard_exponential, e_part, cfg.antithetic, np.positive)
+            _radial_step(radius, shrink, dt * shrink, z, e)
+            np.multiply(radius, coef[j + 1], out=z)
+            integral += z
         vals = np.exp(-integral)
-        if cfg.antithetic and size > 1:
-            half = size // 2
-            paired = 0.5 * (vals[:half] + vals[half:2 * half])
-            if size % 2:
-                paired = np.append(paired, vals[-1])
-            vals = paired
-        return float(np.sum(vals)), float(np.sum(vals * vals)), vals.size
+        results = []
+        for _, part in streams:
+            v = vals[part]
+            if cfg.antithetic:
+                # _fill mirrors path i < n - half into path half + i; with an
+                # odd n, path n - half (the last drawn one) stays unpaired
+                half = (v.size + 1) // 2
+                n_pairs = v.size - half
+                v = np.append(0.5 * (v[:n_pairs] + v[half:]), v[n_pairs:half])
+            results.append((float(np.sum(v)), float(np.sum(v * v)), v.size))
+        return results
 
-    results = _run_blocks(worker, cfg.n_paths, n_workers)
+    results = _run_blocks(worker, cfg.seed, cfg.n_paths, n_workers)
     total = sum(r[0] for r in results)
     total_sq = sum(r[1] for r in results)
     count = sum(r[2] for r in results)

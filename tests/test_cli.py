@@ -121,14 +121,38 @@ def test_simulate_deterministic_outputs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def _outputs_per_thread_count(tmp_path, argv, names):
+    outs = {}
+    for threads in (1, 2, 3):
+        out = tmp_path / f"t{threads}"
+        assert main(argv + ["--threads", str(threads), "--out", str(out)]) == 0
+        outs[threads] = [(out / name).read_bytes() for name in names]
+    return outs
+
+
 def test_simulate_threads_do_not_change_outputs(tmp_path):
-    base = ["simulate", "--boundary", "s=1; fprime=0", "--x0", "1",
+    # 30000 paths: four 8,192-path stream blocks, the last one short
+    base = ["simulate", "--boundary", "s=1; fprime=0.5,0.3", "--x0", "1",
             "--paths", "30000", "--steps", "80", "--seed", "6"]
-    out1, out2 = tmp_path / "t1", tmp_path / "t3"
-    assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
-    assert main(base + ["--threads", "3", "--out", str(out2)]) == 0
-    for name in ("fpt_histogram.csv", "comparison.csv", "feynman_kac.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    outs = _outputs_per_thread_count(
+        tmp_path, base, ("fpt_histogram.csv", "comparison.csv", "feynman_kac.json"))
+    assert outs[1] == outs[2] == outs[3]
+
+
+def test_compare_threads_do_not_change_outputs(tmp_path):
+    base = ["compare", "--boundary", "s=1; fprime=0", "--x0", "1",
+            "--paths", "20001", "--steps", "60", "--seed", "8", "--antithetic"]
+    outs = _outputs_per_thread_count(tmp_path, base, ("comparison.csv",))
+    assert outs[1] == outs[2] == outs[3]
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_mc_rejects_nonpositive_threads(tmp_path, command, threads):
+    rc = main([command, "--boundary", "s=1; fprime=0", "--paths", "100", "--steps", "10",
+               "--threads", threads, "--out", str(tmp_path)])
+    assert rc == 1
+    assert not (tmp_path / "config.json").exists()
 
 
 def test_simulate_rejects_zero_paths(tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fpkit.boundary import parse_boundary
-from fpkit.montecarlo import (DensityHistogram, MCConfig, bessel_bridge_fk,
-                              chi_square_vs_reference, compare_density,
+from fpkit.montecarlo import (BLOCK_SIZE, MAX_UNIT_PATHS, DensityHistogram, MCConfig,
+                              bessel_bridge_fk, chi_square_vs_reference, compare_density,
                               first_passage_histogram, kappa_time_density,
-                              reference_time_density, _bin_masses)
+                              reference_time_density, _bin_masses, _radial_step)
 
 B_ZERO = parse_boundary("s=1; fprime=0")
 B_UP = parse_boundary("s=1; fprime=1")
@@ -124,6 +124,48 @@ def test_fk_determinism_and_thread_independence():
     assert e1.mean == e3.mean and e1.std_error == e3.std_error
 
 
+@pytest.mark.parametrize("n_paths", [
+    BLOCK_SIZE // 2 + 1,           # fewer paths than one block
+    2 * BLOCK_SIZE + 123,          # not a multiple of the block size
+    3 * BLOCK_SIZE - 7,            # three blocks: 5 workers outnumber them
+    MAX_UNIT_PATHS + 2 * BLOCK_SIZE + 1,  # more paths than one work unit holds
+])
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_outputs_bitwise_independent_of_worker_count(n_paths, antithetic):
+    cfg = MCConfig(n_paths=n_paths, n_steps=12, seed=17, antithetic=antithetic)
+    hists = [first_passage_histogram(B_LIN, 0.5, cfg, 8, n_workers=w) for w in (1, 2, 3, 5)]
+    fks = [bessel_bridge_fk(B_LIN, 1.0, cfg, n_workers=w) for w in (1, 2, 3, 5)]
+    assert hists[0].n_crossed > 0
+    for h, fk in zip(hists[1:], fks[1:]):
+        assert h.masses.tobytes() == hists[0].masses.tobytes()
+        assert h.n_crossed == hists[0].n_crossed
+        assert (fk.mean, fk.std_error) == (fks[0].mean, fks[0].std_error)
+
+
+def _noncentral_chi3_mean(mu, sig):
+    """E|mu e1 + sig Z|, Z ~ N(0, I_3)."""
+    from scipy.special import erf
+
+    a = mu / (sig * np.sqrt(2.0))
+    return (mu + sig ** 2 / mu) * erf(a) + sig * np.sqrt(2.0 / np.pi) * np.exp(-a * a)
+
+
+def test_radial_step_matches_3d_step_law():
+    # |a + sigma Z|, Z ~ N(0, I_3): noncentral chi_3 mean and second moment
+    # |a|^2 + 3 sigma^2, within 4 standard errors
+    n, r0, shrink, var = 10 ** 6, 0.8, 0.6, 0.15
+    rng = np.random.default_rng(2024)
+    radius = np.full(n, r0)
+    _radial_step(radius, shrink, var, rng.standard_normal(n), rng.standard_exponential(n))
+    mu, sig = shrink * r0, np.sqrt(var)
+    mean_r = _noncentral_chi3_mean(mu, sig)
+    second_r = mu ** 2 + 3.0 * sig ** 2
+    se1 = radius.std() / np.sqrt(n)
+    se2 = (radius ** 2).std() / np.sqrt(n)
+    assert abs(radius.mean() - mean_r) <= 4.0 * se1
+    assert abs(np.mean(radius ** 2) - second_r) <= 4.0 * se2
+
+
 def test_fk_step_refinement_consistency():
     n_paths = 30000
     est_n = bessel_bridge_fk(B_LIN, 1.0, MCConfig(n_paths, 128, seed=101))
@@ -141,6 +183,16 @@ def test_fk_antithetic_consistent_and_not_noisier():
     assert anti.std_error <= plain.std_error * 1.05
 
 
+@pytest.mark.parametrize("n_paths", [4000, 4001])
+def test_fk_antithetic_pairs_halve_error(n_paths):
+    # negated radial normals with shared exponentials pair strongly; an odd
+    # count leaves one path unpaired, and the mirrored halves must still be
+    # averaged as pairs
+    plain = bessel_bridge_fk(B_LIN, 1.0, MCConfig(n_paths, 40, seed=5))
+    anti = bessel_bridge_fk(B_LIN, 1.0, MCConfig(n_paths, 40, seed=5, antithetic=True))
+    assert anti.std_error < 0.5 * plain.std_error
+
+
 def test_fk_bracketed_by_exact_radius_moments():
     # law-level check of the bridge sampler: with constant curvature c the
     # estimate E[exp(-c I)], I = int_0^s R_u du, must sit between the exact
@@ -148,17 +200,13 @@ def test_fk_bracketed_by_exact_radius_moments():
     # 1 - c E[I] + (c^2/2) s int E[R^2], both computable in closed form
     # from the bridge marginals R_u = ||N(mu(u) e1, sigma(u)^2 I_3)||
     # with mu = x (s-u)/s and sigma^2 = u (s-u)/s.
-    from scipy.special import erf
-
     c, x, s = 0.3, 1.0, 1.0
     b = parse_boundary("s=1; fprime=0,0.3")  # f'' = 0.3
 
     u = np.linspace(0.0, s, 4001)[1:-1]
     mu = x * (s - u) / s
     sig = np.sqrt(u * (s - u) / s)
-    a = mu / (sig * np.sqrt(2.0))
-    mean_r = (mu + sig ** 2 / mu) * erf(a) + sig * np.sqrt(2.0 / np.pi) * np.exp(-a * a)
-    mean_r = np.concatenate([[x], mean_r, [0.0]])
+    mean_r = np.concatenate([[x], _noncentral_chi3_mean(mu, sig), [0.0]])
     second_r = np.concatenate([[x * x],
                                mu ** 2 + 3.0 * sig ** 2,
                                [0.0]])
