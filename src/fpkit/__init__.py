@@ -15,9 +15,9 @@ from .kernels import (derived_kernel, fourier_quadrature_oracle, heat_kernel,
                       kernel_n)
 from .montecarlo import (DensityComparison, DensityHistogram, MCConfig, MCEstimate,
                          bessel_bridge_fk, compare_density, first_passage_histogram)
-from .solutions import (ClosedFormSolution, GammaPoly, SolutionVariant, b2_first,
-                        b2_second, closed_w, closed_w2, closed_w_gamma, kappa,
-                        phi_lambda, product_phi_u, u_lambda, w1_lambda, w2_lambda)
+from .solutions import (GammaPoly, b2_first, b2_second, closed_w, closed_w2,
+                        closed_w_gamma, kappa, phi_lambda, product_phi_u, u_lambda,
+                        w1_lambda, w2_lambda)
 from .transform import bluman_shtelen_w, log_phi_xx, potential_v2
 from .verify import (DiagnosticReport, ResidualReport, check_inequality,
                      check_vanishing_at_origin, quadrature_match,

@@ -95,13 +95,18 @@ def boundary_from_json(obj: dict) -> Boundary:
         raise BoundaryFormatError(f"bad boundary JSON {obj!r}") from exc
 
 
+def scalar_or_array(out):
+    """``out`` unchanged, or as a Python float/complex when it is 0-d."""
+    return out if out.ndim else out.item()
+
+
 def eval_fprime(b: Boundary, t):
     """f'(t); accepts scalars or arrays."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     for c in reversed(b.deriv_coeffs):
         out = out * t + c
-    return out if out.ndim else float(out)
+    return scalar_or_array(out)
 
 
 def eval_fsecond(b: Boundary, t):
@@ -110,7 +115,7 @@ def eval_fsecond(b: Boundary, t):
     out = np.zeros_like(t)
     for j in range(len(b.deriv_coeffs) - 1, 0, -1):
         out = out * t + j * b.deriv_coeffs[j]
-    return out if out.ndim else float(out)
+    return scalar_or_array(out)
 
 
 def _antideriv_diff(coeffs, a, c):
@@ -124,7 +129,7 @@ def _antideriv_diff(coeffs, a, c):
         pa = pa * a + w
         pc = pc * c + w
     out = pc * c - pa * a
-    return out if out.ndim else float(out)
+    return scalar_or_array(out)
 
 
 def integral_fprime(b: Boundary, a, c):

@@ -21,14 +21,12 @@ import numpy as np
 
 from . import montecarlo as mc
 from .boundary import Boundary, BoundaryFormatError, boundary_from_json, parse_boundary
-from .grids import (FieldKind, GridSpec, NumericalError, PotentialSpec,
-                    read_field_csv, sample_field, transform_grid, write_field_csv)
+from .grids import (GridSpec, NumericalError, PotentialSpec, read_field_csv, sample_field,
+                    transform_grid, write_field_csv)
 from .kernels import MAX_ORDER, kernel_n
-from .solutions import (GammaPoly, closed_w, closed_w2_terms, closed_w_gamma, kappa,
-                        phi_lambda, product_phi_u, u_lambda)
-from .transform import bluman_shtelen_w, log_phi_xx
-from .verify import (check_inequality, check_vanishing_at_origin, quadrature_match,
-                     residual_backward, residual_forward)
+from .solutions import GammaPoly, closed_w_gamma, kappa, phi_lambda, u_lambda
+from .transform import bluman_shtelen_w
+from .verify import TOLERANCES, residual_backward, run_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -200,166 +198,40 @@ def cmd_solution(args) -> int:
     return EXIT_OK
 
 
-# The backward tolerance is acceptance criterion 1's 1e-4 at dt = dx = 1e-3;
-# the closed form measures max_rel ~ 3.8e-5 there (x-stencil truncation, the
-# time difference being 4th-order).  --fast scales the residual tolerances
-# by 20 for its 4x coarser grid.
-_VERIFY_DEFAULTS = {
-    "grid": "0:0.9:901,0.05:3:2951",
-    "transform_grid": "0:0.9:901,0:3:301",
-    "tol_backward": 1e-4,
-    "tol_forward": 1e-4,
-    "tol_form_preservation": 1e-8,
-    "tol_transform": 1e-6,
-    "tol_transform_residual": 1e-3,
-    "tol_quadrature": 1e-8,
-    "tol_zero_identity": 1e-14,
-    "tol_product": 1e-12,
-}
-
-
 def cmd_verify(args) -> int:
     b = _resolve_boundary(args)
     fast = bool(_resolve(args, "fast", False))
     grid_text = _resolve(args, "grid")
+    # --fast's 4x coarser grid relaxes the residual tolerances on it by 20
+    scale = 20.0 if fast and grid_text is None else 1.0
     if grid_text is None:
-        grid_text = "0:0.9:226,0.05:3:739" if fast else _VERIFY_DEFAULTS["grid"]
+        grid_text = "0:0.9:226,0.05:3:739" if fast else "0:0.9:901,0.05:3:2951"
     spec = _parse_grid(grid_text)
-    scale = 20.0 if fast and _resolve(args, "grid") is None else 1.0
-    tol_backward = float(_resolve(args, "tol_backward", _VERIFY_DEFAULTS["tol_backward"])) * scale
-    tol_forward = float(_resolve(args, "tol_forward", _VERIFY_DEFAULTS["tol_forward"])) * scale
+    tols = {name: float(_resolve(args, name, tol)) for name, tol in TOLERANCES.items()}
     out = _out_dir(args)
     if spec.t_max > b.horizon_s - 0.05:
         raise ConfigError(f"verification grid must keep s - t >= 0.05 (s = {b.horizon_s})")
-
-    v1 = PotentialSpec.from_boundary(b)
-    residuals: dict = {}
-    checks: list[tuple[str, bool, str]] = []
-
-    field_path = _resolve(args, "field")
-    if field_path is not None:
-        try:
-            ext_field = read_field_csv(field_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read field CSV {field_path}: {exc}") from exc
-        rep = residual_backward(ext_field, v1)
-        residuals["external_field_backward"] = rep.to_json()
-        checks.append(("external field residual", rep.max_rel <= tol_backward,
-                       f"max_rel={rep.max_rel:.3e} tol={tol_backward:.1e}"))
-
-    w_field = sample_field(spec, lambda t, x: closed_w(b, t, x))
-    rep_w = residual_backward(w_field, v1)
-    residuals["backward_closed_w"] = rep_w.to_json()
-    checks.append(("backward residual (closed w)", rep_w.max_rel <= tol_backward,
-                   f"max_rel={rep_w.max_rel:.3e} tol={tol_backward:.1e}"))
-
-    form_pres_max = 0.0
-    for lam in (0.0, 1.5):
-        phi = sample_field(spec, lambda t, x: phi_lambda(b, lam, t, x))
-        for part, name in ((phi.real_part(), "re"), (phi.imag_part(), "im")):
-            rep = residual_forward(part, v1)
-            residuals[f"forward_phi_lam{lam}_{name}"] = rep.to_json()
-            checks.append((f"forward residual (phi, lam={lam}, {name})",
-                           rep.max_rel <= tol_forward,
-                           f"max_rel={rep.max_rel:.3e} tol={tol_forward:.1e}"))
-        form_pres_max = max(form_pres_max, float(np.max(np.abs(log_phi_xx(phi).values))))
-    tol_fp = float(_resolve(args, "tol_form_preservation",
-                            _VERIFY_DEFAULTS["tol_form_preservation"]))
-    checks.append(("form preservation (d2/dx2 log phi)", form_pres_max <= tol_fp,
-                   f"max_abs={form_pres_max:.3e} tol={tol_fp:.1e}"))
-
-    tspec = _parse_grid(_resolve(args, "transform_grid", _VERIFY_DEFAULTS["transform_grid"]))
+    tspec = _parse_grid(_resolve(args, "transform_grid", "0:0.9:901,0:3:301"))
     tspec = transform_grid(tspec.t_min, tspec.t_max, tspec.x_max, tspec.nt, tspec.nx)
-    u0 = sample_field(tspec, lambda t, x: u_lambda(b, 0.0, t, x))
-    phi0 = sample_field(tspec, lambda t, x: phi_lambda(b, 0.0, t, x))
-    w_engine = bluman_shtelen_w(u0, phi0)
-    target = sample_field(tspec, lambda t, x: np.real(w1_target(b, t, x)))
-    dev = float(np.max(np.abs(w_engine.values - target.values))
-                / max(float(np.max(np.abs(target.values))), 1e-12))
-    tol_tr = float(_resolve(args, "tol_transform", _VERIFY_DEFAULTS["tol_transform"]))
-    checks.append(("transform loop vs analytic target", dev <= tol_tr,
-                   f"max_rel_dev={dev:.3e} tol={tol_tr:.1e}"))
-    rep_tr = residual_backward(w_engine, v1)
-    residuals["backward_transform_w"] = rep_tr.to_json()
-    tol_trr = float(_resolve(args, "tol_transform_residual",
-                             _VERIFY_DEFAULTS["tol_transform_residual"]))
-    checks.append(("transform loop residual", rep_tr.max_rel <= tol_trr,
-                   f"max_rel={rep_tr.max_rel:.3e} tol={tol_trr:.1e}"))
+    field_path = _resolve(args, "field")
+    try:
+        field = None if field_path is None else read_field_csv(field_path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read field CSV {field_path}: {exc}") from exc
 
-    rng = np.random.default_rng(int(_resolve(args, "seed", 20240501)))
-    tol_q = float(_resolve(args, "tol_quadrature", _VERIFY_DEFAULTS["tol_quadrature"]))
-    quad_worst = 0.0
-    for _ in range(10):
-        t = rng.uniform(0.0, b.horizon_s - 0.05)
-        x = rng.uniform(0.0, 2.0)
-        g = GammaPoly(tuple(rng.uniform(-1.0, 1.0, rng.integers(1, 5))))
-        quad_worst = max(quad_worst, quadrature_match(b, g, float(t), float(x)))
-    checks.append(("contour integration vs quadrature", quad_worst <= tol_q,
-                   f"worst={quad_worst:.3e} tol={tol_q:.1e}"))
-
-    tol_zero = float(_resolve(args, "tol_zero_identity",
-                              _VERIFY_DEFAULTS["tol_zero_identity"]))
-    zero_worst = 0.0
-    for _ in range(200):
-        t = rng.uniform(0.0, b.horizon_s - 0.05)
-        x = rng.uniform(0.0, 3.0)
-        first, second = closed_w2_terms(b, float(t), float(x))
-        mag = max(abs(first), 1e-300)
-        zero_worst = max(zero_worst, abs(first - second) / mag)
-    checks.append(("second solution vanishes", zero_worst <= tol_zero,
-                   f"worst={zero_worst:.3e} tol={tol_zero:.1e}"))
-
-    tol_p = float(_resolve(args, "tol_product", _VERIFY_DEFAULTS["tol_product"]))
-    prod_worst = 0.0
-    for _ in range(20):
-        lam = rng.uniform(-5.0, 5.0)
-        ref = product_phi_u(b, lam)
-        ts = rng.uniform(0.0, b.horizon_s, 50)
-        xs = rng.uniform(-2.0, 2.0, 50)
-        vals = phi_lambda(b, lam, ts, xs) * u_lambda(b, lam, ts, xs)
-        prod_worst = max(prod_worst, float(np.max(np.abs(vals - ref)) / abs(ref)))
-    checks.append(("product constancy", prod_worst <= tol_p,
-                   f"worst={prod_worst:.3e} tol={tol_p:.1e}"))
-
-    probes = [2.0 ** -k for k in range(1, 21)]
-    rep_v = check_vanishing_at_origin(lambda t, x: closed_w(b, t, x), 0.0, probes)
-    checks.append(("vanishing at origin (t=0)", rep_v.passed,
-                   f"violations={rep_v.violation_count}"))
-
-    diagnostics = {
-        "form_preservation_max_abs": form_pres_max,
-        "transform_max_rel_deviation": dev,
-        "quadrature_match_worst": quad_worst,
-        "zero_identity_worst": zero_worst,
-        "product_constancy_worst": prod_worst,
-        "vanishing_at_origin": rep_v.to_json(),
-    }
-    ineq_spec = GridSpec(0.0, 0.5 * b.horizon_s, 0.0, 3.0, 9, 61)
-    w_small = sample_field(ineq_spec, lambda t, x: closed_w(b, t, x), FieldKind.REAL)
-    ineq = check_inequality(w_small, b.horizon_s)
-    diagnostics["inequality_full_grid"] = ineq.to_json()
-    row_spec = GridSpec(0.0, min(1e-6, 0.4 * b.horizon_s), 0.0, 3.0, 3, 61)
-    w_row = sample_field(row_spec, lambda t, x: closed_w(b, t, x), FieldKind.REAL)
-    diagnostics["inequality_t0"] = check_inequality(w_row, b.horizon_s).to_json()
-
+    checks, residuals, diagnostics = run_checks(
+        b, spec, tspec, tols, int(_resolve(args, "seed", 20240501)), scale, field)
     _write_json(os.path.join(out, "residuals.json"), residuals)
     _write_json(os.path.join(out, "diagnostics.json"), diagnostics)
-    _sidecar(out, "verify", {
-        "boundary": _resolve(args, "boundary"), "grid": grid_text,
-        "fast": fast,
-    })
-    failed = [(name, msg) for name, ok, msg in checks if not ok]
-    for name, ok, msg in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {msg}")
+    _write_json(os.path.join(out, "checks.json"), [c.to_json() for c in checks])
+    _sidecar(out, "verify", {"boundary": _resolve(args, "boundary"), "grid": grid_text,
+                             "fast": fast})
+    for c in checks:
+        print(c.line())
+    failed = sum(not c.passed for c in checks)
     if failed:
-        raise AssertionFailure(f"{len(failed)} verification check(s) failed")
+        raise AssertionFailure(f"{failed} verification check(s) failed")
     return EXIT_OK
-
-
-def w1_target(b: Boundary, t, x):
-    """Analytic lambda=0 target of the transformation loop: (x - int_0^t f') u."""
-    from .boundary import integral_fprime
-    return (np.asarray(x) - integral_fprime(b, 0.0, t)) * u_lambda(b, 0.0, t, x)
 
 
 def cmd_transform(args) -> int:
@@ -385,78 +257,60 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def _mc_config(args) -> mc.MCConfig:
-    try:
-        return mc.MCConfig(
-            n_paths=int(_resolve(args, "paths", 100000)),
-            n_steps=int(_resolve(args, "steps", 2000)),
-            seed=int(_resolve(args, "seed", 42)),
-            antithetic=bool(_resolve(args, "antithetic", False)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _mc_command(body):
+    """A simulate/compare command: the shared setup and sidecar around ``body``.
+
+    ``body(b, x0, cfg, n_bins, threads, out)`` runs the MC and writes its
+    own outputs; the sidecar is written after it, under ``args.command``.
+    Bad MCConfig values raise ValueError, which ``main`` reports as exit 1.
+    """
+    def command(args) -> int:
+        b = _resolve_boundary(args)
+        cfg = mc.MCConfig(n_paths=int(_resolve(args, "paths", 100000)),
+                          n_steps=int(_resolve(args, "steps", 2000)),
+                          seed=int(_resolve(args, "seed", 42)),
+                          antithetic=bool(_resolve(args, "antithetic", False)))
+        x0 = float(_resolve(args, "x0", 1.0))
+        n_bins = int(_resolve(args, "bins", 20))
+        threads = int(_resolve(args, "threads", 1))
+        if threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {threads}")
+        if x0 <= 0.0:
+            raise ConfigError("x0 must be positive")
+        out = _out_dir(args)
+        body(b, x0, cfg, n_bins, threads, out)
+        _sidecar(out, args.command, {
+            "boundary": _resolve(args, "boundary"), "x0": x0, "paths": cfg.n_paths,
+            "steps": cfg.n_steps, "seed": cfg.seed, "antithetic": cfg.antithetic,
+            "bins": n_bins, "threads": threads,
+        })
+        return EXIT_OK
+    return command
 
 
-def _mc_threads(args) -> int:
-    threads = int(_resolve(args, "threads", 1))
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    return threads
+def _write_comparison(out: str, table: mc.DensityComparison) -> None:
+    _write_csv(os.path.join(out, "comparison.csv"),
+               "bin_lo,bin_hi,empirical,kappa,reference,z",
+               [(table.bin_edges[i], table.bin_edges[i + 1], table.empirical[i],
+                 table.kappa_mass[i], table.reference_mass[i], table.z_scores[i])
+                for i in range(table.empirical.size)])
 
 
-def _comparison_rows(cmp_table: mc.DensityComparison):
-    return [
-        (cmp_table.bin_edges[i], cmp_table.bin_edges[i + 1], cmp_table.empirical[i],
-         cmp_table.kappa_mass[i], cmp_table.reference_mass[i], cmp_table.z_scores[i])
-        for i in range(cmp_table.empirical.size)
-    ]
-
-
-def cmd_simulate(args) -> int:
-    b = _resolve_boundary(args)
-    cfg = _mc_config(args)
-    x0 = float(_resolve(args, "x0", 1.0))
-    n_bins = int(_resolve(args, "bins", 20))
-    threads = _mc_threads(args)
-    if x0 <= 0.0:
-        raise ConfigError("x0 must be positive")
-    out = _out_dir(args)
+@_mc_command
+def cmd_simulate(b, x0, cfg, n_bins, threads, out) -> None:
     hist = mc.first_passage_histogram(b, x0, cfg, n_bins, threads)
     _write_csv(os.path.join(out, "fpt_histogram.csv"), "bin_lo,bin_hi,mass",
                [(hist.bin_edges[i], hist.bin_edges[i + 1], hist.masses[i])
                 for i in range(n_bins)])
-    cmp_table = mc.compare_density(b, x0, cfg, n_bins, threads, hist=hist)
-    _write_csv(os.path.join(out, "comparison.csv"),
-               "bin_lo,bin_hi,empirical,kappa,reference,z", _comparison_rows(cmp_table))
+    _write_comparison(out, mc.compare_density(b, x0, cfg, n_bins, threads, hist=hist))
     fk = mc.bessel_bridge_fk(b, x0, cfg, threads)
     _write_json(os.path.join(out, "feynman_kac.json"),
                 {**fk.to_json(), "n_steps": cfg.n_steps, "seed": cfg.seed})
-    _sidecar(out, "simulate", {
-        "boundary": _resolve(args, "boundary"), "x0": x0, "paths": cfg.n_paths,
-        "steps": cfg.n_steps, "seed": cfg.seed, "antithetic": cfg.antithetic,
-        "bins": n_bins, "threads": threads,
-    })
-    return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    b = _resolve_boundary(args)
-    cfg = _mc_config(args)
-    x0 = float(_resolve(args, "x0", 1.0))
-    n_bins = int(_resolve(args, "bins", 20))
-    threads = _mc_threads(args)
-    if x0 <= 0.0:
-        raise ConfigError("x0 must be positive")
-    out = _out_dir(args)
-    cmp_table = mc.compare_density(b, x0, cfg, n_bins, threads)
-    _write_csv(os.path.join(out, "comparison.csv"),
-               "bin_lo,bin_hi,empirical,kappa,reference,z", _comparison_rows(cmp_table))
-    _sidecar(out, "compare", {
-        "boundary": _resolve(args, "boundary"), "x0": x0, "paths": cfg.n_paths,
-        "steps": cfg.n_steps, "seed": cfg.seed, "antithetic": cfg.antithetic,
-        "bins": n_bins, "threads": threads,
-    })
-    return EXIT_OK
+@_mc_command
+def cmd_compare(b, x0, cfg, n_bins, threads, out) -> None:
+    _write_comparison(out, mc.compare_density(b, x0, cfg, n_bins, threads))
 
 
 def build_parser() -> _Parser:
@@ -489,9 +343,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fast", action="store_true", default=None,
                    help="coarser grid with proportionally relaxed tolerances")
     p.add_argument("--seed", type=int)
-    for name in ("tol_backward", "tol_forward", "tol_form_preservation",
-                 "tol_transform", "tol_transform_residual", "tol_quadrature",
-                 "tol_zero_identity", "tol_product"):
+    for name in TOLERANCES:
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
     p.set_defaults(fn=cmd_verify)
 

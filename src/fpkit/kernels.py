@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .boundary import scalar_or_array
+
 # Above this order the double-precision recurrence loses the 1e-9
 # agreement with the quadrature oracle at small t.
 MAX_ORDER = 12
@@ -32,7 +34,7 @@ def heat_kernel(t, x):
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     out = np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
-    return out if out.ndim else float(out)
+    return scalar_or_array(out)
 
 
 def derived_kernel(t, x):
@@ -45,7 +47,7 @@ def derived_kernel(t, x):
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     out = (x / t) * np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
-    return out if out.ndim else float(out)
+    return scalar_or_array(out)
 
 
 def kernel_n(n: int, t, x):
@@ -61,13 +63,13 @@ def kernel_n(n: int, t, x):
     k = np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
     if n == 0:
         out = np.ones_like(k) * k
-        return out if out.ndim else float(out)
+        return scalar_or_array(out)
     g_prev = np.ones(np.broadcast(t, x).shape)
     g = x / t * np.ones_like(g_prev)
     for m in range(1, n):
         g_prev, g = g, (x / t) * g - (m / t) * g_prev
     out = g * k
-    return out if out.ndim else float(out)
+    return scalar_or_array(out)
 
 
 def default_half_width(t: float, x: float) -> float:
@@ -93,6 +95,21 @@ def symmetric_nodes(half_width: float, nodes: int) -> np.ndarray:
     return np.concatenate([-half[:0:-1], half])
 
 
+def symmetric_simpson(f, half_width: float, nodes: int) -> complex:
+    """(1/2pi) * composite-Simpson integral of f over [-L, L].
+
+    The nodes are an exact mirror image around 0 and each pair
+    f(lam) + f(-lam) is summed before weighting, so an integrand with
+    f(-lam) = conj(f(lam)) cancels its odd imaginary part pairwise.
+    """
+    lam = symmetric_nodes(half_width, nodes)
+    w = simpson_weights(nodes, lam[1] - lam[0])
+    vals = f(lam)
+    m = nodes // 2
+    folded = w[m] * vals[m] + np.sum(w[m + 1:] * (vals[m + 1:] + vals[m - 1::-1]))
+    return folded / (2.0 * np.pi)
+
+
 def fourier_quadrature_oracle(n: int, t: float, x: float,
                               half_width_L: float | None = None,
                               nodes: int = 16001) -> float:
@@ -100,9 +117,8 @@ def fourier_quadrature_oracle(n: int, t: float, x: float,
 
     Independent of the recurrence: evaluates
     (1/2pi) * integral_{-L}^{L} (-i lam)^n exp(-lam^2 t / 2 + i lam x) d lam
-    on an exactly symmetric grid, folding lam with -lam so the odd
-    imaginary part cancels pairwise.  The real part is returned and the
-    residual imaginary part is asserted below 1e-12.
+    with ``symmetric_simpson``: f(-lam) is the exact conjugate of f(lam), so
+    the real part is returned and the imaginary part asserted below 1e-12.
 
     Callers should keep t >= 1e-6; the default half width follows
     ``default_half_width``.
@@ -114,14 +130,9 @@ def fourier_quadrature_oracle(n: int, t: float, x: float,
         half_width_L = default_half_width(t, x)
     if half_width_L <= 0:
         raise ValueError("half width must be positive")
-    lam = symmetric_nodes(half_width_L, nodes)
-    w = simpson_weights(nodes, lam[1] - lam[0])
-    f = (-1j * lam) ** n * np.exp(-0.5 * lam * lam * t + 1j * lam * x)
-    # fold mirrored nodes: f(-lam) is the exact conjugate of f(lam), so
-    # each pair sums to a real number in IEEE arithmetic
-    m = nodes // 2
-    folded = w[m] * f[m] + np.sum(w[m + 1:] * (f[m + 1:] + f[m - 1::-1]))
-    val = folded / (2.0 * np.pi)
+    val = symmetric_simpson(
+        lambda lam: (-1j * lam) ** n * np.exp(-0.5 * lam * lam * t + 1j * lam * x),
+        half_width_L, nodes)
     if abs(val.imag) >= 1e-12:
         raise AssertionError(f"quadrature imaginary part {val.imag!r} not negligible")
     return float(val.real)

@@ -7,20 +7,21 @@ is independent of (t, x), which makes the pair-transformation integral
 exact and lets every lambda-integral collapse onto the kernel family.
 
 ``closed_w`` and ``closed_w_gamma`` are the contour-integrated real
-solutions; ``closed_w2`` is the second antiderivative variant, kept as
-an explicit two-term difference because its identical vanishing is a
-tested artifact rather than an assumption.  ``kappa`` is the resulting
-closed-form approximation to the first hitting time density.
+solutions.  ``closed_w2_terms`` returns the two equal terms of the
+second antiderivative variant and ``closed_w2`` their difference: its
+identical vanishing is a tested artifact rather than an assumption.
+``kappa`` is the resulting closed-form approximation to the first
+hitting time density.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import Boundary, eval_fprime, integral_fprime, integral_fprime_sq
+from .boundary import (Boundary, eval_fprime, integral_fprime, integral_fprime_sq,
+                       scalar_or_array)
 from .kernels import MAX_ORDER, heat_kernel, kernel_n
 
 # largest Gamma polynomial degree: kernel order degree+1 must stay <= 12
@@ -48,26 +49,7 @@ class GammaPoly:
         out = np.zeros(lam.shape, dtype=complex)
         for c in reversed(self.coeffs):
             out = out * (-1j * lam) + c
-        return out if out.ndim else complex(out)
-
-
-class SolutionVariant(Enum):
-    FIRST = "first"    # from the antiderivative vanishing at t = 0
-    SECOND = "second"  # from the antiderivative vanishing at t = s; identically 0
-
-
-@dataclass(frozen=True)
-class ClosedFormSolution:
-    """A contour-integrated solution selected by boundary, Gamma, and variant."""
-
-    boundary: Boundary
-    gamma: GammaPoly = field(default_factory=lambda: GammaPoly((1.0,)))
-    variant: SolutionVariant = SolutionVariant.FIRST
-
-    def __call__(self, t, x):
-        if self.variant is SolutionVariant.SECOND:
-            return closed_w2(self.boundary, t, x)
-        return closed_w_gamma(self.boundary, self.gamma, t, x)
+        return scalar_or_array(out)
 
 
 def _check_t_range(b: Boundary, t, strict_upper: bool = False):
@@ -95,7 +77,7 @@ def phi_lambda(b: Boundary, lam, t, x):
             - 0.5 * lam * lam * t
             - 1j * lam * (x - integral_fprime(b, 0.0, t)))
     out = np.exp(expo)
-    return out if out.ndim else complex(out)
+    return scalar_or_array(out)
 
 
 def u_lambda(b: Boundary, lam, t, x):
@@ -113,7 +95,7 @@ def u_lambda(b: Boundary, lam, t, x):
             - 0.5 * lam * lam * (s - t)
             + 1j * lam * (x + integral_fprime(b, t, s)))
     out = np.exp(expo)
-    return out if out.ndim else complex(out)
+    return scalar_or_array(out)
 
 
 def product_phi_u(b: Boundary, lam):
@@ -123,7 +105,7 @@ def product_phi_u(b: Boundary, lam):
     expo = (0.5 * integral_fprime_sq(b, 0.0, s) - 0.5 * lam * lam * s
             + 1j * lam * integral_fprime(b, 0.0, s))
     out = np.exp(expo)
-    return out if out.ndim else complex(out)
+    return scalar_or_array(out)
 
 
 def b2_first(b: Boundary, lam, t):
@@ -132,7 +114,7 @@ def b2_first(b: Boundary, lam, t):
     t = np.asarray(t, dtype=float)
     lam = np.asarray(lam, dtype=float)
     out = -(integral_fprime(b, 0.0, t) + 1j * lam * t) * product_phi_u(b, lam)
-    return out if out.ndim else complex(out)
+    return scalar_or_array(out)
 
 
 def b2_second(b: Boundary, lam, t):
@@ -142,7 +124,7 @@ def b2_second(b: Boundary, lam, t):
     t = np.asarray(t, dtype=float)
     lam = np.asarray(lam, dtype=float)
     out = (integral_fprime(b, t, s) + 1j * lam * (s - t)) * product_phi_u(b, lam)
-    return out if out.ndim else complex(out)
+    return scalar_or_array(out)
 
 
 def w1_lambda(b: Boundary, lam, t, x):
@@ -153,7 +135,7 @@ def w1_lambda(b: Boundary, lam, t, x):
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     out = ((x - integral_fprime(b, 0.0, t)) - 1j * lam * t) * u_lambda(b, lam, t, x)
-    return out if out.ndim else complex(out)
+    return scalar_or_array(out)
 
 
 def w2_lambda(b: Boundary, lam, t, x):
@@ -165,7 +147,7 @@ def w2_lambda(b: Boundary, lam, t, x):
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     out = ((x + integral_fprime(b, t, s)) + 1j * lam * (s - t)) * u_lambda(b, lam, t, x)
-    return out if out.ndim else complex(out)
+    return scalar_or_array(out)
 
 
 def _prefactor_and_args(b: Boundary, t, x):
@@ -189,7 +171,7 @@ def closed_w(b: Boundary, t, x):
     k = heat_kernel(st, shifted)
     t = np.asarray(t, dtype=float)
     out = amp * (drift * k + t * (shifted / st) * k)
-    return out if out.ndim else float(out)
+    return scalar_or_array(out)
 
 
 def closed_w_gamma(b: Boundary, g: GammaPoly, t, x):
@@ -209,32 +191,30 @@ def closed_w_gamma(b: Boundary, g: GammaPoly, t, x):
         total = total + c * (drift * kernel_n(n, st, shifted)
                              + t * kernel_n(n + 1, st, shifted))
     out = amp * total
-    return out if out.ndim else float(out)
-
-
-def closed_w2(b: Boundary, t, x):
-    """Second contour-integrated variant, an explicit two-term difference.
-
-    Both terms equal A * X * k(s-t, X); the function returns their
-    difference so the cancellation itself is observable.  The result is
-    zero up to floating cancellation of two equal terms.
-    """
-    _check_t_range(b, t, strict_upper=True)
-    amp, _, shifted, st = _prefactor_and_args(b, t, x)
-    term_direct = amp * shifted * heat_kernel(st, shifted)
-    # same quantity assembled through the derived kernel, (s-t) * h = X * k
-    term_via_h = amp * st * ((shifted / st) * heat_kernel(st, shifted))
-    out = term_direct - term_via_h
-    return out if out.ndim else float(out)
+    return scalar_or_array(out)
 
 
 def closed_w2_terms(b: Boundary, t, x):
-    """The two (equal) terms whose difference ``closed_w2`` returns."""
+    """The two equal terms of the second contour-integrated variant.
+
+    Both are A * X * k(s-t, X): one directly, one assembled through the
+    derived kernel as (s-t) * (X/(s-t)) k.
+    """
     _check_t_range(b, t, strict_upper=True)
     amp, _, shifted, st = _prefactor_and_args(b, t, x)
     term_direct = amp * shifted * heat_kernel(st, shifted)
     term_via_h = amp * st * ((shifted / st) * heat_kernel(st, shifted))
     return term_direct, term_via_h
+
+
+def closed_w2(b: Boundary, t, x):
+    """Second contour-integrated variant: the difference of ``closed_w2_terms``.
+
+    Returned as an explicit two-term difference so the cancellation itself
+    is observable; it is zero up to floating cancellation of equal terms.
+    """
+    term_direct, term_via_h = closed_w2_terms(b, t, x)
+    return scalar_or_array(term_direct - term_via_h)
 
 
 def kappa(b: Boundary, x):
@@ -245,4 +225,4 @@ def kappa(b: Boundary, x):
         raise ValueError("kappa requires x >= 0")
     s = b.horizon_s
     out = x * heat_kernel(s, x + integral_fprime(b, 0.0, s))
-    return out if out.ndim else float(out)
+    return scalar_or_array(out)

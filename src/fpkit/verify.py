@@ -11,9 +11,13 @@ truncation.  The relative figure normalizes by the field's maximum
 magnitude (floored at 1e-12) because the solutions decay exponentially
 in x and pointwise relative error is meaningless in the tail.
 
-The bound 0 <= w <= h(s-t, x) and the vanishing limit at x -> 0 are
-diagnostics: they are reported, never asserted, since derived closed
-forms can violate the bound (the fixed-boundary case with s > 1 does).
+The bound 0 <= w <= h(s-t, x) is a diagnostic: it is reported, never
+asserted, since derived closed forms can violate the bound (the
+fixed-boundary case with s > 1 does).
+
+``run_checks`` is the suite behind ``fpkit verify``; the acceptance tests
+share its per-point measures (``transform_target``, ``zero_identity_gap``,
+``product_spread``).
 """
 
 from __future__ import annotations
@@ -24,11 +28,26 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boundary import Boundary, integral_fprime
-from .grids import FieldKind, GridField, GridSpec, PotentialSpec
-from .kernels import derived_kernel, simpson_weights, symmetric_nodes
-from .solutions import GammaPoly, closed_w_gamma, u_lambda
+from .grids import FieldKind, GridField, GridSpec, PotentialSpec, sample_field
+from .kernels import default_half_width, derived_kernel, symmetric_simpson
+from .solutions import (GammaPoly, closed_w, closed_w2_terms, closed_w_gamma, phi_lambda,
+                        product_phi_u, u_lambda)
+from .transform import bluman_shtelen_w, log_phi_xx
 
 RELATIVE_FLOOR = 1e-12
+
+# Default tolerances, keyed by the dest of each --tol-* flag.  tol_backward is
+# criterion 1's 1e-4 at dt = dx = 1e-3, where the closed form measures ~3.8e-5.
+TOLERANCES = {
+    "tol_backward": 1e-4,
+    "tol_forward": 1e-4,
+    "tol_form_preservation": 1e-8,
+    "tol_transform": 1e-6,
+    "tol_transform_residual": 1e-3,
+    "tol_quadrature": 1e-8,
+    "tol_zero_identity": 1e-14,
+    "tol_product": 1e-12,
+}
 
 
 @dataclass(frozen=True)
@@ -188,23 +207,151 @@ def quadrature_match(b: Boundary, g: GammaPoly, t: float, x: float,
     """Mismatch between the closed form and the direct lambda-quadrature.
 
     Integrates Gamma(lam) * w1_lambda over the symmetric window
-    |lam| <= 40/sqrt(s-t) + X/(s-t) with composite Simpson and returns
+    ``default_half_width(s - t, X)`` with ``symmetric_simpson`` and returns
     |closed - quadrature| / (1 + |closed|).  Requires s - t >= 0.05.
     """
     s = b.horizon_s
     if s - t < 0.05:
         raise ValueError(f"quadrature window calibrated for s - t >= 0.05, got {s - t}")
-    shifted = x + integral_fprime(b, t, s)
-    half_width = 40.0 / np.sqrt(s - t) + abs(shifted) / (s - t)
-    lam = symmetric_nodes(half_width, nodes)
-    weights = simpson_weights(nodes, lam[1] - lam[0])
+    half_width = default_half_width(s - t, x + integral_fprime(b, t, s))
     drift = x - integral_fprime(b, 0.0, t)
-    u_vals = u_lambda(b, lam, t, x)
-    integrand = g(lam) * (drift - 1j * lam * t) * u_vals
-    m = nodes // 2
-    folded = weights[m] * integrand[m] + np.sum(
-        weights[m + 1:] * (integrand[m + 1:] + integrand[m - 1::-1])
-    )
-    quad = float((folded / (2.0 * np.pi)).real)
+    quad = float(symmetric_simpson(
+        lambda lam: g(lam) * (drift - 1j * lam * t) * u_lambda(b, lam, t, x),
+        half_width, nodes).real)
     closed = closed_w_gamma(b, g, t, x)
     return abs(closed - quad) / (1.0 + abs(closed))
+
+
+def transform_target(b: Boundary, t, x):
+    """Analytic lambda = 0 target of the transformation loop: (x - int_0^t f') u_0."""
+    return (np.asarray(x) - integral_fprime(b, 0.0, t)) * u_lambda(b, 0.0, t, x).real
+
+
+def zero_identity_gap(b: Boundary, t: float, x: float) -> float:
+    """|closed_w2| relative to its first term (floored at 1e-300)."""
+    first, second = closed_w2_terms(b, t, x)
+    return abs(first - second) / max(abs(first), 1e-300)
+
+
+def product_spread(b: Boundary, lam: float, t, x) -> float:
+    """Worst relative deviation of phi_lambda * u_lambda at (t, x) from product_phi_u."""
+    ref = product_phi_u(b, lam)
+    vals = phi_lambda(b, lam, t, x) * u_lambda(b, lam, t, x)
+    return float(np.max(np.abs(vals - ref)) / abs(ref))
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """A check passes when ``value`` <= ``tol``; ``label`` names the printed
+    measure.  An int ``value`` is a violation count, printed without tol."""
+
+    name: str
+    label: str
+    value: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.tol)
+
+    def line(self) -> str:
+        shown = (str(self.value) if isinstance(self.value, int)
+                 else f"{self.value:.3e} tol={self.tol:.1e}")
+        return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.label}={shown}"
+
+    def to_json(self) -> dict:
+        return {"name": self.name, "value": float(self.value), "tol": float(self.tol),
+                "margin": float(self.tol - self.value), "passed": self.passed}
+
+
+def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: int,
+               grid_scale: float, field: GridField | None):
+    """The verification suite: returns (checks, residuals, diagnostics).
+
+    ``spec`` is the residual grid and ``tspec`` the transform grid (as
+    built by ``transform_grid``); ``tols`` holds every ``TOLERANCES`` key.
+    ``grid_scale`` multiplies the backward and forward tolerances of the
+    fields sampled on ``spec`` only: an external ``field`` is judged at
+    the unscaled ``tol_backward``.  One RNG stream from ``seed`` feeds, in
+    order, 10 quadrature, 200 zero-identity and 20 product draws.
+    """
+    v1 = PotentialSpec.from_boundary(b)
+    checks: list[CheckResult] = []
+    residuals: dict = {}
+
+    def residual_check(key, name, rep, tol):
+        residuals[key] = rep.to_json()
+        checks.append(CheckResult(name, "max_rel", rep.max_rel, tol))
+
+    if field is not None:
+        residual_check("external_field_backward", "external field residual",
+                       residual_backward(field, v1), tols["tol_backward"])
+    w_field = sample_field(spec, lambda t, x: closed_w(b, t, x))
+    residual_check("backward_closed_w", "backward residual (closed w)",
+                   residual_backward(w_field, v1), tols["tol_backward"] * grid_scale)
+    form_pres_max = 0.0
+    for lam in (0.0, 1.5):
+        phi = sample_field(spec, lambda t, x: phi_lambda(b, lam, t, x))
+        for part, name in ((phi.real_part(), "re"), (phi.imag_part(), "im")):
+            residual_check(f"forward_phi_lam{lam}_{name}",
+                           f"forward residual (phi, lam={lam}, {name})",
+                           residual_forward(part, v1), tols["tol_forward"] * grid_scale)
+        form_pres_max = max(form_pres_max, float(np.max(np.abs(log_phi_xx(phi).values))))
+    checks.append(CheckResult("form preservation (d2/dx2 log phi)", "max_abs",
+                              form_pres_max, tols["tol_form_preservation"]))
+
+    u0 = sample_field(tspec, lambda t, x: u_lambda(b, 0.0, t, x))
+    phi0 = sample_field(tspec, lambda t, x: phi_lambda(b, 0.0, t, x))
+    w_engine = bluman_shtelen_w(u0, phi0)
+    target = sample_field(tspec, lambda t, x: transform_target(b, t, x))
+    dev = float(np.max(np.abs(w_engine.values - target.values))
+                / max(float(np.max(np.abs(target.values))), RELATIVE_FLOOR))
+    checks.append(CheckResult("transform loop vs analytic target", "max_rel_dev", dev,
+                              tols["tol_transform"]))
+    residual_check("backward_transform_w", "transform loop residual",
+                   residual_backward(w_engine, v1), tols["tol_transform_residual"])
+
+    rng = np.random.default_rng(seed)
+    quad_worst = 0.0
+    for _ in range(10):
+        t = rng.uniform(0.0, b.horizon_s - 0.05)
+        x = rng.uniform(0.0, 2.0)
+        g = GammaPoly(tuple(rng.uniform(-1.0, 1.0, rng.integers(1, 5))))
+        quad_worst = max(quad_worst, quadrature_match(b, g, float(t), float(x)))
+    checks.append(CheckResult("contour integration vs quadrature", "worst", quad_worst,
+                              tols["tol_quadrature"]))
+    zero_worst = 0.0
+    for _ in range(200):
+        t = rng.uniform(0.0, b.horizon_s - 0.05)
+        x = rng.uniform(0.0, 3.0)
+        zero_worst = max(zero_worst, zero_identity_gap(b, float(t), float(x)))
+    checks.append(CheckResult("second solution vanishes", "worst", zero_worst,
+                              tols["tol_zero_identity"]))
+    prod_worst = 0.0
+    for _ in range(20):
+        lam = rng.uniform(-5.0, 5.0)
+        ts = rng.uniform(0.0, b.horizon_s, 50)
+        xs = rng.uniform(-2.0, 2.0, 50)
+        prod_worst = max(prod_worst, product_spread(b, lam, ts, xs))
+    checks.append(CheckResult("product constancy", "worst", prod_worst, tols["tol_product"]))
+
+    probes = [2.0 ** -k for k in range(1, 21)]
+    rep_v = check_vanishing_at_origin(lambda t, x: closed_w(b, t, x), 0.0, probes)
+    checks.append(CheckResult("vanishing at origin (t=0)", "violations",
+                              rep_v.violation_count, 0))
+
+    ineq_spec = GridSpec(0.0, 0.5 * b.horizon_s, 0.0, 3.0, 9, 61)
+    w_small = sample_field(ineq_spec, lambda t, x: closed_w(b, t, x), FieldKind.REAL)
+    row_spec = GridSpec(0.0, min(1e-6, 0.4 * b.horizon_s), 0.0, 3.0, 3, 61)
+    w_row = sample_field(row_spec, lambda t, x: closed_w(b, t, x), FieldKind.REAL)
+    diagnostics = {
+        "form_preservation_max_abs": form_pres_max,
+        "transform_max_rel_deviation": dev,
+        "quadrature_match_worst": quad_worst,
+        "zero_identity_worst": zero_worst,
+        "product_constancy_worst": prod_worst,
+        "vanishing_at_origin": rep_v.to_json(),
+        "inequality_full_grid": check_inequality(w_small, b.horizon_s).to_json(),
+        "inequality_t0": check_inequality(w_row, b.horizon_s).to_json(),
+    }
+    return checks, residuals, diagnostics

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from fpkit.cli import main
+from fpkit.cli import build_parser, main
 from fpkit.grids import read_field_csv
+from fpkit.verify import TOLERANCES
 
 
 def read_csv(path):
@@ -99,6 +100,47 @@ def test_verify_corrupted_field_fails_with_report(tmp_path):
     assert rc == 2
     residuals = json.loads((out2 / "residuals.json").read_text())
     assert residuals["external_field_backward"]["max_rel"] > 1e-2
+
+
+def test_verify_fast_judges_external_field_at_unscaled_tolerance(tmp_path, capsys):
+    # the uncorrupted transform field measures max_rel ~2.6e-4: inside the 20x
+    # --fast tolerance of the sampled grid, outside tol_backward = 1e-4
+    src = tmp_path / "good"
+    assert main(["transform", "--boundary", "s=1; fprime=0.5,0.3",
+                 "--grid", "0:0.9:46,0:3:39", "--out", str(src)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "check"
+    rc = main(["verify", "--boundary", "s=1; fprime=0.5,0.3", "--fast",
+               "--field", str(src / "w_transform.csv"), "--out", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if not line.startswith("PASS ")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL external field residual: max_rel=")
+    assert failed[0].endswith(" tol=1.0e-04")
+    checks = json.loads((out / "checks.json").read_text())
+    assert [c["name"] for c in checks] == [line.split(" ", 1)[1].split(":")[0]
+                                           for line in lines]
+    assert [c["passed"] for c in checks] == [line.startswith("PASS ") for line in lines]
+    for c in checks:
+        assert c["margin"] == c["tol"] - c["value"]
+
+
+def test_verify_fast_outputs_byte_identical(tmp_path):
+    args = ["verify", "--boundary", "s=1; fprime=0.5,0.3", "--fast"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == ["checks.json", "config.json", "diagnostics.json", "residuals.json"]
+    assert sorted(p.name for p in out2.iterdir()) == names
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_verify_tolerance_flags_match_table():
+    args = build_parser().parse_args(["verify"])
+    assert [k for k in vars(args) if k.startswith("tol_")] == list(TOLERANCES)
 
 
 def test_transform_writes_field_and_residual(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from fpkit.kernels import (MAX_ORDER, default_half_width, derived_kernel,
                            fourier_quadrature_oracle, heat_kernel, kernel_n,
-                           simpson_weights, symmetric_nodes)
+                           simpson_weights, symmetric_nodes, symmetric_simpson)
 
 # frozen via the Fourier-quadrature oracle (160001 nodes, L = 40/sqrt(t)+|x|/t)
 HEAT_HALF_1P5 = 0.0594651446120757
@@ -100,6 +100,14 @@ def test_heat_kernel_normalization():
         xs = symmetric_nodes(half, 4001)
         mass = float(np.sum(simpson_weights(4001, xs[1] - xs[0]) * heat_kernel(t, xs)))
         assert mass == pytest.approx(1.0, abs=1e-10)
+
+
+def test_symmetric_simpson_folds_and_scales():
+    # a constant integrates to 2L / (2 pi); an odd imaginary part cancels pairwise
+    assert symmetric_simpson(np.ones_like, 3.0, 61) == pytest.approx(3.0 / np.pi, rel=1e-14)
+    val = symmetric_simpson(lambda lam: np.exp(-lam * lam) * (1.0 + 1j * lam), 8.0, 801)
+    assert val.imag == 0.0
+    assert val.real == pytest.approx(np.sqrt(np.pi) / (2.0 * np.pi), rel=1e-12)
 
 
 def test_default_half_width_guideline():

@@ -3,8 +3,7 @@ import pytest
 
 from fpkit.boundary import Boundary, integral_fprime, parse_boundary
 from fpkit.kernels import derived_kernel, heat_kernel, simpson_weights
-from fpkit.solutions import (ClosedFormSolution, GammaPoly, SolutionVariant,
-                             b2_first, b2_second, closed_w, closed_w2,
+from fpkit.solutions import (GammaPoly, b2_first, b2_second, closed_w, closed_w2,
                              closed_w2_terms, closed_w_gamma, kappa, phi_lambda,
                              product_phi_u, u_lambda, w1_lambda, w2_lambda)
 
@@ -259,12 +258,3 @@ def test_kappa_over_h_equals_horizon_for_fixed_level():
         for x in np.linspace(0.05, 3.0, 20):
             ratio = kappa(b, float(x)) / derived_kernel(s, float(x))
             assert ratio == pytest.approx(s, rel=1e-12)
-
-
-def test_closed_form_solution_wrapper():
-    sol = ClosedFormSolution(B_CONST)
-    assert sol(0.5, 1.0) == closed_w(B_CONST, 0.5, 1.0)
-    solp = ClosedFormSolution(B_CONST, GammaPoly((0.0, 1.0)))
-    assert solp(0.5, 1.0) == closed_w_gamma(B_CONST, GammaPoly((0.0, 1.0)), 0.5, 1.0)
-    zero = ClosedFormSolution(B_CONST, variant=SolutionVariant.SECOND)
-    assert zero(0.5, 1.0) == closed_w2(B_CONST, 0.5, 1.0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from fpkit.boundary import Boundary, parse_boundary
 from fpkit.grids import FieldKind, GridField, GridSpec, PotentialSpec, sample_field
 from fpkit.kernels import simpson_weights
 from fpkit.solutions import GammaPoly, closed_w, closed_w_gamma, phi_lambda, u_lambda
-from fpkit.verify import (check_inequality, check_vanishing_at_origin,
+from fpkit.verify import (CheckResult, check_inequality, check_vanishing_at_origin,
                           quadrature_match, residual_backward, residual_forward)
 
 B_LIN = parse_boundary("s=1; fprime=0.5,0.3")
@@ -205,6 +207,23 @@ def test_quadrature_match_gamma_solution():
 def test_quadrature_match_window_precondition():
     with pytest.raises(ValueError):
         quadrature_match(B_CONST, GammaPoly((1.0,)), 0.96, 1.0)
+
+
+# ------------------------------------------------------------ check results
+
+def test_check_result_line_and_json():
+    ok = CheckResult("residual", "max_rel", np.float64(3.0e-5), 1e-4)
+    assert ok.line() == "PASS residual: max_rel=3.000e-05 tol=1.0e-04"
+    bad = CheckResult("residual", "max_rel", np.float64(2.0e-4), 1e-4)
+    assert bad.line() == "FAIL residual: max_rel=2.000e-04 tol=1.0e-04"
+    # numpy values come out as plain JSON types
+    assert json.loads(json.dumps(bad.to_json())) == {
+        "name": "residual", "value": 2.0e-4, "tol": 1e-4,
+        "margin": 1e-4 - 2.0e-4, "passed": False}
+    assert type(bad.to_json()["passed"]) is bool
+    count = CheckResult("vanishing", "violations", 1, 0)
+    assert count.line() == "FAIL vanishing: violations=1"
+    assert count.to_json()["value"] == 1.0 and not count.passed
 
 
 # --------------------------------------------------- adjoint pairing (Green)
