@@ -9,8 +9,8 @@ histograms and a Bessel-bridge Feynman-Kac estimator).
 from .boundary import (Boundary, BoundaryFormatError, boundary_from_json,
                        eval_fprime, eval_fsecond, integral_fprime,
                        integral_fprime_sq, parse_boundary)
-from .grids import (FieldKind, GridField, GridSpec, NumericalError, PotentialSpec,
-                    read_field_csv, sample_field, transform_grid, write_field_csv)
+from .grids import (GridField, GridSpec, NumericalError, PotentialSpec, read_field_csv,
+                    sample_field, transform_grid, write_field_csv)
 from .kernels import (derived_kernel, fourier_quadrature_oracle, heat_kernel,
                       kernel_n)
 from .montecarlo import (DensityComparison, DensityHistogram, MCConfig, MCEstimate,

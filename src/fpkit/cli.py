@@ -78,16 +78,24 @@ def _parse_range(text: str) -> np.ndarray:
     return a + step * np.arange(n)
 
 
-def _parse_grid(text: str) -> GridSpec:
-    """``tmin:tmax:nt,xmin:xmax:nx``."""
+def _parse_grid(text: str, b: Boundary, engine: bool = False) -> GridSpec:
+    """``tmin:tmax:nt,xmin:xmax:nx`` whose times keep s - t >= 0.05.
+
+    ``engine`` makes it the transformation engine's grid (``transform_grid``).
+    """
     try:
         t_part, x_part = text.split(",")
         t_min, t_max, nt = t_part.split(":")
         x_min, x_max, nx = x_part.split(":")
-        return GridSpec(float(t_min), float(t_max), float(x_min), float(x_max),
+        spec = GridSpec(float(t_min), float(t_max), float(x_min), float(x_max),
                         int(nt), int(nx))
-    except (ValueError, TypeError) as exc:
+    except (AttributeError, ValueError, TypeError) as exc:
         raise ConfigError(f"grid must be 'tmin:tmax:nt,xmin:xmax:nx', got {text!r}") from exc
+    if engine:
+        spec = transform_grid(spec.t_min, spec.t_max, spec.x_max, spec.nt, spec.nx)
+    if spec.t_max > b.horizon_s - 0.05:
+        raise ConfigError(f"grid {text!r} must keep s - t >= 0.05 (s = {b.horizon_s})")
+    return spec
 
 
 def _load_config(path) -> dict:
@@ -171,15 +179,8 @@ def cmd_kernels(args) -> int:
 def cmd_solution(args) -> int:
     b = _resolve_boundary(args)
     g = _resolve_gamma(args)
-    grid_text = _resolve(args, "grid")
-    if grid_text is None:
-        upper = 0.9 * (b.horizon_s - 0.05)
-        spec = GridSpec(0.0, max(upper, 1e-3), 0.0, 3.0, 10, 31)
-    else:
-        spec = _parse_grid(grid_text)
-    if spec.t_max > b.horizon_s - 0.05:
-        raise ConfigError(
-            f"t grid must stay within [0, s - 0.05] = [0, {b.horizon_s - 0.05}]")
+    upper = max(0.9 * (b.horizon_s - 0.05), 1e-3)
+    spec = _parse_grid(_resolve(args, "grid", f"0:{upper!r}:10,0:3:31"), b)
     out = _out_dir(args)
     tt, xx = spec.mesh()
     w = closed_w_gamma(b, g, tt, xx)
@@ -193,7 +194,7 @@ def cmd_solution(args) -> int:
                list(zip(x_nonneg, np.atleast_1d(kap))))
     _sidecar(out, "solution", {
         "boundary": _resolve(args, "boundary"), "gamma": list(g.coeffs),
-        "grid": grid_text,
+        "grid": _resolve(args, "grid"),
     })
     return EXIT_OK
 
@@ -206,19 +207,15 @@ def cmd_verify(args) -> int:
     scale = 20.0 if fast and grid_text is None else 1.0
     if grid_text is None:
         grid_text = "0:0.9:226,0.05:3:739" if fast else "0:0.9:901,0.05:3:2951"
-    spec = _parse_grid(grid_text)
+    spec = _parse_grid(grid_text, b)
+    tspec = _parse_grid(_resolve(args, "transform_grid", "0:0.9:901,0:3:301"), b, engine=True)
     tols = {name: float(_resolve(args, name, tol)) for name, tol in TOLERANCES.items()}
-    out = _out_dir(args)
-    if spec.t_max > b.horizon_s - 0.05:
-        raise ConfigError(f"verification grid must keep s - t >= 0.05 (s = {b.horizon_s})")
-    tspec = _parse_grid(_resolve(args, "transform_grid", "0:0.9:901,0:3:301"))
-    tspec = transform_grid(tspec.t_min, tspec.t_max, tspec.x_max, tspec.nt, tspec.nx)
     field_path = _resolve(args, "field")
     try:
         field = None if field_path is None else read_field_csv(field_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read field CSV {field_path}: {exc}") from exc
-
+    out = _out_dir(args)
     checks, residuals, diagnostics = run_checks(
         b, spec, tspec, tols, int(_resolve(args, "seed", 20240501)), scale, field)
     _write_json(os.path.join(out, "residuals.json"), residuals)
@@ -238,10 +235,7 @@ def cmd_transform(args) -> int:
     b = _resolve_boundary(args)
     lam = float(_resolve(args, "lam", 0.0))
     grid_text = _resolve(args, "grid", "0:0.9:91,0:3:61")
-    spec = _parse_grid(grid_text)
-    spec = transform_grid(spec.t_min, spec.t_max, spec.x_max, spec.nt, spec.nx)
-    if spec.t_max > b.horizon_s - 0.05:
-        raise ConfigError("transform grid must keep s - t >= 0.05")
+    spec = _parse_grid(grid_text, b, engine=True)
     out = _out_dir(args)
     u = sample_field(spec, lambda t, x: u_lambda(b, lam, t, x))
     phi = sample_field(spec, lambda t, x: phi_lambda(b, lam, t, x))

@@ -1,16 +1,17 @@
 """Rectangular (t, x) grids and sampled fields.
 
-Fields are stored as complex nt-by-nx arrays; REAL-kind fields carry
-exactly zero imaginary parts.  CSV serialization uses the header
-``t,x,re,im``, row-major by t, with 17 significant digits so baselines
-round-trip bit-exactly.
+A field's values are an nt-by-nx array, float64 when every imaginary
+part is zero and complex128 otherwise: the dtype alone says whether a
+field is real.  The ``GridField`` constructor is the one place that
+chooses it.  CSV serialization uses the header ``t,x,re,im``, row-major
+by t, with 17 significant digits so baselines round-trip bit-exactly; a
+float64 field writes 0 in its ``im`` column.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -22,11 +23,6 @@ logger = logging.getLogger(__name__)
 
 class NumericalError(RuntimeError):
     """Numerical failure (zero field magnitude, unresolvable phase, ...)."""
-
-
-class FieldKind(Enum):
-    REAL = "real"
-    COMPLEX = "complex"
 
 
 @dataclass(frozen=True)
@@ -80,41 +76,36 @@ def transform_grid(t_min, t_max, x_max, nt, nx) -> GridSpec:
 
 @dataclass(frozen=True)
 class GridField:
-    """Sampled field over a GridSpec; values are complex nt-by-nx."""
+    """Sampled field over a GridSpec: writable, C-contiguous nt-by-nx values,
+    stored as float64 when every imaginary part is zero and as complex128
+    otherwise.  Values that already meet all of this are kept, not copied.
+    """
 
     spec: GridSpec
     values: np.ndarray
-    kind: FieldKind = FieldKind.COMPLEX
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.asarray(self.values)
         if v.shape != (self.spec.nt, self.spec.nx):
             raise ValueError(
                 f"field shape {v.shape} does not match grid {self.spec.nt}x{self.spec.nx}"
             )
-        if self.kind is FieldKind.REAL and np.any(v.imag != 0.0):
-            raise ValueError("REAL field carries nonzero imaginary parts")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def real_values(self) -> np.ndarray:
-        return self.values.real
+        if np.iscomplexobj(v) and not np.any(v.imag):
+            v = v.real
+        dtype = complex if np.iscomplexobj(v) else float
+        object.__setattr__(self, "values", np.require(v, dtype, "CW"))
 
     def real_part(self) -> "GridField":
-        return GridField(self.spec, self.values.real + 0j, FieldKind.REAL)
+        return GridField(self.spec, self.values.real)
 
     def imag_part(self) -> "GridField":
-        return GridField(self.spec, self.values.imag + 0j, FieldKind.REAL)
+        return GridField(self.spec, self.values.imag)
 
 
-def sample_field(spec: GridSpec, fn: Callable, kind: FieldKind | None = None) -> GridField:
-    """Evaluate fn(t, x) on the grid via broadcasting."""
+def sample_field(spec: GridSpec, fn: Callable) -> GridField:
+    """Evaluate fn(t, x) on the grid via broadcasting; the field holds one copy."""
     tt, xx = spec.mesh()
-    values = np.asarray(fn(tt, xx))
-    values = np.broadcast_to(values, (spec.nt, spec.nx)).astype(complex)
-    if kind is None:
-        kind = FieldKind.REAL if np.all(values.imag == 0.0) else FieldKind.COMPLEX
-    return GridField(spec, values.copy(), kind)
+    return GridField(spec, np.broadcast_to(fn(tt, xx), (spec.nt, spec.nx)))
 
 
 @dataclass(frozen=True)
@@ -170,10 +161,8 @@ def read_field_csv(path) -> GridField:
         if vals.size < 3 or np.max(np.abs(d - d[0])) > 1e-12 * max(1.0, np.max(np.abs(vals))):
             raise ValueError(f"{name} nodes are not uniformly spaced within 1e-12")
     spec = GridSpec(t_vals[0], t_vals[-1], x_vals[0], x_vals[-1], nt, nx)
-    values = (data[:, 2] + 1j * data[:, 3]).reshape(nt, nx)
     # row-major by t: verify ordering rather than assume it
     if not (np.allclose(t_col.reshape(nt, nx), t_vals[:, None])
             and np.allclose(x_col.reshape(nt, nx), x_vals[None, :])):
         raise ValueError("field CSV is not row-major by t")
-    kind = FieldKind.REAL if np.all(values.imag == 0.0) else FieldKind.COMPLEX
-    return GridField(spec, values, kind)
+    return GridField(spec, (data[:, 2] + 1j * data[:, 3]).reshape(nt, nx))

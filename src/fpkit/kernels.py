@@ -5,7 +5,7 @@
 derivative of the Gaussian heat kernel.  It is evaluated through the
 Hermite-style recurrence
 
-    g_0 = 1,  g_1 = x/t,  g_{n+1} = (x/t) g_n - (n/t) g_{n-1},
+    g_{-1} = 0,  g_0 = 1,  g_{n+1} = (x/t) g_n - (n/t) g_{n-1},
 
 with ``kernel_n = g_n * heat_kernel``.  ``fourier_quadrature_oracle``
 integrates the Fourier representation directly with composite Simpson
@@ -61,15 +61,10 @@ def kernel_n(n: int, t, x):
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     k = np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
-    if n == 0:
-        out = np.ones_like(k) * k
-        return scalar_or_array(out)
-    g_prev = np.ones(np.broadcast(t, x).shape)
-    g = x / t * np.ones_like(g_prev)
-    for m in range(1, n):
+    g_prev, g = 0.0, 1.0
+    for m in range(n):
         g_prev, g = g, (x / t) * g - (m / t) * g_prev
-    out = g * k
-    return scalar_or_array(out)
+    return scalar_or_array(g * k)
 
 
 def default_half_width(t: float, x: float) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import FieldKind, GridField, NumericalError, PotentialSpec
+from .grids import GridField, NumericalError, PotentialSpec
 
 #: minimum field magnitude before division / logarithm is refused
 MIN_FIELD_MAGNITUDE = 1e-12
@@ -104,16 +104,13 @@ def log_phi_xx(phi: GridField) -> GridField:
     out[:, 1:-1] = (logf[:, 2:] - 2.0 * logf[:, 1:-1] + logf[:, :-2]) / (dx * dx)
     out[:, 0] = one_sided_second_derivative(logf[:, :3], dx)
     out[:, -1] = one_sided_second_derivative(logf[:, ::-1][:, :3], dx)
-    kind = FieldKind.REAL if np.all(out.imag == 0.0) else FieldKind.COMPLEX
-    return GridField(spec, out, kind)
+    return GridField(spec, out)
 
 
 def potential_v2(v1: PotentialSpec, phi: GridField) -> GridField:
     """Transformed potential V2 = V1 - d^2/dx^2 log Phi, sampled on phi's grid."""
     correction = log_phi_xx(phi)
-    values = v1.sample(phi.spec) - correction.values
-    kind = FieldKind.REAL if np.all(values.imag == 0.0) else FieldKind.COMPLEX
-    return GridField(phi.spec, values, kind)
+    return GridField(phi.spec, v1.sample(phi.spec) - correction.values)
 
 
 def bluman_shtelen_w(u: GridField, phi: GridField, b2_offset: complex = 0.0) -> GridField:
@@ -145,10 +142,4 @@ def bluman_shtelen_w(u: GridField, phi: GridField, b2_offset: complex = 0.0) -> 
     slope = 0.5 * (phi_x0 * u.values[:, 0] - phi.values[:, 0] * u_x0)
     b2 = cumulative_simpson(slope, spec.dt, axis=0)
 
-    values = (inner + b2[:, None] + b2_offset) / phi.values
-    real_inputs = (u.kind is FieldKind.REAL and phi.kind is FieldKind.REAL
-                   and b2_offset == 0.0)
-    if real_inputs:
-        values = values.real + 0j
-    kind = FieldKind.REAL if np.all(values.imag == 0.0) else FieldKind.COMPLEX
-    return GridField(spec, values, kind)
+    return GridField(spec, (inner + b2[:, None] + b2_offset) / phi.values)

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boundary import Boundary, integral_fprime
-from .grids import FieldKind, GridField, GridSpec, PotentialSpec, sample_field
+from .grids import GridField, GridSpec, PotentialSpec, sample_field
 from .kernels import default_half_width, derived_kernel, symmetric_simpson
 from .solutions import (GammaPoly, closed_w, closed_w2_terms, closed_w_gamma, phi_lambda,
                         product_phi_u, u_lambda)
@@ -131,7 +131,7 @@ def _central_residual(field: GridField, v: PotentialSpec, time_sign: float) -> n
     spec = field.spec
     if spec.nt < 5 or spec.nx < 5:
         raise ValueError(f"residual check needs nt, nx >= 5, got {spec.nt}x{spec.nx}")
-    w = field.values.real if field.kind is FieldKind.REAL else field.values
+    w = field.values
     vv = v.sample(spec)
     wt = _time_derivative(w, spec.dt)
     wxx = (w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]) / (spec.dx ** 2)
@@ -155,7 +155,7 @@ def check_inequality(w: GridField, s: float) -> DiagnosticReport:
     worst margin is the most negative of (w, h - w) over the grid;
     negative values measure how far the bound is broken.
     """
-    if w.kind is not FieldKind.REAL or np.any(w.values.imag != 0.0):
+    if np.iscomplexobj(w.values):
         raise ValueError("inequality check needs a real-valued field")
     spec = w.spec
     if spec.t_max >= s:
@@ -164,7 +164,7 @@ def check_inequality(w: GridField, s: float) -> DiagnosticReport:
         raise ValueError("grid must satisfy x >= 0")
     tt, xx = spec.mesh()
     bound = np.where(xx > 0.0, derived_kernel(s - tt, xx), 0.0)
-    vals = w.real_values
+    vals = w.values
     margin = np.minimum(vals, bound - vals)
     violations = int(np.count_nonzero(margin < 0.0))
     return DiagnosticReport(violations, float(margin.min()), vals.size)
@@ -341,9 +341,9 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
                               rep_v.violation_count, 0))
 
     ineq_spec = GridSpec(0.0, 0.5 * b.horizon_s, 0.0, 3.0, 9, 61)
-    w_small = sample_field(ineq_spec, lambda t, x: closed_w(b, t, x), FieldKind.REAL)
+    w_small = sample_field(ineq_spec, lambda t, x: closed_w(b, t, x))
     row_spec = GridSpec(0.0, min(1e-6, 0.4 * b.horizon_s), 0.0, 3.0, 3, 61)
-    w_row = sample_field(row_spec, lambda t, x: closed_w(b, t, x), FieldKind.REAL)
+    w_row = sample_field(row_spec, lambda t, x: closed_w(b, t, x))
     diagnostics = {
         "form_preservation_max_abs": form_pres_max,
         "transform_max_rel_deviation": dev,

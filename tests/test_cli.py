@@ -83,6 +83,23 @@ def test_verify_rejects_tiny_grid(tmp_path):
     assert rc == 1  # residual preconditions need nt, nx >= 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--boundary", "s=1; fprime=0", "--grid", "0:0.99:10,0.05:3:10"],
+    # a valid residual grid, but the default transform grid reaches t = 0.9 > s
+    ["verify", "--boundary", "s=0.6; fprime=0", "--grid", "0:0.5:10,0.05:3:10"],
+    ["verify", "--boundary", "s=1; fprime=0", "--transform-grid", "0:0.96:10,0:3:11"],
+    ["verify", "--boundary", "s=1; fprime=0", "--field", "missing.csv"],
+    ["transform", "--boundary", "s=1; fprime=0", "--grid", "0:0.99:10,0:3:11"],
+    ["solution", "--boundary", "s=1; fprime=0", "--grid", "0:0.99:10,0:3:11"],
+    ["solution", "--boundary", "s=1; fprime=0", "--config", "grid_number.json"],
+])
+def test_rejected_run_creates_no_out_dir(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid_number.json").write_text('{"grid": 5}')
+    assert main(argv + ["--out", "out"]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_corrupted_field_fails_with_report(tmp_path):
     out1 = tmp_path / "good"
     rc = main(["transform", "--boundary", "s=1; fprime=0.5,0.3",

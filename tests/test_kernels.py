@@ -41,6 +41,11 @@ def test_derived_kernel_values():
 
 def test_kernel_n_low_orders():
     assert kernel_n(0, 0.8, 1.1) == heat_kernel(0.8, 1.1)
+    tt = np.linspace(0.05, 2.0, 50)[:, None]
+    xx = np.linspace(-4.0, 4.0, 400)[None, :]
+    k0 = kernel_n(0, tt, xx)
+    assert k0.shape == (50, 400)
+    assert k0.tobytes() == heat_kernel(tt, xx).tobytes()
     assert kernel_n(1, 1.0, 1.0) == pytest.approx(0.24197072451914337, rel=1e-14)
     assert kernel_n(2, 1.0, 0.0) == pytest.approx(-0.3989422804014327, rel=1e-14)
     # order 2 closed form (x^2/t^2 - 1/t) k

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fpkit.boundary import integral_fprime, parse_boundary
-from fpkit.grids import (FieldKind, GridField, GridSpec, NumericalError,
-                         PotentialSpec, read_field_csv, sample_field,
-                         transform_grid, write_field_csv)
-from fpkit.solutions import phi_lambda, u_lambda
+from fpkit.grids import (GridField, GridSpec, NumericalError, PotentialSpec,
+                         read_field_csv, sample_field, transform_grid,
+                         write_field_csv)
+from fpkit.solutions import closed_w, phi_lambda, u_lambda
 from fpkit.transform import (bluman_shtelen_w, cumulative_simpson, log_phi_xx,
                              one_sided_first_derivative, potential_v2)
 from fpkit.verify import residual_backward
@@ -37,8 +37,39 @@ def test_grid_field_shape_and_kind_checks():
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3)
     with pytest.raises(ValueError):
         GridField(spec, np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        GridField(spec, np.full((3, 3), 1j), FieldKind.REAL)
+    # zero imaginary parts narrow to float64; any nonzero one keeps complex128
+    narrowed = GridField(spec, np.full((3, 3), 2.0 + 0j))
+    assert narrowed.values.dtype == np.float64
+    assert np.all(narrowed.values == 2.0)
+    mixed = np.zeros((3, 3), dtype=complex)
+    mixed[1, 2] = 1e-300j
+    assert GridField(spec, mixed).values.dtype == np.complex128
+    assert GridField(spec, np.ones((3, 3), dtype=int)).values.dtype == np.float64
+
+
+def test_sampled_fields_store_real_values_as_float64():
+    spec = GridSpec(0.0, 0.9, 0.0, 3.0, 10, 31)
+    w = sample_field(spec, lambda t, x: closed_w(B_LIN, t, x))
+    assert w.values.dtype == np.float64
+    assert w.values.nbytes == 8 * spec.nt * spec.nx
+    for fn in (u_lambda, phi_lambda):
+        assert sample_field(spec, lambda t, x: fn(B_LIN, 0.0, t, x)).values.dtype == np.float64
+        assert sample_field(spec, lambda t, x: fn(B_LIN, 1.5, t, x)).values.dtype == np.complex128
+    phi = sample_field(spec, lambda t, x: phi_lambda(B_LIN, 1.5, t, x))
+    assert phi.real_part().values.dtype == np.float64
+    assert phi.imag_part().values.dtype == np.float64
+
+
+def test_real_field_csv_round_trip_is_byte_identical(tmp_path):
+    spec = GridSpec(0.0, 0.5, 0.0, 2.0, 4, 5)
+    field = sample_field(spec, lambda t, x: closed_w(B_LIN, t, x))
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_field_csv(first, field)
+    back = read_field_csv(first)
+    assert back.values.dtype == np.float64
+    np.testing.assert_array_equal(back.values, field.values)
+    write_field_csv(second, back)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_field_csv_round_trip(tmp_path):
@@ -177,7 +208,10 @@ def test_engine_matches_analytic_target():
     target = (xx - tt) * u_lambda(B_CONST, 0.0, tt, xx).real
     dev = np.abs(w.values.real - target) / np.max(np.abs(target))
     assert dev.max() <= 1e-6
-    assert w.kind is FieldKind.REAL
+    assert w.values.dtype == np.float64
+    # a complex input pair keeps a complex result
+    u15, phi15 = engine_fields(B_CONST, 1.5, spec)
+    assert bluman_shtelen_w(u15, phi15).values.dtype == np.complex128
 
 
 def test_engine_zero_input_gives_zero():

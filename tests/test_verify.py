@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fpkit.boundary import Boundary, parse_boundary
-from fpkit.grids import FieldKind, GridField, GridSpec, PotentialSpec, sample_field
+from fpkit.grids import GridField, GridSpec, PotentialSpec, sample_field
 from fpkit.kernels import simpson_weights
 from fpkit.solutions import GammaPoly, closed_w, closed_w_gamma, phi_lambda, u_lambda
 from fpkit.verify import (CheckResult, check_inequality, check_vanishing_at_origin,
@@ -111,13 +111,12 @@ def test_residual_order_of_accuracy():
 
 def fixed_level_field(s, spec):
     b = Boundary((0.0,), s)
-    return sample_field(spec, lambda t, x: closed_w(b, t, x), FieldKind.REAL)
+    return sample_field(spec, lambda t, x: closed_w(b, t, x))
 
 
 def test_inequality_zero_field_passes():
     spec = GridSpec(0.0, 0.4, 0.0, 3.0, 5, 21)
-    w = sample_field(spec, lambda t, x: np.zeros(np.broadcast(t, x).shape),
-                     FieldKind.REAL)
+    w = sample_field(spec, lambda t, x: np.zeros(np.broadcast(t, x).shape))
     rep = check_inequality(w, 1.0)
     assert rep.violation_count == 0
     assert rep.total_points == 5 * 21
@@ -142,7 +141,7 @@ def test_inequality_fixed_level_above_horizon():
 def test_inequality_monotone_in_added_constant():
     spec = GridSpec(0.0, 0.2, 0.1, 3.0, 5, 30)
     base = fixed_level_field(0.5, spec)
-    shifted = GridField(spec, base.values + 0.05, FieldKind.REAL)
+    shifted = GridField(spec, base.values + 0.05)
     assert (check_inequality(shifted, 0.5).violation_count
             >= check_inequality(base, 0.5).violation_count)
 
@@ -152,8 +151,7 @@ def test_inequality_rejects_complex_and_bad_grid():
     w = sample_field(spec, lambda t, x: np.exp(1j * x) + 0 * t)
     with pytest.raises(ValueError):
         check_inequality(w, 1.0)
-    w_real = sample_field(spec, lambda t, x: np.zeros(np.broadcast(t, x).shape),
-                          FieldKind.REAL)
+    w_real = sample_field(spec, lambda t, x: np.zeros(np.broadcast(t, x).shape))
     with pytest.raises(ValueError):
         check_inequality(w_real, 0.3)  # t_max >= s
 
