@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Commands: ``kernels``, ``solution``, ``verify``, ``transform``,
-``simulate``, ``compare``.  Every command resolves its settings from an
-optional JSON config file plus flags (flags win), writes CSV/JSON
-artifacts into the output directory, and embeds the resolved config as
-a ``config.json`` sidecar so each run is reproducible from its outputs.
+``simulate``, ``compare``.  One table, ``OPTIONS``, holds every flag with
+the commands that take it, its converter, default and help; the parser is
+built from it.  Each option is resolved once, before the command runs:
+the flag, else the value in the ``--config`` JSON file (``null`` counts
+as absent), else the table default.  A config key that no option of the
+command reads is an error.  A command writes CSV/JSON artifacts into
+``--out`` and a ``config.json`` sidecar with every option it reads, so
+rerunning with ``--config`` on that sidecar reproduces its outputs.
 
 Exit codes: 0 success, 1 usage/config error, 2 assertion failure
 (a verified tolerance was missed), 3 numerical failure.
@@ -16,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,15 +56,15 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _write_csv(path, header: str, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
+def _write_csv(out: str, name: str, header: str, rows) -> None:
+    with open(os.path.join(out, name), "w", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", newline="\n") as fh:
+def _write_json(out: str, name: str, obj) -> None:
+    with open(os.path.join(out, name), "w", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -109,288 +114,252 @@ def _load_config(path) -> dict:
     return obj
 
 
-def _resolve(args, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if args.config_data and key in args.config_data:
-        return args.config_data[key]
-    return default
+def _numbers(kind):
+    """Converter for a comma list of numbers, given as text or as a JSON list."""
+    def convert(value) -> list:
+        return [kind(tok) for tok in (value.split(",") if isinstance(value, str) else value)]
+    convert.__name__ = f"{kind.__name__} list"
+    return convert
 
 
-def _resolve_boundary(args) -> Boundary:
-    spec = _resolve(args, "boundary")
-    if spec is None:
+class Option(NamedTuple):
+    """A flag.  ``convert`` None keeps the value as given and ``bool`` makes a
+    switch; a ``None`` default is one the command works out itself."""
+    flag: str
+    commands: tuple[str, ...]
+    convert: Callable | None
+    default: object
+    help: str
+
+    @property
+    def key(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+_MC = ("simulate", "compare")
+_BOUNDED = ("solution", "verify", "transform") + _MC
+_ALL = ("kernels",) + _BOUNDED
+
+OPTIONS = (
+    Option("--config", _ALL, str, None, "JSON config file (flags override)"),
+    Option("--out", _ALL, str, ".", "output directory"),
+    Option("--boundary", _BOUNDED, None, None, "'s=<real>; fprime=<c0>,<c1>,...'"),
+    Option("--t", ("kernels",), str, "1", "time value or range a:b:step"),
+    Option("--x", ("kernels",), str, "-3:3:0.1", "space value or range a:b:step"),
+    Option("--n", ("kernels",), _numbers(int), "0,1", "comma list of kernel orders"),
+    Option("--gamma", ("solution",), _numbers(float), "1", "Gamma coefficients c0,c1,..."),
+    Option("--grid", ("solution",), None, None, "tmin:tmax:nt,xmin:xmax:nx (default from s)"),
+    Option("--grid", ("verify",), None, None, "residual grid (default set by --fast)"),
+    Option("--transform-grid", ("verify",), None, "0:0.9:901,0:3:301", "transform engine grid"),
+    Option("--field", ("verify",), str, None, "externally produced field CSV to check"),
+    Option("--fast", ("verify",), bool, False, "coarser grid, relaxed residual tolerances"),
+    Option("--seed", ("verify",), int, 20240501, "seed of the random check points"),
+    *(Option(f"--{name.replace('_', '-')}", ("verify",), float, tol, f"default {tol:g}")
+      for name, tol in TOLERANCES.items()),
+    Option("--lam", ("transform",), float, 0.0, "lambda parameter of the input pair"),
+    Option("--grid", ("transform",), None, "0:0.9:91,0:3:61", "x_min is forced to 0"),
+    Option("--x0", _MC, float, 1.0, "initial distance to the level"),
+    Option("--paths", _MC, int, 100000, "number of paths"),
+    Option("--steps", _MC, int, 2000, "time steps per path"),
+    Option("--seed", _MC, int, 42, "seed of the random streams"),
+    Option("--bins", _MC, int, 20, "histogram bins on [0, s]"),
+    Option("--antithetic", _MC, bool, False, "antithetic path pairs"),
+    Option("--threads", _MC, int, 1, "worker threads (outputs do not depend on it)"),
+)
+
+
+def _options(command: str) -> list[Option]:
+    return [o for o in OPTIONS if command in o.commands]
+
+
+def _resolve(args) -> None:
+    """Set every option of ``args.command`` on ``args``: the flag, else the
+    config value, else the table default.  A JSON ``null`` counts as absent."""
+    config = _load_config(args.config) if args.config else {}
+    options = [o for o in _options(args.command) if o.key != "config"]
+    unknown = sorted(set(config) - {o.key for o in options} - {"command"})
+    if unknown:
+        raise ConfigError(f"config key(s) {', '.join(unknown)} name no {args.command} option")
+    for o in options:
+        if getattr(args, o.key) is None:
+            value = o.default if config.get(o.key) is None else config[o.key]
+            setattr(args, o.key, value if value is None or o.convert is None
+                    else o.convert(value))
+
+
+def _boundary(args) -> Boundary:
+    if args.boundary is None:
         raise ConfigError("a boundary spec is required (--boundary or config)")
-    try:
-        if isinstance(spec, dict):
-            return boundary_from_json(spec)
-        return parse_boundary(str(spec))
-    except BoundaryFormatError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _resolve_gamma(args) -> GammaPoly:
-    g = _resolve(args, "gamma", [1.0])
-    if isinstance(g, str):
-        g = [float(tok) for tok in g.split(",")]
-    try:
-        return GammaPoly(tuple(float(c) for c in g))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if isinstance(args.boundary, dict):
+        return boundary_from_json(args.boundary)
+    return parse_boundary(str(args.boundary))
 
 
 def _out_dir(args) -> str:
-    out = _resolve(args, "out", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
-def _sidecar(out: str, command: str, resolved: dict) -> None:
-    _write_json(os.path.join(out, "config.json"), {"command": command, **resolved})
+def _sidecar(args) -> None:
+    """``config.json``: the command and every option it reads (``args`` holds
+    exactly those), so rerunning with ``--config`` on it reproduces the run."""
+    _write_json(args.out, "config.json",
+                {k: v for k, v in vars(args).items() if k not in ("config", "out")})
 
 
-def cmd_kernels(args) -> int:
-    t_vals = _parse_range(str(_resolve(args, "t", "1")))
-    x_vals = _parse_range(str(_resolve(args, "x", "-3:3:0.1")))
-    orders = _resolve(args, "n", "0,1")
-    if isinstance(orders, str):
-        orders = [int(tok) for tok in orders.split(",")]
+def cmd_kernels(args) -> None:
+    t_vals = _parse_range(args.t)
+    x_vals = _parse_range(args.x)
     if np.any(t_vals <= 0.0):
         raise ConfigError("kernel times must be positive (t = 0 is singular)")
-    for n in orders:
+    for n in args.n:
         if not 0 <= n <= MAX_ORDER:
             raise ConfigError(f"kernel order {n} outside [0, {MAX_ORDER}]")
     out = _out_dir(args)
     rows = []
     for t in t_vals:
-        for n in orders:
+        for n in args.n:
             vals = kernel_n(n, float(t), x_vals)
             rows.extend((t, x, n, v) for x, v in zip(x_vals, np.atleast_1d(vals)))
-    _write_csv(os.path.join(out, "kernels.csv"), "t,x,n,value", rows)
-    _sidecar(out, "kernels", {
-        "t": _resolve(args, "t"), "x": _resolve(args, "x"),
-        "n": list(map(int, orders)),
-    })
-    return EXIT_OK
+    _write_csv(out, "kernels.csv", "t,x,n,value", rows)
+    _sidecar(args)
 
 
-def cmd_solution(args) -> int:
-    b = _resolve_boundary(args)
-    g = _resolve_gamma(args)
+def cmd_solution(args) -> None:
+    b = _boundary(args)
+    g = GammaPoly(tuple(args.gamma))
     upper = max(0.9 * (b.horizon_s - 0.05), 1e-3)
-    spec = _parse_grid(_resolve(args, "grid", f"0:{upper!r}:10,0:3:31"), b)
+    spec = _parse_grid(f"0:{upper!r}:10,0:3:31" if args.grid is None else args.grid, b)
     out = _out_dir(args)
     tt, xx = spec.mesh()
     w = closed_w_gamma(b, g, tt, xx)
     rows = [(t, x, w[i, j]) for i, t in enumerate(spec.t_nodes())
             for j, x in enumerate(spec.x_nodes())]
-    _write_csv(os.path.join(out, "w.csv"), "t,x,value", rows)
+    _write_csv(out, "w.csv", "t,x,value", rows)
     x_nodes = spec.x_nodes()
     x_nonneg = x_nodes[x_nodes >= 0.0]
     kap = kappa(b, x_nonneg)
-    _write_csv(os.path.join(out, "kappa.csv"), "x,value",
-               list(zip(x_nonneg, np.atleast_1d(kap))))
-    _sidecar(out, "solution", {
-        "boundary": _resolve(args, "boundary"), "gamma": list(g.coeffs),
-        "grid": _resolve(args, "grid"),
-    })
-    return EXIT_OK
+    _write_csv(out, "kappa.csv", "x,value", list(zip(x_nonneg, np.atleast_1d(kap))))
+    _sidecar(args)
 
 
-def cmd_verify(args) -> int:
-    b = _resolve_boundary(args)
-    fast = bool(_resolve(args, "fast", False))
-    grid_text = _resolve(args, "grid")
+def cmd_verify(args) -> None:
+    b = _boundary(args)
     # --fast's 4x coarser grid relaxes the residual tolerances on it by 20
-    scale = 20.0 if fast and grid_text is None else 1.0
-    if grid_text is None:
-        grid_text = "0:0.9:226,0.05:3:739" if fast else "0:0.9:901,0.05:3:2951"
-    spec = _parse_grid(grid_text, b)
-    tspec = _parse_grid(_resolve(args, "transform_grid", "0:0.9:901,0:3:301"), b, engine=True)
-    tols = {name: float(_resolve(args, name, tol)) for name, tol in TOLERANCES.items()}
-    field_path = _resolve(args, "field")
+    scale = 20.0 if args.fast and args.grid is None else 1.0
+    default_grid = "0:0.9:226,0.05:3:739" if args.fast else "0:0.9:901,0.05:3:2951"
+    spec = _parse_grid(default_grid if args.grid is None else args.grid, b)
+    tspec = _parse_grid(args.transform_grid, b, engine=True)
+    tols = {name: getattr(args, name) for name in TOLERANCES}
     try:
-        field = None if field_path is None else read_field_csv(field_path)
+        field = None if args.field is None else read_field_csv(args.field)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read field CSV {field_path}: {exc}") from exc
+        raise ConfigError(f"cannot read field CSV {args.field}: {exc}") from exc
+    checks, residuals, diagnostics = run_checks(b, spec, tspec, tols, args.seed, scale, field)
     out = _out_dir(args)
-    checks, residuals, diagnostics = run_checks(
-        b, spec, tspec, tols, int(_resolve(args, "seed", 20240501)), scale, field)
-    _write_json(os.path.join(out, "residuals.json"), residuals)
-    _write_json(os.path.join(out, "diagnostics.json"), diagnostics)
-    _write_json(os.path.join(out, "checks.json"), [c.to_json() for c in checks])
-    _sidecar(out, "verify", {"boundary": _resolve(args, "boundary"), "grid": grid_text,
-                             "fast": fast})
+    _write_json(out, "residuals.json", residuals)
+    _write_json(out, "diagnostics.json", diagnostics)
+    _write_json(out, "checks.json", [c.to_json() for c in checks])
+    _sidecar(args)
     for c in checks:
         print(c.line())
     failed = sum(not c.passed for c in checks)
     if failed:
         raise AssertionFailure(f"{failed} verification check(s) failed")
-    return EXIT_OK
 
 
-def cmd_transform(args) -> int:
-    b = _resolve_boundary(args)
-    lam = float(_resolve(args, "lam", 0.0))
-    grid_text = _resolve(args, "grid", "0:0.9:91,0:3:61")
-    spec = _parse_grid(grid_text, b, engine=True)
+def cmd_transform(args) -> None:
+    b = _boundary(args)
+    spec = _parse_grid(args.grid, b, engine=True)
     out = _out_dir(args)
-    u = sample_field(spec, lambda t, x: u_lambda(b, lam, t, x))
-    phi = sample_field(spec, lambda t, x: phi_lambda(b, lam, t, x))
+    u = sample_field(spec, lambda t, x: u_lambda(b, args.lam, t, x))
+    phi = sample_field(spec, lambda t, x: phi_lambda(b, args.lam, t, x))
     w = bluman_shtelen_w(u, phi)
     write_field_csv(os.path.join(out, "w_transform.csv"), w)
     rep = residual_backward(w, PotentialSpec.from_boundary(b))
-    _write_json(os.path.join(out, "residuals.json"),
-                {"backward_transform_w": rep.to_json()})
-    _sidecar(out, "transform", {
-        "boundary": _resolve(args, "boundary"), "lam": lam,
-        "grid": grid_text,
-    })
-    return EXIT_OK
+    _write_json(out, "residuals.json", {"backward_transform_w": rep.to_json()})
+    _sidecar(args)
 
 
-def _mc_command(body):
-    """A simulate/compare command: the shared setup and sidecar around ``body``.
-
-    ``body(b, x0, cfg, n_bins, threads, out)`` runs the MC and writes its
-    own outputs; the sidecar is written after it, under ``args.command``.
-    Bad MCConfig values raise ValueError, which ``main`` reports as exit 1.
-    """
-    def command(args) -> int:
-        b = _resolve_boundary(args)
-        cfg = mc.MCConfig(n_paths=int(_resolve(args, "paths", 100000)),
-                          n_steps=int(_resolve(args, "steps", 2000)),
-                          seed=int(_resolve(args, "seed", 42)),
-                          antithetic=bool(_resolve(args, "antithetic", False)))
-        x0 = float(_resolve(args, "x0", 1.0))
-        n_bins = int(_resolve(args, "bins", 20))
-        threads = int(_resolve(args, "threads", 1))
-        if threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {threads}")
-        if x0 <= 0.0:
-            raise ConfigError("x0 must be positive")
-        out = _out_dir(args)
-        body(b, x0, cfg, n_bins, threads, out)
-        _sidecar(out, args.command, {
-            "boundary": _resolve(args, "boundary"), "x0": x0, "paths": cfg.n_paths,
-            "steps": cfg.n_steps, "seed": cfg.seed, "antithetic": cfg.antithetic,
-            "bins": n_bins, "threads": threads,
-        })
-        return EXIT_OK
-    return command
+def _mc_setup(args):
+    """Boundary, MCConfig and output directory of simulate/compare; bad
+    MCConfig values raise ValueError, which ``main`` reports as exit 1."""
+    b = _boundary(args)
+    cfg = mc.MCConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed,
+                      antithetic=args.antithetic)
+    if args.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {args.threads}")
+    if args.x0 <= 0.0:
+        raise ConfigError("x0 must be positive")
+    return b, cfg, _out_dir(args)
 
 
 def _write_comparison(out: str, table: mc.DensityComparison) -> None:
-    _write_csv(os.path.join(out, "comparison.csv"),
-               "bin_lo,bin_hi,empirical,kappa,reference,z",
-               [(table.bin_edges[i], table.bin_edges[i + 1], table.empirical[i],
-                 table.kappa_mass[i], table.reference_mass[i], table.z_scores[i])
-                for i in range(table.empirical.size)])
+    edges = table.bin_edges
+    _write_csv(out, "comparison.csv", "bin_lo,bin_hi,empirical,kappa,reference,z",
+               zip(edges[:-1], edges[1:], table.empirical, table.kappa_mass,
+                   table.reference_mass, table.z_scores))
 
 
-@_mc_command
-def cmd_simulate(b, x0, cfg, n_bins, threads, out) -> None:
-    hist = mc.first_passage_histogram(b, x0, cfg, n_bins, threads)
-    _write_csv(os.path.join(out, "fpt_histogram.csv"), "bin_lo,bin_hi,mass",
-               [(hist.bin_edges[i], hist.bin_edges[i + 1], hist.masses[i])
-                for i in range(n_bins)])
-    _write_comparison(out, mc.compare_density(b, x0, cfg, n_bins, threads, hist=hist))
-    fk = mc.bessel_bridge_fk(b, x0, cfg, threads)
-    _write_json(os.path.join(out, "feynman_kac.json"),
+def cmd_simulate(args) -> None:
+    b, cfg, out = _mc_setup(args)
+    hist = mc.first_passage_histogram(b, args.x0, cfg, args.bins, args.threads)
+    _write_csv(out, "fpt_histogram.csv", "bin_lo,bin_hi,mass",
+               zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses))
+    _write_comparison(out, mc.compare_density(b, args.x0, cfg, args.bins, args.threads,
+                                              hist=hist))
+    fk = mc.bessel_bridge_fk(b, args.x0, cfg, args.threads)
+    _write_json(out, "feynman_kac.json",
                 {**fk.to_json(), "n_steps": cfg.n_steps, "seed": cfg.seed})
+    _sidecar(args)
 
 
-@_mc_command
-def cmd_compare(b, x0, cfg, n_bins, threads, out) -> None:
-    _write_comparison(out, mc.compare_density(b, x0, cfg, n_bins, threads))
+def cmd_compare(args) -> None:
+    b, cfg, out = _mc_setup(args)
+    _write_comparison(out, mc.compare_density(b, args.x0, cfg, args.bins, args.threads))
+    _sidecar(args)
+
+
+COMMANDS = {
+    "kernels": (cmd_kernels, "tabulate the kernel family"),
+    "solution": (cmd_solution, "tabulate closed-form solutions and kappa"),
+    "verify": (cmd_verify, "run the verification suite"),
+    "transform": (cmd_transform, "run the pair-transformation engine"),
+    "simulate": (cmd_simulate, "first-passage + Feynman-Kac Monte Carlo"),
+    "compare": (cmd_compare, "empirical vs closed-form density table"),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fpkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file (flags override)")
-        p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--boundary", help="'s=<real>; fprime=<c0>,<c1>,...'")
-
-    p = sub.add_parser("kernels", help="tabulate the kernel family")
-    common(p)
-    p.add_argument("--t", help="time value or range a:b:step")
-    p.add_argument("--x", help="space value or range a:b:step")
-    p.add_argument("--n", help="comma list of kernel orders")
-    p.set_defaults(fn=cmd_kernels)
-
-    p = sub.add_parser("solution", help="tabulate closed-form solutions and kappa")
-    common(p)
-    p.add_argument("--gamma", help="Gamma polynomial coefficients c0,c1,...")
-    p.add_argument("--grid", help="tmin:tmax:nt,xmin:xmax:nx")
-    p.set_defaults(fn=cmd_solution)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    common(p)
-    p.add_argument("--grid", help="residual grid tmin:tmax:nt,xmin:xmax:nx")
-    p.add_argument("--transform-grid", dest="transform_grid")
-    p.add_argument("--field", help="externally produced field CSV to check")
-    p.add_argument("--fast", action="store_true", default=None,
-                   help="coarser grid with proportionally relaxed tolerances")
-    p.add_argument("--seed", type=int)
-    for name in TOLERANCES:
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("transform", help="run the pair-transformation engine")
-    common(p)
-    p.add_argument("--lam", type=float, help="lambda parameter of the input pair")
-    p.add_argument("--grid", help="tmin:tmax:nt,xmin:xmax:nx (x_min forced to 0)")
-    p.set_defaults(fn=cmd_transform)
-
-    for name, fn, help_text in (
-        ("simulate", cmd_simulate, "first-passage + Feynman-Kac Monte Carlo"),
-        ("compare", cmd_compare, "empirical vs closed-form density table"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        common(p)
-        p.add_argument("--x0", type=float, help="initial distance to the level")
-        p.add_argument("--paths", type=int)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--bins", type=int)
-        p.add_argument("--antithetic", action="store_true", default=None)
-        p.add_argument("--threads", type=int)
-        p.set_defaults(fn=fn)
-
+        for o in _options(name):
+            kind = {"action": "store_true"} if o.convert is bool else {"type": o.convert}
+            p.add_argument(o.flag, default=None, help=o.help, **kind)
     return parser
 
 
 def _merge_negative_values(argv):
-    """Join flags with values that start with '-' (e.g. --x -3:3:0.1)."""
-    value_flags = {"--x", "--t", "--gamma", "--n"}
+    """Join value-taking flags with values that start with '-' (--x -3:3:0.1)."""
+    value_flags = {o.flag for o in OPTIONS if o.convert is not bool}
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in value_flags and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if out and out[-1] in value_flags and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _merge_negative_values(list(argv))
+    argv = _merge_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
-        args.config_data = _load_config(args.config) if args.config else {}
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        _resolve(args)
+        COMMANDS[args.command][0](args)
+        return EXIT_OK
     except (ConfigError, BoundaryFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

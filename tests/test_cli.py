@@ -77,12 +77,6 @@ def test_verify_fast_exit_zero(tmp_path, capsys):
     assert "inequality_t0" in diagnostics
 
 
-def test_verify_rejects_tiny_grid(tmp_path):
-    rc = main(["verify", "--boundary", "s=1; fprime=0.5,0.3",
-               "--grid", "0:0.9:3,0.05:3:8", "--out", str(tmp_path)])
-    assert rc == 1  # residual preconditions need nt, nx >= 5
-
-
 @pytest.mark.parametrize("argv", [
     ["verify", "--boundary", "s=1; fprime=0", "--grid", "0:0.99:10,0.05:3:10"],
     # a valid residual grid, but the default transform grid reaches t = 0.9 > s
@@ -92,6 +86,8 @@ def test_verify_rejects_tiny_grid(tmp_path):
     ["transform", "--boundary", "s=1; fprime=0", "--grid", "0:0.99:10,0:3:11"],
     ["solution", "--boundary", "s=1; fprime=0", "--grid", "0:0.99:10,0:3:11"],
     ["solution", "--boundary", "s=1; fprime=0", "--config", "grid_number.json"],
+    # passes _parse_grid; the residual preconditions need nt, nx >= 5
+    ["verify", "--boundary", "s=1; fprime=0", "--grid", "0:0.9:3,0.05:3:8"],
 ])
 def test_rejected_run_creates_no_out_dir(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -251,6 +247,63 @@ def test_config_file_with_flag_override(tmp_path):
     sidecar = json.loads((out / "config.json").read_text())
     assert sidecar["seed"] == 10  # flag wins
     assert sidecar["paths"] == 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernels"],
+    ["solution", "--boundary", "s=1; fprime=0.5,0.3"],
+    ["verify", "--boundary", "s=1; fprime=0.5,0.3", "--fast", "--seed", "7",
+     "--transform-grid", "0:0.9:226,0:3:151", "--tol-quadrature", "0.5"],
+    ["transform", "--boundary", "s=1; fprime=0.5,0.3", "--lam", "1.5"],
+    ["simulate", "--boundary", "s=1; fprime=0.5,0.3", "--paths", "3001", "--steps", "40",
+     "--threads", "2", "--antithetic"],
+    ["compare", "--boundary", "s=1; fprime=0", "--paths", "3001", "--steps", "40",
+     "--threads", "2", "--antithetic"],
+], ids=lambda argv: argv[0])
+def test_sidecar_replays_the_run(tmp_path, capsys, argv):
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(argv + ["--out", str(first)]) == 0
+    stdout = capsys.readouterr().out
+    assert main([argv[0], "--config", str(first / "config.json"), "--out", str(replay)]) == 0
+    assert capsys.readouterr().out == stdout
+    names = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in replay.iterdir()) == names
+    for name in names:
+        assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+
+
+def test_config_null_takes_the_default(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"t": None, "x": "0:1:0.5", "n": None}))
+    out = tmp_path / "out"
+    assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 0
+    sidecar = json.loads((out / "config.json").read_text())
+    assert sidecar == {"command": "kernels", "t": "1", "x": "0:1:0.5", "n": [0, 1]}
+    assert len(read_csv(out / "kernels.csv")) == 6
+
+
+def test_flag_values_may_start_with_minus(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert main(["transform", "--boundary", "s=1; fprime=0", "--lam", "-1e-3",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())["lam"] == -0.001
+    capsys.readouterr()
+    assert main(["simulate", "--boundary", "s=1; fprime=0", "--x0", "-1e-2",
+                 "--out", str(tmp_path / "m")]) == 1
+    assert "x0 must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("compare", {"boundary": {"s": 1.0, "fprime": [0.0]}, "path": 500}, "path"),
+    ("kernels", {"boundary": "s=1; fprime=0", "t": "1"}, "boundary"),
+], ids=["compare-path", "kernels-boundary"])
+def test_config_key_that_no_option_reads_is_rejected(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert f"config key(s) {key} name no {command} option" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_bad_config_file(tmp_path):
