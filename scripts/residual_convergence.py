@@ -10,13 +10,13 @@ to 4 from above as the 4th-order time term fades.
 """
 
 import fpkit as fp
-from fpkit.grids import GridSpec, PotentialSpec, sample_field
+from fpkit.grids import GridSpec, sample_field
 from fpkit.verify import residual_backward
 
 
 def main():
     b = fp.parse_boundary("s=1; fprime=0.5,0.3")
-    v1 = PotentialSpec.from_boundary(b)
+    v1 = fp.boundary_potential(b)
     print(f"{'delta':>10} {'nt x nx':>12} {'max_rel':>12} {'ratio':>8} {'C=rel/d^2':>10}")
     prev = None
     for k in (1, 2, 4, 8):

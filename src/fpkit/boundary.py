@@ -118,6 +118,11 @@ def eval_fsecond(b: Boundary, t):
     return scalar_or_array(out)
 
 
+def boundary_potential(b: Boundary):
+    """The moving-boundary potential V1(t, x) = x f''(t), as a (t, x) function."""
+    return lambda t, x: np.asarray(x) * eval_fsecond(b, t)
+
+
 def _antideriv_diff(coeffs, a, c):
     # exact integral of sum c_j u^j over [a, c]
     a = np.asarray(a, dtype=float)

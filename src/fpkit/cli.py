@@ -6,9 +6,11 @@ the commands that take it, its converter, default and help; the parser is
 built from it.  Each option is resolved once, before the command runs:
 the flag, else the value in the ``--config`` JSON file (``null`` counts
 as absent), else the table default.  A config key that no option of the
-command reads is an error.  A command writes CSV/JSON artifacts into
-``--out`` and a ``config.json`` sidecar with every option it reads, so
-rerunning with ``--config`` on that sidecar reproduces its outputs.
+command reads is an error, and so is a config value that its option's
+converter rejects or would change (a switch takes only true/false).  A
+command writes CSV/JSON artifacts into ``--out`` and a ``config.json``
+sidecar with every option it reads, so rerunning with ``--config`` on
+that sidecar reproduces its outputs.
 
 Exit codes: 0 success, 1 usage/config error, 2 assertion failure
 (a verified tolerance was missed), 3 numerical failure.
@@ -25,9 +27,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import montecarlo as mc
-from .boundary import Boundary, BoundaryFormatError, boundary_from_json, parse_boundary
-from .grids import (GridSpec, NumericalError, PotentialSpec, read_field_csv, sample_field,
-                    transform_grid, write_field_csv)
+from .boundary import (Boundary, BoundaryFormatError, boundary_from_json, boundary_potential,
+                       parse_boundary)
+from .grids import (GridSpec, NumericalError, read_field_csv, sample_field, transform_grid,
+                    write_field_csv)
 from .kernels import MAX_ORDER, kernel_n
 from .solutions import GammaPoly, closed_w_gamma, kappa, phi_lambda, u_lambda
 from .transform import bluman_shtelen_w
@@ -172,6 +175,21 @@ def _options(command: str) -> list[Option]:
     return [o for o in OPTIONS if command in o.commands]
 
 
+def _from_config(o: Option, value):
+    """A config value through its option's converter, which must neither
+    reject nor change it; only a switch takes (and needs) true/false."""
+    bad = ConfigError(f"config key {o.key}: {json.dumps(value)} is not a valid "
+                      f"{o.convert.__name__} value")
+    try:
+        converted = o.convert(value)
+    except (TypeError, ValueError) as exc:
+        raise bad from exc
+    items = value if isinstance(value, list) else [value]
+    if converted != value or any(isinstance(v, bool) != (o.convert is bool) for v in items):
+        raise bad
+    return converted
+
+
 def _resolve(args) -> None:
     """Set every option of ``args.command`` on ``args``: the flag, else the
     config value, else the table default.  A JSON ``null`` counts as absent."""
@@ -181,10 +199,14 @@ def _resolve(args) -> None:
     if unknown:
         raise ConfigError(f"config key(s) {', '.join(unknown)} name no {args.command} option")
     for o in options:
-        if getattr(args, o.key) is None:
-            value = o.default if config.get(o.key) is None else config[o.key]
-            setattr(args, o.key, value if value is None or o.convert is None
-                    else o.convert(value))
+        if getattr(args, o.key) is not None:
+            continue
+        value = config.get(o.key)
+        if value is None:
+            value = o.default if o.default is None or o.convert is None else o.convert(o.default)
+        elif o.convert is not None:
+            value = _from_config(o, value)
+        setattr(args, o.key, value)
 
 
 def _boundary(args) -> Boundary:
@@ -276,7 +298,7 @@ def cmd_transform(args) -> None:
     phi = sample_field(spec, lambda t, x: phi_lambda(b, args.lam, t, x))
     w = bluman_shtelen_w(u, phi)
     write_field_csv(os.path.join(out, "w_transform.csv"), w)
-    rep = residual_backward(w, PotentialSpec.from_boundary(b))
+    rep = residual_backward(w, boundary_potential(b))
     _write_json(out, "residuals.json", {"backward_transform_w": rep.to_json()})
     _sidecar(args)
 
@@ -306,8 +328,7 @@ def cmd_simulate(args) -> None:
     hist = mc.first_passage_histogram(b, args.x0, cfg, args.bins, args.threads)
     _write_csv(out, "fpt_histogram.csv", "bin_lo,bin_hi,mass",
                zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses))
-    _write_comparison(out, mc.compare_density(b, args.x0, cfg, args.bins, args.threads,
-                                              hist=hist))
+    _write_comparison(out, mc.compare_density(b, args.x0, hist))
     fk = mc.bessel_bridge_fk(b, args.x0, cfg, args.threads)
     _write_json(out, "feynman_kac.json",
                 {**fk.to_json(), "n_steps": cfg.n_steps, "seed": cfg.seed})
@@ -316,7 +337,8 @@ def cmd_simulate(args) -> None:
 
 def cmd_compare(args) -> None:
     b, cfg, out = _mc_setup(args)
-    _write_comparison(out, mc.compare_density(b, args.x0, cfg, args.bins, args.threads))
+    hist = mc.first_passage_histogram(b, args.x0, cfg, args.bins, args.threads)
+    _write_comparison(out, mc.compare_density(b, args.x0, hist))
     _sidecar(args)
 
 

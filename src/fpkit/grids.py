@@ -16,8 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .boundary import Boundary, eval_fsecond
-
 logger = logging.getLogger(__name__)
 
 
@@ -108,28 +106,15 @@ def sample_field(spec: GridSpec, fn: Callable) -> GridField:
     return GridField(spec, np.broadcast_to(fn(tt, xx), (spec.nt, spec.nx)))
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Potential V(t, x) entering the backward/forward equations."""
-
-    fn: Callable
-
-    @classmethod
-    def from_boundary(cls, b: Boundary) -> "PotentialSpec":
-        """The moving-boundary potential V1(t, x) = x * f''(t)."""
-        return cls(lambda t, x: np.asarray(x) * eval_fsecond(b, t))
-
-    @classmethod
-    def constant(cls, value: float) -> "PotentialSpec":
-        return cls(lambda t, x: np.broadcast_to(float(value), np.broadcast(t, x).shape))
-
-    def sample(self, spec: GridSpec) -> np.ndarray:
-        tt, xx = spec.mesh()
-        out = np.asarray(self.fn(tt, xx), dtype=float)
-        out = np.broadcast_to(out, (spec.nt, spec.nx))
-        if not np.all(np.isfinite(out)):
-            raise NumericalError("potential is not finite on the grid")
-        return out.copy()
+def sample_potential(spec: GridSpec, v: Callable) -> np.ndarray:
+    """A real potential v(t, x) on the grid, as a read-only nt-by-nx array
+    (a broadcast view when v does not vary along t or x).  Raises
+    NumericalError when a value is not finite."""
+    tt, xx = spec.mesh()
+    out = np.broadcast_to(np.asarray(v(tt, xx), dtype=float), (spec.nt, spec.nx))
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("potential is not finite on the grid")
+    return out
 
 
 def write_field_csv(path, field: GridField) -> None:

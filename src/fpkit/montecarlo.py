@@ -30,7 +30,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .boundary import Boundary, eval_fsecond, integral_fprime
 from .kernels import derived_kernel, heat_kernel, simpson_weights
@@ -246,17 +245,13 @@ def _bin_masses(fn, edges: np.ndarray, nodes_per_bin: int = 65) -> np.ndarray:
     return out
 
 
-def compare_density(b: Boundary, x0: float, cfg: MCConfig, n_bins: int = 20,
-                    n_workers: int = 1,
-                    hist: DensityHistogram | None = None) -> DensityComparison:
-    """Per-bin comparison of empirical mass against the closed-form columns.
+def compare_density(b: Boundary, x0: float, hist: DensityHistogram) -> DensityComparison:
+    """Per-bin comparison of the empirical mass in ``hist`` (a histogram of
+    the level x0 + int_0^t f') against the closed-form columns.
 
     z is (empirical - kappa) in units of the empirical binomial standard
-    error.  The table is a report: no pass/fail is attached.  Pass a
-    precomputed ``hist`` (same boundary/x0/cfg) to skip the path sweep.
+    error.  The table is a report: no pass/fail is attached.
     """
-    if hist is None:
-        hist = first_passage_histogram(b, x0, cfg, n_bins, n_workers)
     edges = hist.bin_edges
     kappa_mass = _bin_masses(lambda t: kappa_time_density(b, x0, t), edges)
     ref_mass = _bin_masses(lambda t: reference_time_density(b, x0, t), edges)
@@ -264,23 +259,6 @@ def compare_density(b: Boundary, x0: float, cfg: MCConfig, n_bins: int = 20,
     se = np.sqrt(np.maximum(emp * (1.0 - emp), 1e-300) / hist.n_total)
     z = (emp - kappa_mass) / se
     return DensityComparison(edges, emp, kappa_mass, ref_mass, z, hist.n_total)
-
-
-def chi_square_vs_reference(hist: DensityHistogram, expected_masses: np.ndarray):
-    """Multinomial chi-square of binned counts against expected masses.
-
-    The never-crossed remainder is included as an extra cell, so the
-    statistic has (n_bins + 1) - 1 degrees of freedom.  Returns
-    (statistic, p_value).
-    """
-    expected_masses = np.asarray(expected_masses, dtype=float)
-    observed = np.append(hist.masses, 1.0 - hist.masses.sum()) * hist.n_total
-    expected = np.append(expected_masses, 1.0 - expected_masses.sum()) * hist.n_total
-    if np.any(expected <= 0.0):
-        raise ValueError("expected counts must be positive in every cell")
-    stat = float(np.sum((observed - expected) ** 2 / expected))
-    dof = hist.masses.size
-    return stat, float(chi2.sf(stat, dof))
 
 
 def _radial_step(radius: np.ndarray, shrink: float, var: float,

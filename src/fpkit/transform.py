@@ -20,9 +20,11 @@ Phi_x u and Phi u_x terms.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from .grids import GridField, NumericalError, PotentialSpec
+from .grids import GridField, NumericalError, sample_potential
 
 #: minimum field magnitude before division / logarithm is refused
 MIN_FIELD_MAGNITUDE = 1e-12
@@ -107,10 +109,11 @@ def log_phi_xx(phi: GridField) -> GridField:
     return GridField(spec, out)
 
 
-def potential_v2(v1: PotentialSpec, phi: GridField) -> GridField:
-    """Transformed potential V2 = V1 - d^2/dx^2 log Phi, sampled on phi's grid."""
+def potential_v2(v1: Callable, phi: GridField) -> GridField:
+    """Transformed potential V2 = V1 - d^2/dx^2 log Phi, sampled on phi's grid;
+    ``v1`` is the potential as a (t, x) function."""
     correction = log_phi_xx(phi)
-    return GridField(phi.spec, v1.sample(phi.spec) - correction.values)
+    return GridField(phi.spec, sample_potential(phi.spec, v1) - correction.values)
 
 
 def bluman_shtelen_w(u: GridField, phi: GridField, b2_offset: complex = 0.0) -> GridField:

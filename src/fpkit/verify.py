@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .boundary import Boundary, integral_fprime
-from .grids import GridField, GridSpec, PotentialSpec, sample_field
+from .boundary import Boundary, boundary_potential, integral_fprime
+from .grids import GridField, GridSpec, sample_field, sample_potential
 from .kernels import default_half_width, derived_kernel, symmetric_simpson
 from .solutions import (GammaPoly, closed_w, closed_w2_terms, closed_w_gamma, phi_lambda,
                         product_phi_u, u_lambda)
@@ -127,23 +127,24 @@ def _time_derivative(w: np.ndarray, dt: float) -> np.ndarray:
     return wt
 
 
-def _central_residual(field: GridField, v: PotentialSpec, time_sign: float) -> np.ndarray:
+def _central_residual(field: GridField, v: Callable, time_sign: float) -> np.ndarray:
     spec = field.spec
     if spec.nt < 5 or spec.nx < 5:
         raise ValueError(f"residual check needs nt, nx >= 5, got {spec.nt}x{spec.nx}")
     w = field.values
-    vv = v.sample(spec)
+    vv = sample_potential(spec, v)
     wt = _time_derivative(w, spec.dt)
     wxx = (w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]) / (spec.dx ** 2)
     return (time_sign * wt + vv[1:-1, 1:-1] * w[1:-1, 1:-1] - 0.5 * wxx)
 
 
-def residual_backward(w: GridField, v: PotentialSpec) -> ResidualReport:
-    """Residual of -w_t + V w - w_xx/2 at interior nodes."""
+def residual_backward(w: GridField, v: Callable) -> ResidualReport:
+    """Residual of -w_t + V w - w_xx/2 at interior nodes; V is the (t, x)
+    function ``v``."""
     return _residual_report(w, _central_residual(w, v, -1.0))
 
 
-def residual_forward(phi: GridField, v: PotentialSpec) -> ResidualReport:
+def residual_forward(phi: GridField, v: Callable) -> ResidualReport:
     """Residual of +Phi_t + V Phi - Phi_xx/2 at interior nodes."""
     return _residual_report(phi, _central_residual(phi, v, +1.0))
 
@@ -275,7 +276,7 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     the unscaled ``tol_backward``.  One RNG stream from ``seed`` feeds, in
     order, 10 quadrature, 200 zero-identity and 20 product draws.
     """
-    v1 = PotentialSpec.from_boundary(b)
+    v1 = boundary_potential(b)
     checks: list[CheckResult] = []
     residuals: dict = {}
 

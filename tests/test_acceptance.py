@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 import fpkit as fp
+from chi_square import chi_square_vs_reference
 from fpkit.cli import main as cli_main
-from fpkit.grids import GridSpec, PotentialSpec, sample_field, transform_grid
-from fpkit.montecarlo import (MCConfig, _bin_masses, bessel_bridge_fk,
-                              chi_square_vs_reference, first_passage_histogram,
+from fpkit.grids import GridSpec, sample_field, transform_grid
+from fpkit.montecarlo import (MCConfig, _bin_masses, bessel_bridge_fk, first_passage_histogram,
                               reference_time_density)
 from fpkit.solutions import GammaPoly
 from fpkit.transform import bluman_shtelen_w, log_phi_xx
@@ -26,7 +26,7 @@ from fpkit.verify import (check_inequality, check_vanishing_at_origin, product_s
                           transform_target, zero_identity_gap)
 
 B_ACC = fp.parse_boundary("s=1; fprime=0.5,0.3")
-V_ACC = PotentialSpec.from_boundary(B_ACC)
+V_ACC = fp.boundary_potential(B_ACC)
 GRID_ACC = GridSpec(0.0, 0.9, 0.05, 3.0, 901, 2951)       # dt = dx = 1e-3
 GRID_ACC_HALF = GridSpec(0.0, 0.9, 0.05, 3.0, 1801, 5901)  # dt = dx = 5e-4
 

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +308,46 @@ def test_config_key_that_no_option_reads_is_rejected(tmp_path, capsys, command, 
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert f"config key(s) {key} name no {command} option" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("solution", {"gamma": 1.0}),
+    ("compare", {"paths": [1]}),
+    ("simulate", {"antithetic": "false"}),
+    ("compare", {"paths": 3000.7}),
+], ids=["gamma-number", "paths-list", "antithetic-string", "paths-fraction"])
+def test_config_value_its_converter_rejects_or_changes_is_rejected(tmp_path, capsys,
+                                                                   command, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"boundary": "s=1; fprime=0", **config}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    (key,) = config
+    assert f"error: config key {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_value_preserving_config_values_run(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"boundary": "s=1; fprime=0", "seed": 7.0, "x0": 1,
+                               "paths": 3000, "steps": 40}))
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    sidecar = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert (sidecar["seed"], sidecar["x0"]) == (7, 1.0)
+
+
+def test_commands_never_load_scipy(tmp_path):
+    # a fresh interpreter: the test process itself may have loaded scipy
+    probe = (
+        "import sys, fpkit, fpkit.cli\n"
+        "rc = fpkit.cli.main(['compare', '--boundary', 's=1; fprime=0', '--paths', '3000',\n"
+        "                     '--steps', '40', '--out', sys.argv[1]])\n"
+        "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out")], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "0 []"
 
 
 def test_unknown_bad_config_file(tmp_path):

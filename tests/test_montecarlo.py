@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from chi_square import chi_square_vs_reference
 from fpkit.boundary import parse_boundary
 from fpkit.montecarlo import (BLOCK_SIZE, MAX_UNIT_PATHS, DensityHistogram, MCConfig,
-                              bessel_bridge_fk, chi_square_vs_reference, compare_density,
-                              first_passage_histogram, kappa_time_density,
-                              reference_time_density, _bin_masses, _radial_step)
+                              bessel_bridge_fk, compare_density, first_passage_histogram,
+                              kappa_time_density, reference_time_density, _bin_masses,
+                              _radial_step)
 
 B_ZERO = parse_boundary("s=1; fprime=0")
 B_UP = parse_boundary("s=1; fprime=1")
@@ -84,12 +85,13 @@ def test_kappa_and_reference_densities():
 
 def test_compare_density_table():
     cfg = MCConfig(n_paths=50000, n_steps=200, seed=21)
-    table = compare_density(B_ZERO, 1.0, cfg, n_bins=10)
+    hist = first_passage_histogram(B_ZERO, 1.0, cfg, 10)
+    table = compare_density(B_ZERO, 1.0, hist)
     assert table.empirical.size == 10
     # for the fixed level, kappa mass per bin is the t-weighted reference
     assert np.all(table.kappa_mass < table.reference_mass)
     # determinism of the full table
-    table2 = compare_density(B_ZERO, 1.0, cfg, n_bins=10)
+    table2 = compare_density(B_ZERO, 1.0, first_passage_histogram(B_ZERO, 1.0, cfg, 10))
     np.testing.assert_array_equal(table.empirical, table2.empirical)
     np.testing.assert_array_equal(table.z_scores, table2.z_scores)
 

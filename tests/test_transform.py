@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from fpkit.boundary import integral_fprime, parse_boundary
-from fpkit.grids import (GridField, GridSpec, NumericalError, PotentialSpec,
-                         read_field_csv, sample_field, transform_grid,
-                         write_field_csv)
+from fpkit.boundary import boundary_potential, integral_fprime, parse_boundary
+from fpkit.grids import (GridField, GridSpec, NumericalError, read_field_csv, sample_field,
+                         sample_potential, transform_grid, write_field_csv)
 from fpkit.solutions import closed_w, phi_lambda, u_lambda
 from fpkit.transform import (bluman_shtelen_w, cumulative_simpson, log_phi_xx,
                              one_sided_first_derivative, potential_v2)
@@ -174,10 +173,10 @@ def test_log_phi_xx_rejects_unresolved_phase():
 
 def test_potential_v2_preserves_v1_for_affine_log():
     spec = GridSpec(0.0, 0.9, 0.0, 3.0, 21, 61)
-    v1 = PotentialSpec.from_boundary(B_LIN)
+    v1 = boundary_potential(B_LIN)
     phi = sample_field(spec, lambda t, x: phi_lambda(B_LIN, 0.7, t, x))
     v2 = potential_v2(v1, phi)
-    np.testing.assert_allclose(v2.values, v1.sample(spec), atol=1e-8)
+    np.testing.assert_allclose(v2.values, sample_potential(spec, v1), atol=1e-8)
     # V1 = x f'' with f'' = 0.3
     tt, xx = spec.mesh()
     np.testing.assert_allclose(v2.values.real, 0.3 * np.broadcast_to(xx, v2.values.shape),
@@ -186,9 +185,8 @@ def test_potential_v2_preserves_v1_for_affine_log():
 
 def test_potential_v2_zero_for_trivial_inputs():
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 5, 7)
-    v1 = PotentialSpec.constant(0.0)
     phi = sample_field(spec, lambda t, x: np.ones(np.broadcast(t, x).shape))
-    v2 = potential_v2(v1, phi)
+    v2 = potential_v2(lambda t, x: 0.0, phi)
     assert np.all(v2.values == 0.0)
 
 
@@ -284,11 +282,11 @@ def test_engine_residual_closes_loop():
     u = sample_field(spec, lambda t, x: u_lambda(B_LIN, 1.3, t, x))
     phi = sample_field(spec, lambda t, x: phi_lambda(B_LIN, 0.7, t, x))
     w = bluman_shtelen_w(u, phi)
-    v1 = PotentialSpec.from_boundary(B_LIN)
+    v1 = boundary_potential(B_LIN)
     rep = residual_backward(w, v1)
     assert rep.max_rel <= 1e2 * (spec.dx ** 2 + spec.dt ** 2)
     v2 = potential_v2(v1, phi)
-    rep2 = residual_backward(w, PotentialSpec(lambda t, x: v2.values.real))
+    rep2 = residual_backward(w, lambda t, x: v2.values.real)
     assert abs(rep2.max_rel - rep.max_rel) <= 1e2 * (spec.dx ** 2 + spec.dt ** 2)
 
 

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from fpkit.boundary import Boundary, parse_boundary
-from fpkit.grids import GridField, GridSpec, PotentialSpec, sample_field
+from fpkit.boundary import Boundary, boundary_potential, parse_boundary
+from fpkit.grids import GridField, GridSpec, sample_field
 from fpkit.kernels import simpson_weights
 from fpkit.solutions import GammaPoly, closed_w, closed_w_gamma, phi_lambda, u_lambda
 from fpkit.verify import (CheckResult, check_inequality, check_vanishing_at_origin,
@@ -12,7 +12,7 @@ from fpkit.verify import (CheckResult, check_inequality, check_vanishing_at_orig
 
 B_LIN = parse_boundary("s=1; fprime=0.5,0.3")
 B_CONST = parse_boundary("s=1; fprime=1")
-V_LIN = PotentialSpec.from_boundary(B_LIN)
+V_LIN = boundary_potential(B_LIN)
 
 # measured 2nd-order truncation constant of closed_w on this boundary is
 # ~40 in units of Delta^2 (max-norm relative, max_rel ~ 6.6e-4 here); the
@@ -66,12 +66,10 @@ def test_residual_time_stencil_exact_for_quartic():
     p = np.polynomial.Polynomial([1.0, 1.0, 1.0, 1.0, 1.0])
     dp = p.deriv()
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 11, 7)
-    v_back = PotentialSpec(lambda t, x: dp(t) / p(t) + 0.0 * x)
-    v_fwd = PotentialSpec(lambda t, x: -dp(t) / p(t) + 0.0 * x)
     for scale in (1.0, 1.0 - 2.0j):
         w = sample_field(spec, lambda t, x: scale * p(t) + 0.0 * x)
-        assert residual_backward(w, v_back).max_rel <= 1e-12
-        assert residual_forward(w, v_fwd).max_rel <= 1e-12
+        assert residual_backward(w, lambda t, x: dp(t) / p(t) + 0.0 * x).max_rel <= 1e-12
+        assert residual_forward(w, lambda t, x: -dp(t) / p(t) + 0.0 * x).max_rel <= 1e-12
 
 
 def test_residual_grid_too_small():
