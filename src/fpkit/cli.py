@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage/config error, 2 assertion failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -163,7 +164,8 @@ OPTIONS = (
     Option("--grid", ("transform",), None, "0:0.9:91,0:3:61", "x_min is forced to 0"),
     Option("--x0", _MC, float, 1.0, "initial distance to the level"),
     Option("--paths", _MC, int, 100000, "number of paths"),
-    Option("--steps", _MC, int, 2000, "time steps per path"),
+    Option("--steps", _MC, int, 2000,
+           "time steps per path (a level with constant f' takes one step)"),
     Option("--seed", _MC, int, 42, "seed of the random streams"),
     Option("--bins", _MC, int, 20, "histogram bins on [0, s]"),
     Option("--antithetic", _MC, bool, False, "antithetic path pairs"),
@@ -352,7 +354,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="fpkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in COMMANDS.items():

@@ -2,11 +2,13 @@
 
 Two estimators:
 
-* ``first_passage_histogram`` -- empirical first-passage times of
-  standard Brownian motion to the moving level x0 + int_0^t f', with
-  the intra-step Brownian-bridge correction exp(-2 d1 d2 / dt) so the
-  discrete scheme does not undercount crossings.  For a fixed level the
-  corrected scheme samples the exact crossing-step distribution.
+* ``first_passage_histogram`` -- first-passage times of standard
+  Brownian motion to the moving level x0 + int_0^t f'.  Each step
+  replaces the level by its chord; a path crosses inside a step with the
+  Brownian-bridge probability exp(-2 d1 d2 / dt), and every crossing gets
+  its exact time inside its step (``_hit_times``).  The law is therefore
+  exact against the chords whatever the bins, and a level with constant
+  f' -- its own chord -- takes one step over [0, s].
 
 * ``bessel_bridge_fk`` -- Feynman-Kac estimate of
   E[exp(-int_0^s f''(u) R_u du)] where R is a three-dimensional Bessel
@@ -18,14 +20,16 @@ Reproducibility contract: random streams belong to fixed 8,192-path
 blocks, and block ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``.
 Work is handed out in units of contiguous blocks, at most 65,536 paths
 each, that are stepped as one vector; every block fills its own slice of
-the unit's arrays and reports its own partial result, and partials are
-reduced in block order.  A path's stream is therefore a pure function of
+the unit's arrays, draws anything drawn after the stepping from its own
+stream, and reports its own partial result, and partials are reduced in
+block order.  A path's stream is therefore a pure function of
 (seed, path index), and outputs are bit for bit the same for any thread
 count.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -122,6 +126,13 @@ def _units(n_paths: int, n_workers: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
+@functools.cache
+def _pool(n_workers: int) -> ThreadPoolExecutor:
+    """One executor per worker count for the life of the process; a fresh
+    pool per call churns thread arenas, and peak memory creeps with calls."""
+    return ThreadPoolExecutor(max_workers=n_workers)
+
+
 def _run_blocks(worker, seed: int, n_paths: int, n_workers: int) -> list:
     """Per-block results of ``worker`` in block order.
 
@@ -139,8 +150,7 @@ def _run_blocks(worker, seed: int, n_paths: int, n_workers: int) -> list:
     if n_workers <= 1 or len(units) == 1:
         per_unit = [unit(u) for u in units]
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            per_unit = list(pool.map(unit, units))
+        per_unit = list(_pool(n_workers).map(unit, units))
     return [r for results in per_unit for r in results]
 
 
@@ -154,22 +164,56 @@ def _fill(draw, out: np.ndarray, antithetic: bool, mirror=np.negative) -> None:
         draw(dtype=out.dtype, out=out)
 
 
+def _hit_times(rng: np.random.Generator, a: np.ndarray, d2: np.ndarray,
+               dt: float) -> np.ndarray:
+    """Exact times, inside a step of length ``dt``, at which Brownian bridges
+    first meet a straight level, given that they do; ``a`` >= 0 is each
+    bridge's distance below the level at the start of the step and ``d2``
+    at its end (``d2`` <= 0 is a direct hit).  Draws one normal and one
+    uniform per bridge from ``rng``; the times lie in [0, dt].
+
+    The time change u = r dt / (dt + r) maps the bridge onto Brownian motion
+    against the line a + |d2| r / dt, so r is inverse Gaussian with mean
+    a dt / |d2| and shape a^2 (Levy, a^2 / nu^2, when d2 = 0).  It is drawn
+    as in Michael, Schucany & Haas (1976), in a form in which no subtraction
+    cancels and no step divides by zero: with
+    g = |nu| + sqrt(nu^2 + 4 a |d2| / dt), the smaller root is
+    u = dt 4a^2 / (4a^2 + dt g^2), kept when U (dt g^2 + 4 a |d2|) <= dt g^2,
+    and the larger root is u = dt dt g^2 / (dt g^2 + 4 d2^2).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    d2 = np.asarray(d2, dtype=np.float64)
+    nu = rng.standard_normal(a.size)
+    uniform = rng.random(a.size)
+    four_ad = 4.0 * a * np.abs(d2)
+    g = np.abs(nu) + np.sqrt(nu * nu + four_ad / dt)
+    big = dt * g * g
+    small_root = uniform * (big + four_ad) <= big
+    num = np.where(small_root, 4.0 * a * a, big)
+    den = num + np.where(small_root, big, 4.0 * d2 * d2)
+    # den = 0 needs a = nu = 0: the bridge starts on the level
+    return dt * np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
 def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
                             n_bins: int, n_workers: int = 1) -> DensityHistogram:
     """Empirical first-passage histogram of Brownian motion to the moving level.
 
-    Paths start at 0; the level at time t is x0 + int_0^t f'(u) du.  A
-    crossing is recorded when an Euler endpoint reaches the level or,
-    between two endpoints below it, with the Brownian-bridge probability
-    exp(-2 d1 d2 / dt) against the locally linearized level.  Crossing
-    times are attributed to step midpoints.
+    Paths start at 0; the level at time t is x0 + int_0^t f'(u) du, taken
+    as its chord over each of ``cfg.n_steps`` steps.  A path crosses when
+    an Euler endpoint reaches the level or, between two endpoints below it,
+    with the Brownian-bridge probability exp(-2 d1 d2 / dt); the crossing
+    time inside the step is then drawn exactly (``_hit_times``).  A level
+    with constant f' is its own chord, so it takes one step over [0, s]
+    and its histogram is exact in law; a curved level errs only by the
+    chords, however the bins sit against the steps.
     """
     if x0 <= 0.0:
         raise ValueError(f"x0 must be positive, got {x0}")
     if n_bins < 1:
         raise ValueError("need at least one bin")
     s = b.horizon_s
-    n_steps = cfg.n_steps
+    n_steps = cfg.n_steps if any(b.deriv_coeffs[1:]) else 1
     dt = s / n_steps
     t_nodes = np.linspace(0.0, s, n_steps + 1)
     level = (x0 + integral_fprime(b, 0.0, t_nodes)).astype(np.float32)
@@ -180,12 +224,12 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
     def worker(streams, size: int):
         w = np.zeros(size, dtype=np.float32)
         crossed = np.zeros(size, dtype=bool)
-        cross_step = np.zeros(size, dtype=np.int32)
         z = np.empty(size, dtype=np.float32)
         e = np.empty(size, dtype=np.float32)
         d1 = np.empty(size, dtype=np.float32)
         newly = np.empty(size, dtype=bool)
         draws = [(rng, z[part], e[part]) for rng, part in streams]
+        hits = []  # per step: the paths first crossing in it, with d1 and d2
         for j in range(n_steps):
             for rng, z_part, e_part in draws:
                 _fill(rng.standard_normal, z_part, cfg.antithetic)
@@ -201,13 +245,18 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
             e *= half_dt
             np.greater(e, z, out=newly)
             newly &= ~crossed
-            np.copyto(cross_step, j, where=newly)
             crossed |= newly
+            idx = np.flatnonzero(newly)
+            hits.append((idx, d1[idx], level[j + 1] - w[idx]))
+        step = np.repeat(np.arange(n_steps), [hit[0].size for hit in hits])
+        idx, a, d2 = (np.concatenate(column) for column in zip(*hits))
         results = []
-        for _, part in streams:
-            hit = crossed[part]
-            times = (cross_step[part][hit].astype(np.float64) + 0.5) * dt
-            results.append((np.histogram(times, bins=edges)[0], int(np.count_nonzero(hit))))
+        for rng, part in streams:
+            mine = (idx >= part.start) & (idx < part.stop)
+            times = t_nodes[step[mine]] + _hit_times(rng, a[mine], d2[mine], dt)
+            # t_j + dt may round past s; the last bin is closed at s
+            np.minimum(times, s, out=times)
+            results.append((np.histogram(times, bins=edges)[0], int(np.count_nonzero(mine))))
         return results
 
     results = _run_blocks(worker, cfg.seed, cfg.n_paths, n_workers)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.stats import invgauss, kstest, norm
 
-from chi_square import chi_square_vs_reference
+from chi_square import chi_square_two_sample, chi_square_vs_reference
 from fpkit.boundary import parse_boundary
 from fpkit.montecarlo import (BLOCK_SIZE, MAX_UNIT_PATHS, DensityHistogram, MCConfig,
                               bessel_bridge_fk, compare_density, first_passage_histogram,
                               kappa_time_density, reference_time_density, _bin_masses,
-                              _radial_step)
+                              _hit_times, _radial_step)
 
 B_ZERO = parse_boundary("s=1; fprime=0")
 B_UP = parse_boundary("s=1; fprime=1")
@@ -73,6 +74,70 @@ def test_fixed_level_histogram_matches_exact_density():
     assert np.all(np.abs(h.masses - expected) <= 4.0 * se)
     stat, p = chi_square_vs_reference(h, expected)
     assert p > 0.001
+
+
+@pytest.mark.parametrize("slope, n_bins", [(0.7, 20), (-0.5, 17)])
+def test_constant_slope_histogram_matches_bachelier_levy(slope, n_bins):
+    # a level x0 + c t is its own chord, so the sweep is exact in law: its
+    # histogram must match x0 (2 pi t^3)^(-1/2) exp(-(x0 + c t)^2 / 2t) with
+    # bins that no midpoint of the 7 nominal steps lines up with
+    x0 = 1.0
+    b = parse_boundary(f"s=1; fprime={slope}")
+    h = first_passage_histogram(b, x0, MCConfig(n_paths=131072, n_steps=7, seed=2718), n_bins)
+
+    def density(t):
+        out = np.zeros_like(t)
+        pos = t > 0.0
+        out[pos] = x0 / np.sqrt(2.0 * np.pi * t[pos] ** 3) * np.exp(
+            -(x0 + slope * t[pos]) ** 2 / (2.0 * t[pos]))
+        return out
+
+    stat, p = chi_square_vs_reference(h, _bin_masses(density, h.bin_edges))
+    assert p > 0.001
+
+
+def test_curved_level_histogram_independent_of_step_grid():
+    # exact in-step crossing times leave a curved level only the chord error,
+    # so 10 steps (two bins each) and 400 steps give one law at this size
+    coarse = first_passage_histogram(B_LIN, 1.0, MCConfig(262144, 10, seed=31), 20)
+    fine = first_passage_histogram(B_LIN, 1.0, MCConfig(262144, 400, seed=32), 20)
+    stat, p = chi_square_two_sample(coarse, fine)
+    assert p > 0.001
+
+
+@pytest.mark.parametrize("a, d2", [
+    (1.0, 0.0),      # level flat against the bridge: Levy time
+    (0.3, -0.7),     # endpoint past the level: a certain, direct hit
+    (1e-40, 0.5),    # a float32 subnormal distance below the level
+    (1e-40, 0.0),
+])
+def test_hit_times_finite_inside_step(a, d2):
+    dt = 0.25
+    u = _hit_times(np.random.default_rng(8), np.full(10000, a), np.full(10000, d2), dt)
+    assert np.all(np.isfinite(u))
+    assert np.all((u > 0.0) & (u < dt))
+
+
+def test_hit_times_start_on_level():
+    u = _hit_times(np.random.default_rng(8), np.zeros(1000), np.full(1000, 0.5), 0.25)
+    assert np.all(u == 0.0)
+
+
+@pytest.mark.parametrize("d2", [0.0, 0.8, -0.8])
+def test_hit_times_law(d2):
+    # u <= v iff r <= R = v dt / (dt - v), where r is Levy a^2 / Z^2 when
+    # d2 = 0 and inverse Gaussian with mean a dt / |d2|, shape a^2 otherwise
+    a, dt, n = 0.6, 0.5, 20000
+    u = _hit_times(np.random.default_rng(99), np.full(n, a), np.full(n, d2), dt)
+
+    def cdf(v):
+        r = v * dt / (dt - v)
+        if d2 == 0.0:
+            return 2.0 * norm.sf(a / np.sqrt(r))
+        mean, shape = a * dt / abs(d2), a * a
+        return invgauss.cdf(r, mean / shape, scale=shape)
+
+    assert kstest(u, cdf).pvalue > 0.001
 
 
 def test_kappa_and_reference_densities():
