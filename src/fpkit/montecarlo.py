@@ -299,15 +299,16 @@ def compare_density(b: Boundary, x0: float, hist: DensityHistogram) -> DensityCo
     the level x0 + int_0^t f') against the closed-form columns.
 
     z is (empirical - kappa) in units of the empirical binomial standard
-    error.  The table is a report: no pass/fail is attached.
+    error, its variance floored at one path's (1/n) so that an empty bin
+    gets a finite z.  The table is a report: no pass/fail is attached.
     """
     edges = hist.bin_edges
     kappa_mass = _bin_masses(lambda t: kappa_time_density(b, x0, t), edges)
     ref_mass = _bin_masses(lambda t: reference_time_density(b, x0, t), edges)
-    emp = hist.masses
-    se = np.sqrt(np.maximum(emp * (1.0 - emp), 1e-300) / hist.n_total)
+    emp, n = hist.masses, hist.n_total
+    se = np.sqrt(np.maximum(emp * (1.0 - emp), 1.0 / n) / n)
     z = (emp - kappa_mass) / se
-    return DensityComparison(edges, emp, kappa_mass, ref_mass, z, hist.n_total)
+    return DensityComparison(edges, emp, kappa_mass, ref_mass, z, n)
 
 
 def _radial_step(radius: np.ndarray, shrink: float, var: float,

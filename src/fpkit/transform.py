@@ -15,7 +15,9 @@ Numerics: the per-row x-integral uses 4th-order cumulative Simpson (odd
 nx required); B2 is integrated in t by the same one-step 4th-order
 cumulative rule with B2(0) = 0; boundary x-derivatives at x = 0 use
 one-sided 4-point stencils, whose leading error cancels between the
-Phi_x u and Phi u_x terms.
+Phi_x u and Phi u_x terms.  d^2/dx^2 log Phi takes the residual check's
+3-point stencil ``second_difference_x`` of log|Phi| and of a complex
+Phi's x-unwrapped phase, as real arrays.
 """
 
 from __future__ import annotations
@@ -67,46 +69,48 @@ def one_sided_first_derivative(y: np.ndarray, h: float) -> np.ndarray:
             - 9.0 * y[..., 2] + 2.0 * y[..., 3]) / (6.0 * h)
 
 
-def one_sided_second_derivative(y: np.ndarray, h: float) -> np.ndarray:
-    """One-sided d^2/dx^2 at the leading edge of axis -1 (3 points).
-
-    Exact for quadratics and carries the same roundoff amplification as
-    the interior central stencil, which keeps edge columns of
-    ``log_phi_xx`` at interior noise levels.
-    """
-    if y.shape[-1] < 3:
-        raise ValueError("one-sided second derivative needs 3 nodes")
-    return (y[..., 0] - 2.0 * y[..., 1] + y[..., 2]) / (h * h)
+def second_difference_x(a: np.ndarray, dx: float) -> np.ndarray:
+    """Central d^2/dx^2 along axis -1 at the interior columns (3 points)."""
+    return (a[..., 2:] - 2.0 * a[..., 1:-1] + a[..., :-2]) / (dx * dx)
 
 
-def _complex_log_rows(values: np.ndarray) -> np.ndarray:
-    """log |Phi| + i * phase unwrapped along x-rows."""
+def _magnitudes(values: np.ndarray) -> np.ndarray:
+    """|values|, refused when any is at or below MIN_FIELD_MAGNITUDE."""
     mags = np.abs(values)
     if mags.min() <= MIN_FIELD_MAGNITUDE:
-        raise NumericalError(
-            f"field magnitude {mags.min():.3e} at or below {MIN_FIELD_MAGNITUDE}; "
-            "cannot take logarithms"
-        )
-    phase = np.unwrap(np.angle(values), axis=1)
-    jumps = np.abs(np.diff(phase, axis=1))
-    if jumps.size and jumps.max() >= np.pi * (1.0 - 1e-9):
-        raise NumericalError(
-            "phase jump of ~pi between adjacent x nodes; grid does not resolve "
-            "the field's oscillation (need |lam| * dx < pi)"
-        )
-    return np.log(mags) + 1j * phase
+        raise NumericalError(f"Phi magnitude {mags.min():.3e} at or below {MIN_FIELD_MAGNITUDE}")
+    return mags
+
+
+def _second_difference_rows(out: np.ndarray, a: np.ndarray, dx: float) -> None:
+    """d^2/dx^2 of ``a`` along its rows into ``out``.  An edge column takes
+    the stencil on its three nearest nodes summed from the edge, which on
+    the right is the neighbour's value."""
+    out[:, 1:-1] = second_difference_x(a, dx)
+    out[:, :1] = second_difference_x(a[:, 2::-1], dx)
+    out[:, -1] = out[:, -2]
 
 
 def log_phi_xx(phi: GridField) -> GridField:
-    """Second x-derivative of log Phi (central interior, one-sided edges)."""
-    spec = phi.spec
-    logf = _complex_log_rows(phi.values)
-    dx = spec.dx
-    out = np.empty_like(logf)
-    out[:, 1:-1] = (logf[:, 2:] - 2.0 * logf[:, 1:-1] + logf[:, :-2]) / (dx * dx)
-    out[:, 0] = one_sided_second_derivative(logf[:, :3], dx)
-    out[:, -1] = one_sided_second_derivative(logf[:, ::-1][:, :3], dx)
-    return GridField(spec, out)
+    """Second x-derivative of log Phi = log|Phi| + i * phase.  A real Phi
+    must keep its sign along each x-row; a complex Phi's phase must step
+    by less than pi between x nodes."""
+    values = phi.values
+    dx = phi.spec.dx
+    log_mag = np.log(_magnitudes(values))
+    if np.iscomplexobj(values):
+        phase = np.unwrap(np.angle(values), axis=1)
+        if np.abs(np.diff(phase, axis=1)).max() >= np.pi * (1.0 - 1e-9):
+            raise NumericalError("phase jump of ~pi between adjacent x nodes; grid does not "
+                                 "resolve the field's oscillation (need |lam| * dx < pi)")
+        out = np.empty(values.shape, dtype=complex)
+        _second_difference_rows(out.imag, phase, dx)
+    elif np.diff(np.signbit(values), axis=1).any():
+        raise NumericalError("real Phi changes sign between adjacent x nodes")
+    else:
+        out = np.empty(values.shape)
+    _second_difference_rows(out.real, log_mag, dx)
+    return GridField(phi.spec, out)
 
 
 def potential_v2(v1: Callable, phi: GridField) -> GridField:
@@ -116,13 +120,11 @@ def potential_v2(v1: Callable, phi: GridField) -> GridField:
     return GridField(phi.spec, sample_potential(phi.spec, v1) - correction.values)
 
 
-def bluman_shtelen_w(u: GridField, phi: GridField, b2_offset: complex = 0.0) -> GridField:
+def bluman_shtelen_w(u: GridField, phi: GridField) -> GridField:
     """Construct w = (1/Phi)[ integral_0^x u Phi dxi + B2(t) ] from sampled fields.
 
     Requires u and Phi on a shared grid with x_min = 0 and odd nx.  B2
-    is fixed by B2(0) = 0; ``b2_offset`` adds a constant for callers who
-    want the alternative normalization (offset by the value of the
-    second antiderivative at t = 0).
+    is fixed by B2(0) = 0.
     """
     spec = u.spec
     if phi.spec != spec:
@@ -131,11 +133,7 @@ def bluman_shtelen_w(u: GridField, phi: GridField, b2_offset: complex = 0.0) -> 
         raise ValueError(f"transformation needs x_min = 0, got {spec.x_min}")
     if spec.nx % 2 == 0:
         raise ValueError(f"per-row Simpson integral needs odd nx, got {spec.nx}")
-    mags = np.abs(phi.values)
-    if mags.min() <= MIN_FIELD_MAGNITUDE:
-        raise NumericalError(
-            f"Phi magnitude {mags.min():.3e} at or below {MIN_FIELD_MAGNITUDE}"
-        )
+    _magnitudes(phi.values)
 
     integrand = u.values * phi.values
     inner = cumulative_simpson(integrand, spec.dx, axis=1)
@@ -145,4 +143,4 @@ def bluman_shtelen_w(u: GridField, phi: GridField, b2_offset: complex = 0.0) -> 
     slope = 0.5 * (phi_x0 * u.values[:, 0] - phi.values[:, 0] * u_x0)
     b2 = cumulative_simpson(slope, spec.dt, axis=0)
 
-    return GridField(spec, (inner + b2[:, None] + b2_offset) / phi.values)
+    return GridField(spec, (inner + b2[:, None]) / phi.values)

@@ -32,7 +32,7 @@ from .grids import GridField, GridSpec, sample_field, sample_potential
 from .kernels import default_half_width, derived_kernel, symmetric_simpson
 from .solutions import (GammaPoly, closed_w, closed_w2_terms, closed_w_gamma, phi_lambda,
                         product_phi_u, u_lambda)
-from .transform import bluman_shtelen_w, log_phi_xx
+from .transform import bluman_shtelen_w, log_phi_xx, second_difference_x
 
 RELATIVE_FLOOR = 1e-12
 
@@ -134,7 +134,7 @@ def _central_residual(field: GridField, v: Callable, time_sign: float) -> np.nda
     w = field.values
     vv = sample_potential(spec, v)
     wt = _time_derivative(w, spec.dt)
-    wxx = (w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]) / (spec.dx ** 2)
+    wxx = second_difference_x(w[1:-1], spec.dx)
     return (time_sign * wt + vv[1:-1, 1:-1] * w[1:-1, 1:-1] - 0.5 * wxx)
 
 

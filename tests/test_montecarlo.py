@@ -161,6 +161,15 @@ def test_compare_density_table():
     np.testing.assert_array_equal(table.z_scores, table2.z_scores)
 
 
+def test_compare_density_empty_bin_z_floors_variance_at_one_path():
+    # an empty bin's binomial variance is floored at 1/n, so its SE is 1/n
+    n = 1024
+    hist = DensityHistogram(np.linspace(0.0, 1.0, 5), np.array([0.0, 0.25, 0.25, 0.25]), 768, n)
+    table = compare_density(B_ZERO, 1.0, hist)
+    assert table.kappa_mass[0] > 0.0
+    assert table.z_scores[0] == -table.kappa_mass[0] * n
+
+
 def test_fk_constant_slope_gives_exactly_one():
     cfg = MCConfig(n_paths=4000, n_steps=50, seed=7)
     est = bessel_bridge_fk(B_UP, 1.0, cfg)  # f'' = 0
