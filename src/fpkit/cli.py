@@ -168,7 +168,6 @@ OPTIONS = (
            "time steps per path (a level with constant f' takes one step)"),
     Option("--seed", _MC, int, 42, "seed of the random streams"),
     Option("--bins", _MC, int, 20, "histogram bins on [0, s]"),
-    Option("--antithetic", _MC, bool, False, "antithetic path pairs"),
     Option("--threads", _MC, int, 1, "worker threads (outputs do not depend on it)"),
 )
 
@@ -309,8 +308,7 @@ def _mc_setup(args):
     """Boundary, MCConfig and output directory of simulate/compare; bad
     MCConfig values raise ValueError, which ``main`` reports as exit 1."""
     b = _boundary(args)
-    cfg = mc.MCConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed,
-                      antithetic=args.antithetic)
+    cfg = mc.MCConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
     if args.x0 <= 0.0:

@@ -7,9 +7,8 @@ Hermite-style recurrence
 
     g_{-1} = 0,  g_0 = 1,  g_{n+1} = (x/t) g_n - (n/t) g_{n-1},
 
-with ``kernel_n = g_n * heat_kernel``.  ``fourier_quadrature_oracle``
-integrates the Fourier representation directly with composite Simpson
-and serves as the independent numeric check for the whole family.
+with ``kernel_n = g_n * heat_kernel``.  ``symmetric_simpson`` is the
+mirrored-node Simpson rule of the lambda-quadratures.
 """
 
 from __future__ import annotations
@@ -103,31 +102,3 @@ def symmetric_simpson(f, half_width: float, nodes: int) -> complex:
     m = nodes // 2
     folded = w[m] * vals[m] + np.sum(w[m + 1:] * (vals[m + 1:] + vals[m - 1::-1]))
     return folded / (2.0 * np.pi)
-
-
-def fourier_quadrature_oracle(n: int, t: float, x: float,
-                              half_width_L: float | None = None,
-                              nodes: int = 16001) -> float:
-    """Composite-Simpson value of the Fourier representation of kernel_n.
-
-    Independent of the recurrence: evaluates
-    (1/2pi) * integral_{-L}^{L} (-i lam)^n exp(-lam^2 t / 2 + i lam x) d lam
-    with ``symmetric_simpson``: f(-lam) is the exact conjugate of f(lam), so
-    the real part is returned and the imaginary part asserted below 1e-12.
-
-    Callers should keep t >= 1e-6; the default half width follows
-    ``default_half_width``.
-    """
-    if not 0 <= n <= MAX_ORDER:
-        raise ValueError(f"kernel order must be in [0, {MAX_ORDER}], got {n}")
-    _check_t(t)
-    if half_width_L is None:
-        half_width_L = default_half_width(t, x)
-    if half_width_L <= 0:
-        raise ValueError("half width must be positive")
-    val = symmetric_simpson(
-        lambda lam: (-1j * lam) ** n * np.exp(-0.5 * lam * lam * t + 1j * lam * x),
-        half_width_L, nodes)
-    if abs(val.imag) >= 1e-12:
-        raise AssertionError(f"quadrature imaginary part {val.imag!r} not negligible")
-    return float(val.real)

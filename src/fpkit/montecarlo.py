@@ -13,8 +13,8 @@ Two estimators:
 * ``bessel_bridge_fk`` -- Feynman-Kac estimate of
   E[exp(-int_0^s f''(u) R_u du)] where R is a three-dimensional Bessel
   bridge from x at time 0 to the origin at time s, realized as the
-  modulus of a 3-D Brownian bridge (positivity is automatic) and
-  stepped on the radius alone.
+  modulus of a 3-D Brownian bridge (positivity is automatic),
+  stepped on the radius alone, and averaged over mirrored path pairs.
 
 Reproducibility contract: random streams belong to fixed 8,192-path
 blocks, and block ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``.
@@ -51,7 +51,6 @@ class MCConfig:
     n_paths: int
     n_steps: int
     seed: int
-    antithetic: bool = False
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -154,14 +153,12 @@ def _run_blocks(worker, seed: int, n_paths: int, n_workers: int) -> list:
     return [r for results in per_unit for r in results]
 
 
-def _fill(draw, out: np.ndarray, antithetic: bool, mirror=np.negative) -> None:
-    """``draw`` into ``out``; antithetic: the second half is ``mirror`` of the first."""
-    if antithetic:
-        half = (out.size + 1) // 2
-        draw(dtype=out.dtype, out=out[:half])
-        mirror(out[:out.size - half], out=out[half:])
-    else:
-        draw(dtype=out.dtype, out=out)
+def _mirrored(draw, out: np.ndarray, mirror) -> None:
+    """``draw`` into the first half of ``out`` (the larger one when its size
+    is odd) and ``mirror`` of its leading values into the second half."""
+    half = (out.size + 1) // 2
+    draw(out=out[:half])
+    mirror(out[:out.size - half], out=out[half:])
 
 
 def _hit_times(rng: np.random.Generator, a: np.ndarray, d2: np.ndarray,
@@ -232,7 +229,7 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
         hits = []  # per step: the paths first crossing in it, with d1 and d2
         for j in range(n_steps):
             for rng, z_part, e_part in draws:
-                _fill(rng.standard_normal, z_part, cfg.antithetic)
+                rng.standard_normal(dtype=np.float32, out=z_part)
                 rng.standard_exponential(dtype=np.float32, out=e_part)
             # exp(-2 d1 d2 / dt) bridge crossing collapses to one comparison:
             # u < exp(-q) iff Exp(1) * dt/2 > d1 * d2 (direct hits give q <= 0);
@@ -338,11 +335,14 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     The bridge is the modulus of a 3-D Brownian bridge from (x, 0, 0) to
     the origin, stepped by exact conditional sampling of the radius alone
     (``_radial_step``: one normal and one exponential per path-step); the
-    time integral uses the trapezoid rule on the step grid.  With
-    antithetic sampling the normals are negated pairwise, the exponentials
-    shared, and the estimator averages within pairs (std_error then
-    reflects the pair count).  Streams come per fixed 8,192-path block,
-    so the estimate is bit for bit the same for any ``n_workers``.
+    time integral uses the trapezoid rule on the step grid.  Paths come in
+    mirrored pairs within each 8,192-path block: the second half of a
+    block negates the first half's normals and shares its exponentials,
+    and each pair is averaged into one sample (a block of odd size leaves
+    one path unpaired).  std_error reflects the count of these samples, so
+    1 or 2 paths give a single sample and a std_error of 0.0.  Streams come
+    per fixed block, so the estimate is bit for bit the same for any
+    ``n_workers``.
     """
     if x <= 0.0:
         raise ValueError(f"starting point must be positive, got {x}")
@@ -364,8 +364,8 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
             tau = s - t_nodes[j]
             shrink = (tau - dt) / tau
             for rng, z_part, e_part in draws:
-                _fill(rng.standard_normal, z_part, cfg.antithetic)
-                _fill(rng.standard_exponential, e_part, cfg.antithetic, np.positive)
+                _mirrored(rng.standard_normal, z_part, np.negative)
+                _mirrored(rng.standard_exponential, e_part, np.positive)
             _radial_step(radius, shrink, dt * shrink, z, e)
             np.multiply(radius, coef[j + 1], out=z)
             integral += z
@@ -373,12 +373,11 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
         results = []
         for _, part in streams:
             v = vals[part]
-            if cfg.antithetic:
-                # _fill mirrors path i < n - half into path half + i; with an
-                # odd n, path n - half (the last drawn one) stays unpaired
-                half = (v.size + 1) // 2
-                n_pairs = v.size - half
-                v = np.append(0.5 * (v[:n_pairs] + v[half:]), v[n_pairs:half])
+            # path i < n - half is mirrored into path half + i; with an odd
+            # n, path n - half (the last drawn one) stays unpaired
+            half = (v.size + 1) // 2
+            n_pairs = v.size - half
+            v = np.append(0.5 * (v[:n_pairs] + v[half:]), v[n_pairs:half])
             results.append((float(np.sum(v)), float(np.sum(v * v)), v.size))
         return results
 

@@ -22,11 +22,9 @@ Phi's x-unwrapped phase, as real arrays.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .grids import GridField, NumericalError, sample_potential
+from .grids import GridField, NumericalError
 
 #: minimum field magnitude before division / logarithm is refused
 MIN_FIELD_MAGNITUDE = 1e-12
@@ -111,13 +109,6 @@ def log_phi_xx(phi: GridField) -> GridField:
         out = np.empty(values.shape)
     _second_difference_rows(out.real, log_mag, dx)
     return GridField(phi.spec, out)
-
-
-def potential_v2(v1: Callable, phi: GridField) -> GridField:
-    """Transformed potential V2 = V1 - d^2/dx^2 log Phi, sampled on phi's grid;
-    ``v1`` is the potential as a (t, x) function."""
-    correction = log_phi_xx(phi)
-    return GridField(phi.spec, sample_potential(phi.spec, v1) - correction.values)
 
 
 def bluman_shtelen_w(u: GridField, phi: GridField) -> GridField:

@@ -200,7 +200,7 @@ def test_simulate_threads_do_not_change_outputs(tmp_path):
 
 def test_compare_threads_do_not_change_outputs(tmp_path):
     base = ["compare", "--boundary", "s=1; fprime=0", "--x0", "1",
-            "--paths", "20001", "--steps", "60", "--seed", "8", "--antithetic"]
+            "--paths", "20001", "--steps", "60", "--seed", "8"]
     outs = _outputs_per_thread_count(tmp_path, base, ("comparison.csv",))
     assert outs[1] == outs[2] == outs[3]
 
@@ -260,9 +260,9 @@ def test_config_file_with_flag_override(tmp_path):
      "--transform-grid", "0:0.9:226,0:3:151", "--tol-quadrature", "0.5"],
     ["transform", "--boundary", "s=1; fprime=0.5,0.3", "--lam", "1.5"],
     ["simulate", "--boundary", "s=1; fprime=0.5,0.3", "--paths", "3001", "--steps", "40",
-     "--threads", "2", "--antithetic"],
+     "--threads", "2"],
     ["compare", "--boundary", "s=1; fprime=0", "--paths", "3001", "--steps", "40",
-     "--threads", "2", "--antithetic"],
+     "--threads", "2"],
 ], ids=lambda argv: argv[0])
 def test_sidecar_replays_the_run(tmp_path, capsys, argv):
     first, replay = tmp_path / "first", tmp_path / "replay"
@@ -301,7 +301,9 @@ def test_flag_values_may_start_with_minus(tmp_path, capsys):
 @pytest.mark.parametrize("command, config, key", [
     ("compare", {"boundary": {"s": 1.0, "fprime": [0.0]}, "path": 500}, "path"),
     ("kernels", {"boundary": "s=1; fprime=0", "t": "1"}, "boundary"),
-], ids=["compare-path", "kernels-boundary"])
+    ("simulate", {"command": "simulate", "boundary": "s=1; fprime=0", "paths": 3000,
+                  "antithetic": False}, "antithetic"),  # a sidecar holding the removed switch
+], ids=["compare-path", "kernels-boundary", "simulate-antithetic"])
 def test_config_key_that_no_option_reads_is_rejected(tmp_path, capsys, command, config, key):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
@@ -313,9 +315,9 @@ def test_config_key_that_no_option_reads_is_rejected(tmp_path, capsys, command, 
 @pytest.mark.parametrize("command, config", [
     ("solution", {"gamma": 1.0}),
     ("compare", {"paths": [1]}),
-    ("simulate", {"antithetic": "false"}),
+    ("verify", {"fast": "false"}),
     ("compare", {"paths": 3000.7}),
-], ids=["gamma-number", "paths-list", "antithetic-string", "paths-fraction"])
+], ids=["gamma-number", "paths-list", "fast-string", "paths-fraction"])
 def test_config_value_its_converter_rejects_or_changes_is_rejected(tmp_path, capsys,
                                                                    command, config):
     cfg = tmp_path / "run.json"

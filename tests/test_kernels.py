@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fpkit.kernels import (MAX_ORDER, default_half_width, derived_kernel,
-                           fourier_quadrature_oracle, heat_kernel, kernel_n,
-                           simpson_weights, symmetric_nodes, symmetric_simpson)
+from fourier_oracle import fourier_quadrature_oracle
+from fpkit.kernels import (MAX_ORDER, default_half_width, derived_kernel, heat_kernel,
+                           kernel_n, simpson_weights, symmetric_nodes, symmetric_simpson)
 
 # frozen via the Fourier-quadrature oracle (160001 nodes, L = 40/sqrt(t)+|x|/t)
 HEAT_HALF_1P5 = 0.0594651446120757

@@ -8,7 +8,7 @@ from fpkit.grids import (GridField, GridSpec, NumericalError, read_field_csv, sa
                          sample_potential, transform_grid, write_field_csv)
 from fpkit.solutions import closed_w, phi_lambda, u_lambda
 from fpkit.transform import (bluman_shtelen_w, cumulative_simpson, log_phi_xx,
-                             one_sided_first_derivative, potential_v2)
+                             one_sided_first_derivative)
 from fpkit.verify import residual_backward
 
 B_LIN = parse_boundary("s=1; fprime=0.5,0.3")
@@ -135,7 +135,7 @@ def test_one_sided_first_derivative_order():
 
 def test_log_phi_xx_affine_field_is_zero():
     spec = GridSpec(0.0, 0.9, 0.0, 3.0, 21, 61)
-    for lam in (0.0, 1.5, -2.3):
+    for lam in (0.0, 0.7, 1.5, -2.3):
         phi = sample_field(spec, lambda t, x: phi_lambda(B_LIN, lam, t, x))
         out = log_phi_xx(phi)
         assert np.max(np.abs(out.values)) <= 1e-8
@@ -193,27 +193,6 @@ def test_log_phi_xx_rejects_unresolved_phase():
     phi = sample_field(spec, lambda t, x: np.exp(1j * lam * x) + 0 * t)
     with pytest.raises(NumericalError):
         log_phi_xx(phi)
-
-
-# ---------------------------------------------------------------- potential_v2
-
-def test_potential_v2_preserves_v1_for_affine_log():
-    spec = GridSpec(0.0, 0.9, 0.0, 3.0, 21, 61)
-    v1 = boundary_potential(B_LIN)
-    phi = sample_field(spec, lambda t, x: phi_lambda(B_LIN, 0.7, t, x))
-    v2 = potential_v2(v1, phi)
-    np.testing.assert_allclose(v2.values, sample_potential(spec, v1), atol=1e-8)
-    # V1 = x f'' with f'' = 0.3
-    tt, xx = spec.mesh()
-    np.testing.assert_allclose(v2.values.real, 0.3 * np.broadcast_to(xx, v2.values.shape),
-                               atol=1e-8)
-
-
-def test_potential_v2_zero_for_trivial_inputs():
-    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 5, 7)
-    phi = sample_field(spec, lambda t, x: np.ones(np.broadcast(t, x).shape))
-    v2 = potential_v2(lambda t, x: 0.0, phi)
-    assert np.all(v2.values == 0.0)
 
 
 # ---------------------------------------------------------------- the engine
@@ -311,8 +290,8 @@ def test_engine_residual_closes_loop():
     v1 = boundary_potential(B_LIN)
     rep = residual_backward(w, v1)
     assert rep.max_rel <= 1e2 * (spec.dx ** 2 + spec.dt ** 2)
-    v2 = potential_v2(v1, phi)
-    rep2 = residual_backward(w, lambda t, x: v2.values.real)
+    v2 = sample_potential(spec, v1) - log_phi_xx(phi).values  # V2 = V1 - (log Phi)_xx
+    rep2 = residual_backward(w, lambda t, x: v2.real)
     assert abs(rep2.max_rel - rep.max_rel) <= 1e2 * (spec.dx ** 2 + spec.dt ** 2)
 
 
