@@ -206,10 +206,12 @@ def test_fk_determinism_and_thread_independence():
     3 * BLOCK_SIZE - 7,            # three blocks: 5 workers outnumber them
     MAX_UNIT_PATHS + 2 * BLOCK_SIZE + 1,  # more paths than one work unit holds
 ])
-def test_outputs_bitwise_independent_of_worker_count(n_paths):
+@pytest.mark.parametrize("falling", [False, True])  # f'' = +0.3 or -0.3
+def test_outputs_bitwise_independent_of_worker_count(n_paths, falling):
+    b = B_DOWN if falling else B_LIN
     cfg = MCConfig(n_paths=n_paths, n_steps=12, seed=17)
-    hists = [first_passage_histogram(B_LIN, 0.5, cfg, 8, n_workers=w) for w in (1, 2, 3, 5)]
-    fks = [bessel_bridge_fk(B_LIN, 1.0, cfg, n_workers=w) for w in (1, 2, 3, 5)]
+    hists = [first_passage_histogram(b, 0.5, cfg, 8, n_workers=w) for w in (1, 2, 3, 5)]
+    fks = [bessel_bridge_fk(b, 1.0, cfg, n_workers=w) for w in (1, 2, 3, 5)]
     assert hists[0].n_crossed > 0
     for h, fk in zip(hists[1:], fks[1:]):
         assert h.masses.tobytes() == hists[0].masses.tobytes()

