@@ -100,18 +100,34 @@ class GridField:
         return GridField(self.spec, self.values.imag)
 
 
+def _sample(spec: GridSpec, fn: Callable, lo: int, hi: int) -> np.ndarray:
+    """fn(t, x) broadcast over grid rows lo..hi-1.  The nodes are slices of
+    the whole grid's, so each value is bit for bit the whole-grid one."""
+    tt, xx = spec.mesh()
+    return np.broadcast_to(fn(tt[lo:hi], xx), (hi - lo, spec.nx))
+
+
 def sample_field(spec: GridSpec, fn: Callable) -> GridField:
     """Evaluate fn(t, x) on the grid via broadcasting; the field holds one copy."""
-    tt, xx = spec.mesh()
-    return GridField(spec, np.broadcast_to(fn(tt, xx), (spec.nt, spec.nx)))
+    return GridField(spec, _sample(spec, fn, 0, spec.nt))
 
 
-def sample_potential(spec: GridSpec, v: Callable) -> np.ndarray:
-    """A real potential v(t, x) on the grid, as a read-only nt-by-nx array
-    (a broadcast view when v does not vary along t or x).  Raises
-    NumericalError when a value is not finite."""
-    tt, xx = spec.mesh()
-    out = np.broadcast_to(np.asarray(v(tt, xx), dtype=float), (spec.nt, spec.nx))
+def sample_rows(spec: GridSpec, fn: Callable, lo: int, hi: int) -> GridField:
+    """Rows lo..hi-1 (at least 3) of ``sample_field(spec, fn)``, as a field
+    over those rows, without sampling the rest.  The dtype rule applies to
+    these rows alone."""
+    t = spec.t_nodes()
+    rows = GridSpec(t[lo], t[hi - 1], spec.x_min, spec.x_max, hi - lo, spec.nx)
+    return GridField(rows, _sample(spec, fn, lo, hi))
+
+
+def sample_potential(spec: GridSpec, v: Callable, lo: int = 0,
+                     hi: int | None = None) -> np.ndarray:
+    """A real potential v(t, x) on grid rows lo..hi-1 (default: all), as a
+    read-only array (a broadcast view when v does not vary along t or x).
+    Raises NumericalError when a value is not finite."""
+    out = _sample(spec, lambda t, x: np.asarray(v(t, x), dtype=float),
+                  lo, spec.nt if hi is None else hi)
     if not np.all(np.isfinite(out)):
         raise NumericalError("potential is not finite on the grid")
     return out

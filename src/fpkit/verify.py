@@ -11,6 +11,22 @@ truncation.  The relative figure normalizes by the field's maximum
 magnitude (floored at 1e-12) because the solutions decay exponentially
 in x and pointwise relative error is meaningless in the tail.
 
+Residuals are streamed through blocks of rows, ``BLOCK_NODES // nx``
+rows high, so no grid-sized temporary is built.  A block carries a
+2-row halo on each side for the five-point time stencil.  The one-sided
+rows are used only at the grid's first and last interior rows, never at
+a seam between blocks.  Each residual keeps its running results: every
+block's largest |residual| with its first row-major position, and its
+largest |w|.  A later block takes the maximum only when it is strictly
+greater, so the report is the whole-grid one bit for bit.
+``residual_backward``/``residual_forward`` walk a sampled field's rows
+this way.  ``run_checks`` goes further for its three fine-grid fields
+(closed w, and Phi at lam = 0 and 1.5): it samples each block once, with
+its halo, and never holds a whole field.  Each Phi block feeds the
+residuals of its real and imaginary parts and the block's own rows of
+d2/dx2 log Phi.  The imaginary entry exists when some block has a
+nonzero imaginary part, the whole field's dtype rule.
+
 The bound 0 <= w <= h(s-t, x) is a diagnostic: it is reported, never
 asserted, since derived closed forms can violate the bound (the
 fixed-boundary case with s > 1 does).
@@ -28,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boundary import Boundary, boundary_potential, integral_fprime
-from .grids import GridField, GridSpec, sample_field, sample_potential
+from .grids import GridField, GridSpec, sample_field, sample_potential, sample_rows
 from .kernels import default_half_width, derived_kernel, symmetric_simpson
 from .solutions import (GammaPoly, closed_w, closed_w2_terms, closed_w_gamma, phi_lambda,
                         product_phi_u, u_lambda, w1_lambda)
@@ -95,58 +111,143 @@ class DiagnosticReport:
         }
 
 
-def _residual_report(field: GridField, resid: np.ndarray) -> ResidualReport:
-    spec = field.spec
-    mags = np.abs(resid)
-    flat = int(np.argmax(mags))
-    i, j = np.unravel_index(flat, mags.shape)
-    max_abs = float(mags[i, j])
-    scale = max(float(np.max(np.abs(field.values))), RELATIVE_FLOOR)
-    t_at = spec.t_min + (i + 1) * spec.dt
-    x_at = spec.x_min + (j + 1) * spec.dx
-    return ResidualReport(max_abs, max_abs / scale, float(t_at), float(x_at), spec)
+#: Nodes per row block of a residual or fine-grid pass: 32 rows of the
+#: default 901x2951 grid.  The block height is this over nx, so memory is
+#: flat in nt and nx.
+BLOCK_NODES = 96_000
 
 
-def _time_derivative(w: np.ndarray, dt: float) -> np.ndarray:
-    """4th-order w_t at interior rows 1..nt-2, columns 1..nx-2.
+def _row_blocks(spec: GridSpec):
+    """Yield (lo, r0, r1, hi) per row block.  The own rows r0..r1-1 of the
+    blocks partition the grid; rows lo..hi-1 add the 2-row halo that the
+    time stencil reads, widened at the grid's first and last rows to the
+    five rows of the one-sided stencils."""
+    nt = spec.nt
+    height = max(1, BLOCK_NODES // spec.nx)
+    for r0 in range(0, nt, height):
+        r1 = min(r0 + height, nt)
+        yield max(0, min(r0 - 2, nt - 5)), r0, r1, min(nt, max(r1 + 2, 5))
 
-    Inner rows use the central five-point stencil; the first and last
-    interior rows use the one-sided five-point form (-3, -10, 18, -6, 1)/12
-    and its mirror, so no node outside the grid is read.
+
+def _check_residual_grid(spec: GridSpec) -> None:
+    if spec.nt < 5 or spec.nx < 5:
+        raise ValueError(f"residual check needs nt, nx >= 5, got {spec.nt}x{spec.nx}")
+
+
+def _time_derivative(c: np.ndarray, lo: int, ra: int, rb: int, nt: int,
+                     dt: float) -> np.ndarray:
+    """4th-order w_t at grid rows ra..rb-1, from ``c`` holding rows lo.. .
+
+    Inner rows use the central five-point stencil; the grid's first and
+    last interior rows (1 and nt-2) use the one-sided five-point form
+    (-3, -10, 18, -6, 1)/12 and its mirror, so no node outside the grid
+    is read.
     """
-    c = w[:, 1:-1]
-    wt = np.empty((c.shape[0] - 2, c.shape[1]), dtype=c.dtype)
-    inner = wt[1:-1]  # built in place: no grid-sized temporaries
-    np.subtract(c[3:-1], c[1:-3], out=inner)
+    wt = np.empty((rb - ra, c.shape[1]), dtype=c.dtype)
+    a, b = ra + (ra == 1), rb - (rb == nt - 1)  # the central rows a..b-1
+    inner = wt[a - ra:b - ra]  # built in place: no block-sized temporaries
+    k, n = a - lo, b - a
+    np.subtract(c[k + 1:k + 1 + n], c[k - 1:k - 1 + n], out=inner)
     inner *= 8.0
-    inner -= c[4:]
-    inner += c[:-4]
-    wt[0] = -3.0 * c[0] - 10.0 * c[1] + 18.0 * c[2] - 6.0 * c[3] + c[4]
-    wt[-1] = 3.0 * c[-1] + 10.0 * c[-2] - 18.0 * c[-3] + 6.0 * c[-4] - c[-5]
+    inner -= c[k + 2:k + 2 + n]
+    inner += c[k - 2:k - 2 + n]
+    if ra == 1:  # then lo == 0
+        wt[0] = -3.0 * c[0] - 10.0 * c[1] + 18.0 * c[2] - 6.0 * c[3] + c[4]
+    if rb == nt - 1:  # then c ends at the grid's last row
+        wt[-1] = 3.0 * c[-1] + 10.0 * c[-2] - 18.0 * c[-3] + 6.0 * c[-4] - c[-5]
     wt /= 12.0 * dt
     return wt
 
 
-def _central_residual(field: GridField, v: Callable, time_sign: float) -> np.ndarray:
+class _ResidualPeaks:
+    """Running extrema of one residual (time_sign * w_t + V w - w_xx/2)
+    over the row blocks of ``spec``: per block, the largest |residual| with
+    its first row-major position, and the largest |w|."""
+
+    def __init__(self, spec: GridSpec, time_sign: float):
+        self.spec, self.time_sign = spec, time_sign
+        self.peaks: list[tuple[float, int, int]] = []  # (max, interior i, j)
+        self.scales: list[float] = []
+
+    def add(self, w: np.ndarray, vv: np.ndarray, lo: int, r0: int, r1: int) -> None:
+        """``w`` and the potential ``vv`` hold grid rows lo.. of one block
+        whose own rows are r0..r1-1."""
+        spec = self.spec
+        self.scales.append(float(np.max(np.abs(w[r0 - lo:r1 - lo]))))
+        ra, rb = max(r0, 1), min(r1, spec.nt - 1)
+        if ra >= rb:
+            return
+        rows = w[ra - lo:rb - lo]
+        wt = _time_derivative(w[:, 1:-1], lo, ra, rb, spec.nt, spec.dt)
+        wxx = second_difference_x(rows, spec.dx)
+        mags = np.abs(self.time_sign * wt + vv[ra - lo:rb - lo, 1:-1] * rows[:, 1:-1]
+                      - 0.5 * wxx)
+        i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
+        self.peaks.append((float(mags[i, j]), ra - 1 + int(i), int(j)))
+
+    def add_zero(self, r0: int, r1: int) -> None:
+        """A block whose w is identically 0, and so is its residual."""
+        self.scales.append(0.0)
+        if max(r0, 1) < min(r1, self.spec.nt - 1):
+            self.peaks.append((0.0, max(r0, 1) - 1, 0))
+
+    def report(self) -> ResidualReport:
+        # np.argmax takes the first block holding the maximum (or a NaN)
+        spec = self.spec
+        max_abs, i, j = self.peaks[int(np.argmax([p[0] for p in self.peaks]))]
+        scale = max(float(np.max(self.scales)), RELATIVE_FLOOR)
+        t_at = spec.t_min + (i + 1) * spec.dt
+        x_at = spec.x_min + (j + 1) * spec.dx
+        return ResidualReport(max_abs, max_abs / scale, float(t_at), float(x_at), spec)
+
+
+def _field_residual(field: GridField, v: Callable, time_sign: float) -> ResidualReport:
     spec = field.spec
-    if spec.nt < 5 or spec.nx < 5:
-        raise ValueError(f"residual check needs nt, nx >= 5, got {spec.nt}x{spec.nx}")
-    w = field.values
+    _check_residual_grid(spec)
     vv = sample_potential(spec, v)
-    wt = _time_derivative(w, spec.dt)
-    wxx = second_difference_x(w[1:-1], spec.dx)
-    return (time_sign * wt + vv[1:-1, 1:-1] * w[1:-1, 1:-1] - 0.5 * wxx)
+    peaks = _ResidualPeaks(spec, time_sign)
+    for lo, r0, r1, hi in _row_blocks(spec):
+        peaks.add(field.values[lo:hi], vv[lo:hi], lo, r0, r1)
+    return peaks.report()
 
 
 def residual_backward(w: GridField, v: Callable) -> ResidualReport:
     """Residual of -w_t + V w - w_xx/2 at interior nodes; V is the (t, x)
     function ``v``."""
-    return _residual_report(w, _central_residual(w, v, -1.0))
+    return _field_residual(w, v, -1.0)
 
 
 def residual_forward(phi: GridField, v: Callable) -> ResidualReport:
     """Residual of +Phi_t + V Phi - Phi_xx/2 at interior nodes."""
-    return _residual_report(phi, _central_residual(phi, v, +1.0))
+    return _field_residual(phi, v, +1.0)
+
+
+def _stream_checks(spec: GridSpec, fn: Callable, v: Callable, time_sign: float,
+                   form: bool):
+    """Residual reports and, with ``form``, the largest |d2/dx2 log fn| over
+    ``spec``, sampling fn(t, x) one row block at a time.
+
+    Returns (reports, form_max): one report for the real part and, when
+    any block holds a nonzero imaginary part, one for the imaginary part.
+    """
+    _check_residual_grid(spec)
+    parts = (_ResidualPeaks(spec, time_sign), _ResidualPeaks(spec, time_sign))
+    complex_seen = False
+    form_maxima = []
+    for lo, r0, r1, hi in _row_blocks(spec):
+        block = sample_rows(spec, fn, lo, hi)
+        vv = sample_potential(spec, v, lo, hi)
+        values = block.values
+        parts[0].add(values.real, vv, lo, r0, r1)
+        if np.iscomplexobj(values):
+            complex_seen = True
+            parts[1].add(values.imag, vv, lo, r0, r1)
+        else:
+            parts[1].add_zero(r0, r1)
+        if form:
+            form_maxima.append(np.max(np.abs(log_phi_xx(block).values[r0 - lo:r1 - lo])))
+    reports = [p.report() for p in parts[:2 if complex_seen else 1]]
+    return reports, float(np.max(form_maxima)) if form else None
 
 
 def check_inequality(w: GridField, s: float) -> DiagnosticReport:
@@ -285,20 +386,18 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     if field is not None:
         residual_check("external_field_backward", "external field residual",
                        residual_backward(field, v1), tols["tol_backward"])
-    w_field = sample_field(spec, lambda t, x: closed_w(b, t, x))
-    residual_check("backward_closed_w", "backward residual (closed w)",
-                   residual_backward(w_field, v1), tols["tol_backward"] * grid_scale)
+    (rep_w,), _ = _stream_checks(spec, lambda t, x: closed_w(b, t, x), v1, -1.0, False)
+    residual_check("backward_closed_w", "backward residual (closed w)", rep_w,
+                   tols["tol_backward"] * grid_scale)
     form_pres_max = 0.0
     for lam in (0.0, 1.5):
-        phi = sample_field(spec, lambda t, x: phi_lambda(b, lam, t, x))
-        # a float64 Phi (lam = 0) has no imaginary part to check; each part
-        # lives only for its residual, so none is held through log_phi_xx
-        parts = (("re", GridField.real_part), ("im", GridField.imag_part))
-        for name, part in parts[:2 if np.iscomplexobj(phi.values) else 1]:
+        reps, form_max = _stream_checks(spec, lambda t, x: phi_lambda(b, lam, t, x), v1,
+                                        +1.0, True)
+        for name, rep in zip(("re", "im"), reps):
             residual_check(f"forward_phi_lam{lam}_{name}",
                            f"forward residual (phi, lam={lam}, {name})",
-                           residual_forward(part(phi), v1), tols["tol_forward"] * grid_scale)
-        form_pres_max = max(form_pres_max, float(np.max(np.abs(log_phi_xx(phi).values))))
+                           rep, tols["tol_forward"] * grid_scale)
+        form_pres_max = max(form_pres_max, form_max)
     checks.append(CheckResult("form preservation (d2/dx2 log phi)", "max_abs",
                               form_pres_max, tols["tol_form_preservation"]))
 

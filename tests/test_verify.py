@@ -1,14 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpkit.verify as verify
 from fpkit.boundary import Boundary, boundary_potential, parse_boundary
-from fpkit.grids import GridField, GridSpec, sample_field
+from fpkit.grids import GridField, GridSpec, sample_field, transform_grid
 from fpkit.kernels import simpson_weights
 from fpkit.solutions import GammaPoly, closed_w, closed_w_gamma, phi_lambda, u_lambda
-from fpkit.verify import (CheckResult, check_inequality, check_vanishing_at_origin,
-                          quadrature_match, residual_backward, residual_forward)
+from fpkit.transform import log_phi_xx
+from fpkit.verify import (TOLERANCES, CheckResult, check_inequality,
+                          check_vanishing_at_origin, quadrature_match, residual_backward,
+                          residual_forward, run_checks)
 
 B_LIN = parse_boundary("s=1; fprime=0.5,0.3")
 B_CONST = parse_boundary("s=1; fprime=1")
@@ -103,6 +111,96 @@ def test_residual_order_of_accuracy():
 
     ratio = max_rel(226, 739) / max_rel(451, 1477)
     assert 3.5 <= ratio <= 4.5
+
+
+# ------------------------------------------------------------ row blocks
+
+SMALL_TSPEC = transform_grid(0.0, 0.9, 3.0, 31, 31)
+
+
+def fine_grid_results(spec):
+    """run_checks' residual entries and form-preservation maximum on ``spec``."""
+    _, residuals, diagnostics = run_checks(B_LIN, spec, SMALL_TSPEC, TOLERANCES, 0, 1.0, None)
+    return residuals, diagnostics["form_preservation_max_abs"]
+
+
+@pytest.mark.parametrize("nt", [47, 5])
+def test_row_block_seams_change_no_report(monkeypatch, nt):
+    # 47 rows is prime, so every height > 1 leaves a short last block; at
+    # nt = 5 a block of >= 5 rows holds both one-sided rows.  Covers the
+    # real closed w, the float64 Phi at lam = 0 and the complex Phi at 1.5.
+    spec = GridSpec(0.0, 0.8, 0.1, 2.5, nt, 61)
+    w = sample_field(spec, lambda t, x: closed_w(B_LIN, t, x))
+    results = {}
+    for height in (1, 2, 3, 5, nt):
+        monkeypatch.setattr(verify, "BLOCK_NODES", height * spec.nx)
+        results[height] = (fine_grid_results(spec),
+                           residual_backward(w, V_LIN).to_json())
+    whole = results[nt]
+    (residuals, form_max), field_rep = whole
+    assert set(residuals) == {"backward_closed_w", "forward_phi_lam0.0_re",
+                              "forward_phi_lam1.5_re", "forward_phi_lam1.5_im",
+                              "backward_transform_w"}
+    assert field_rep == residuals["backward_closed_w"]
+    assert form_max > 0.0
+    for height, result in results.items():
+        assert result == whole, height
+
+
+def test_streamed_field_keeps_whole_field_dtype_rule(monkeypatch):
+    # rows t < 0.3 are real (and positive), so with 1-row blocks some blocks
+    # of this complex field are float64: their imaginary residual is 0, not
+    # skipped, and the report matches the whole sampled field's
+    spec = GridSpec(0.0, 0.8, 0.1, 2.5, 23, 41)
+
+    def fn(t, x):
+        phi = phi_lambda(B_LIN, 1.5, t, x)
+        return np.where(t < 0.3, np.abs(phi), phi)
+
+    field = sample_field(spec, fn)
+    expected = ([residual_forward(field.real_part(), V_LIN),
+                 residual_forward(field.imag_part(), V_LIN)],
+                float(np.max(np.abs(log_phi_xx(field).values))))
+    for height in (1, 4, spec.nt):
+        monkeypatch.setattr(verify, "BLOCK_NODES", height * spec.nx)
+        assert verify._stream_checks(spec, fn, V_LIN, +1.0, True) == expected
+
+
+def test_fine_grid_memory_flat_in_nt():
+    # the fine-grid fields are streamed in row blocks: doubling nt at fixed
+    # nx leaves the peak of traced allocations where it was (sampling whole
+    # fields doubles it)
+    def peak(nt):
+        tracemalloc.start()
+        try:
+            fine_grid_results(GridSpec(0.0, 0.9, 0.05, 3.0, nt, 2951))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(321) <= 1.1 * peak(161)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
+def test_verify_default_grid_max_rss_below_100mb(tmp_path):
+    # the child reads its own high-water mark, VmHWM.  Its ru_maxrss would
+    # not do: exec records the spawning process's peak there, and this test
+    # process may be hundreds of MB by now
+    probe = (
+        "import sys\n"
+        "from fpkit.cli import main\n"
+        "rc = main(['verify', '--boundary', 's=1; fprime=0.5,0.3', '--out', sys.argv[1]])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    hwm = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+        "print(rc, hwm)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out")], env=env,
+                         capture_output=True, text=True, check=True)
+    rc, max_rss_kb = map(int, run.stdout.splitlines()[-1].split())
+    assert rc == 0
+    assert max_rss_kb / 1024 < 100.0
 
 
 # ---------------------------------------------------------------- inequality
