@@ -6,9 +6,14 @@ Two estimators:
   Brownian motion to the moving level x0 + int_0^t f'.  Each step
   replaces the level by its chord; a path crosses inside a step with the
   Brownian-bridge probability exp(-2 d1 d2 / dt), and every crossing gets
-  its exact time inside its step (``_hit_times``).  The law is therefore
-  exact against the chords whatever the bins, and a level with constant
-  f' -- its own chord -- takes one step over [0, s].
+  its exact time inside its step (``_hit_times``).  The sweep strides
+  ``COARSE_CHORDS`` steps at a time on one normal per path, skips a path
+  whose bridge over the stride meets the stride's lowest level node with
+  chance below 2**-64, and fills in the steps of every other path by
+  exact Brownian-bridge sampling (``_refine``).  The law is therefore
+  exact against the chords whatever the bins, up to at most
+  n_paths * n_strides * 2**-64 expected skipped crossings per run, and a
+  level with constant f' -- its own chord -- takes one step over [0, s].
 
 * ``bessel_bridge_fk`` -- Feynman-Kac estimate of
   E[exp(-int_0^s f''(u) R_u du)] where R is a three-dimensional Bessel
@@ -20,11 +25,11 @@ Reproducibility contract: random streams belong to fixed 8,192-path
 blocks, and block ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``.
 Work is handed out in units of contiguous blocks, at most 65,536 paths
 each, that are stepped as one vector; every block fills its own slice of
-the unit's arrays, draws anything drawn after the stepping from its own
-stream, and reports its own partial result, and partials are reduced in
-block order.  A path's stream is therefore a pure function of
-(seed, path index), and outputs are bit for bit the same for any thread
-count.
+the unit's arrays, draws for its own paths alone from its own stream --
+a stride's refinement and the crossing times included -- and reports its
+own partial result, and partials are reduced in block order.  A block's
+draws and result are therefore a pure function of (seed, block index,
+n_paths), and outputs are bit for bit the same for any thread count.
 """
 
 from __future__ import annotations
@@ -44,6 +49,11 @@ BLOCK_SIZE = 1 << 13
 #: most paths in one work unit, the contiguous run of blocks one worker
 #: steps as a single vector
 MAX_UNIT_PATHS = 1 << 16
+#: chords per stride of the first-passage sweep; one normal per path covers
+#: a stride, and only paths within reach of the level see its chords
+COARSE_CHORDS = 8
+#: -log of the largest bridge-crossing chance that a stride may skip (2**-64)
+SKIP_LOG_P = 64.0 * np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -153,14 +163,6 @@ def _run_blocks(worker, seed: int, n_paths: int, n_workers: int) -> list:
     return [r for results in per_unit for r in results]
 
 
-def _mirrored(draw, out: np.ndarray, mirror) -> None:
-    """``draw`` into the first half of ``out`` (the larger one when its size
-    is odd) and ``mirror`` of its leading values into the second half."""
-    half = (out.size + 1) // 2
-    draw(out=out[:half])
-    mirror(out[:out.size - half], out=out[half:])
-
-
 def _hit_times(rng: np.random.Generator, a: np.ndarray, d2: np.ndarray,
                dt: float) -> np.ndarray:
     """Exact times, inside a step of length ``dt``, at which Brownian bridges
@@ -192,6 +194,52 @@ def _hit_times(rng: np.random.Generator, a: np.ndarray, d2: np.ndarray,
     return dt * np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
+def _refine(streams, idx: np.ndarray, start: np.ndarray, end: np.ndarray,
+            level: np.ndarray, dt: float) -> tuple:
+    """Chord-by-chord crossing test, over one stride of k = level.size - 1
+    chords, of the paths ``idx`` (sorted) of a work unit, given each one's
+    position ``start`` at the stride's first node and ``end`` at its last.
+
+    Each block draws, from its own stream, k - 1 normals and then k
+    exponentials for each of its paths in ``idx``.  The normals give the
+    k - 1 interior nodes, drawn exactly from the Brownian bridge between
+    ``start`` and ``end``: Levy's construction, node after node, sums in
+    closed form to the pinned bridge (k - i) sum_{l <= i} z_l
+    sqrt(dt / ((k - l)(k - l + 1))) at node i.  The exponentials give each
+    chord the plain step's exp(-2 d1 d2 / dt) test.  Returns, for the paths
+    that cross, their index, their first crossing chord (0 .. k-1), and
+    their distances below the level at its two ends.
+    """
+    m, k = idx.size, level.size - 1
+    normals = np.empty((m, k - 1), dtype=np.float32)
+    expo = np.empty((m, k), dtype=np.float32)
+    cuts = np.searchsorted(idx, [part.start for _, part in streams] + [streams[-1][1].stop])
+    for (rng, _), lo, hi in zip(streams, cuts[:-1], cuts[1:]):
+        rng.standard_normal(dtype=np.float32, out=normals[lo:hi])
+        rng.standard_exponential(dtype=np.float32, out=expo[lo:hi])
+    # chord-major from here on: one row per node or chord
+    i = np.arange(1, k)[:, None]
+    bridge = np.ascontiguousarray(normals.T)
+    bridge *= np.sqrt(dt / ((k - i) * (k - i + 1))).astype(np.float32)
+    for row in range(1, k - 1):
+        bridge[row] += bridge[row - 1]
+    bridge *= (k - i).astype(np.float32)
+    # the level minus the path at the k + 1 nodes
+    dist = np.empty((k + 1, m), dtype=np.float32)
+    np.multiply((i / k).astype(np.float32), end - start, out=dist[1:k])
+    dist[1:k] += start
+    dist[1:k] += bridge
+    np.subtract(level[1:k, None], dist[1:k], out=dist[1:k])
+    np.subtract(level[0], start, out=dist[0])
+    np.subtract(level[k], end, out=dist[k])
+    expo = np.ascontiguousarray(expo.T)
+    expo *= np.float32(0.5 * dt)
+    crossing = expo > dist[:-1] * dist[1:]
+    cols = np.flatnonzero(crossing.any(axis=0))
+    chord = crossing[:, cols].argmax(axis=0)
+    return idx[cols], chord, dist[chord, cols], dist[chord + 1, cols]
+
+
 def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
                             n_bins: int, n_workers: int = 1) -> DensityHistogram:
     """Empirical first-passage histogram of Brownian motion to the moving level.
@@ -204,6 +252,17 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
     with constant f' is its own chord, so it takes one step over [0, s]
     and its histogram is exact in law; a curved level errs only by the
     chords, however the bins sit against the steps.
+
+    The sweep strides ``COARSE_CHORDS`` chords at a time, with one normal
+    per path for its position at the stride's end.  The chords lie at or
+    above the stride's lowest level node L, so a path's chance of meeting
+    them is at most its bridge's chance of meeting L, exp(-2 d1 d2 / (k dt))
+    over k chords when the path is below L at both ends.  A path for which
+    that bound is below 2**-64 skips the stride; every other path that has
+    not crossed gets its interior nodes and per-chord tests from
+    ``_refine``.  The skipped crossings number at most
+    n_paths * n_strides * 2**-64 in expectation.  A stride of one chord is
+    the plain step: a normal and an exponential for every path.
     """
     if x0 <= 0.0:
         raise ValueError(f"x0 must be positive, got {x0}")
@@ -220,33 +279,60 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
 
     def worker(streams, size: int):
         w = np.zeros(size, dtype=np.float32)
-        crossed = np.zeros(size, dtype=bool)
+        alive = np.ones(size, dtype=bool)
         z = np.empty(size, dtype=np.float32)
         e = np.empty(size, dtype=np.float32)
         d1 = np.empty(size, dtype=np.float32)
         newly = np.empty(size, dtype=bool)
-        draws = [(rng, z[part], e[part]) for rng, part in streams]
-        hits = []  # per step: the paths first crossing in it, with d1 and d2
-        for j in range(n_steps):
-            for rng, z_part, e_part in draws:
-                rng.standard_normal(dtype=np.float32, out=z_part)
-                rng.standard_exponential(dtype=np.float32, out=e_part)
-            # exp(-2 d1 d2 / dt) bridge crossing collapses to one comparison:
-            # u < exp(-q) iff Exp(1) * dt/2 > d1 * d2 (direct hits give q <= 0);
-            # in place, z ends up holding q = d1 * d2
-            np.subtract(level[j], w, out=d1)
-            z *= sqrt_dt
-            w += z
-            np.subtract(level[j + 1], w, out=z)
-            z *= d1
-            e *= half_dt
-            np.greater(e, z, out=newly)
-            newly &= ~crossed
-            crossed |= newly
-            idx = np.flatnonzero(newly)
-            hits.append((idx, d1[idx], level[j + 1] - w[idx]))
-        step = np.repeat(np.arange(n_steps), [hit[0].size for hit in hits])
-        idx, a, d2 = (np.concatenate(column) for column in zip(*hits))
+        # per stride: the paths first crossing in it, their steps, d1 and d2
+        hits = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int32),
+                 np.empty(0, dtype=np.float32), np.empty(0, dtype=np.float32))]
+        for j in range(0, n_steps, COARSE_CHORDS):
+            k = min(COARSE_CHORDS, n_steps - j)
+            for rng, part in streams:
+                rng.standard_normal(dtype=np.float32, out=z[part])
+            if k == 1:
+                for rng, part in streams:
+                    rng.standard_exponential(dtype=np.float32, out=e[part])
+                # exp(-2 d1 d2 / dt) bridge crossing collapses to one comparison:
+                # u < exp(-q) iff Exp(1) * dt/2 > d1 * d2 (direct hits give q <= 0);
+                # in place, z ends up holding q = d1 * d2
+                np.subtract(level[j], w, out=d1)
+                z *= sqrt_dt
+                w += z
+                np.subtract(level[j + 1], w, out=z)
+                z *= d1
+                e *= half_dt
+                np.greater(e, z, out=newly)
+                newly &= alive
+                idx = np.flatnonzero(newly)
+                hits.append((idx, np.full(idx.size, j, dtype=np.int32), d1[idx],
+                             level[j + 1] - w[idx]))
+            else:
+                # z becomes the position at the stride's end and e the
+                # product q = d1 * d2 of the distances below the lowest node
+                # L; d1 is clamped at 0, so a path at or above L at either
+                # end has q <= 0 and is refined
+                low = level[j:j + k + 1].min()
+                np.subtract(low, w, out=d1)
+                np.maximum(d1, 0.0, out=d1)
+                z *= np.float32(np.sqrt(k * dt))
+                z += w
+                np.subtract(low, z, out=e)
+                e *= d1
+                # q is rounded thrice in float32; the 2**-20 margin keeps
+                # the skip on the safe side of the exact 2**-64
+                np.less_equal(e, np.float32(0.5 * SKIP_LOG_P * k * dt * (1.0 + 2.0 ** -20)),
+                              out=newly)
+                newly &= alive
+                idx = np.flatnonzero(newly)
+                if idx.size:
+                    idx, chord, a, d2 = _refine(streams, idx, w[idx], z[idx],
+                                                level[j:j + k + 1], dt)
+                    hits.append((idx, (j + chord).astype(np.int32), a, d2))
+                w, z = z, w
+            alive[idx] = False
+        idx, step, a, d2 = (np.concatenate(column) for column in zip(*hits))
         results = []
         for rng, part in streams:
             mine = (idx >= part.start) & (idx < part.stop)
@@ -309,22 +395,25 @@ def compare_density(b: Boundary, x0: float, hist: DensityHistogram) -> DensityCo
 
 
 def _radial_step(radius: np.ndarray, shrink: float, var: float,
-                 z: np.ndarray, e: np.ndarray) -> None:
+                 z: np.ndarray, e: np.ndarray, mirror: np.ndarray | None = None) -> None:
     """One exact bridge step on the radius, in place; overwrites ``z`` and ``e``.
 
     The 3-D step is pos' = shrink * pos + sqrt(var) * Z.  By rotational
     invariance only |pos| = radius matters: the component of Z along pos
     is one normal ``z``, and the two across it add z2^2 + z3^2, which is
     2 Exp(1) in law, so |pos'| = sqrt((shrink r + sqrt(var) z)^2 + 2 var e)
-    with ``e`` ~ Exp(1).
+    with ``e`` ~ Exp(1).  ``mirror``, when given, holds the mirrors of the
+    leading radii of ``radius``: they step with -z and the same e.
     """
-    radius *= shrink
     z *= np.sqrt(var)
-    radius += z
-    np.square(radius, out=radius)
     e *= 2.0 * var
-    radius += e
-    np.sqrt(radius, out=radius)
+    for r, move in ((radius, np.add), (mirror, np.subtract)):
+        if r is not None:
+            r *= shrink
+            move(r, z[:r.size], out=r)
+            np.square(r, out=r)
+            r += e[:r.size]
+            np.sqrt(r, out=r)
 
 
 def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
@@ -336,13 +425,13 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     the origin, stepped by exact conditional sampling of the radius alone
     (``_radial_step``: one normal and one exponential per path-step); the
     time integral uses the trapezoid rule on the step grid.  Paths come in
-    mirrored pairs within each 8,192-path block: the second half of a
-    block negates the first half's normals and shares its exponentials,
-    and each pair is averaged into one sample (a block of odd size leaves
-    one path unpaired).  std_error reflects the count of these samples, so
-    1 or 2 paths give a single sample and a std_error of 0.0.  Streams come
-    per fixed block, so the estimate is bit for bit the same for any
-    ``n_workers``.
+    mirrored pairs within each 8,192-path block: the block draws for its
+    first half, and its second half steps with the negated normals and the
+    same exponentials; each pair is averaged into one sample (a block of
+    odd size leaves one path unpaired).  std_error reflects the count of
+    these samples, so 1 or 2 paths give a single sample and a std_error of
+    0.0.  Streams come per fixed block, so the estimate is bit for bit the
+    same for any ``n_workers``.
     """
     if x <= 0.0:
         raise ValueError(f"starting point must be positive, got {x}")
@@ -355,29 +444,37 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     coef[0] *= 0.5
 
     def worker(streams, size: int):
+        # the unit's radii hold every block's first half (the larger one
+        # when its size is odd) in block order, then every block's second
+        # half; BLOCK_SIZE is even, so only the unit's last block can be odd
+        # and second-half path i mirrors first-half path i
+        sizes = [part.stop - part.start for _, part in streams]
+        lead_cuts = np.cumsum([0] + [(n + 1) // 2 for n in sizes])
+        trail_cuts = lead_cuts[-1] + np.cumsum([0] + [n // 2 for n in sizes])
         radius = np.full(size, x)
         integral = np.full(size, coef[0] * x)
-        z = np.empty(size)
-        e = np.empty(size)
-        draws = [(rng, z[part], e[part]) for rng, part in streams]
+        lead, trail = radius[:lead_cuts[-1]], radius[lead_cuts[-1]:]
+        z = np.empty(lead.size)
+        e = np.empty(lead.size)
+        draws = [(rng, z[lo:hi], e[lo:hi])
+                 for (rng, _), lo, hi in zip(streams, lead_cuts[:-1], lead_cuts[1:])]
         for j in range(n_steps - 1):
             tau = s - t_nodes[j]
             shrink = (tau - dt) / tau
             for rng, z_part, e_part in draws:
-                _mirrored(rng.standard_normal, z_part, np.negative)
-                _mirrored(rng.standard_exponential, e_part, np.positive)
-            _radial_step(radius, shrink, dt * shrink, z, e)
-            np.multiply(radius, coef[j + 1], out=z)
-            integral += z
+                rng.standard_normal(out=z_part)
+                rng.standard_exponential(out=e_part)
+            _radial_step(lead, shrink, dt * shrink, z, e, trail)
+            for half, lo in ((lead, 0), (trail, lead.size)):
+                np.multiply(half, coef[j + 1], out=z[:half.size])
+                integral[lo:lo + half.size] += z[:half.size]
         vals = np.exp(-integral)
         results = []
-        for _, part in streams:
-            v = vals[part]
-            # path i < n - half is mirrored into path half + i; with an odd
-            # n, path n - half (the last drawn one) stays unpaired
-            half = (v.size + 1) // 2
-            n_pairs = v.size - half
-            v = np.append(0.5 * (v[:n_pairs] + v[half:]), v[n_pairs:half])
+        for k in range(len(streams)):
+            v = vals[lead_cuts[k]:lead_cuts[k + 1]]
+            mirrors = vals[trail_cuts[k]:trail_cuts[k + 1]]
+            # with an odd block size, the last first-half path stays unpaired
+            v = np.append(0.5 * (v[:mirrors.size] + mirrors), v[mirrors.size:])
             results.append((float(np.sum(v)), float(np.sum(v * v)), v.size))
         return results
 

@@ -3,7 +3,8 @@ import pytest
 from scipy.stats import invgauss, kstest, norm
 
 from chi_square import chi_square_two_sample, chi_square_vs_reference
-from fpkit.boundary import parse_boundary
+from fpkit import montecarlo
+from fpkit.boundary import Boundary, parse_boundary
 from fpkit.montecarlo import (BLOCK_SIZE, MAX_UNIT_PATHS, DensityHistogram, MCConfig,
                               bessel_bridge_fk, compare_density, first_passage_histogram,
                               kappa_time_density, reference_time_density, _bin_masses,
@@ -103,6 +104,54 @@ def test_curved_level_histogram_independent_of_step_grid():
     fine = first_passage_histogram(B_LIN, 1.0, MCConfig(262144, 400, seed=32), 20)
     stat, p = chi_square_two_sample(coarse, fine)
     assert p > 0.001
+
+
+@pytest.mark.parametrize("slope, n_bins", [(0.7, 20), (-0.5, 17)])
+def test_line_through_chord_sweep_matches_bachelier_levy(slope, n_bins):
+    # a 1e-300 curvature keeps the 200-step sweep, strides and bridge
+    # refinement included, while the level equals x0 + c t to float64; the
+    # strided chords are then exact, so Bachelier-Levy is the law
+    x0 = 1.0
+    b = Boundary((slope, 1e-300), 1.0)
+    h = first_passage_histogram(b, x0, MCConfig(n_paths=262144, n_steps=200, seed=1618),
+                                n_bins, n_workers=2)
+
+    def density(t):
+        out = np.zeros_like(t)
+        pos = t > 0.0
+        out[pos] = x0 / np.sqrt(2.0 * np.pi * t[pos] ** 3) * np.exp(
+            -(x0 + slope * t[pos]) ** 2 / (2.0 * t[pos]))
+        return out
+
+    stat, p = chi_square_vs_reference(h, _bin_masses(density, h.bin_edges))
+    assert p > 0.001
+
+
+@pytest.mark.parametrize("b, x0, n_steps", [
+    (B_LIN, 1.0, 100),
+    (B_DOWN, 1.0, 100),
+    # falls ~1.6 per 8-chord stride near t = 0.2, where its paths cross:
+    # a path above a stride's lowest node must be refined, not skipped
+    (parse_boundary("s=1; fprime=0,-40"), 2.0, 40),
+], ids=["rising", "falling", "steep"])
+def test_strided_sweep_matches_chord_by_chord_sweep(b, x0, n_steps, monkeypatch):
+    # one chord per stride is the plain per-chord sweep; 100 steps end on a
+    # 4-chord stride
+    strided = first_passage_histogram(b, x0, MCConfig(262144, n_steps, seed=41), 20, n_workers=2)
+    monkeypatch.setattr(montecarlo, "COARSE_CHORDS", 1)
+    plain = first_passage_histogram(b, x0, MCConfig(262144, n_steps, seed=42), 20, n_workers=2)
+    stat, p = chi_square_two_sample(strided, plain)
+    assert p > 0.001
+
+
+def test_far_curved_level_skips_every_stride(monkeypatch):
+    def refine(*args):
+        raise AssertionError("a stride refined a path 8 standard deviations off")
+
+    monkeypatch.setattr(montecarlo, "_refine", refine)
+    h = first_passage_histogram(B_LIN, 8.0, MCConfig(20000, 100, seed=5), 10)
+    assert h.n_crossed == 0
+    assert not np.any(h.masses)
 
 
 @pytest.mark.parametrize("a, d2", [
@@ -241,6 +290,18 @@ def test_radial_step_matches_3d_step_law():
     se2 = (radius ** 2).std() / np.sqrt(n)
     assert abs(radius.mean() - mean_r) <= 4.0 * se1
     assert abs(np.mean(radius ** 2) - second_r) <= 4.0 * se2
+
+
+def test_radial_step_mirror_steps_with_negated_normals():
+    # a mirror radius shares its partner's products; stepping it must give,
+    # bit for bit, the plain step with the normal negated and e repeated
+    rng = np.random.default_rng(7)
+    radius, mirror = rng.random(9) + 0.5, rng.random(8) + 0.5
+    z, e = rng.standard_normal(9), rng.standard_exponential(9)
+    plain = np.concatenate([radius, mirror])
+    _radial_step(plain, 0.9, 0.03, np.concatenate([z, -z[:8]]), np.concatenate([e, e[:8]]))
+    _radial_step(radius, 0.9, 0.03, z, e, mirror)
+    assert np.concatenate([radius, mirror]).tobytes() == plain.tobytes()
 
 
 def test_fk_step_refinement_consistency():
