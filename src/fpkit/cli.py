@@ -278,7 +278,8 @@ def cmd_verify(args) -> None:
         field = None if args.field is None else read_field_csv(args.field)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read field CSV {args.field}: {exc}") from exc
-    checks, residuals, diagnostics = run_checks(b, spec, tspec, tols, args.seed, scale, field)
+    checks, residuals, diagnostics = run_checks(b, spec, tspec, tols, args.seed, scale, field,
+                                                n_workers=len(os.sched_getaffinity(0)))
     out = _out_dir(args)
     _write_json(out, "residuals.json", residuals)
     _write_json(out, "diagnostics.json", diagnostics)

@@ -68,16 +68,19 @@ def phi_lambda(b: Boundary, lam, t, x):
     """Adjoint-equation solution; log is affine in x for every lam.
 
     exp{ int_0^t (f')^2/2 - x f'(t) - lam^2 t / 2 - i lam (x - int_0^t f') }
+
+    When lam is all zero the exponent stays real, and so does the result.
     """
     _check_t_range(b, t)
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    expo = (0.5 * integral_fprime_sq(b, 0.0, t) - x * eval_fprime(b, t)
-            - 0.5 * lam * lam * t
-            - 1j * lam * (x - integral_fprime(b, 0.0, t)))
-    out = np.exp(expo)
-    return scalar_or_array(out)
+    expo = np.asarray(0.5 * integral_fprime_sq(b, 0.0, t) - x * eval_fprime(b, t)
+                      - 0.5 * lam * lam * t)
+    if np.any(lam):
+        wave = np.asarray(1j * lam * (x - integral_fprime(b, 0.0, t)))
+        expo = np.subtract(expo, wave, out=wave)
+    return scalar_or_array(np.exp(expo, out=expo))
 
 
 def u_lambda(b: Boundary, lam, t, x):
@@ -85,17 +88,20 @@ def u_lambda(b: Boundary, lam, t, x):
 
     exp{ int_t^s (f')^2/2 + x f'(t) } *
     exp{ -lam^2 (s-t)/2 + i lam (x + int_t^s f') }
+
+    Real, like ``phi_lambda``, when lam is all zero.
     """
     _check_t_range(b, t)
     s = b.horizon_s
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    expo = (0.5 * integral_fprime_sq(b, t, s) + x * eval_fprime(b, t)
-            - 0.5 * lam * lam * (s - t)
-            + 1j * lam * (x + integral_fprime(b, t, s)))
-    out = np.exp(expo)
-    return scalar_or_array(out)
+    expo = np.asarray(0.5 * integral_fprime_sq(b, t, s) + x * eval_fprime(b, t)
+                      - 0.5 * lam * lam * (s - t))
+    if np.any(lam):
+        wave = np.asarray(1j * lam * (x + integral_fprime(b, t, s)))
+        expo = np.add(expo, wave, out=wave)
+    return scalar_or_array(np.exp(expo, out=expo))
 
 
 def product_phi_u(b: Boundary, lam):
@@ -155,9 +161,13 @@ def _prefactor_and_args(b: Boundary, t, x):
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     amp = np.exp(0.5 * integral_fprime_sq(b, t, s) + x * eval_fprime(b, t))
-    drift = x - integral_fprime(b, 0.0, t)          # factor in front of kernel_n
     shifted = x + integral_fprime(b, t, s)          # kernel spatial argument
-    return amp, drift, shifted, s - t
+    return amp, shifted, s - t
+
+
+def _drift(b: Boundary, t, x):
+    """x - int_0^t f', the factor in front of kernel_n."""
+    return np.asarray(x, dtype=float) - integral_fprime(b, 0.0, t)
 
 
 def closed_w(b: Boundary, t, x):
@@ -167,11 +177,20 @@ def closed_w(b: Boundary, t, x):
     with X = x + int_t^s f' and A = exp{ int_t^s (f')^2/2 + x f'(t) }.
     """
     _check_t_range(b, t, strict_upper=True)
-    amp, drift, shifted, st = _prefactor_and_args(b, t, x)
+    amp, shifted, st = _prefactor_and_args(b, t, x)
     k = heat_kernel(st, shifted)
     t = np.asarray(t, dtype=float)
-    out = amp * (drift * k + t * (shifted / st) * k)
-    return scalar_or_array(out)
+    # amp * (drift * k + t * (shifted / st) * k), built in the buffers of
+    # shifted and drift, so that no more than four grid-sized arrays live at
+    # once; swapping the factors of a product or a sum leaves it bit for bit
+    shifted /= st
+    shifted *= t
+    shifted *= k
+    drift = _drift(b, t, x)
+    drift *= k
+    drift += shifted
+    drift *= amp
+    return scalar_or_array(drift)
 
 
 def closed_w_gamma(b: Boundary, g: GammaPoly, t, x):
@@ -182,7 +201,8 @@ def closed_w_gamma(b: Boundary, g: GammaPoly, t, x):
     Gamma = (1,) reduces to ``closed_w``.
     """
     _check_t_range(b, t, strict_upper=True)
-    amp, drift, shifted, st = _prefactor_and_args(b, t, x)
+    amp, shifted, st = _prefactor_and_args(b, t, x)
+    drift = _drift(b, t, x)
     t = np.asarray(t, dtype=float)
     total = np.zeros(np.broadcast(amp, drift, shifted, t).shape)
     for n, c in enumerate(g.coeffs):
@@ -201,7 +221,7 @@ def closed_w2_terms(b: Boundary, t, x):
     derived kernel as (s-t) * (X/(s-t)) k.
     """
     _check_t_range(b, t, strict_upper=True)
-    amp, _, shifted, st = _prefactor_and_args(b, t, x)
+    amp, shifted, st = _prefactor_and_args(b, t, x)
     term_direct = amp * shifted * heat_kernel(st, shifted)
     term_via_h = amp * st * ((shifted / st) * heat_kernel(st, shifted))
     return term_direct, term_via_h

@@ -44,14 +44,21 @@ def cumulative_simpson(y: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     if n < 3:
         raise ValueError("cumulative Simpson needs at least 3 nodes")
     out = np.zeros_like(y)
-    panels = (h / 3.0) * (y[..., 0:-2:2] + 4.0 * y[..., 1:-1:2] + y[..., 2::2])
-    out[..., 2::2] = np.cumsum(panels, axis=-1)
+    # (h/3) (y[2k] + 4 y[2k+1] + y[2k+2]) and out[2k] + (h/12) (5 y[2k] +
+    # 8 y[2k+1] - y[2k+2]) are built in place, in that order; swapping the
+    # terms of a sum or the factors of a product leaves them bit for bit
+    panels = np.multiply(y[..., 1:-1:2], 4.0)
+    panels += y[..., 0:-2:2]
+    panels += y[..., 2::2]
+    panels *= h / 3.0
+    np.cumsum(panels, axis=-1, out=out[..., 2::2])
     n_half = (n - 1) // 2 if n % 2 == 1 else (n - 2) // 2
     if n_half > 0:
-        k = np.arange(n_half)
-        out[..., 2 * k + 1] = out[..., 2 * k] + (h / 12.0) * (
-            5.0 * y[..., 2 * k] + 8.0 * y[..., 2 * k + 1] - y[..., 2 * k + 2]
-        )
+        odd = np.multiply(y[..., 0:2 * n_half:2], 5.0, out=out[..., 1:2 * n_half:2])
+        odd += 8.0 * y[..., 1:2 * n_half:2]
+        odd -= y[..., 2:2 * n_half + 1:2]
+        odd *= h / 12.0
+        odd += out[..., 0:2 * n_half:2]
     if n % 2 == 0:
         out[..., -1] = out[..., -2] + (h / 12.0) * (
             -y[..., -3] + 8.0 * y[..., -2] + 5.0 * y[..., -1]
@@ -67,9 +74,14 @@ def one_sided_first_derivative(y: np.ndarray, h: float) -> np.ndarray:
             - 9.0 * y[..., 2] + 2.0 * y[..., 3]) / (6.0 * h)
 
 
-def second_difference_x(a: np.ndarray, dx: float) -> np.ndarray:
-    """Central d^2/dx^2 along axis -1 at the interior columns (3 points)."""
-    return (a[..., 2:] - 2.0 * a[..., 1:-1] + a[..., :-2]) / (dx * dx)
+def second_difference_x(a: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Central d^2/dx^2 along axis -1 at the interior columns (3 points),
+    (a[j+1] - 2 a[j] + a[j-1]) / dx^2, built in ``out`` when given."""
+    out = np.multiply(a[..., 1:-1], 2.0, out=out)
+    np.subtract(a[..., 2:], out, out=out)
+    out += a[..., :-2]
+    out /= dx * dx
+    return out
 
 
 def _magnitudes(values: np.ndarray) -> np.ndarray:
@@ -84,9 +96,29 @@ def _second_difference_rows(out: np.ndarray, a: np.ndarray, dx: float) -> None:
     """d^2/dx^2 of ``a`` along its rows into ``out``.  An edge column takes
     the stencil on its three nearest nodes summed from the edge, which on
     the right is the neighbour's value."""
-    out[:, 1:-1] = second_difference_x(a, dx)
-    out[:, :1] = second_difference_x(a[:, 2::-1], dx)
+    second_difference_x(a, dx, out[:, 1:-1])
+    second_difference_x(a[:, 2::-1], dx, out[:, :1])
     out[:, -1] = out[:, -2]
+
+
+def _unwrapped_phase(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """np.unwrap(np.angle(values), axis=1), bit for bit, built with two
+    buffers besides the result; and the largest |step| of the result
+    between adjacent x nodes."""
+    phase = np.angle(values)
+    step = np.diff(phase, axis=1)
+    # np.unwrap's correction: mod(step + pi, 2 pi) - pi, +pi for a step of
+    # exactly +pi, less the step, and 0 where |step| < pi; summed along x
+    fix = np.subtract(step, -np.pi)
+    np.mod(fix, 2.0 * np.pi, out=fix)
+    fix += -np.pi
+    np.copyto(fix, np.pi, where=(fix == -np.pi) & (step > 0))
+    fix -= step
+    np.copyto(fix, 0.0, where=np.abs(step, out=step) < np.pi)
+    np.cumsum(fix, axis=1, out=fix)
+    phase[:, 1:] += fix
+    np.subtract(phase[:, 1:], phase[:, :-1], out=step)
+    return phase, float(np.abs(step, out=step).max())
 
 
 def log_phi_xx(phi: GridField) -> GridField:
@@ -95,19 +127,21 @@ def log_phi_xx(phi: GridField) -> GridField:
     by less than pi between x nodes."""
     values = phi.values
     dx = phi.spec.dx
-    log_mag = np.log(_magnitudes(values))
+    _magnitudes(values)  # taken again below, so that it need not live through the unwrap
     if np.iscomplexobj(values):
-        phase = np.unwrap(np.angle(values), axis=1)
-        if np.abs(np.diff(phase, axis=1)).max() >= np.pi * (1.0 - 1e-9):
+        phase, max_step = _unwrapped_phase(values)
+        if max_step >= np.pi * (1.0 - 1e-9):
             raise NumericalError("phase jump of ~pi between adjacent x nodes; grid does not "
                                  "resolve the field's oscillation (need |lam| * dx < pi)")
         out = np.empty(values.shape, dtype=complex)
         _second_difference_rows(out.imag, phase, dx)
+        del phase
     elif np.diff(np.signbit(values), axis=1).any():
         raise NumericalError("real Phi changes sign between adjacent x nodes")
     else:
         out = np.empty(values.shape)
-    _second_difference_rows(out.real, log_mag, dx)
+    log_mag = np.abs(values)
+    _second_difference_rows(out.real, np.log(log_mag, out=log_mag), dx)
     return GridField(phi.spec, out)
 
 
@@ -126,12 +160,13 @@ def bluman_shtelen_w(u: GridField, phi: GridField) -> GridField:
         raise ValueError(f"per-row Simpson integral needs odd nx, got {spec.nx}")
     _magnitudes(phi.values)
 
-    integrand = u.values * phi.values
-    inner = cumulative_simpson(integrand, spec.dx, axis=1)
+    inner = cumulative_simpson(u.values * phi.values, spec.dx, axis=1)
 
     phi_x0 = one_sided_first_derivative(phi.values[:, :4], spec.dx)
     u_x0 = one_sided_first_derivative(u.values[:, :4], spec.dx)
     slope = 0.5 * (phi_x0 * u.values[:, 0] - phi.values[:, 0] * u_x0)
     b2 = cumulative_simpson(slope, spec.dt, axis=0)
 
-    return GridField(spec, (inner + b2[:, None]) / phi.values)
+    inner += b2[:, None]
+    inner /= phi.values
+    return GridField(spec, inner)

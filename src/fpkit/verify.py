@@ -15,17 +15,24 @@ Residuals are streamed through blocks of rows, ``BLOCK_NODES // nx``
 rows high, so no grid-sized temporary is built.  A block carries a
 2-row halo on each side for the five-point time stencil.  The one-sided
 rows are used only at the grid's first and last interior rows, never at
-a seam between blocks.  Each residual keeps its running results: every
-block's largest |residual| with its first row-major position, and its
-largest |w|.  A later block takes the maximum only when it is strictly
-greater, so the report is the whole-grid one bit for bit.
-``residual_backward``/``residual_forward`` walk a sampled field's rows
-this way.  ``run_checks`` goes further for its three fine-grid fields
-(closed w, and Phi at lam = 0 and 1.5): it samples each block once, with
-its halo, and never holds a whole field.  Each Phi block feeds the
-residuals of its real and imaginary parts and the block's own rows of
-d2/dx2 log Phi.  The imaginary entry exists when some block has a
-nonzero imaginary part, the whole field's dtype rule.
+a seam between blocks.  Each block yields its own results: its largest
+|residual| with its first row-major position, and its largest |w|.
+They are reduced in block order, a later block taking the maximum only
+when it is strictly greater, so the report is the whole-grid one bit for
+bit.  ``residual_backward``/``residual_forward`` walk a sampled field's
+rows this way.  ``run_checks`` goes further for its three fine-grid
+fields (closed w, and Phi at lam = 0 and 1.5): it samples each block
+once, with its halo, and never holds a whole field.  Each Phi block
+feeds the residuals of its real and imaginary parts and the block's own
+rows of d2/dx2 log Phi.  The imaginary entry exists when some block has
+a nonzero imaginary part, the whole field's dtype rule.
+
+The blocks of a pass run on ``n_workers`` threads (``fpkit verify``
+passes every core the process may run on): the calling thread and the
+shared pool's threads (``montecarlo._pool``) claim them in order.
+A block's results depend on its rows alone and the reduction keeps
+block order, so every output is bit for bit the same for any worker
+count.  In-flight memory is n_workers times one block.
 
 The bound 0 <= w <= h(s-t, x) is a diagnostic: it is reported, never
 asserted, since derived closed forms can violate the bound (the
@@ -38,6 +45,7 @@ share its per-point measures (``transform_target``, ``zero_identity_gap``,
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,6 +54,7 @@ import numpy as np
 from .boundary import Boundary, boundary_potential, integral_fprime
 from .grids import GridField, GridSpec, sample_field, sample_potential, sample_rows
 from .kernels import default_half_width, derived_kernel, symmetric_simpson
+from .montecarlo import _pool
 from .solutions import (GammaPoly, closed_w, closed_w2_terms, closed_w_gamma, phi_lambda,
                         product_phi_u, u_lambda, w1_lambda)
 from .transform import bluman_shtelen_w, log_phi_xx, second_difference_x
@@ -113,7 +122,7 @@ class DiagnosticReport:
 
 #: Nodes per row block of a residual or fine-grid pass: 32 rows of the
 #: default 901x2951 grid.  The block height is this over nx, so memory is
-#: flat in nt and nx.
+#: flat in nt and nx; each worker holds one block's arrays at a time.
 BLOCK_NODES = 96_000
 
 
@@ -159,71 +168,113 @@ def _time_derivative(c: np.ndarray, lo: int, ra: int, rb: int, nt: int,
     return wt
 
 
-class _ResidualPeaks:
-    """Running extrema of one residual (time_sign * w_t + V w - w_xx/2)
-    over the row blocks of ``spec``: per block, the largest |residual| with
-    its first row-major position, and the largest |w|."""
-
-    def __init__(self, spec: GridSpec, time_sign: float):
-        self.spec, self.time_sign = spec, time_sign
-        self.peaks: list[tuple[float, int, int]] = []  # (max, interior i, j)
-        self.scales: list[float] = []
-
-    def add(self, w: np.ndarray, vv: np.ndarray, lo: int, r0: int, r1: int) -> None:
-        """``w`` and the potential ``vv`` hold grid rows lo.. of one block
-        whose own rows are r0..r1-1."""
-        spec = self.spec
-        self.scales.append(float(np.max(np.abs(w[r0 - lo:r1 - lo]))))
-        ra, rb = max(r0, 1), min(r1, spec.nt - 1)
-        if ra >= rb:
-            return
-        rows = w[ra - lo:rb - lo]
-        wt = _time_derivative(w[:, 1:-1], lo, ra, rb, spec.nt, spec.dt)
-        wxx = second_difference_x(rows, spec.dx)
-        mags = np.abs(self.time_sign * wt + vv[ra - lo:rb - lo, 1:-1] * rows[:, 1:-1]
-                      - 0.5 * wxx)
-        i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
-        self.peaks.append((float(mags[i, j]), ra - 1 + int(i), int(j)))
-
-    def add_zero(self, r0: int, r1: int) -> None:
-        """A block whose w is identically 0, and so is its residual."""
-        self.scales.append(0.0)
-        if max(r0, 1) < min(r1, self.spec.nt - 1):
-            self.peaks.append((0.0, max(r0, 1) - 1, 0))
-
-    def report(self) -> ResidualReport:
-        # np.argmax takes the first block holding the maximum (or a NaN)
-        spec = self.spec
-        max_abs, i, j = self.peaks[int(np.argmax([p[0] for p in self.peaks]))]
-        scale = max(float(np.max(self.scales)), RELATIVE_FLOOR)
-        t_at = spec.t_min + (i + 1) * spec.dt
-        x_at = spec.x_min + (j + 1) * spec.dx
-        return ResidualReport(max_abs, max_abs / scale, float(t_at), float(x_at), spec)
+def _abs(a: np.ndarray) -> np.ndarray:
+    """|a|, written over ``a`` when it is real."""
+    return np.abs(a, out=None if np.iscomplexobj(a) else a)
 
 
-def _field_residual(field: GridField, v: Callable, time_sign: float) -> ResidualReport:
+def _block_peaks(spec: GridSpec, time_sign: float, w: np.ndarray, vv: np.ndarray,
+                 lo: int, r0: int, r1: int):
+    """(scale, peak) of one residual, time_sign * w_t + V w - w_xx/2, over
+    the row block whose own rows are r0..r1-1: the largest |w| on those
+    rows, and (largest |residual|, interior i, j) at its first row-major
+    position, or None when the block holds no interior row.  ``w`` and the
+    potential ``vv`` hold grid rows lo.. ."""
+    scale = float(np.max(np.abs(w[r0 - lo:r1 - lo])))
+    ra, rb = max(r0, 1), min(r1, spec.nt - 1)
+    if ra >= rb:
+        return scale, None
+    rows = w[ra - lo:rb - lo]
+    # (time_sign * wt + V w) - 0.5 * wxx, in two buffers
+    res = _time_derivative(w[:, 1:-1], lo, ra, rb, spec.nt, spec.dt)
+    res *= time_sign
+    term = np.multiply(vv[ra - lo:rb - lo, 1:-1], rows[:, 1:-1])
+    res += term
+    term = second_difference_x(rows, spec.dx, out=term)
+    term *= 0.5
+    res -= term
+    mags = _abs(res)
+    i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
+    return scale, (float(mags[i, j]), ra - 1 + int(i), int(j))
+
+
+def _zero_peaks(spec: GridSpec, r0: int, r1: int):
+    """``_block_peaks`` of a block whose w is identically 0."""
+    ra = max(r0, 1)
+    return 0.0, ((0.0, ra - 1, 0) if ra < min(r1, spec.nt - 1) else None)
+
+
+def _residual_report(spec: GridSpec, entries) -> ResidualReport:
+    """The whole-grid report from the blocks' ``_block_peaks`` entries, in
+    block order: np.argmax takes the first block holding the maximum (or a
+    NaN), so the report does not depend on the block height."""
+    peaks = [peak for _, peak in entries if peak is not None]
+    max_abs, i, j = peaks[int(np.argmax([p[0] for p in peaks]))]
+    scale = max(float(np.max([s for s, _ in entries])), RELATIVE_FLOOR)
+    t_at = spec.t_min + (i + 1) * spec.dt
+    x_at = spec.x_min + (j + 1) * spec.dx
+    return ResidualReport(max_abs, max_abs / scale, float(t_at), float(x_at), spec)
+
+
+def _map_row_blocks(spec: GridSpec, work: Callable, n_workers: int) -> list:
+    """work(lo, r0, r1, hi) for each row block of ``spec``, as a list in
+    block order, on up to ``n_workers`` threads.
+
+    The calling thread and n_workers - 1 threads of the shared pool claim
+    the blocks in order.  The caller works rather than waits so that its
+    malloc arena, which the rest of the run uses anyway, takes a share of
+    the blocks, not one more arena keeping a block's high-water mark.  After
+    a raise no further block is claimed; once the claimed blocks end, the
+    raise of the lowest block is re-raised, the one a serial walk meets.
+    """
+    blocks = list(_row_blocks(spec))
+    if n_workers <= 1 or len(blocks) == 1:
+        return [work(*block) for block in blocks]
+    results, errors = [None] * len(blocks), {}
+    claims = itertools.count()
+
+    def drain():
+        while not errors:
+            i = next(claims)
+            if i >= len(blocks):
+                return
+            try:
+                results[i] = work(*blocks[i])
+            except Exception as exc:
+                errors[i] = exc
+
+    helpers = [_pool(n_workers).submit(drain) for _ in range(min(n_workers, len(blocks)) - 1)]
+    drain()
+    for helper in helpers:
+        helper.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _field_residual(field: GridField, v: Callable, time_sign: float,
+                    n_workers: int) -> ResidualReport:
     spec = field.spec
     _check_residual_grid(spec)
     vv = sample_potential(spec, v)
-    peaks = _ResidualPeaks(spec, time_sign)
-    for lo, r0, r1, hi in _row_blocks(spec):
-        peaks.add(field.values[lo:hi], vv[lo:hi], lo, r0, r1)
-    return peaks.report()
+    entries = _map_row_blocks(spec, lambda lo, r0, r1, hi: _block_peaks(
+        spec, time_sign, field.values[lo:hi], vv[lo:hi], lo, r0, r1), n_workers)
+    return _residual_report(spec, entries)
 
 
-def residual_backward(w: GridField, v: Callable) -> ResidualReport:
+def residual_backward(w: GridField, v: Callable, n_workers: int = 1) -> ResidualReport:
     """Residual of -w_t + V w - w_xx/2 at interior nodes; V is the (t, x)
-    function ``v``."""
-    return _field_residual(w, v, -1.0)
+    function ``v``.  The report is the same for any ``n_workers``."""
+    return _field_residual(w, v, -1.0, n_workers)
 
 
-def residual_forward(phi: GridField, v: Callable) -> ResidualReport:
+def residual_forward(phi: GridField, v: Callable, n_workers: int = 1) -> ResidualReport:
     """Residual of +Phi_t + V Phi - Phi_xx/2 at interior nodes."""
-    return _field_residual(phi, v, +1.0)
+    return _field_residual(phi, v, +1.0, n_workers)
 
 
 def _stream_checks(spec: GridSpec, fn: Callable, v: Callable, time_sign: float,
-                   form: bool):
+                   form: bool, n_workers: int = 1):
     """Residual reports and, with ``form``, the largest |d2/dx2 log fn| over
     ``spec``, sampling fn(t, x) one row block at a time.
 
@@ -231,23 +282,26 @@ def _stream_checks(spec: GridSpec, fn: Callable, v: Callable, time_sign: float,
     any block holds a nonzero imaginary part, one for the imaginary part.
     """
     _check_residual_grid(spec)
-    parts = (_ResidualPeaks(spec, time_sign), _ResidualPeaks(spec, time_sign))
-    complex_seen = False
-    form_maxima = []
-    for lo, r0, r1, hi in _row_blocks(spec):
-        block = sample_rows(spec, fn, lo, hi)
+
+    def block(lo, r0, r1, hi):
+        field = sample_rows(spec, fn, lo, hi)
         vv = sample_potential(spec, v, lo, hi)
-        values = block.values
-        parts[0].add(values.real, vv, lo, r0, r1)
-        if np.iscomplexobj(values):
-            complex_seen = True
-            parts[1].add(values.imag, vv, lo, r0, r1)
-        else:
-            parts[1].add_zero(r0, r1)
+        values = field.values
+        is_complex = np.iscomplexobj(values)
+        re = _block_peaks(spec, time_sign, values.real, vv, lo, r0, r1)
+        im = (_block_peaks(spec, time_sign, values.imag, vv, lo, r0, r1) if is_complex
+              else _zero_peaks(spec, r0, r1))
+        form_max = None
         if form:
-            form_maxima.append(np.max(np.abs(log_phi_xx(block).values[r0 - lo:r1 - lo])))
-    reports = [p.report() for p in parts[:2 if complex_seen else 1]]
-    return reports, float(np.max(form_maxima)) if form else None
+            form_max = np.max(_abs(log_phi_xx(field).values[r0 - lo:r1 - lo]))
+        return re, im, is_complex, form_max
+
+    results = _map_row_blocks(spec, block, n_workers)
+    parts = [[re for re, _, _, _ in results]]
+    if any(is_complex for _, _, is_complex, _ in results):
+        parts.append([im for _, im, _, _ in results])
+    reports = [_residual_report(spec, entries) for entries in parts]
+    return reports, float(np.max([f for *_, f in results])) if form else None
 
 
 def check_inequality(w: GridField, s: float) -> DiagnosticReport:
@@ -324,7 +378,9 @@ def quadrature_match(b: Boundary, g: GammaPoly, t: float, x: float,
 
 def transform_target(b: Boundary, t, x):
     """Analytic lambda = 0 target of the transformation loop: (x - int_0^t f') u_0."""
-    return (np.asarray(x) - integral_fprime(b, 0.0, t)) * u_lambda(b, 0.0, t, x).real
+    u0 = u_lambda(b, 0.0, t, x)
+    u0 *= np.asarray(x) - integral_fprime(b, 0.0, t)
+    return u0
 
 
 def zero_identity_gap(b: Boundary, t: float, x: float) -> float:
@@ -365,7 +421,7 @@ class CheckResult:
 
 
 def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: int,
-               grid_scale: float, field: GridField | None):
+               grid_scale: float, field: GridField | None, n_workers: int = 1):
     """The verification suite: returns (checks, residuals, diagnostics).
 
     ``spec`` is the residual grid and ``tspec`` the transform grid (as
@@ -374,6 +430,8 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     fields sampled on ``spec`` only: an external ``field`` is judged at
     the unscaled ``tol_backward``.  One RNG stream from ``seed`` feeds, in
     order, 10 quadrature, 200 zero-identity and 20 product draws.
+    Residual row blocks run ``n_workers`` at a time; the results do not
+    depend on it.
     """
     v1 = boundary_potential(b)
     checks: list[CheckResult] = []
@@ -385,14 +443,15 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
 
     if field is not None:
         residual_check("external_field_backward", "external field residual",
-                       residual_backward(field, v1), tols["tol_backward"])
-    (rep_w,), _ = _stream_checks(spec, lambda t, x: closed_w(b, t, x), v1, -1.0, False)
+                       residual_backward(field, v1, n_workers), tols["tol_backward"])
+    (rep_w,), _ = _stream_checks(spec, lambda t, x: closed_w(b, t, x), v1, -1.0, False,
+                                 n_workers)
     residual_check("backward_closed_w", "backward residual (closed w)", rep_w,
                    tols["tol_backward"] * grid_scale)
     form_pres_max = 0.0
     for lam in (0.0, 1.5):
         reps, form_max = _stream_checks(spec, lambda t, x: phi_lambda(b, lam, t, x), v1,
-                                        +1.0, True)
+                                        +1.0, True, n_workers)
         for name, rep in zip(("re", "im"), reps):
             residual_check(f"forward_phi_lam{lam}_{name}",
                            f"forward residual (phi, lam={lam}, {name})",
@@ -401,16 +460,15 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     checks.append(CheckResult("form preservation (d2/dx2 log phi)", "max_abs",
                               form_pres_max, tols["tol_form_preservation"]))
 
-    u0 = sample_field(tspec, lambda t, x: u_lambda(b, 0.0, t, x))
-    phi0 = sample_field(tspec, lambda t, x: phi_lambda(b, 0.0, t, x))
-    w_engine = bluman_shtelen_w(u0, phi0)
-    target = sample_field(tspec, lambda t, x: transform_target(b, t, x))
-    dev = float(np.max(np.abs(w_engine.values - target.values))
-                / max(float(np.max(np.abs(target.values))), RELATIVE_FLOOR))
+    w_engine = bluman_shtelen_w(sample_field(tspec, lambda t, x: u_lambda(b, 0.0, t, x)),
+                                sample_field(tspec, lambda t, x: phi_lambda(b, 0.0, t, x)))
+    target = sample_field(tspec, lambda t, x: transform_target(b, t, x)).values
+    dev = float(np.max(_abs(w_engine.values - target))
+                / max(float(np.max(np.abs(target))), RELATIVE_FLOOR))
     checks.append(CheckResult("transform loop vs analytic target", "max_rel_dev", dev,
                               tols["tol_transform"]))
     residual_check("backward_transform_w", "transform loop residual",
-                   residual_backward(w_engine, v1), tols["tol_transform_residual"])
+                   residual_backward(w_engine, v1, n_workers), tols["tol_transform_residual"])
 
     rng = np.random.default_rng(seed)
     quad_worst = 0.0

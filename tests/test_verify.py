@@ -2,15 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpkit.cli as cli
 import fpkit.verify as verify
 from fpkit.boundary import Boundary, boundary_potential, parse_boundary
-from fpkit.grids import GridField, GridSpec, sample_field, transform_grid
+from fpkit.grids import GridField, GridSpec, NumericalError, sample_field, transform_grid
 from fpkit.kernels import simpson_weights
 from fpkit.solutions import GammaPoly, closed_w, closed_w_gamma, phi_lambda, u_lambda
 from fpkit.transform import log_phi_xx
@@ -118,14 +120,16 @@ def test_residual_order_of_accuracy():
 SMALL_TSPEC = transform_grid(0.0, 0.9, 3.0, 31, 31)
 
 
-def fine_grid_results(spec):
+def fine_grid_results(spec, n_workers=1):
     """run_checks' residual entries and form-preservation maximum on ``spec``."""
-    _, residuals, diagnostics = run_checks(B_LIN, spec, SMALL_TSPEC, TOLERANCES, 0, 1.0, None)
+    _, residuals, diagnostics = run_checks(B_LIN, spec, SMALL_TSPEC, TOLERANCES, 0, 1.0, None,
+                                           n_workers=n_workers)
     return residuals, diagnostics["form_preservation_max_abs"]
 
 
-@pytest.mark.parametrize("nt", [47, 5])
-def test_row_block_seams_change_no_report(monkeypatch, nt):
+@pytest.mark.parametrize("nt, n_workers", [(47, 1), (5, 1), (47, 2), (5, 2)],
+                         ids=["47", "5", "47-2workers", "5-2workers"])
+def test_row_block_seams_change_no_report(monkeypatch, nt, n_workers):
     # 47 rows is prime, so every height > 1 leaves a short last block; at
     # nt = 5 a block of >= 5 rows holds both one-sided rows.  Covers the
     # real closed w, the float64 Phi at lam = 0 and the complex Phi at 1.5.
@@ -134,8 +138,8 @@ def test_row_block_seams_change_no_report(monkeypatch, nt):
     results = {}
     for height in (1, 2, 3, 5, nt):
         monkeypatch.setattr(verify, "BLOCK_NODES", height * spec.nx)
-        results[height] = (fine_grid_results(spec),
-                           residual_backward(w, V_LIN).to_json())
+        results[height] = (fine_grid_results(spec, n_workers),
+                           residual_backward(w, V_LIN, n_workers).to_json())
     whole = results[nt]
     (residuals, form_max), field_rep = whole
     assert set(residuals) == {"backward_closed_w", "forward_phi_lam0.0_re",
@@ -166,19 +170,103 @@ def test_streamed_field_keeps_whole_field_dtype_rule(monkeypatch):
         assert verify._stream_checks(spec, fn, V_LIN, +1.0, True) == expected
 
 
+def fine_grid_peak(nt, n_workers):
+    """Peak of the allocations traced, in every thread, over fine_grid_results
+    on an nt x 2951 grid."""
+    tracemalloc.start()
+    try:
+        fine_grid_results(GridSpec(0.0, 0.9, 0.05, 3.0, nt, 2951), n_workers)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_fine_grid_memory_flat_in_nt():
     # the fine-grid fields are streamed in row blocks: doubling nt at fixed
     # nx leaves the peak of traced allocations where it was (sampling whole
-    # fields doubles it)
-    def peak(nt):
-        tracemalloc.start()
-        try:
-            fine_grid_results(GridSpec(0.0, 0.9, 0.05, 3.0, nt, 2951))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    # fields doubles it).  One worker, so no two blocks' peaks can coincide.
+    assert fine_grid_peak(321, 1) <= 1.1 * fine_grid_peak(161, 1)
 
-    assert peak(321) <= 1.1 * peak(161)
+
+def test_fine_grid_memory_two_workers_at_most_two_blocks():
+    # two workers hold at most two blocks at once, and the rest of the run
+    # is the one-worker run's, so the peak stays within twice that run's
+    # however the threads interleave
+    assert fine_grid_peak(321, 2) <= 2.0 * fine_grid_peak(321, 1)
+
+
+def test_run_checks_outputs_do_not_depend_on_worker_count(monkeypatch):
+    # 3-row blocks, so that every worker count takes several blocks
+    spec = GridSpec(0.0, 0.8, 0.1, 2.5, 29, 61)
+    monkeypatch.setattr(verify, "BLOCK_NODES", 3 * spec.nx)
+    runs = {}
+    for n_workers in (1, 2, 3):
+        checks, residuals, diagnostics = run_checks(B_LIN, spec, SMALL_TSPEC, TOLERANCES, 0,
+                                                    1.0, None, n_workers=n_workers)
+        runs[n_workers] = json.dumps([[c.to_json() for c in checks], residuals, diagnostics])
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+
+
+def test_block_error_exits_3_and_the_pool_serves_the_next_run(tmp_path, monkeypatch, capsys):
+    # two workers whatever the host; the block at t >= 0.5 of the lam = 1.5
+    # field fails inside a worker or the caller
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    original = verify.log_phi_xx
+
+    def failing(phi):
+        if phi.spec.t_min >= 0.5 and np.iscomplexobj(phi.values):
+            raise NumericalError("injected block failure")
+        return original(phi)
+
+    argv = ["verify", "--boundary", "s=1; fprime=0.5,0.3", "--fast"]
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "log_phi_xx", failing)
+        assert cli.main(argv + ["--out", str(tmp_path / "failed")]) == 3
+    assert "injected block failure" in capsys.readouterr().err
+    assert cli.main(argv + ["--out", str(tmp_path / "next")]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_block_map_raises_the_first_failing_block(monkeypatch):
+    # row 3 fails late, so with several workers row 5 fails first; the raise
+    # is still row 3's, the one a serial walk meets
+    spec = GridSpec(0.0, 0.8, 0.1, 2.5, 9, 7)
+    monkeypatch.setattr(verify, "BLOCK_NODES", spec.nx)
+
+    def work(lo, r0, r1, hi):
+        if r0 == 3:
+            time.sleep(0.05)
+        if r0 in (3, 5):
+            raise NumericalError(f"row {r0}")
+        return r0
+
+    spec_ok = GridSpec(0.0, 0.8, 0.1, 2.5, 3, 7)
+    for n_workers in (1, 2, 3):
+        with pytest.raises(NumericalError, match="row 3"):
+            verify._map_row_blocks(spec, work, n_workers)
+        assert verify._map_row_blocks(spec_ok, work, n_workers) == [0, 1, 2]
+
+
+def test_block_map_runs_each_block_once_under_thread_switching(monkeypatch):
+    # more workers than cores, switching threads every microsecond: a claim
+    # taken twice or lost would repeat or drop a block
+    spec = GridSpec(0.0, 0.8, 0.1, 2.5, 3000, 7)
+    monkeypatch.setattr(verify, "BLOCK_NODES", spec.nx)
+    calls = []
+
+    def work(lo, r0, r1, hi):
+        calls.append(r0)
+        return float(np.sum(np.arange(r0 % 50)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = verify._map_row_blocks(spec, work, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [float(np.sum(np.arange(r % 50))) for r in range(3000)]
+    assert sorted(calls) == list(range(3000))
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
