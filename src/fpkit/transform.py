@@ -101,26 +101,6 @@ def _second_difference_rows(out: np.ndarray, a: np.ndarray, dx: float) -> None:
     out[:, -1] = out[:, -2]
 
 
-def _unwrapped_phase(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """np.unwrap(np.angle(values), axis=1), bit for bit, built with two
-    buffers besides the result; and the largest |step| of the result
-    between adjacent x nodes."""
-    phase = np.angle(values)
-    step = np.diff(phase, axis=1)
-    # np.unwrap's correction: mod(step + pi, 2 pi) - pi, +pi for a step of
-    # exactly +pi, less the step, and 0 where |step| < pi; summed along x
-    fix = np.subtract(step, -np.pi)
-    np.mod(fix, 2.0 * np.pi, out=fix)
-    fix += -np.pi
-    np.copyto(fix, np.pi, where=(fix == -np.pi) & (step > 0))
-    fix -= step
-    np.copyto(fix, 0.0, where=np.abs(step, out=step) < np.pi)
-    np.cumsum(fix, axis=1, out=fix)
-    phase[:, 1:] += fix
-    np.subtract(phase[:, 1:], phase[:, :-1], out=step)
-    return phase, float(np.abs(step, out=step).max())
-
-
 def log_phi_xx(phi: GridField) -> GridField:
     """Second x-derivative of log Phi = log|Phi| + i * phase.  A real Phi
     must keep its sign along each x-row; a complex Phi's phase must step
@@ -129,8 +109,8 @@ def log_phi_xx(phi: GridField) -> GridField:
     dx = phi.spec.dx
     _magnitudes(values)  # taken again below, so that it need not live through the unwrap
     if np.iscomplexobj(values):
-        phase, max_step = _unwrapped_phase(values)
-        if max_step >= np.pi * (1.0 - 1e-9):
+        phase = np.unwrap(np.angle(values), axis=1)
+        if np.abs(np.diff(phase, axis=1)).max() >= np.pi * (1.0 - 1e-9):
             raise NumericalError("phase jump of ~pi between adjacent x nodes; grid does not "
                                  "resolve the field's oscillation (need |lam| * dx < pi)")
         out = np.empty(values.shape, dtype=complex)

@@ -268,9 +268,9 @@ def residual_backward(w: GridField, v: Callable, n_workers: int = 1) -> Residual
     return _field_residual(w, v, -1.0, n_workers)
 
 
-def residual_forward(phi: GridField, v: Callable, n_workers: int = 1) -> ResidualReport:
+def residual_forward(phi: GridField, v: Callable) -> ResidualReport:
     """Residual of +Phi_t + V Phi - Phi_xx/2 at interior nodes."""
-    return _field_residual(phi, v, +1.0, n_workers)
+    return _field_residual(phi, v, +1.0, 1)
 
 
 def _stream_checks(spec: GridSpec, fn: Callable, v: Callable, time_sign: float,
