@@ -71,8 +71,9 @@ def default_half_width(t: float, x: float) -> float:
     return 40.0 / np.sqrt(t) + abs(x) / t
 
 
-def simpson_weights(n: int, h: float) -> np.ndarray:
-    """Composite Simpson weights for n (odd) uniformly spaced nodes."""
+def simpson_weights(n: int, h) -> np.ndarray:
+    """Composite Simpson weights for n (odd) uniformly spaced nodes; an
+    (m, 1) array of spacings ``h`` gives one row of weights per spacing."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"Simpson needs an odd node count >= 3, got {n}")
     w = np.full(n, 2.0)

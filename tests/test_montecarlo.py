@@ -1,13 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from scipy.stats import invgauss, kstest, norm
+from scipy.stats import expon, invgauss, kstest, norm
 
 from chi_square import chi_square_two_sample, chi_square_vs_reference
 from fpkit import montecarlo
-from fpkit.boundary import Boundary, parse_boundary
-from fpkit.montecarlo import (BLOCK_SIZE, MAX_UNIT_PATHS, DensityHistogram, MCConfig,
-                              bessel_bridge_fk, compare_density, first_passage_histogram,
-                              kappa_time_density, reference_time_density, _bin_masses,
+from fpkit.boundary import Boundary, eval_fsecond, parse_boundary
+from fpkit.montecarlo import (BLOCK_SIZE, FK_CHUNK, MAX_UNIT_PATHS, DensityHistogram,
+                              MCConfig, bessel_bridge_fk, compare_density,
+                              first_passage_histogram, kappa_time_density,
+                              reference_time_density, _bin_masses, _draw_variates,
                               _hit_times, _radial_step)
 
 B_ZERO = parse_boundary("s=1; fprime=0")
@@ -282,7 +285,8 @@ def test_radial_step_matches_3d_step_law():
     n, r0, shrink, var = 10 ** 6, 0.8, 0.6, 0.15
     rng = np.random.default_rng(2024)
     radius = np.full(n, r0)
-    _radial_step(radius, shrink, var, rng.standard_normal(n), rng.standard_exponential(n))
+    _radial_step(radius, n, shrink, np.sqrt(var) * rng.standard_normal(n),
+                 2.0 * var * rng.standard_exponential(n))
     mu, sig = shrink * r0, np.sqrt(var)
     mean_r = _noncentral_chi3_mean(mu, sig)
     second_r = mu ** 2 + 3.0 * sig ** 2
@@ -297,11 +301,84 @@ def test_radial_step_mirror_steps_with_negated_normals():
     # bit for bit, the plain step with the normal negated and e repeated
     rng = np.random.default_rng(7)
     radius, mirror = rng.random(9) + 0.5, rng.random(8) + 0.5
-    z, e = rng.standard_normal(9), rng.standard_exponential(9)
+    z, e = np.sqrt(0.03) * rng.standard_normal(9), 0.06 * rng.standard_exponential(9)
     plain = np.concatenate([radius, mirror])
-    _radial_step(plain, 0.9, 0.03, np.concatenate([z, -z[:8]]), np.concatenate([e, e[:8]]))
-    _radial_step(radius, 0.9, 0.03, z, e, mirror)
-    assert np.concatenate([radius, mirror]).tobytes() == plain.tobytes()
+    _radial_step(plain, 17, 0.9, np.concatenate([z, -z[:8]]), np.concatenate([e, e[:8]]))
+    paired = np.concatenate([radius, mirror])
+    _radial_step(paired, 9, 0.9, z, e)
+    assert paired.tobytes() == plain.tobytes()
+
+
+def _variates(rng, k, n):
+    z = np.empty((k, n), dtype=np.float32)
+    e = np.empty((k, n), dtype=np.float32)
+    _draw_variates(rng, z, e, np.empty((k + 1) // 2 * n))
+    return z, e
+
+
+@pytest.mark.parametrize("which, law", [(0, norm), (1, expon)], ids=["normal", "exponential"])
+def test_drawn_variates_follow_their_laws(which, law):
+    # 1M draws against N(0, 1) or Exp(1): chi-square over 50 equiprobable
+    # cells, the last of them the remainder cell of chi_square_vs_reference
+    sample = _variates(np.random.default_rng(99), FK_CHUNK, 10 ** 6 // FK_CHUNK)[which]
+    cells = 50
+    inner_edges = law.ppf(np.arange(1, cells) / cells)
+    counts = np.bincount(np.searchsorted(inner_edges, sample.ravel()), minlength=cells)
+    hist = SimpleNamespace(masses=counts[:-1] / sample.size, n_total=sample.size)
+    stat, p = chi_square_vs_reference(hist, np.full(cells - 1, 1.0 / cells))
+    assert p > 0.001, (stat, p)
+
+
+class _ExtremeUniforms:
+    """Stands in for a generator whose every float64 uniform is the largest,
+    1 - 2**-53, and whose every float32 uniform is 0."""
+
+    def random(self, dtype=np.float64, out=None):
+        out[...] = 1.0 - 2.0 ** -53 if dtype == np.float64 else 0.0
+
+
+def test_drawn_variates_reach_their_tails():
+    # the smallest 1 - U, 2**-53, gives the radius sqrt(106 ln 2) = 8.57 at
+    # angle 0 and the exponential 53 ln 2 = 36.7
+    z, e = _variates(_ExtremeUniforms(), FK_CHUNK, 5)
+    h = (FK_CHUNK + 1) // 2
+    assert z[:h].min() > 8.0
+    assert e.min() > 36.0
+
+
+def test_fk_float32_radius_matches_float64_stepping():
+    # the estimator steps and sums in float32; stepping its own draws in
+    # float64 here must give the same mean within 0.01 standard error
+    cfg = MCConfig(n_paths=20000, n_steps=200, seed=23)
+    est = bessel_bridge_fk(B_LIN, 1.0, cfg)
+    s, n_steps = B_LIN.horizon_s, cfg.n_steps
+    dt = s / n_steps
+    t = np.linspace(0.0, s, n_steps + 1)
+    coef = dt * np.asarray(eval_fsecond(B_LIN, t), dtype=float)
+    coef[0] *= 0.5
+    samples = []
+    for block, lo in enumerate(range(0, cfg.n_paths, BLOCK_SIZE)):
+        n = min(BLOCK_SIZE, cfg.n_paths - lo)
+        lead, trail = (n + 1) // 2, n // 2
+        rng = montecarlo._block_rng(cfg.seed, block)
+        radius = np.full(n, 1.0)
+        integral = coef[0] * radius
+        for j0 in range(0, n_steps - 1, FK_CHUNK):
+            z, e = _variates(rng, min(FK_CHUNK, n_steps - 1 - j0), lead)
+            for i in range(z.shape[0]):
+                tau = s - t[j0 + i]
+                shrink = (tau - dt) / tau
+                var = dt * shrink
+                step = np.sqrt(var) * z[i].astype(float)
+                radius *= shrink
+                radius += np.concatenate([step, -step[:trail]])
+                expo = np.concatenate([e[i], e[i][:trail]]).astype(float)
+                radius = np.sqrt(radius ** 2 + 2.0 * var * expo)
+                integral += coef[j0 + i + 1] * radius
+        vals = np.exp(-integral)
+        samples.append(np.append(0.5 * (vals[:trail] + vals[lead:]), vals[trail:lead]))
+    mean64 = np.concatenate(samples).mean()
+    assert abs(est.mean - mean64) <= 0.01 * est.std_error
 
 
 def test_fk_step_refinement_consistency():
