@@ -165,7 +165,9 @@ OPTIONS = (
     Option("--x0", _MC, float, 1.0, "initial distance to the level"),
     Option("--paths", _MC, int, 100000, "number of paths"),
     Option("--steps", _MC, int, 2000,
-           "time steps per path (a level with constant f' takes one step)"),
+           "time steps n: the sweep takes n chords, simulate's Feynman-Kac "
+           "ceil(n/2) steps graded toward s (constant f' takes one chord and no "
+           "Feynman-Kac step)"),
     Option("--seed", _MC, int, 42, "seed of the random streams"),
     Option("--bins", _MC, int, 20, "histogram bins on [0, s]"),
     Option("--threads", _MC, int, 1, "worker threads (outputs do not depend on it)"),

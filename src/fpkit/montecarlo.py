@@ -20,6 +20,11 @@ Two estimators:
   bridge from x at time 0 to the origin at time s, realized as the
   modulus of a 3-D Brownian bridge (positivity is automatic),
   stepped on the radius alone, and averaged over mirrored path pairs.
+  ``n_steps`` = n asks FK for max(2, ceil(n/2)) intervals of its own mesh,
+  graded toward s, where the sweep takes n chords; each pair's mean
+  integral is a control variate with an exact discrete mean, and the
+  reported std_error is that control-variate estimator's.  A level with
+  constant f' gives exactly 1 without stepping.
   Its normals and exponentials come from uniforms, ``FK_CHUNK`` steps at
   a time (``_draw_variates``): Box-Muller normals on a float64 radius
   uniform reach 8.57 sigma, and -log(1 - U) exponentials on a float64 U
@@ -40,6 +45,7 @@ n_paths), and outputs are bit for bit the same for any thread count.
 from __future__ import annotations
 
 import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -461,6 +467,33 @@ def _radial_step(radius: np.ndarray, n_lead: int, shrink: float,
     np.sqrt(radius, out=radius)
 
 
+def _graded_mesh(s: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """FK's time nodes u_j = s (1 - (1 - j/m)^2), j = 0 .. m, with
+    m = max(2, ceil(n_steps / 2)), and the time s - u_j = s ((m - j) / m)^2
+    left at each, free of cancellation.
+
+    E[R_u] falls like sqrt(s - u) at the horizon, where a uniform mesh
+    loses most of its accuracy.  These nodes crowd toward s: measured
+    against the hitting-density oracle, the rule's bias at m graded
+    intervals is no larger than at n_steps uniform ones.
+    """
+    m = max(2, -(-n_steps // 2))
+    left = s * ((m - np.arange(m + 1)) / m) ** 2
+    return s - left, left
+
+
+def _bridge_radius_mean(x: float, s: float, u: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """E[R_u] at times 0 < u < s with s - u = ``left``.  R_u is
+    |mu e1 + sigma Z|, Z ~ N(0, I_3), with mu = x (s - u) / s and
+    sigma^2 = u (s - u) / s; its noncentral chi_3 mean is
+    sigma sqrt(2/pi) exp(-a^2) + (mu + sigma^2 / mu) erf(a), a = mu / (sigma sqrt 2)."""
+    mu = x * left / s
+    sigma = np.sqrt(u * left / s)
+    a = mu / (sigma * np.sqrt(2.0))
+    erf = np.array([math.erf(v) for v in a])
+    return sigma * np.sqrt(2.0 / np.pi) * np.exp(-a * a) + (mu + sigma * sigma / mu) * erf
+
+
 def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
                      n_workers: int = 1) -> MCEstimate:
     """Feynman-Kac estimate of E[exp(-int_0^s f''(u) R_u du)], R a 3-D
@@ -468,15 +501,28 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
 
     The bridge is the modulus of a 3-D Brownian bridge from (x, 0, 0) to
     the origin, stepped by exact conditional sampling of the radius alone
-    (``_radial_step``: one normal and one exponential per path-step); the
-    time integral uses the trapezoid rule on the step grid.  Paths come in
-    mirrored pairs within each 8,192-path block: the block draws for its
-    first half, and its second half steps with the negated normals and the
-    same exponentials; each pair is averaged into one sample (a block of
-    odd size leaves one path unpaired).  std_error reflects the count of
-    these samples, so 1 or 2 paths give a single sample and a std_error of
-    0.0.  Streams come per fixed block, so the estimate is bit for bit the
-    same for any ``n_workers``.
+    (``_radial_step``: one normal and one exponential per path-step).  The
+    time integral I uses the trapezoid rule on FK's own graded mesh
+    (``_graded_mesh``): ``cfg.n_steps`` = n asks for m = max(2, ceil(n/2))
+    intervals, crowded toward s, where the first-passage sweep takes n
+    chords.  Paths come in mirrored pairs within each 8,192-path block:
+    the block draws for its first half, and its second half steps with the
+    negated normals and the same exponentials; each pair is one sample (a
+    block of odd size leaves one path unpaired).
+
+    Each sample y = mean of exp(-I) over the pair carries the control
+    variate c = mean of I over the pair, whose mean E[I_h] = sum_j coef_j
+    E[R_{u_j}] is exact for the discrete rule (``_bridge_radius_mean``).
+    The estimate is ybar - beta (cbar - E[I_h]), with beta = cov(y, c) /
+    var(c) taken from the same samples; that costs a bias of O(1/count),
+    about 0.005 std_error at 25,000 pairs on f' = 0.5 + 0.3t.  std_error
+    is this estimator's: the residual variance over count - 2 degrees of
+    freedom, over the sample count, so 1 or 2 paths give a single sample
+    and a std_error of 0.0.  A level
+    with constant f' has f'' = 0, so the estimate is exactly 1 with
+    std_error 0.0, and no path is stepped.  Streams come per fixed block
+    and blocks report their sums, reduced in block order, so the estimate
+    is bit for bit the same for any ``n_workers``.
 
     Each block draws the variates of ``FK_CHUNK`` steps at a time from
     uniforms (``_draw_variates``): normals by Box-Muller, which reach
@@ -486,19 +532,27 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     """
     if x <= 0.0:
         raise ValueError(f"starting point must be positive, got {x}")
+    if not any(b.deriv_coeffs[1:]):
+        return MCEstimate(1.0, 0.0, cfg.n_paths)
     s = b.horizon_s
-    n_steps = cfg.n_steps
-    dt = s / n_steps
-    t_nodes = np.linspace(0.0, s, n_steps + 1)
+    nodes, left = _graded_mesh(s, cfg.n_steps)
+    width = np.diff(nodes)
     # trapezoid weights folded with f''; the last node (R_s = 0) adds nothing
-    coef = dt * np.asarray(eval_fsecond(b, t_nodes), dtype=float)
-    coef[0] *= 0.5
+    coef = np.asarray(eval_fsecond(b, nodes), dtype=float)
+    coef *= np.append(width, 0.0) + np.append(0.0, width)
+    coef *= 0.5
     weight = coef[1:-1].astype(np.float32)
-    # step j runs from t_j over the time tau = s - t_j left to the bridge
-    tau = s - t_nodes[:-2]
-    shrink = (tau - dt) / tau
-    root_var = np.sqrt(dt * shrink).astype(np.float32)[:, None]
-    two_var = (2.0 * dt * shrink).astype(np.float32)[:, None]
+    # E[I_h] of the rule as the paths apply it, with the float32 weights;
+    # samples are centred at it and at exp(-E[I_h]) before they are summed
+    mean_integral = coef[0] * x + float(np.sum(
+        weight * _bridge_radius_mean(x, s, nodes[1:-1], left[1:-1])))
+    y_centre = math.exp(-mean_integral)
+    # step j runs from u_j to u_{j+1}, over the time s - u_j left to the bridge
+    n_moves = nodes.size - 2
+    shrink = left[1:-1] / left[:-2]
+    var = width[:-1] * shrink
+    root_var = np.sqrt(var).astype(np.float32)[:, None]
+    two_var = (2.0 * var).astype(np.float32)[:, None]
     shrink = shrink.astype(np.float32)
 
     def worker(streams, size: int):
@@ -508,8 +562,8 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
         # and second-half path i mirrors first-half path i
         sizes = [part.stop - part.start for _, part in streams]
         lead_cuts = np.cumsum([0] + [(n + 1) // 2 for n in sizes])
-        trail_cuts = lead_cuts[-1] + np.cumsum([0] + [n // 2 for n in sizes])
         n_lead = lead_cuts[-1]
+        n_pairs = size - n_lead
         radius = np.full(size, x, dtype=np.float32)
         integral = np.full(size, coef[0] * x)
         # step i's normals and exponentials side by side: once the step is
@@ -522,8 +576,8 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
         scratch = np.empty((FK_CHUNK + 1) // 2 * ((max(sizes) + 1) // 2))
         draws = [(rng, slice(lo, hi)) for (rng, _), lo, hi
                  in zip(streams, lead_cuts[:-1], lead_cuts[1:])]
-        for j0 in range(0, n_steps - 1, FK_CHUNK):
-            chunk = slice(j0, min(j0 + FK_CHUNK, n_steps - 1))
+        for j0 in range(0, n_moves, FK_CHUNK):
+            chunk = slice(j0, min(j0 + FK_CHUNK, n_moves))
             k = chunk.stop - j0
             for rng, part in draws:
                 _draw_variates(rng, z[:k, part], e[:k, part], scratch)
@@ -535,25 +589,43 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
                 if i:
                     chunk_sum += terms[i]
             integral += chunk_sum
-        # in place: temporaries here would raise the estimator's peak memory
-        vals = np.exp(np.negative(integral, out=integral), out=integral)
+        # in place, in the spent variates, FK_CHUNK >= 3 float64 per lead
+        # path: temporaries here would raise the estimator's peak memory.
+        # Sample i pairs lead path i with path n_lead + i; with an odd last
+        # block, the last lead path is alone
+        samples = variates.reshape(-1).view(np.float64)
+        c, y, product = (samples[r * n_lead:(r + 1) * n_lead] for r in range(3))
+
+        def pair_means(out):
+            np.add(integral[:n_pairs], integral[n_lead:], out=out[:n_pairs])
+            out[:n_pairs] *= 0.5
+            out[n_pairs:] = integral[n_pairs:n_lead]
+
+        pair_means(c)
+        np.exp(np.negative(integral, out=integral), out=integral)
+        pair_means(y)
+        c -= mean_integral
+        y -= y_centre
         results = []
-        for k in range(len(streams)):
-            v = vals[lead_cuts[k]:lead_cuts[k + 1]]
-            mirrors = vals[trail_cuts[k]:trail_cuts[k + 1]]
-            # with an odd block size, the last first-half path stays unpaired
-            v = np.append(0.5 * (v[:mirrors.size] + mirrors), v[mirrors.size:])
-            results.append((float(np.sum(v)), float(np.sum(v * v)), v.size))
+        for lo, hi in zip(lead_cuts[:-1], lead_cuts[1:]):
+            block = slice(lo, hi)
+            sums = [float(np.sum(y[block])), float(np.sum(c[block]))]
+            for f, g in ((y, y), (c, c), (y, c)):
+                sums.append(float(np.sum(np.multiply(f[block], g[block], out=product[block]))))
+            results.append((int(hi - lo), *sums))
         return results
 
     results = _run_blocks(worker, cfg.seed, cfg.n_paths, n_workers)
-    total = sum(r[0] for r in results)
-    total_sq = sum(r[1] for r in results)
-    count = sum(r[2] for r in results)
-    mean = total / count
-    if count > 1:
-        var = max((total_sq - count * mean * mean) / (count - 1), 0.0)
-        std_error = float(np.sqrt(var / count))
+    count, sum_y, sum_c, sum_yy, sum_cc, sum_yc = (sum(col) for col in zip(*results))
+    # sums of squares and products about the sample means
+    ss_y = sum_yy - sum_y * sum_y / count
+    ss_c = sum_cc - sum_c * sum_c / count
+    sp_yc = sum_yc - sum_y * sum_c / count
+    beta = sp_yc / ss_c if ss_c > 0.0 else 0.0
+    mean = y_centre + (sum_y - beta * sum_c) / count
+    dof = count - 2 if beta else count - 1
+    if dof > 0:
+        std_error = math.sqrt(max(ss_y - beta * sp_yc, 0.0) / (dof * count))
     else:
         std_error = 0.0
     return MCEstimate(float(mean), std_error, cfg.n_paths)

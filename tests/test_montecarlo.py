@@ -6,12 +6,14 @@ from scipy.stats import expon, invgauss, kstest, norm
 
 from chi_square import chi_square_two_sample, chi_square_vs_reference
 from fpkit import montecarlo
-from fpkit.boundary import Boundary, eval_fsecond, parse_boundary
+from fpkit.boundary import (Boundary, eval_fprime, eval_fsecond, integral_fprime_sq,
+                            parse_boundary)
 from fpkit.montecarlo import (BLOCK_SIZE, FK_CHUNK, MAX_UNIT_PATHS, DensityHistogram,
                               MCConfig, bessel_bridge_fk, compare_density,
                               first_passage_histogram, kappa_time_density,
                               reference_time_density, _bin_masses, _draw_variates,
                               _hit_times, _radial_step)
+from volterra_oracle import hitting_density_at, trapezoid_density
 
 B_ZERO = parse_boundary("s=1; fprime=0")
 B_UP = parse_boundary("s=1; fprime=1")
@@ -80,6 +82,17 @@ def test_fixed_level_histogram_matches_exact_density():
     assert p > 0.001
 
 
+def _bachelier_levy(x0, slope, t):
+    """x0 (2 pi t^3)^(-1/2) exp(-(x0 + slope t)^2 / 2t), the hitting density
+    of the level x0 + slope t, and 0 at t = 0."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0.0
+    out[pos] = x0 / np.sqrt(2.0 * np.pi * t[pos] ** 3) * np.exp(
+        -(x0 + slope * t[pos]) ** 2 / (2.0 * t[pos]))
+    return out
+
+
 @pytest.mark.parametrize("slope, n_bins", [(0.7, 20), (-0.5, 17)])
 def test_constant_slope_histogram_matches_bachelier_levy(slope, n_bins):
     # a level x0 + c t is its own chord, so the sweep is exact in law: its
@@ -88,15 +101,8 @@ def test_constant_slope_histogram_matches_bachelier_levy(slope, n_bins):
     x0 = 1.0
     b = parse_boundary(f"s=1; fprime={slope}")
     h = first_passage_histogram(b, x0, MCConfig(n_paths=131072, n_steps=7, seed=2718), n_bins)
-
-    def density(t):
-        out = np.zeros_like(t)
-        pos = t > 0.0
-        out[pos] = x0 / np.sqrt(2.0 * np.pi * t[pos] ** 3) * np.exp(
-            -(x0 + slope * t[pos]) ** 2 / (2.0 * t[pos]))
-        return out
-
-    stat, p = chi_square_vs_reference(h, _bin_masses(density, h.bin_edges))
+    masses = _bin_masses(lambda t: _bachelier_levy(x0, slope, t), h.bin_edges)
+    stat, p = chi_square_vs_reference(h, masses)
     assert p > 0.001
 
 
@@ -118,15 +124,8 @@ def test_line_through_chord_sweep_matches_bachelier_levy(slope, n_bins):
     b = Boundary((slope, 1e-300), 1.0)
     h = first_passage_histogram(b, x0, MCConfig(n_paths=262144, n_steps=200, seed=1618),
                                 n_bins, n_workers=2)
-
-    def density(t):
-        out = np.zeros_like(t)
-        pos = t > 0.0
-        out[pos] = x0 / np.sqrt(2.0 * np.pi * t[pos] ** 3) * np.exp(
-            -(x0 + slope * t[pos]) ** 2 / (2.0 * t[pos]))
-        return out
-
-    stat, p = chi_square_vs_reference(h, _bin_masses(density, h.bin_edges))
+    masses = _bin_masses(lambda t: _bachelier_levy(x0, slope, t), h.bin_edges)
+    stat, p = chi_square_vs_reference(h, masses)
     assert p > 0.001
 
 
@@ -222,7 +221,12 @@ def test_compare_density_empty_bin_z_floors_variance_at_one_path():
     assert table.z_scores[0] == -table.kappa_mass[0] * n
 
 
-def test_fk_constant_slope_gives_exactly_one():
+def test_fk_constant_slope_gives_exactly_one(monkeypatch):
+    # f'' = 0 makes every trapezoid weight 0: no path may be stepped
+    def draw(*args):
+        raise AssertionError("FK drew variates on a level with f'' = 0")
+
+    monkeypatch.setattr(montecarlo, "_draw_variates", draw)
     cfg = MCConfig(n_paths=4000, n_steps=50, seed=7)
     est = bessel_bridge_fk(B_UP, 1.0, cfg)  # f'' = 0
     assert est.mean == 1.0
@@ -348,25 +352,28 @@ def test_drawn_variates_reach_their_tails():
 
 def test_fk_float32_radius_matches_float64_stepping():
     # the estimator steps and sums in float32; stepping its own draws in
-    # float64 here must give the same mean within 0.01 standard error
+    # float64 here, on the graded mesh u_j = s (1 - (1 - j/m)^2), m = n/2,
+    # with the control-variate estimate, must give the same mean within
+    # 0.01 standard error
     cfg = MCConfig(n_paths=20000, n_steps=200, seed=23)
     est = bessel_bridge_fk(B_LIN, 1.0, cfg)
-    s, n_steps = B_LIN.horizon_s, cfg.n_steps
-    dt = s / n_steps
-    t = np.linspace(0.0, s, n_steps + 1)
-    coef = dt * np.asarray(eval_fsecond(B_LIN, t), dtype=float)
-    coef[0] *= 0.5
-    samples = []
+    s, x, m = B_LIN.horizon_s, 1.0, cfg.n_steps // 2
+    t = s * (1.0 - (1.0 - np.arange(m + 1) / m) ** 2)
+    coef = np.asarray(eval_fsecond(B_LIN, t), dtype=float)
+    coef *= 0.5 * (np.append(np.diff(t), 0.0) + np.append(0.0, np.diff(t)))
+    mu, sig = x * (s - t[1:-1]) / s, np.sqrt(t[1:-1] * (s - t[1:-1]) / s)
+    mean_integral = coef[0] * x + np.sum(coef[1:-1] * _noncentral_chi3_mean(mu, sig))
+    ys, cs = [], []
     for block, lo in enumerate(range(0, cfg.n_paths, BLOCK_SIZE)):
         n = min(BLOCK_SIZE, cfg.n_paths - lo)
         lead, trail = (n + 1) // 2, n // 2
         rng = montecarlo._block_rng(cfg.seed, block)
-        radius = np.full(n, 1.0)
+        radius = np.full(n, x)
         integral = coef[0] * radius
-        for j0 in range(0, n_steps - 1, FK_CHUNK):
-            z, e = _variates(rng, min(FK_CHUNK, n_steps - 1 - j0), lead)
+        for j0 in range(0, m - 1, FK_CHUNK):
+            z, e = _variates(rng, min(FK_CHUNK, m - 1 - j0), lead)
             for i in range(z.shape[0]):
-                tau = s - t[j0 + i]
+                tau, dt = s - t[j0 + i], t[j0 + i + 1] - t[j0 + i]
                 shrink = (tau - dt) / tau
                 var = dt * shrink
                 step = np.sqrt(var) * z[i].astype(float)
@@ -375,10 +382,57 @@ def test_fk_float32_radius_matches_float64_stepping():
                 expo = np.concatenate([e[i], e[i][:trail]]).astype(float)
                 radius = np.sqrt(radius ** 2 + 2.0 * var * expo)
                 integral += coef[j0 + i + 1] * radius
-        vals = np.exp(-integral)
-        samples.append(np.append(0.5 * (vals[:trail] + vals[lead:]), vals[trail:lead]))
-    mean64 = np.concatenate(samples).mean()
+        for vals, out in ((np.exp(-integral), ys), (integral, cs)):
+            out.append(np.append(0.5 * (vals[:trail] + vals[lead:]), vals[trail:lead]))
+    y, c = np.concatenate(ys), np.concatenate(cs)
+    cov = np.cov(y, c)
+    mean64 = y.mean() - cov[0, 1] / cov[1, 1] * (c.mean() - mean_integral)
     assert abs(est.mean - mean64) <= 0.01 * est.std_error
+
+
+@pytest.mark.parametrize("slope", [0.7, -0.5])
+def test_volterra_oracle_is_bachelier_levy_on_a_straight_level(slope):
+    b = parse_boundary(f"s=1; fprime={slope}")
+    g = trapezoid_density(b, 1.0, 1.0, 200)
+    t = np.linspace(0.0, 1.0, 201)[1:]
+    np.testing.assert_allclose(g[1:], _bachelier_levy(1.0, slope, t), rtol=1e-8)
+    value, error, order = hitting_density_at(b, 1.0, 1.0)
+    assert value == pytest.approx(_bachelier_levy(1.0, slope, 1.0), rel=1e-8)
+    assert error <= 1e-8 * value
+
+
+def test_volterra_oracle_converges_on_a_curved_level():
+    # the kernel's sqrt(t - tau) end caps the trapezoid rule near order 1.5
+    value, error, order = hitting_density_at(B_LIN, 1.0, 1.0)
+    assert 1.4 <= order <= 1.6
+    assert error <= 1e-8
+    assert value == pytest.approx(0.0924982208, abs=1e-10)
+
+
+def _fk_density(b, x0, est):
+    # x0 (2 pi s^3)^(-1/2) exp(-x0^2/2s - f'(0) x0 - 1/2 int_0^s f'^2) E[...]
+    s = b.horizon_s
+    prefactor = x0 / np.sqrt(2.0 * np.pi * s ** 3) * np.exp(
+        -x0 * x0 / (2.0 * s) - eval_fprime(b, 0.0) * x0 - 0.5 * integral_fprime_sq(b, 0.0, s))
+    return prefactor * est.mean, prefactor * est.std_error
+
+
+@pytest.mark.parametrize("b", [B_LIN, B_DOWN, parse_boundary("s=2; fprime=-0.5,0.6")],
+                         ids=["rising", "falling", "s2"])
+def test_fk_density_matches_volterra_oracle(b):
+    # the hitting density at the horizon, prefactor x FK, against the
+    # Buonocore-Nobile-Ricciardi solution; the graded mesh keeps FK's bias
+    # far below the control variate's std error
+    est = bessel_bridge_fk(b, 1.0, MCConfig(50000, 800, seed=808), n_workers=2)
+    density, se = _fk_density(b, 1.0, est)
+    truth = hitting_density_at(b, 1.0, b.horizon_s)[0]
+    assert abs(density - truth) <= 4.0 * se
+
+
+def test_fk_control_variate_std_error():
+    # 3.9e-5 with the plain mean of mirrored pairs
+    est = bessel_bridge_fk(B_LIN, 1.0, MCConfig(50000, 800, seed=809), n_workers=2)
+    assert 0.0 < est.std_error <= 1e-5
 
 
 def test_fk_step_refinement_consistency():
