@@ -112,13 +112,14 @@ def sample_field(spec: GridSpec, fn: Callable) -> GridField:
     return GridField(spec, _sample(spec, fn, 0, spec.nt))
 
 
-def sample_rows(spec: GridSpec, fn: Callable, lo: int, hi: int) -> GridField:
-    """Rows lo..hi-1 (at least 3) of ``sample_field(spec, fn)``, as a field
-    over those rows, without sampling the rest.  The dtype rule applies to
-    these rows alone."""
-    t = spec.t_nodes()
-    rows = GridSpec(t[lo], t[hi - 1], spec.x_min, spec.x_max, hi - lo, spec.nx)
-    return GridField(rows, _sample(spec, fn, lo, hi))
+def sample_planes(spec: GridSpec, fn: Callable, lo: int, hi: int):
+    """Grid rows lo..hi-1 of the float64 planes (re, im) = fn(t, x), each
+    C-contiguous; an ``im`` of None stays None.  The nodes are those of
+    ``sample_field``, so each value is bit for bit the whole-grid one."""
+    tt, xx = spec.mesh()
+    return tuple(None if p is None
+                 else np.ascontiguousarray(np.broadcast_to(p, (hi - lo, spec.nx)), dtype=float)
+                 for p in fn(tt[lo:hi], xx))
 
 
 def sample_potential(spec: GridSpec, v: Callable, lo: int = 0,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .boundary import (Boundary, eval_fprime, integral_fprime, integral_fprime_sq,
                        scalar_or_array)
+from .grids import NumericalError
 from .kernels import MAX_ORDER, heat_kernel, kernel_n
 
 # largest Gamma polynomial degree: kernel order degree+1 must stay <= 12
@@ -64,23 +65,55 @@ def _check_t_range(b: Boundary, t, strict_upper: bool = False):
         raise ValueError(f"t must be <= horizon {b.horizon_s}")
 
 
+def _check_magnitude(log_mag) -> None:
+    """Raise NumericalError when exp(log_mag) overflows float64 (or is NaN)
+    at some node: one reduction.  A magnitude that underflows gives 0."""
+    peak = np.max(log_mag, initial=-np.inf)
+    with np.errstate(over="ignore"):
+        if np.exp(peak) < np.inf:
+            return
+    raise NumericalError(f"magnitude exp({peak:.6g}) is not a finite float64")
+
+
+def phi_lambda_planes(b: Boundary, lam, t, x):
+    """``phi_lambda`` as the float64 planes (Re, Im): one real exp of the
+    log-magnitude and the cos and sin of the phase lam (int_0^t f' - x).
+    Im is None when lam is all zero, where Phi is real.
+    """
+    _check_t_range(b, t)
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    log_mag = np.asarray(0.5 * integral_fprime_sq(b, 0.0, t) - x * eval_fprime(b, t)
+                         - 0.5 * lam * lam * t)
+    _check_magnitude(log_mag)
+    mag = np.exp(log_mag, out=log_mag)
+    if not np.any(lam):
+        return mag, None
+    phase = np.asarray(lam * (integral_fprime(b, 0.0, t) - x))
+    im = np.sin(phase)
+    im *= mag
+    re = np.cos(phase, out=phase)
+    re *= mag
+    return re, im
+
+
 def phi_lambda(b: Boundary, lam, t, x):
     """Adjoint-equation solution; log is affine in x for every lam.
 
     exp{ int_0^t (f')^2/2 - x f'(t) - lam^2 t / 2 - i lam (x - int_0^t f') }
 
     When lam is all zero the exponent stays real, and so does the result.
+    Built from ``phi_lambda_planes``; a magnitude that overflows raises
+    NumericalError.
     """
-    _check_t_range(b, t)
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    expo = np.asarray(0.5 * integral_fprime_sq(b, 0.0, t) - x * eval_fprime(b, t)
-                      - 0.5 * lam * lam * t)
-    if np.any(lam):
-        wave = np.asarray(1j * lam * (x - integral_fprime(b, 0.0, t)))
-        expo = np.subtract(expo, wave, out=wave)
-    return scalar_or_array(np.exp(expo, out=expo))
+    re, im = phi_lambda_planes(b, lam, t, x)
+    if im is None:
+        return scalar_or_array(re)
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return scalar_or_array(out)
 
 
 def u_lambda(b: Boundary, lam, t, x):
@@ -89,7 +122,8 @@ def u_lambda(b: Boundary, lam, t, x):
     exp{ int_t^s (f')^2/2 + x f'(t) } *
     exp{ -lam^2 (s-t)/2 + i lam (x + int_t^s f') }
 
-    Real, like ``phi_lambda``, when lam is all zero.
+    Real, like ``phi_lambda``, when lam is all zero.  A magnitude that
+    overflows raises NumericalError.
     """
     _check_t_range(b, t)
     s = b.horizon_s
@@ -98,6 +132,7 @@ def u_lambda(b: Boundary, lam, t, x):
     lam = np.asarray(lam, dtype=float)
     expo = np.asarray(0.5 * integral_fprime_sq(b, t, s) + x * eval_fprime(b, t)
                       - 0.5 * lam * lam * (s - t))
+    _check_magnitude(expo)
     if np.any(lam):
         wave = np.asarray(1j * lam * (x + integral_fprime(b, t, s)))
         expo = np.add(expo, wave, out=wave)

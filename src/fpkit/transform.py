@@ -15,9 +15,13 @@ Numerics: the per-row x-integral uses 4th-order cumulative Simpson (odd
 nx required); B2 is integrated in t by the same one-step 4th-order
 cumulative rule with B2(0) = 0; boundary x-derivatives at x = 0 use
 one-sided 4-point stencils, whose leading error cancels between the
-Phi_x u and Phi u_x terms.  d^2/dx^2 log Phi takes the residual check's
-3-point stencil ``second_difference_x`` of log|Phi| and of a complex
-Phi's x-unwrapped phase, as real arrays.
+Phi_x u and Phi u_x terms.  d^2/dx^2 log Phi works on Phi's real and
+imaginary planes (``log_planes_xx``).  Its real part is the residual
+check's 3-point stencil ``second_difference_x`` of log|Phi|, with |Phi|
+= hypot(re, im) so that re^2 + im^2 cannot overflow.  Its imaginary part
+is the difference of consecutive x-steps of the phase arctan2(im, re),
+over dx^2.  Only a step of size pi or more is corrected, modulo 2 pi as
+np.unwrap would, so the phase itself is never unwrapped along the row.
 """
 
 from __future__ import annotations
@@ -84,9 +88,8 @@ def second_difference_x(a: np.ndarray, dx: float, out: np.ndarray | None = None)
     return out
 
 
-def _magnitudes(values: np.ndarray) -> np.ndarray:
-    """|values|, refused when any is at or below MIN_FIELD_MAGNITUDE."""
-    mags = np.abs(values)
+def _magnitudes(mags: np.ndarray) -> np.ndarray:
+    """``mags``, refused when any is at or below MIN_FIELD_MAGNITUDE."""
     if mags.min() <= MIN_FIELD_MAGNITUDE:
         raise NumericalError(f"Phi magnitude {mags.min():.3e} at or below {MIN_FIELD_MAGNITUDE}")
     return mags
@@ -101,27 +104,65 @@ def _second_difference_rows(out: np.ndarray, a: np.ndarray, dx: float) -> None:
     out[:, -1] = out[:, -2]
 
 
-def log_phi_xx(phi: GridField) -> GridField:
-    """Second x-derivative of log Phi = log|Phi| + i * phase.  A real Phi
-    must keep its sign along each x-row; a complex Phi's phase must step
-    by less than pi between x nodes."""
-    values = phi.values
-    dx = phi.spec.dx
-    _magnitudes(values)  # taken again below, so that it need not live through the unwrap
-    if np.iscomplexobj(values):
-        phase = np.unwrap(np.angle(values), axis=1)
-        if np.abs(np.diff(phase, axis=1)).max() >= np.pi * (1.0 - 1e-9):
-            raise NumericalError("phase jump of ~pi between adjacent x nodes; grid does not "
-                                 "resolve the field's oscillation (need |lam| * dx < pi)")
-        out = np.empty(values.shape, dtype=complex)
-        _second_difference_rows(out.imag, phase, dx)
-        del phase
-    elif np.diff(np.signbit(values), axis=1).any():
+def _unwrap_steps(steps: np.ndarray, scratch: np.ndarray) -> None:
+    """Correct, in place and as np.unwrap would, the x-steps of a wrapped
+    phase that reach pi in size, to their value modulo 2 pi in [-pi, pi].
+    A step left within 1e-9 of pi is refused.  ``scratch`` is a float64
+    buffer of ``steps``' shape."""
+    limit = np.pi * (1.0 - 1e-9)
+    flat = steps.reshape(-1)
+    near = np.flatnonzero(np.abs(steps, out=scratch) >= limit)
+    if near.size == 0:
+        return
+    step = flat[near]
+    wrapped = np.mod(step + np.pi, 2.0 * np.pi) - np.pi
+    wrapped[(wrapped == -np.pi) & (step > 0.0)] = np.pi
+    step = np.where(np.abs(step) >= np.pi, wrapped, step)
+    if np.abs(step).max() >= limit:
+        raise NumericalError("phase jump of ~pi between adjacent x nodes; grid does not "
+                             "resolve the field's oscillation (need |lam| * dx < pi)")
+    flat[near] = step
+
+
+def log_planes_xx(re: np.ndarray, im: np.ndarray | None, dx: float):
+    """Second x-derivative of log Phi = log|Phi| + i * phase along the rows
+    of Phi = re + i * im, given as float64 planes (``im`` None for a real
+    Phi).  Returns its real and imaginary planes, the latter None for a
+    real Phi.  A real Phi must keep its sign along each x-row; a complex
+    Phi's phase must step by less than pi between x nodes.
+
+    log|Phi| is log(hypot(re, im)).  The phase's second difference is the
+    difference of its x-steps, taken from arctan2(im, re); a step of size
+    pi or more is corrected modulo 2 pi, as np.unwrap would.
+    """
+    mags = _magnitudes(np.abs(re) if im is None else np.hypot(re, im))
+    if im is None and np.diff(np.signbit(re), axis=1).any():
         raise NumericalError("real Phi changes sign between adjacent x nodes")
-    else:
-        out = np.empty(values.shape)
-    log_mag = np.abs(values)
-    _second_difference_rows(out.real, np.log(log_mag, out=log_mag), dx)
+    xx_re = np.empty(re.shape)
+    _second_difference_rows(xx_re, np.log(mags, out=mags), dx)
+    if im is None:
+        return xx_re, None
+    steps = np.diff(np.arctan2(im, re, out=mags), axis=1)
+    xx_im = mags  # the phase's buffer, free once its steps are taken
+    _unwrap_steps(steps, xx_im[:, 1:])
+    np.subtract(steps[:, 1:], steps[:, :-1], out=xx_im[:, 1:-1])
+    xx_im[:, 1:-1] /= dx * dx
+    xx_im[:, 0] = xx_im[:, 1]
+    xx_im[:, -1] = xx_im[:, -2]
+    return xx_re, xx_im
+
+
+def log_phi_xx(phi: GridField) -> GridField:
+    """``log_planes_xx`` of a sampled field, as a field."""
+    values = phi.values
+    xx_re, xx_im = log_planes_xx(values.real,
+                                 values.imag if np.iscomplexobj(values) else None,
+                                 phi.spec.dx)
+    if xx_im is None:
+        return GridField(phi.spec, xx_re)
+    out = np.empty(values.shape, dtype=complex)
+    out.real = xx_re
+    out.imag = xx_im
     return GridField(phi.spec, out)
 
 
@@ -138,7 +179,7 @@ def bluman_shtelen_w(u: GridField, phi: GridField) -> GridField:
         raise ValueError(f"transformation needs x_min = 0, got {spec.x_min}")
     if spec.nx % 2 == 0:
         raise ValueError(f"per-row Simpson integral needs odd nx, got {spec.nx}")
-    _magnitudes(phi.values)
+    _magnitudes(np.abs(phi.values))
 
     inner = cumulative_simpson(u.values * phi.values, spec.dx, axis=1)
 

@@ -22,10 +22,14 @@ when it is strictly greater, so the report is the whole-grid one bit for
 bit.  ``residual_backward``/``residual_forward`` walk a sampled field's
 rows this way.  ``run_checks`` goes further for its three fine-grid
 fields (closed w, and Phi at lam = 0 and 1.5): it samples each block
-once, with its halo, and never holds a whole field.  Each Phi block
-feeds the residuals of its real and imaginary parts and the block's own
-rows of d2/dx2 log Phi.  The imaginary entry exists when some block has
-a nonzero imaginary part, the whole field's dtype rule.
+once, with its halo, and never holds a whole field.  A block is sampled
+as two contiguous float64 planes, Re and Im (``phi_lambda_planes``; Im is
+None for a real field), and no complex block is built.  Each Phi block
+feeds the residuals of its two planes and ``log_planes_xx`` on them,
+whose own rows give the block's largest complex modulus of d2/dx2 log
+Phi.  A block whose Im plane is all zero counts as real, and the
+imaginary entry exists when some block has a nonzero Im plane, the whole
+field's dtype rule.
 
 The blocks of a pass run on ``n_workers`` threads (``fpkit verify``
 passes every core the process may run on): the calling thread and the
@@ -52,12 +56,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boundary import Boundary, boundary_potential, integral_fprime
-from .grids import GridField, GridSpec, sample_field, sample_potential, sample_rows
+from .grids import GridField, GridSpec, sample_field, sample_planes, sample_potential
 from .kernels import default_half_width, derived_kernel, symmetric_simpson
 from .montecarlo import _pool
 from .solutions import (GammaPoly, closed_w, closed_w2_terms, closed_w_gamma, phi_lambda,
-                        product_phi_u, u_lambda, w1_lambda)
-from .transform import bluman_shtelen_w, log_phi_xx, second_difference_x
+                        phi_lambda_planes, product_phi_u, u_lambda, w1_lambda)
+from .transform import bluman_shtelen_w, log_planes_xx, second_difference_x
 
 RELATIVE_FLOOR = 1e-12
 
@@ -273,10 +277,30 @@ def residual_forward(phi: GridField, v: Callable) -> ResidualReport:
     return _field_residual(phi, v, +1.0, 1)
 
 
+def _max_modulus(re: np.ndarray, im: np.ndarray) -> float:
+    """The largest |re + i im|, as np.abs takes a complex modulus, over only
+    the nodes where re^2 + im^2 lies within a relative 1e-12 of its largest
+    value.  A normal square errs by a few ulp, so the largest modulus is
+    among them, and a square that overflows is inf and kept.  When the
+    largest square is not a normal number, or is NaN, every node is taken."""
+    with np.errstate(over="ignore"):
+        sq = np.multiply(re, re)
+        sq += im * im
+    top = sq.max()
+    if top >= np.finfo(float).tiny:
+        keep = sq >= top * (1.0 - 1e-12)
+        re, im = re[keep], im[keep]
+    z = np.empty(re.shape, dtype=complex)
+    z.real = re
+    z.imag = im
+    return np.max(np.abs(z))
+
+
 def _stream_checks(spec: GridSpec, fn: Callable, v: Callable, time_sign: float,
                    form: bool, n_workers: int = 1):
     """Residual reports and, with ``form``, the largest |d2/dx2 log fn| over
-    ``spec``, sampling fn(t, x) one row block at a time.
+    ``spec``, sampling the planes (re, im) = fn(t, x) one row block at a
+    time; ``im`` is None for a real fn.
 
     Returns (reports, form_max): one report for the real part and, when
     any block holds a nonzero imaginary part, one for the imaginary part.
@@ -284,17 +308,20 @@ def _stream_checks(spec: GridSpec, fn: Callable, v: Callable, time_sign: float,
     _check_residual_grid(spec)
 
     def block(lo, r0, r1, hi):
-        field = sample_rows(spec, fn, lo, hi)
+        re, im = sample_planes(spec, fn, lo, hi)
         vv = sample_potential(spec, v, lo, hi)
-        values = field.values
-        is_complex = np.iscomplexobj(values)
-        re = _block_peaks(spec, time_sign, values.real, vv, lo, r0, r1)
-        im = (_block_peaks(spec, time_sign, values.imag, vv, lo, r0, r1) if is_complex
-              else _zero_peaks(spec, r0, r1))
+        if im is not None and not np.any(im):
+            im = None
+        re_peaks = _block_peaks(spec, time_sign, re, vv, lo, r0, r1)
+        im_peaks = (_zero_peaks(spec, r0, r1) if im is None
+                    else _block_peaks(spec, time_sign, im, vv, lo, r0, r1))
         form_max = None
         if form:
-            form_max = np.max(_abs(log_phi_xx(field).values[r0 - lo:r1 - lo]))
-        return re, im, is_complex, form_max
+            xx_re, xx_im = log_planes_xx(re, im, spec.dx)
+            own = slice(r0 - lo, r1 - lo)
+            form_max = (np.max(_abs(xx_re[own])) if xx_im is None
+                        else _max_modulus(xx_re[own], xx_im[own]))
+        return re_peaks, im_peaks, im is not None, form_max
 
     results = _map_row_blocks(spec, block, n_workers)
     parts = [[re for re, _, _, _ in results]]
@@ -444,14 +471,14 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     if field is not None:
         residual_check("external_field_backward", "external field residual",
                        residual_backward(field, v1, n_workers), tols["tol_backward"])
-    (rep_w,), _ = _stream_checks(spec, lambda t, x: closed_w(b, t, x), v1, -1.0, False,
-                                 n_workers)
+    (rep_w,), _ = _stream_checks(spec, lambda t, x: (closed_w(b, t, x), None), v1, -1.0,
+                                 False, n_workers)
     residual_check("backward_closed_w", "backward residual (closed w)", rep_w,
                    tols["tol_backward"] * grid_scale)
     form_pres_max = 0.0
     for lam in (0.0, 1.5):
-        reps, form_max = _stream_checks(spec, lambda t, x: phi_lambda(b, lam, t, x), v1,
-                                        +1.0, True, n_workers)
+        reps, form_max = _stream_checks(spec, lambda t, x: phi_lambda_planes(b, lam, t, x),
+                                        v1, +1.0, True, n_workers)
         for name, rep in zip(("re", "im"), reps):
             residual_check(f"forward_phi_lam{lam}_{name}",
                            f"forward residual (phi, lam={lam}, {name})",

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from fpkit.boundary import Boundary, integral_fprime, parse_boundary
+from fpkit.grids import NumericalError
 from fpkit.kernels import derived_kernel, heat_kernel, simpson_weights
 from fpkit.solutions import (GammaPoly, b2_first, b2_second, closed_w, closed_w2,
                              closed_w2_terms, closed_w_gamma, kappa, phi_lambda,
-                             product_phi_u, u_lambda, w1_lambda, w2_lambda)
+                             phi_lambda_planes, product_phi_u, u_lambda, w1_lambda,
+                             w2_lambda)
 
 B_CONST = parse_boundary("s=1; fprime=1")
 B_ZERO = parse_boundary("s=1; fprime=0")
@@ -40,6 +42,44 @@ def test_u_trivial_cases():
     lam, x = -1.3, 0.6
     expected = np.exp(x + 1j * lam * x)
     assert u_lambda(B_CONST, lam, 1.0, x) == pytest.approx(expected, rel=1e-14)
+
+
+def test_phi_lambda_is_its_planes_bit_for_bit():
+    # one definition of Phi: the complex result is assembled from the planes
+    rng = np.random.default_rng(3)
+    t = rng.uniform(0.0, 1.0, (40, 1))
+    x = rng.uniform(-3.0, 3.0, (1, 50))
+    for lam in (1.5, -0.7, 23.0):
+        re, im = phi_lambda_planes(B_LIN, lam, t, x)
+        phi = phi_lambda(B_LIN, lam, t, x)
+        assert phi.dtype == np.complex128 and re.dtype == im.dtype == np.float64
+        np.testing.assert_array_equal(phi, re + 1j * im)
+        assert np.array_equal(phi.real, re) and np.array_equal(phi.imag, im)
+        re_s, im_s = phi_lambda_planes(B_LIN, lam, 0.3, 1.2)
+        assert phi_lambda(B_LIN, lam, 0.3, 1.2) == re_s + 1j * im_s
+    re, im = phi_lambda_planes(B_LIN, 0.0, t, x)
+    assert im is None
+    assert np.array_equal(phi_lambda(B_LIN, 0.0, t, x), re)
+
+
+@pytest.mark.parametrize("fn, lam, x", [(phi_lambda, 1.5, -800.0), (u_lambda, 1.5, 800.0),
+                                        (phi_lambda, 0.0, -800.0)],
+                         ids=["phi-lam1.5", "u-lam1.5", "phi-lam0"])
+def test_overflowing_magnitude_raises(fn, lam, x):
+    # inf * cos(theta) could be NaN; a magnitude past float64 is refused,
+    # for a scalar and inside an array alike
+    with pytest.raises(NumericalError, match="finite"):
+        fn(B_CONST, lam, 0.5, x)
+    with pytest.raises(NumericalError, match="finite"):
+        fn(B_CONST, lam, 0.5, np.array([0.0, x, 1.0]))
+
+
+@pytest.mark.parametrize("fn, lam, x", [(phi_lambda, 1.5, 800.0), (u_lambda, 1.5, -800.0),
+                                        (phi_lambda, 0.0, 800.0), (u_lambda, 0.0, -800.0)])
+def test_underflowing_magnitude_gives_zero(fn, lam, x):
+    assert fn(B_CONST, lam, 0.5, x) == 0.0
+    vals = fn(B_CONST, lam, 0.5, np.array([x, 1.0]))
+    assert vals[0] == 0.0 and np.all(np.isfinite(vals)) and vals[1] != 0.0
 
 
 def test_t_range_enforced():

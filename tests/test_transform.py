@@ -6,8 +6,8 @@ import pytest
 from fpkit.boundary import boundary_potential, integral_fprime, parse_boundary
 from fpkit.grids import (GridField, GridSpec, NumericalError, read_field_csv, sample_field,
                          sample_potential, transform_grid, write_field_csv)
-from fpkit.solutions import closed_w, phi_lambda, u_lambda
-from fpkit.transform import (bluman_shtelen_w, cumulative_simpson, log_phi_xx,
+from fpkit.solutions import closed_w, phi_lambda, phi_lambda_planes, u_lambda
+from fpkit.transform import (bluman_shtelen_w, cumulative_simpson, log_phi_xx, log_planes_xx,
                              one_sided_first_derivative)
 from fpkit.verify import residual_backward
 
@@ -184,6 +184,70 @@ def test_log_phi_xx_real_field_allocates_no_complex_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 6 * phi.values.nbytes
+
+
+def unwrap_oracle_log_phi_xx(values: np.ndarray, dx: float) -> np.ndarray:
+    """d2/dx2 log Phi by np.unwrap: the 3-point stencil of the complex
+    log|Phi| + i * unwrap(angle(Phi)), the edge columns taking their
+    neighbours' values."""
+    log = np.log(np.abs(values)) + 1j * np.unwrap(np.angle(values), axis=1)
+    out = np.empty(values.shape, dtype=complex)
+    out[:, 1:-1] = (log[:, 2:] - 2.0 * log[:, 1:-1] + log[:, :-2]) / (dx * dx)
+    out[:, 0] = out[:, 1]
+    out[:, -1] = out[:, -2]
+    return out
+
+
+# The largest gap measured to the oracle on the fields below is 1.1e-11, in
+# the imaginary part of the rows stepping by just under pi: the oracle's
+# unwrapped phase reaches ~190 there, and its stencil rounds at
+# ~eps * 190 * 4 / dx^2 = 6.7e-11.  The tolerance is that gap times ~3.
+ORACLE_ATOL = 3e-11
+
+
+@pytest.mark.parametrize("lam", [20.0, -23.0])
+def test_log_phi_xx_matches_unwrap_oracle_through_many_wraps(lam):
+    # lam * dx = 1.0 and -1.15: the wrapped phase jumps by 2 pi 9 to 11
+    # times in every row, in either direction
+    spec = GridSpec(0.0, 0.05, 0.0, 3.0, 5, 61)
+    phi = sample_field(spec, lambda t, x: phi_lambda(B_LIN, lam, t, x))
+    wraps = np.sum(np.abs(np.diff(np.angle(phi.values), axis=1)) >= np.pi, axis=1)
+    assert wraps.min() >= 9
+    np.testing.assert_allclose(log_phi_xx(phi).values,
+                               unwrap_oracle_log_phi_xx(phi.values, spec.dx),
+                               rtol=0.0, atol=ORACLE_ATOL)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_log_phi_xx_matches_unwrap_oracle_at_a_step_just_under_pi(sign):
+    # every x step of the phase is pi (1 - 1e-8), just below the refusal
+    # limit pi (1 - 1e-9).  The wrapped phase's raw steps alternate between
+    # that and it minus 2 pi, which is corrected; none is refused.
+    # log|Phi| = 0.3 x^2 has second derivative 0.6, and the phase's is 0
+    spec = GridSpec(0.0, 1.0, 0.0, 3.0, 3, 61)
+    wave = sign * np.pi * (1.0 - 1e-8) / spec.dx
+    phi = sample_field(spec, lambda t, x: np.exp(1j * wave * x + 0.3 * x * x) + 0 * t)
+    out = log_phi_xx(phi).values
+    np.testing.assert_allclose(out, unwrap_oracle_log_phi_xx(phi.values, spec.dx),
+                               rtol=0.0, atol=ORACLE_ATOL)
+    np.testing.assert_allclose(out, 0.6, rtol=0.0, atol=ORACLE_ATOL)
+
+
+def test_log_planes_xx_memory_is_a_few_planes():
+    # the plane routine holds log|Phi| (later the phase, then the phase's
+    # second difference), the real output and the phase's x-steps: measured
+    # 3.13-3.40 planes' bytes from 201x301 up to 901x2951.  The complex
+    # routine it replaced peaked at ~7 planes (3.5 complex fields).
+    spec = GridSpec(0.0, 0.9, 0.0, 3.0, 201, 301)
+    tt, xx = spec.mesh()
+    re, im = phi_lambda_planes(B_LIN, 1.5, tt, xx)
+    tracemalloc.start()
+    try:
+        log_planes_xx(re, im, spec.dx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * re.nbytes
 
 
 def test_log_phi_xx_rejects_unresolved_phase():

@@ -14,7 +14,8 @@ import fpkit.verify as verify
 from fpkit.boundary import Boundary, boundary_potential, parse_boundary
 from fpkit.grids import GridField, GridSpec, NumericalError, sample_field, transform_grid
 from fpkit.kernels import simpson_weights
-from fpkit.solutions import GammaPoly, closed_w, closed_w_gamma, phi_lambda, u_lambda
+from fpkit.solutions import (GammaPoly, closed_w, closed_w_gamma, phi_lambda, phi_lambda_planes,
+                             u_lambda)
 from fpkit.transform import log_phi_xx
 from fpkit.verify import (TOLERANCES, CheckResult, check_inequality,
                           check_vanishing_at_origin, quadrature_match, residual_backward,
@@ -161,13 +162,17 @@ def test_streamed_field_keeps_whole_field_dtype_rule(monkeypatch):
         phi = phi_lambda(B_LIN, 1.5, t, x)
         return np.where(t < 0.3, np.abs(phi), phi)
 
+    def planes(t, x):
+        values = fn(t, x)
+        return values.real, values.imag
+
     field = sample_field(spec, fn)
     expected = ([residual_forward(field.real_part(), V_LIN),
                  residual_forward(field.imag_part(), V_LIN)],
                 float(np.max(np.abs(log_phi_xx(field).values))))
     for height in (1, 4, spec.nt):
         monkeypatch.setattr(verify, "BLOCK_NODES", height * spec.nx)
-        assert verify._stream_checks(spec, fn, V_LIN, +1.0, True) == expected
+        assert verify._stream_checks(spec, planes, V_LIN, +1.0, True) == expected
 
 
 def fine_grid_peak(nt, n_workers):
@@ -195,6 +200,44 @@ def test_fine_grid_memory_two_workers_at_most_two_blocks():
     assert fine_grid_peak(321, 2) <= 2.0 * fine_grid_peak(321, 1)
 
 
+def test_max_modulus_is_the_largest_complex_abs():
+    # the prefilter on re^2 + im^2 must not lose the largest |re + i im|:
+    # near-ties on a circle, squares that overflow or underflow, zeros, NaN
+    rng = np.random.default_rng(7)
+    angle = rng.uniform(0.0, 2.0 * np.pi, 5000)
+    cases = [rng.normal(size=(2, 40, 30))]
+    for scale in (1.0, 1e-9, 1e200, 1e-170, 1e-320):
+        radius = scale * (1.0 + rng.integers(-3, 4, angle.size) * np.finfo(float).eps)
+        cases.append(np.stack([radius * np.cos(angle), radius * np.sin(angle)]))
+    cases += [np.zeros((2, 3, 4)), np.array([[1.0, np.nan], [0.5, 2.0]]),
+              np.array([[1e300, -1e300], [1e300, 1e-300]])]
+    for re, im in cases:
+        expected = np.max(np.abs(re + 1j * im))
+        got = verify._max_modulus(re, im)
+        assert got == expected or (np.isnan(got) and np.isnan(expected))
+
+
+def test_complex_phi_pass_works_on_real_planes(monkeypatch):
+    # the lam = 1.5 pass never unwraps and holds no complex block: at one
+    # worker its traced peak is 6.8 halo'd block planes (float64), where
+    # sampling and checking a complex128 block peaked at 9.1
+    def no_unwrap(*args, **kwargs):
+        raise AssertionError("np.unwrap called")
+
+    monkeypatch.setattr(np, "unwrap", no_unwrap)
+    spec = GridSpec(0.0, 0.9, 0.05, 3.0, 161, 2951)
+    plane = (verify.BLOCK_NODES // spec.nx + 4) * spec.nx * 8
+    tracemalloc.start()
+    try:
+        reports, form_max = verify._stream_checks(
+            spec, lambda t, x: phi_lambda_planes(B_LIN, 1.5, t, x), V_LIN, +1.0, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 2 and 0.0 < form_max < TOLERANCES["tol_form_preservation"]
+    assert peak < 8 * plane
+
+
 def test_run_checks_outputs_do_not_depend_on_worker_count(monkeypatch):
     # 3-row blocks, so that every worker count takes several blocks
     spec = GridSpec(0.0, 0.8, 0.1, 2.5, 29, 61)
@@ -212,16 +255,17 @@ def test_block_error_exits_3_and_the_pool_serves_the_next_run(tmp_path, monkeypa
     # two workers whatever the host; the block at t >= 0.5 of the lam = 1.5
     # field fails inside a worker or the caller
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
-    original = verify.log_phi_xx
+    original = verify.sample_planes
 
-    def failing(phi):
-        if phi.spec.t_min >= 0.5 and np.iscomplexobj(phi.values):
+    def failing(spec, fn, lo, hi):
+        re, im = original(spec, fn, lo, hi)
+        if spec.t_nodes()[lo] >= 0.5 and im is not None:
             raise NumericalError("injected block failure")
-        return original(phi)
+        return re, im
 
     argv = ["verify", "--boundary", "s=1; fprime=0.5,0.3", "--fast"]
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "log_phi_xx", failing)
+        patch.setattr(verify, "sample_planes", failing)
         assert cli.main(argv + ["--out", str(tmp_path / "failed")]) == 3
     assert "injected block failure" in capsys.readouterr().err
     assert cli.main(argv + ["--out", str(tmp_path / "next")]) == 0
