@@ -255,15 +255,15 @@ def cmd_solution(args) -> None:
     g = GammaPoly(tuple(args.gamma))
     upper = max(0.9 * (b.horizon_s - 0.05), 1e-3)
     spec = _parse_grid(f"0:{upper!r}:10,0:3:31" if args.grid is None else args.grid, b)
-    out = _out_dir(args)
     tt, xx = spec.mesh()
     w = closed_w_gamma(b, g, tt, xx)
-    rows = [(t, x, w[i, j]) for i, t in enumerate(spec.t_nodes())
-            for j, x in enumerate(spec.x_nodes())]
-    _write_csv(out, "w.csv", "t,x,value", rows)
     x_nodes = spec.x_nodes()
     x_nonneg = x_nodes[x_nodes >= 0.0]
     kap = kappa(b, x_nonneg)
+    out = _out_dir(args)
+    rows = [(t, x, w[i, j]) for i, t in enumerate(spec.t_nodes())
+            for j, x in enumerate(x_nodes)]
+    _write_csv(out, "w.csv", "t,x,value", rows)
     _write_csv(out, "kappa.csv", "x,value", list(zip(x_nonneg, np.atleast_1d(kap))))
     _sidecar(args)
 
@@ -297,12 +297,13 @@ def cmd_verify(args) -> None:
 def cmd_transform(args) -> None:
     b = _boundary(args)
     spec = _parse_grid(args.grid, b, engine=True)
-    out = _out_dir(args)
     u = sample_field(spec, lambda t, x: u_lambda(b, args.lam, t, x))
     phi = sample_field(spec, lambda t, x: phi_lambda(b, args.lam, t, x))
     w = bluman_shtelen_w(u, phi)
-    write_field_csv(os.path.join(out, "w_transform.csv"), w)
     rep = residual_backward(w, boundary_potential(b))
+    # --out is made only once nothing numerical is left to fail
+    out = _out_dir(args)
+    write_field_csv(os.path.join(out, "w_transform.csv"), w)
     _write_json(out, "residuals.json", {"backward_transform_w": rep.to_json()})
     _sidecar(args)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .boundary import (Boundary, eval_fprime, integral_fprime, integral_fprime_sq,
                        scalar_or_array)
 from .grids import NumericalError
-from .kernels import MAX_ORDER, heat_kernel, kernel_n
+from .kernels import MAX_ORDER, heat_kernel
 
 # largest Gamma polynomial degree: kernel order degree+1 must stay <= 12
 MAX_GAMMA_DEGREE = MAX_ORDER - 1
@@ -77,8 +77,12 @@ def _check_magnitude(log_mag) -> None:
 
 def phi_lambda_planes(b: Boundary, lam, t, x):
     """``phi_lambda`` as the float64 planes (Re, Im): one real exp of the
-    log-magnitude and the cos and sin of the phase lam (int_0^t f' - x).
-    Im is None when lam is all zero, where Phi is real.
+    log-magnitude times the cos and sin of the phase a - c, with
+    a = lam int_0^t f' and c = lam x.  The cos and sin of a and of c are
+    taken at their own shapes (one per t, one per x) and joined by
+    cos(a - c) = cos a cos c + sin a sin c and
+    sin(a - c) = sin a cos c - cos a sin c, so no trig call runs per node
+    of a (t, x) grid.  Im is None when lam is all zero, where Phi is real.
     """
     _check_t_range(b, t)
     t = np.asarray(t, dtype=float)
@@ -90,11 +94,15 @@ def phi_lambda_planes(b: Boundary, lam, t, x):
     mag = np.exp(log_mag, out=log_mag)
     if not np.any(lam):
         return mag, None
-    phase = np.asarray(lam * (integral_fprime(b, 0.0, t) - x))
-    im = np.sin(phase)
-    im *= mag
-    re = np.cos(phase, out=phase)
+    a = lam * integral_fprime(b, 0.0, t)
+    c = lam * x
+    cos_a, sin_a, cos_c, sin_c = np.cos(a), np.sin(a), np.cos(c), np.sin(c)
+    re = np.asarray(cos_a * cos_c)
+    re += sin_a * sin_c
     re *= mag
+    im = np.asarray(sin_a * cos_c)
+    im -= cos_a * sin_c
+    im *= mag
     return re, im
 
 
@@ -191,13 +199,25 @@ def w2_lambda(b: Boundary, lam, t, x):
     return scalar_or_array(out)
 
 
-def _prefactor_and_args(b: Boundary, t, x):
+def _weighted_kernel(b: Boundary, t, x):
+    """(A k(s-t, X), X, s-t) with X = x + int_t^s f'.  A = exp{int_t^s (f')^2/2
+    + x f'(t)} and the heat kernel k(s-t, X) take one exp of their summed
+    exponent, so a large A against a small k gives their finite product,
+    not inf * 0."""
     s = b.horizon_s
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    amp = np.exp(0.5 * integral_fprime_sq(b, t, s) + x * eval_fprime(b, t))
-    shifted = x + integral_fprime(b, t, s)          # kernel spatial argument
-    return amp, shifted, s - t
+    st = s - t
+    shifted = np.asarray(x + integral_fprime(b, t, s))  # kernel spatial argument
+    expo = np.asarray(x * eval_fprime(b, t))
+    expo += 0.5 * integral_fprime_sq(b, t, s)
+    square = np.multiply(shifted, shifted)
+    square /= 2.0 * st
+    expo -= square
+    with np.errstate(over="ignore"):
+        weight = np.exp(expo, out=expo)
+    weight /= np.sqrt(2.0 * np.pi * st)
+    return weight, shifted, st
 
 
 def _drift(b: Boundary, t, x):
@@ -205,27 +225,34 @@ def _drift(b: Boundary, t, x):
     return np.asarray(x, dtype=float) - integral_fprime(b, 0.0, t)
 
 
+def _finite(out):
+    """``out`` as ``scalar_or_array``; NumericalError when some value is not a
+    finite float64 (the closed form overflows there)."""
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("closed-form value is not a finite float64")
+    return scalar_or_array(out)
+
+
 def closed_w(b: Boundary, t, x):
     """Contour-integrated solution of the backward equation.
 
     A(t,x) * [ (x - int_0^t f') k(s-t, X) + t * (X/(s-t)) k(s-t, X) ]
     with X = x + int_t^s f' and A = exp{ int_t^s (f')^2/2 + x f'(t) }.
+    A value that underflows gives 0; one that overflows raises
+    NumericalError.
     """
     _check_t_range(b, t, strict_upper=True)
-    amp, shifted, st = _prefactor_and_args(b, t, x)
-    k = heat_kernel(st, shifted)
+    weight, shifted, st = _weighted_kernel(b, t, x)
     t = np.asarray(t, dtype=float)
-    # amp * (drift * k + t * (shifted / st) * k), built in the buffers of
-    # shifted and drift, so that no more than four grid-sized arrays live at
-    # once; swapping the factors of a product or a sum leaves it bit for bit
+    # (drift + t * (shifted / st)) * A k, built in the buffers of shifted and
+    # drift, so that no more than four grid-sized arrays live at once
     shifted /= st
     shifted *= t
-    shifted *= k
     drift = _drift(b, t, x)
-    drift *= k
     drift += shifted
-    drift *= amp
-    return scalar_or_array(drift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift *= weight
+    return _finite(drift)
 
 
 def closed_w_gamma(b: Boundary, g: GammaPoly, t, x):
@@ -233,20 +260,23 @@ def closed_w_gamma(b: Boundary, g: GammaPoly, t, x):
 
     A(t,x) * sum_n c_n [ (x - int_0^t f') kernel_n(n, s-t, X)
                          + t * kernel_n(n+1, s-t, X) ].
-    Gamma = (1,) reduces to ``closed_w``.
+    Gamma = (1,) reduces to ``closed_w``.  kernel_n = g_n k, with g_n from
+    ``kernel_n``'s recurrence and A k taken once, as in ``closed_w``.
     """
     _check_t_range(b, t, strict_upper=True)
-    amp, shifted, st = _prefactor_and_args(b, t, x)
+    weight, shifted, st = _weighted_kernel(b, t, x)
     drift = _drift(b, t, x)
     t = np.asarray(t, dtype=float)
-    total = np.zeros(np.broadcast(amp, drift, shifted, t).shape)
+    total = np.zeros(np.broadcast(weight, drift, t).shape)
+    h_prev, h = 0.0, 1.0  # g_{n-1} and g_n of kernel_n's recurrence
     for n, c in enumerate(g.coeffs):
-        if c == 0.0:
-            continue
-        total = total + c * (drift * kernel_n(n, st, shifted)
-                             + t * kernel_n(n + 1, st, shifted))
-    out = amp * total
-    return scalar_or_array(out)
+        h_next = (shifted / st) * h - (n / st) * h_prev
+        if c != 0.0:
+            total = total + c * (drift * h + t * h_next)
+        h_prev, h = h, h_next
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = weight * total
+    return _finite(out)
 
 
 def closed_w2_terms(b: Boundary, t, x):
@@ -256,7 +286,12 @@ def closed_w2_terms(b: Boundary, t, x):
     derived kernel as (s-t) * (X/(s-t)) k.
     """
     _check_t_range(b, t, strict_upper=True)
-    amp, shifted, st = _prefactor_and_args(b, t, x)
+    s = b.horizon_s
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    amp = np.exp(0.5 * integral_fprime_sq(b, t, s) + x * eval_fprime(b, t))
+    shifted = x + integral_fprime(b, t, s)          # kernel spatial argument
+    st = s - t
     term_direct = amp * shifted * heat_kernel(st, shifted)
     term_via_h = amp * st * ((shifted / st) * heat_kernel(st, shifted))
     return term_direct, term_via_h

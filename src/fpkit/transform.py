@@ -17,11 +17,12 @@ cumulative rule with B2(0) = 0; boundary x-derivatives at x = 0 use
 one-sided 4-point stencils, whose leading error cancels between the
 Phi_x u and Phi u_x terms.  d^2/dx^2 log Phi works on Phi's real and
 imaginary planes (``log_planes_xx``).  Its real part is the residual
-check's 3-point stencil ``second_difference_x`` of log|Phi|, with |Phi|
-= hypot(re, im) so that re^2 + im^2 cannot overflow.  Its imaginary part
-is the difference of consecutive x-steps of the phase arctan2(im, re),
-over dx^2.  Only a step of size pi or more is corrected, modulo 2 pi as
-np.unwrap would, so the phase itself is never unwrapped along the row.
+check's 3-point stencil ``second_difference_x`` of log|Phi|, taken as
+0.5 log(re^2 + im^2), or as log(hypot(re, im)) when a square overflows.
+Its imaginary part is the difference of consecutive x-steps of the phase
+arctan2(im, re), over dx^2.  Only a step of size pi or more is
+corrected, modulo 2 pi as np.unwrap would, so the phase itself is never
+unwrapped along the row.
 """
 
 from __future__ import annotations
@@ -124,6 +125,30 @@ def _unwrap_steps(steps: np.ndarray, scratch: np.ndarray) -> None:
     flat[near] = step
 
 
+def _log_modulus(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """log|re + i im| as 0.5 log(re^2 + im^2), refused as ``_magnitudes``
+    refuses hypot(re, im).  When the largest square is not finite (it
+    overflowed, or is NaN) the modulus is hypot(re, im) instead.
+
+    The refusal stays the one on hypot: a node with hypot(re, im) <=
+    MIN_FIELD_MAGNITUDE has re^2 + im^2 <= MIN_FIELD_MAGNITUDE^2 up to a
+    few ulp, so every such node is among those whose square lies within
+    a relative 1e-12 above that bound, and hypot is taken on those alone.
+    """
+    with np.errstate(over="ignore"):
+        sq = np.multiply(re, re)
+        sq += np.square(im)
+    if not np.isfinite(sq.max()):
+        return np.log(_magnitudes(np.hypot(re, im, out=sq)), out=sq)
+    bound = MIN_FIELD_MAGNITUDE ** 2 * (1.0 + 1e-12)
+    if sq.min() <= bound:
+        near = sq <= bound
+        _magnitudes(np.hypot(re[near], im[near]))
+    np.log(sq, out=sq)
+    sq *= 0.5
+    return sq
+
+
 def log_planes_xx(re: np.ndarray, im: np.ndarray | None, dx: float):
     """Second x-derivative of log Phi = log|Phi| + i * phase along the rows
     of Phi = re + i * im, given as float64 planes (``im`` None for a real
@@ -131,19 +156,24 @@ def log_planes_xx(re: np.ndarray, im: np.ndarray | None, dx: float):
     real Phi.  A real Phi must keep its sign along each x-row; a complex
     Phi's phase must step by less than pi between x nodes.
 
-    log|Phi| is log(hypot(re, im)).  The phase's second difference is the
+    log|Phi| is log|re| for a real Phi and 0.5 log(re^2 + im^2) for a
+    complex one (``_log_modulus``).  The phase's second difference is the
     difference of its x-steps, taken from arctan2(im, re); a step of size
     pi or more is corrected modulo 2 pi, as np.unwrap would.
     """
-    mags = _magnitudes(np.abs(re) if im is None else np.hypot(re, im))
-    if im is None and np.diff(np.signbit(re), axis=1).any():
-        raise NumericalError("real Phi changes sign between adjacent x nodes")
+    if im is None:
+        log_mag = _magnitudes(np.abs(re))
+        if np.diff(np.signbit(re), axis=1).any():
+            raise NumericalError("real Phi changes sign between adjacent x nodes")
+        np.log(log_mag, out=log_mag)
+    else:
+        log_mag = _log_modulus(re, im)
     xx_re = np.empty(re.shape)
-    _second_difference_rows(xx_re, np.log(mags, out=mags), dx)
+    _second_difference_rows(xx_re, log_mag, dx)
     if im is None:
         return xx_re, None
-    steps = np.diff(np.arctan2(im, re, out=mags), axis=1)
-    xx_im = mags  # the phase's buffer, free once its steps are taken
+    steps = np.diff(np.arctan2(im, re, out=log_mag), axis=1)
+    xx_im = log_mag  # the phase's buffer, free once its steps are taken
     _unwrap_steps(steps, xx_im[:, 1:])
     np.subtract(steps[:, 1:], steps[:, :-1], out=xx_im[:, 1:-1])
     xx_im[:, 1:-1] /= dx * dx

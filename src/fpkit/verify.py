@@ -12,10 +12,11 @@ magnitude (floored at 1e-12) because the solutions decay exponentially
 in x and pointwise relative error is meaningless in the tail.
 
 Residuals are streamed through blocks of rows, ``BLOCK_NODES // nx``
-rows high, so no grid-sized temporary is built.  A block carries a
-2-row halo on each side for the five-point time stencil.  The one-sided
-rows are used only at the grid's first and last interior rows, never at
-a seam between blocks.  Each block yields its own results: its largest
+rows high (half that for a complex field, whose nodes hold two planes),
+so no grid-sized temporary is built.  A block carries a 2-row halo on
+each side for the five-point time stencil.  The one-sided rows are used
+only at the grid's first and last interior rows, never at a seam between
+blocks.  Each block yields its own results: its largest
 |residual| with its first row-major position, and its largest |w|.
 They are reduced in block order, a later block taking the maximum only
 when it is strictly greater, so the report is the whole-grid one bit for
@@ -27,7 +28,9 @@ as two contiguous float64 planes, Re and Im (``phi_lambda_planes``; Im is
 None for a real field), and no complex block is built.  Each Phi block
 feeds the residuals of its two planes and ``log_planes_xx`` on them,
 whose own rows give the block's largest complex modulus of d2/dx2 log
-Phi.  A block whose Im plane is all zero counts as real, and the
+Phi.  No cos, sin or hypot runs per node of a block: Phi's phase takes
+them once per row and once per column, and log|Phi| is half the log of
+re^2 + im^2.  A block whose Im plane is all zero counts as real, and the
 imaginary entry exists when some block has a nonzero Im plane, the whole
 field's dtype rule.
 
@@ -124,19 +127,21 @@ class DiagnosticReport:
         }
 
 
-#: Nodes per row block of a residual or fine-grid pass: 32 rows of the
-#: default 901x2951 grid.  The block height is this over nx, so memory is
-#: flat in nt and nx; each worker holds one block's arrays at a time.
+#: Nodes per row block of a residual or fine-grid pass on a real field: 32
+#: rows of the default 901x2951 grid.  The block height is this over nx, so
+#: memory is flat in nt and nx; each worker holds one block's arrays at a
+#: time.  A complex field's block, two planes per node, is half as tall, so
+#: the blocks of every pass hold about the same bytes.
 BLOCK_NODES = 96_000
 
 
-def _row_blocks(spec: GridSpec):
-    """Yield (lo, r0, r1, hi) per row block.  The own rows r0..r1-1 of the
-    blocks partition the grid; rows lo..hi-1 add the 2-row halo that the
-    time stencil reads, widened at the grid's first and last rows to the
-    five rows of the one-sided stencils."""
+def _row_blocks(spec: GridSpec, planes: int = 1):
+    """Yield (lo, r0, r1, hi) per row block of a field of ``planes`` float64
+    planes.  The own rows r0..r1-1 of the blocks partition the grid; rows
+    lo..hi-1 add the 2-row halo that the time stencil reads, widened at the
+    grid's first and last rows to the five rows of the one-sided stencils."""
     nt = spec.nt
-    height = max(1, BLOCK_NODES // spec.nx)
+    height = max(1, BLOCK_NODES // (planes * spec.nx))
     for r0 in range(0, nt, height):
         r1 = min(r0 + height, nt)
         yield max(0, min(r0 - 2, nt - 5)), r0, r1, min(nt, max(r1 + 2, 5))
@@ -220,9 +225,9 @@ def _residual_report(spec: GridSpec, entries) -> ResidualReport:
     return ResidualReport(max_abs, max_abs / scale, float(t_at), float(x_at), spec)
 
 
-def _map_row_blocks(spec: GridSpec, work: Callable, n_workers: int) -> list:
-    """work(lo, r0, r1, hi) for each row block of ``spec``, as a list in
-    block order, on up to ``n_workers`` threads.
+def _map_row_blocks(spec: GridSpec, work: Callable, n_workers: int, planes: int = 1) -> list:
+    """work(lo, r0, r1, hi) for each row block of ``spec`` (``_row_blocks``
+    of ``planes``), as a list in block order, on up to ``n_workers`` threads.
 
     The calling thread and n_workers - 1 threads of the shared pool claim
     the blocks in order.  The caller works rather than waits so that its
@@ -231,7 +236,7 @@ def _map_row_blocks(spec: GridSpec, work: Callable, n_workers: int) -> list:
     a raise no further block is claimed; once the claimed blocks end, the
     raise of the lowest block is re-raised, the one a serial walk meets.
     """
-    blocks = list(_row_blocks(spec))
+    blocks = list(_row_blocks(spec, planes))
     if n_workers <= 1 or len(blocks) == 1:
         return [work(*block) for block in blocks]
     results, errors = [None] * len(blocks), {}
@@ -297,10 +302,11 @@ def _max_modulus(re: np.ndarray, im: np.ndarray) -> float:
 
 
 def _stream_checks(spec: GridSpec, fn: Callable, v: Callable, time_sign: float,
-                   form: bool, n_workers: int = 1):
+                   form: bool, n_workers: int = 1, planes: int = 1):
     """Residual reports and, with ``form``, the largest |d2/dx2 log fn| over
     ``spec``, sampling the planes (re, im) = fn(t, x) one row block at a
-    time; ``im`` is None for a real fn.
+    time; ``im`` is None for a real fn.  ``planes`` is 2 when fn is complex,
+    which halves the block height.
 
     Returns (reports, form_max): one report for the real part and, when
     any block holds a nonzero imaginary part, one for the imaginary part.
@@ -323,7 +329,7 @@ def _stream_checks(spec: GridSpec, fn: Callable, v: Callable, time_sign: float,
                         else _max_modulus(xx_re[own], xx_im[own]))
         return re_peaks, im_peaks, im is not None, form_max
 
-    results = _map_row_blocks(spec, block, n_workers)
+    results = _map_row_blocks(spec, block, n_workers, planes)
     parts = [[re for re, _, _, _ in results]]
     if any(is_complex for _, _, is_complex, _ in results):
         parts.append([im for _, im, _, _ in results])
@@ -410,10 +416,11 @@ def transform_target(b: Boundary, t, x):
     return u0
 
 
-def zero_identity_gap(b: Boundary, t: float, x: float) -> float:
-    """|closed_w2| relative to its first term (floored at 1e-300)."""
+def zero_identity_gap(b: Boundary, t, x):
+    """|closed_w2| relative to its first term (floored at 1e-300), at each
+    (t, x)."""
     first, second = closed_w2_terms(b, t, x)
-    return abs(first - second) / max(abs(first), 1e-300)
+    return np.abs(first - second) / np.maximum(np.abs(first), 1e-300)
 
 
 def product_spread(b: Boundary, lam: float, t, x) -> float:
@@ -456,7 +463,9 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     ``grid_scale`` multiplies the backward and forward tolerances of the
     fields sampled on ``spec`` only: an external ``field`` is judged at
     the unscaled ``tol_backward``.  One RNG stream from ``seed`` feeds, in
-    order, 10 quadrature, 200 zero-identity and 20 product draws.
+    order, 10 quadrature, 200 zero-identity and 20 product draws; the 200
+    zero-identity (t, x) pairs come from one call, which draws the numbers
+    that 200 calls for t and then x would.
     Residual row blocks run ``n_workers`` at a time; the results do not
     depend on it.
     """
@@ -478,7 +487,7 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     form_pres_max = 0.0
     for lam in (0.0, 1.5):
         reps, form_max = _stream_checks(spec, lambda t, x: phi_lambda_planes(b, lam, t, x),
-                                        v1, +1.0, True, n_workers)
+                                        v1, +1.0, True, n_workers, 2 if lam else 1)
         for name, rep in zip(("re", "im"), reps):
             residual_check(f"forward_phi_lam{lam}_{name}",
                            f"forward residual (phi, lam={lam}, {name})",
@@ -506,11 +515,8 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
         quad_worst = max(quad_worst, quadrature_match(b, g, float(t), float(x)))
     checks.append(CheckResult("contour integration vs quadrature", "worst", quad_worst,
                               tols["tol_quadrature"]))
-    zero_worst = 0.0
-    for _ in range(200):
-        t = rng.uniform(0.0, b.horizon_s - 0.05)
-        x = rng.uniform(0.0, 3.0)
-        zero_worst = max(zero_worst, zero_identity_gap(b, float(t), float(x)))
+    t, x = rng.uniform([0.0, 0.0], [b.horizon_s - 0.05, 3.0], (200, 2)).T
+    zero_worst = float(np.max(zero_identity_gap(b, t, x)))
     checks.append(CheckResult("second solution vanishes", "worst", zero_worst,
                               tols["tol_zero_identity"]))
     prod_worst = 0.0

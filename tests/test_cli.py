@@ -100,6 +100,19 @@ def test_rejected_run_creates_no_out_dir(tmp_path, monkeypatch, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    # u at x = 800 overflows float64
+    ["transform", "--boundary", "s=1; fprime=1", "--lam", "1.5", "--grid", "0:0.5:5,0:800:11"],
+    # closed w at t = 0, x = -35 on f' = 70t is ~exp(816)
+    ["solution", "--boundary", "s=1; fprime=0,70", "--grid", "0:0.5:5,-35:0:8"],
+], ids=["transform", "solution"])
+def test_numerical_failure_creates_no_out_dir(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "not a finite float64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_corrupted_field_fails_with_report(tmp_path):
     out1 = tmp_path / "good"
     rc = main(["transform", "--boundary", "s=1; fprime=0.5,0.3",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,30 @@ def test_phi_lambda_is_its_planes_bit_for_bit():
     re, im = phi_lambda_planes(B_LIN, 0.0, t, x)
     assert im is None
     assert np.array_equal(phi_lambda(B_LIN, 0.0, t, x), re)
+
+
+@pytest.mark.parametrize("lam", [1.5, -0.7, 23.0])
+def test_phi_planes_match_trig_of_the_whole_phase(lam):
+    # the oracle takes cos and sin of the whole phase lam (int_0^t f' - x) at
+    # each node.  With a = lam int_0^t f' and c = lam x, the two sides'
+    # rounded phases differ by at most ~1.5 ulp of |a| + |c|, and cos, sin
+    # and the joining formulas add ~4 ulp of 1: so each plane must lie
+    # within (8 + 2 (|a| + |c|)) ulp of 1, times |Phi|, of the oracle's.
+    # At lam = 23 the phase runs through ~30 wraps
+    from fpkit.boundary import eval_fprime, integral_fprime_sq
+    b = parse_boundary("s=2; fprime=0.5,0.3,0.2")
+    t = np.linspace(0.0, 2.0, 41)[:, None]
+    x = np.linspace(-3.0, 3.0, 301)[None, :]
+    re, im = phi_lambda_planes(b, lam, t, x)
+    a, c = lam * integral_fprime(b, 0.0, t), lam * x
+    phase = lam * (integral_fprime(b, 0.0, t) - x)
+    mag = np.exp(0.5 * integral_fprime_sq(b, 0.0, t) - x * eval_fprime(b, t)
+                 - 0.5 * lam * lam * t)
+    bound = (8.0 + 2.0 * (np.abs(a) + np.abs(c))) * np.finfo(float).eps * mag
+    assert np.all(np.abs(re - mag * np.cos(phase)) <= bound)
+    assert np.all(np.abs(im - mag * np.sin(phase)) <= bound)
+    if lam == 23.0:
+        assert np.ptp(phase) > 20 * 2 * np.pi
 
 
 @pytest.mark.parametrize("fn, lam, x", [(phi_lambda, 1.5, -800.0), (u_lambda, 1.5, 800.0),
@@ -219,6 +245,40 @@ def test_closed_w_zero_at_origin():
     assert closed_w(B_LIN, 0.0, 0.0) == 0.0
     g = GammaPoly((0.3, -1.2, 0.5))
     assert closed_w_gamma(B_LIN, g, 0.0, 0.0) == 0.0
+
+
+def test_closed_w_underflow_gives_zero_and_overflow_raises():
+    # A = exp(800.25) overflows alone, and k = exp(-640800) underflows: their
+    # product is exp(-640000), 0 in float64, not inf * 0
+    g = GammaPoly((0.3, 1.0))
+    assert closed_w(B_CONST, 0.5, 800.0) == 0.0
+    assert closed_w_gamma(B_CONST, g, 0.5, 800.0) == 0.0
+    vals = closed_w(B_CONST, 0.5, np.array([800.0, 1.0]))
+    assert vals[0] == 0.0 and vals[1] == pytest.approx(CLOSED_W_CONST_HALF, rel=1e-12)
+    # f' = 70t peaks the summed exponent at 0.5 int_0^1 (70u)^2 du = 816.7 > 709.8
+    # at t = 0, x = -35: a value past float64, refused, scalar or in an array
+    steep = parse_boundary("s=1; fprime=0,70")
+    for fn in (lambda t, x: closed_w(steep, t, x),
+               lambda t, x: closed_w_gamma(steep, g, t, x)):
+        with pytest.raises(NumericalError, match="finite"):
+            fn(0.0, -35.0)
+        with pytest.raises(NumericalError, match="finite"):
+            fn(0.0, np.array([0.5, -35.0]))
+        assert np.isfinite(fn(0.0, 0.5))
+
+
+def test_closed_w_holds_fewer_than_four_grid_arrays():
+    # closed_w builds in the buffers of its exponent, X and the drift: its
+    # traced peak is 3.13 grid planes on 201 x 2951
+    t = np.linspace(0.0, 0.9, 201)[:, None]
+    x = np.linspace(0.05, 3.0, 2951)[None, :]
+    tracemalloc.start()
+    try:
+        w = closed_w(B_LIN, t, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * w.nbytes
 
 
 def test_closed_w_gamma_reductions():

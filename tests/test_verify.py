@@ -18,8 +18,8 @@ from fpkit.solutions import (GammaPoly, closed_w, closed_w_gamma, phi_lambda, ph
                              u_lambda)
 from fpkit.transform import log_phi_xx
 from fpkit.verify import (TOLERANCES, CheckResult, check_inequality,
-                          check_vanishing_at_origin, quadrature_match, residual_backward,
-                          residual_forward, run_checks)
+                          check_vanishing_at_origin, product_spread, quadrature_match,
+                          residual_backward, residual_forward, run_checks, zero_identity_gap)
 
 B_LIN = parse_boundary("s=1; fprime=0.5,0.3")
 B_CONST = parse_boundary("s=1; fprime=1")
@@ -218,24 +218,64 @@ def test_max_modulus_is_the_largest_complex_abs():
 
 
 def test_complex_phi_pass_works_on_real_planes(monkeypatch):
-    # the lam = 1.5 pass never unwraps and holds no complex block: at one
-    # worker its traced peak is 6.8 halo'd block planes (float64), where
-    # sampling and checking a complex128 block peaked at 9.1
+    # the lam = 1.5 pass never unwraps, takes no cos, sin or hypot on more
+    # nodes than one grid row, and holds no complex block: at one worker its
+    # traced peak is 6.6 of its halo'd block planes (float64, and half as
+    # tall as a real field's), where sampling and checking a complex128
+    # block peaked at 9.1
+    spec = GridSpec(0.0, 0.9, 0.05, 3.0, 161, 2951)
+
     def no_unwrap(*args, **kwargs):
         raise AssertionError("np.unwrap called")
 
+    def at_most_a_row(name, ufunc):
+        def guarded(*args, **kwargs):
+            if any(np.size(a) > spec.nx for a in args):
+                raise AssertionError(f"np.{name} called on more than one grid row")
+            return ufunc(*args, **kwargs)
+        return guarded
+
     monkeypatch.setattr(np, "unwrap", no_unwrap)
-    spec = GridSpec(0.0, 0.9, 0.05, 3.0, 161, 2951)
-    plane = (verify.BLOCK_NODES // spec.nx + 4) * spec.nx * 8
+    for name in ("cos", "sin", "hypot"):
+        monkeypatch.setattr(np, name, at_most_a_row(name, getattr(np, name)))
+    plane = (verify.BLOCK_NODES // (2 * spec.nx) + 4) * spec.nx * 8
     tracemalloc.start()
     try:
         reports, form_max = verify._stream_checks(
-            spec, lambda t, x: phi_lambda_planes(B_LIN, 1.5, t, x), V_LIN, +1.0, True)
+            spec, lambda t, x: phi_lambda_planes(B_LIN, 1.5, t, x), V_LIN, +1.0, True, planes=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(reports) == 2 and 0.0 < form_max < TOLERANCES["tol_form_preservation"]
     assert peak < 8 * plane
+
+
+@pytest.mark.parametrize("seed", [7, 1, 123])
+def test_zero_identity_draws_in_one_call_match_the_loop(seed):
+    # run_checks draws its 200 zero-identity (t, x) pairs in one call.  The
+    # worst gap is the loop's over zero_identity_gap at each pair bit for
+    # bit, and the RNG state after it is the loop's, so the product-constancy
+    # draws that follow, and their value, are unchanged
+    spec = GridSpec(0.0, 0.8, 0.1, 2.5, 9, 11)
+    _, _, diagnostics = run_checks(B_LIN, spec, SMALL_TSPEC, TOLERANCES, seed, 1.0, None)
+    s = B_LIN.horizon_s
+    rng = np.random.default_rng(seed)
+    for _ in range(10):  # the quadrature draws
+        rng.uniform(0.0, s - 0.05)
+        rng.uniform(0.0, 2.0)
+        rng.uniform(-1.0, 1.0, rng.integers(1, 5))
+    zero_worst = 0.0
+    for _ in range(200):
+        t = rng.uniform(0.0, s - 0.05)
+        x = rng.uniform(0.0, 3.0)
+        zero_worst = max(zero_worst, zero_identity_gap(B_LIN, float(t), float(x)))
+    prod_worst = 0.0
+    for _ in range(20):
+        lam = rng.uniform(-5.0, 5.0)
+        prod_worst = max(prod_worst, product_spread(B_LIN, lam, rng.uniform(0.0, s, 50),
+                                                    rng.uniform(-2.0, 2.0, 50)))
+    assert diagnostics["zero_identity_worst"] == zero_worst
+    assert diagnostics["product_constancy_worst"] == prod_worst
 
 
 def test_run_checks_outputs_do_not_depend_on_worker_count(monkeypatch):
