@@ -93,12 +93,6 @@ class GridField:
         dtype = complex if np.iscomplexobj(v) else float
         object.__setattr__(self, "values", np.require(v, dtype, "CW"))
 
-    def real_part(self) -> "GridField":
-        return GridField(self.spec, self.values.real)
-
-    def imag_part(self) -> "GridField":
-        return GridField(self.spec, self.values.imag)
-
 
 def _sample(spec: GridSpec, fn: Callable, lo: int, hi: int) -> np.ndarray:
     """fn(t, x) broadcast over grid rows lo..hi-1.  The nodes are slices of

@@ -34,25 +34,26 @@ Two estimators:
 Reproducibility contract: random streams belong to fixed 8,192-path
 blocks, and block ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``.
 Work is handed out in units of contiguous blocks, at most 65,536 paths
-each, that are stepped as one vector; every block fills its own slice of
-the unit's arrays, draws for its own paths alone from its own stream --
-a stride's refinement and the crossing times included -- and reports its
-own partial result, and partials are reduced in block order.  A block's
-draws and result are therefore a pure function of (seed, block index,
-n_paths), and outputs are bit for bit the same for any thread count.
+each, that are stepped as one vector, and the units run on the shared
+runner (``parallel.run_in_order``), which returns their results in unit
+order.  Every block fills its own slice of the unit's arrays, draws for
+its own paths alone from its own stream -- a stride's refinement and the
+crossing times included -- and reports its own partial result, and
+partials are reduced in block order.  A block's draws and result are
+therefore a pure function of (seed, block index, n_paths), and outputs
+are bit for bit the same for any thread count.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import Boundary, eval_fsecond, integral_fprime
 from .kernels import derived_kernel, heat_kernel, simpson_weights
+from .parallel import run_in_order
 
 #: paths per RNG stream block; fixed so the block decomposition (and
 #: therefore every random stream) does not depend on worker count
@@ -149,15 +150,9 @@ def _units(n_paths: int, n_workers: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
-@functools.cache
-def _pool(n_workers: int) -> ThreadPoolExecutor:
-    """One executor per worker count for the life of the process; a fresh
-    pool per call churns thread arenas, and peak memory creeps with calls."""
-    return ThreadPoolExecutor(max_workers=n_workers)
-
-
 def _run_blocks(worker, seed: int, n_paths: int, n_workers: int) -> list:
-    """Per-block results of ``worker`` in block order.
+    """Per-block results of ``worker`` in block order, its units run on
+    ``n_workers`` threads by ``run_in_order``.
 
     ``worker(streams, size)`` steps one work unit of ``size`` paths, where
     ``streams`` holds each block's (generator, slice of the unit), and
@@ -169,11 +164,7 @@ def _run_blocks(worker, seed: int, n_paths: int, n_workers: int) -> list:
                    for block, lo in zip(blocks, range(0, size, BLOCK_SIZE))]
         return worker(streams, size)
 
-    units = _units(n_paths, n_workers)
-    if n_workers <= 1 or len(units) == 1:
-        per_unit = [unit(u) for u in units]
-    else:
-        per_unit = list(_pool(n_workers).map(unit, units))
+    per_unit = run_in_order(unit, _units(n_paths, n_workers), n_workers)
     return [r for results in per_unit for r in results]
 
 

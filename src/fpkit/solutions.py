@@ -283,18 +283,15 @@ def closed_w2_terms(b: Boundary, t, x):
     """The two equal terms of the second contour-integrated variant.
 
     Both are A * X * k(s-t, X): one directly, one assembled through the
-    derived kernel as (s-t) * (X/(s-t)) k.
+    derived kernel as (s-t) * (X/(s-t)) k.  A k is taken once, as in
+    ``closed_w``: a term that underflows gives 0; one that overflows raises
+    NumericalError.
     """
     _check_t_range(b, t, strict_upper=True)
-    s = b.horizon_s
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    amp = np.exp(0.5 * integral_fprime_sq(b, t, s) + x * eval_fprime(b, t))
-    shifted = x + integral_fprime(b, t, s)          # kernel spatial argument
-    st = s - t
-    term_direct = amp * shifted * heat_kernel(st, shifted)
-    term_via_h = amp * st * ((shifted / st) * heat_kernel(st, shifted))
-    return term_direct, term_via_h
+    weight, shifted, st = _weighted_kernel(b, t, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = weight * shifted, weight * (st * (shifted / st))
+    return tuple(_finite(term) for term in terms)
 
 
 def closed_w2(b: Boundary, t, x):
@@ -304,7 +301,7 @@ def closed_w2(b: Boundary, t, x):
     is observable; it is zero up to floating cancellation of equal terms.
     """
     term_direct, term_via_h = closed_w2_terms(b, t, x)
-    return scalar_or_array(term_direct - term_via_h)
+    return term_direct - term_via_h
 
 
 def kappa(b: Boundary, x):

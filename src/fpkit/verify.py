@@ -12,7 +12,7 @@ magnitude (floored at 1e-12) because the solutions decay exponentially
 in x and pointwise relative error is meaningless in the tail.
 
 Residuals are streamed through blocks of rows, ``BLOCK_NODES // nx``
-rows high (half that for a complex field, whose nodes hold two planes),
+rows high (half that for Phi at lam != 0, sampled as two planes),
 so no grid-sized temporary is built.  A block carries a 2-row halo on
 each side for the five-point time stencil.  The one-sided rows are used
 only at the grid's first and last interior rows, never at a seam between
@@ -20,12 +20,13 @@ blocks.  Each block yields its own results: its largest
 |residual| with its first row-major position, and its largest |w|.
 They are reduced in block order, a later block taking the maximum only
 when it is strictly greater, so the report is the whole-grid one bit for
-bit.  ``residual_backward``/``residual_forward`` walk a sampled field's
-rows this way.  ``run_checks`` goes further for its three fine-grid
-fields (closed w, and Phi at lam = 0 and 1.5): it samples each block
-once, with its halo, and never holds a whole field.  A block is sampled
-as two contiguous float64 planes, Re and Im (``phi_lambda_planes``; Im is
-None for a real field), and no complex block is built.  Each Phi block
+bit.  One walker, ``_stream_checks``, takes every residual, reading each
+block with its halo from a block source: the rows of a sampled field for
+``residual_backward``/``residual_forward``, and for ``run_checks``' three
+fine-grid fields (closed w, and Phi at lam = 0 and 1.5) the block sampled
+afresh, so that no whole field is held.  A sampled block is two
+contiguous float64 planes, Re and Im (``phi_lambda_planes``; Im is None
+for a real field), and no complex block is built.  Each Phi block
 feeds the residuals of its two planes and ``log_planes_xx`` on them,
 whose own rows give the block's largest complex modulus of d2/dx2 log
 Phi.  No cos, sin or hypot runs per node of a block: Phi's phase takes
@@ -35,11 +36,11 @@ imaginary entry exists when some block has a nonzero Im plane, the whole
 field's dtype rule.
 
 The blocks of a pass run on ``n_workers`` threads (``fpkit verify``
-passes every core the process may run on): the calling thread and the
-shared pool's threads (``montecarlo._pool``) claim them in order.
-A block's results depend on its rows alone and the reduction keeps
-block order, so every output is bit for bit the same for any worker
-count.  In-flight memory is n_workers times one block.
+passes every core the process may run on) through the shared runner,
+``parallel.run_in_order``, which returns their results in block order.
+A block's results depend on its rows alone, so every output is bit for
+bit the same for any worker count.  In-flight memory is n_workers times
+one block.
 
 The bound 0 <= w <= h(s-t, x) is a diagnostic: it is reported, never
 asserted, since derived closed forms can violate the bound (the
@@ -52,8 +53,8 @@ share its per-point measures (``transform_target``, ``zero_identity_gap``,
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,7 +62,7 @@ import numpy as np
 from .boundary import Boundary, boundary_potential, integral_fprime
 from .grids import GridField, GridSpec, sample_field, sample_planes, sample_potential
 from .kernels import default_half_width, derived_kernel, symmetric_simpson
-from .montecarlo import _pool
+from .parallel import run_in_order
 from .solutions import (GammaPoly, closed_w, closed_w2_terms, closed_w_gamma, phi_lambda,
                         phi_lambda_planes, product_phi_u, u_lambda, w1_lambda)
 from .transform import bluman_shtelen_w, log_planes_xx, second_difference_x
@@ -114,10 +115,6 @@ class DiagnosticReport:
     def __post_init__(self):
         if not 0 <= self.violation_count <= self.total_points:
             raise ValueError("violation count outside [0, total_points]")
-
-    @property
-    def passed(self) -> bool:
-        return self.violation_count == 0
 
     def to_json(self) -> dict:
         return {
@@ -225,63 +222,6 @@ def _residual_report(spec: GridSpec, entries) -> ResidualReport:
     return ResidualReport(max_abs, max_abs / scale, float(t_at), float(x_at), spec)
 
 
-def _map_row_blocks(spec: GridSpec, work: Callable, n_workers: int, planes: int = 1) -> list:
-    """work(lo, r0, r1, hi) for each row block of ``spec`` (``_row_blocks``
-    of ``planes``), as a list in block order, on up to ``n_workers`` threads.
-
-    The calling thread and n_workers - 1 threads of the shared pool claim
-    the blocks in order.  The caller works rather than waits so that its
-    malloc arena, which the rest of the run uses anyway, takes a share of
-    the blocks, not one more arena keeping a block's high-water mark.  After
-    a raise no further block is claimed; once the claimed blocks end, the
-    raise of the lowest block is re-raised, the one a serial walk meets.
-    """
-    blocks = list(_row_blocks(spec, planes))
-    if n_workers <= 1 or len(blocks) == 1:
-        return [work(*block) for block in blocks]
-    results, errors = [None] * len(blocks), {}
-    claims = itertools.count()
-
-    def drain():
-        while not errors:
-            i = next(claims)
-            if i >= len(blocks):
-                return
-            try:
-                results[i] = work(*blocks[i])
-            except Exception as exc:
-                errors[i] = exc
-
-    helpers = [_pool(n_workers).submit(drain) for _ in range(min(n_workers, len(blocks)) - 1)]
-    drain()
-    for helper in helpers:
-        helper.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
-def _field_residual(field: GridField, v: Callable, time_sign: float,
-                    n_workers: int) -> ResidualReport:
-    spec = field.spec
-    _check_residual_grid(spec)
-    vv = sample_potential(spec, v)
-    entries = _map_row_blocks(spec, lambda lo, r0, r1, hi: _block_peaks(
-        spec, time_sign, field.values[lo:hi], vv[lo:hi], lo, r0, r1), n_workers)
-    return _residual_report(spec, entries)
-
-
-def residual_backward(w: GridField, v: Callable, n_workers: int = 1) -> ResidualReport:
-    """Residual of -w_t + V w - w_xx/2 at interior nodes; V is the (t, x)
-    function ``v``.  The report is the same for any ``n_workers``."""
-    return _field_residual(w, v, -1.0, n_workers)
-
-
-def residual_forward(phi: GridField, v: Callable) -> ResidualReport:
-    """Residual of +Phi_t + V Phi - Phi_xx/2 at interior nodes."""
-    return _field_residual(phi, v, +1.0, 1)
-
-
 def _max_modulus(re: np.ndarray, im: np.ndarray) -> float:
     """The largest |re + i im|, as np.abs takes a complex modulus, over only
     the nodes where re^2 + im^2 lies within a relative 1e-12 of its largest
@@ -301,20 +241,23 @@ def _max_modulus(re: np.ndarray, im: np.ndarray) -> float:
     return np.max(np.abs(z))
 
 
-def _stream_checks(spec: GridSpec, fn: Callable, v: Callable, time_sign: float,
+def _stream_checks(spec: GridSpec, planes_of: Callable, v: Callable, time_sign: float,
                    form: bool, n_workers: int = 1, planes: int = 1):
-    """Residual reports and, with ``form``, the largest |d2/dx2 log fn| over
-    ``spec``, sampling the planes (re, im) = fn(t, x) one row block at a
-    time; ``im`` is None for a real fn.  ``planes`` is 2 when fn is complex,
-    which halves the block height.
+    """Residual reports and, with ``form``, the largest |d2/dx2 log field|
+    over ``spec``, one row block at a time: ``planes_of(lo, hi)`` gives the
+    field's grid rows lo..hi-1 as (re, im).  ``im`` is None when ``re``
+    holds the whole field, real or complex; a complex ``re`` gets one
+    report, of complex moduli.  ``planes`` is 2 when the blocks hold two
+    planes, which halves the block height.
 
-    Returns (reports, form_max): one report for the real part and, when
-    any block holds a nonzero imaginary part, one for the imaginary part.
+    Returns (reports, form_max): one report for ``re`` and, when any block
+    holds a nonzero ``im``, one for ``im``.
     """
     _check_residual_grid(spec)
 
-    def block(lo, r0, r1, hi):
-        re, im = sample_planes(spec, fn, lo, hi)
+    def block(rows):
+        lo, r0, r1, hi = rows
+        re, im = planes_of(lo, hi)
         vv = sample_potential(spec, v, lo, hi)
         if im is not None and not np.any(im):
             im = None
@@ -329,12 +272,27 @@ def _stream_checks(spec: GridSpec, fn: Callable, v: Callable, time_sign: float,
                         else _max_modulus(xx_re[own], xx_im[own]))
         return re_peaks, im_peaks, im is not None, form_max
 
-    results = _map_row_blocks(spec, block, n_workers, planes)
+    results = run_in_order(block, list(_row_blocks(spec, planes)), n_workers)
     parts = [[re for re, _, _, _ in results]]
     if any(is_complex for _, _, is_complex, _ in results):
         parts.append([im for _, im, _, _ in results])
     reports = [_residual_report(spec, entries) for entries in parts]
     return reports, float(np.max([f for *_, f in results])) if form else None
+
+
+def residual_backward(w: GridField, v: Callable, n_workers: int = 1) -> ResidualReport:
+    """Residual of -w_t + V w - w_xx/2 at interior nodes; V is the (t, x)
+    function ``v``.  The report is the same for any ``n_workers``."""
+    (report,), _ = _stream_checks(w.spec, lambda lo, hi: (w.values[lo:hi], None), v, -1.0,
+                                  False, n_workers)
+    return report
+
+
+def residual_forward(phi: GridField, v: Callable) -> ResidualReport:
+    """Residual of +Phi_t + V Phi - Phi_xx/2 at interior nodes."""
+    (report,), _ = _stream_checks(phi.spec, lambda lo, hi: (phi.values[lo:hi], None), v, +1.0,
+                                  False)
+    return report
 
 
 def check_inequality(w: GridField, s: float) -> DiagnosticReport:
@@ -480,14 +438,15 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     if field is not None:
         residual_check("external_field_backward", "external field residual",
                        residual_backward(field, v1, n_workers), tols["tol_backward"])
-    (rep_w,), _ = _stream_checks(spec, lambda t, x: (closed_w(b, t, x), None), v1, -1.0,
-                                 False, n_workers)
+    w_rows = partial(sample_planes, spec, lambda t, x: (closed_w(b, t, x), None))
+    (rep_w,), _ = _stream_checks(spec, w_rows, v1, -1.0, False, n_workers)
     residual_check("backward_closed_w", "backward residual (closed w)", rep_w,
                    tols["tol_backward"] * grid_scale)
     form_pres_max = 0.0
     for lam in (0.0, 1.5):
-        reps, form_max = _stream_checks(spec, lambda t, x: phi_lambda_planes(b, lam, t, x),
-                                        v1, +1.0, True, n_workers, 2 if lam else 1)
+        phi_rows = partial(sample_planes, spec, lambda t, x: phi_lambda_planes(b, lam, t, x))
+        reps, form_max = _stream_checks(spec, phi_rows, v1, +1.0, True, n_workers,
+                                        2 if lam else 1)
         for name, rep in zip(("re", "im"), reps):
             residual_check(f"forward_phi_lam{lam}_{name}",
                            f"forward residual (phi, lam={lam}, {name})",

@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -273,6 +274,32 @@ def test_outputs_bitwise_independent_of_worker_count(n_paths, falling):
         assert h.masses.tobytes() == hists[0].masses.tobytes()
         assert h.n_crossed == hists[0].n_crossed
         assert (fk.mean, fk.std_error) == (fks[0].mean, fks[0].std_error)
+
+
+def test_lowest_failing_unit_raises_and_the_pool_serves_the_next_call(monkeypatch):
+    # one block per unit, so 3 blocks make 3 units at 2 workers.  Unit 1
+    # fails late, so unit 2 fails first; the raise is still unit 1's, the
+    # one a serial walk meets, and the next call is the serial result
+    monkeypatch.setattr(montecarlo, "MAX_UNIT_PATHS", BLOCK_SIZE)
+    cfg = MCConfig(n_paths=3 * BLOCK_SIZE, n_steps=12, seed=17)
+    assert len(montecarlo._units(cfg.n_paths, 2)) == 3
+    serial = first_passage_histogram(B_LIN, 0.5, cfg, 8)
+    original = montecarlo._block_rng
+
+    def failing(seed, block):
+        if block == 1:
+            time.sleep(0.05)
+        if block in (1, 2):
+            raise RuntimeError(f"unit {block}")
+        return original(seed, block)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_block_rng", failing)
+        with pytest.raises(RuntimeError, match="unit 1"):
+            first_passage_histogram(B_LIN, 0.5, cfg, 8, n_workers=2)
+    again = first_passage_histogram(B_LIN, 0.5, cfg, 8, n_workers=2)
+    assert again.masses.tobytes() == serial.masses.tobytes()
+    assert again.n_crossed == serial.n_crossed > 0
 
 
 def _noncentral_chi3_mean(mu, sig):

@@ -253,13 +253,15 @@ def test_closed_w_underflow_gives_zero_and_overflow_raises():
     g = GammaPoly((0.3, 1.0))
     assert closed_w(B_CONST, 0.5, 800.0) == 0.0
     assert closed_w_gamma(B_CONST, g, 0.5, 800.0) == 0.0
+    assert closed_w2_terms(B_CONST, 0.5, 800.0) == (0.0, 0.0)
     vals = closed_w(B_CONST, 0.5, np.array([800.0, 1.0]))
     assert vals[0] == 0.0 and vals[1] == pytest.approx(CLOSED_W_CONST_HALF, rel=1e-12)
     # f' = 70t peaks the summed exponent at 0.5 int_0^1 (70u)^2 du = 816.7 > 709.8
     # at t = 0, x = -35: a value past float64, refused, scalar or in an array
     steep = parse_boundary("s=1; fprime=0,70")
     for fn in (lambda t, x: closed_w(steep, t, x),
-               lambda t, x: closed_w_gamma(steep, g, t, x)):
+               lambda t, x: closed_w_gamma(steep, g, t, x),
+               lambda t, x: closed_w2_terms(steep, t, x)[0]):
         with pytest.raises(NumericalError, match="finite"):
             fn(0.0, -35.0)
         with pytest.raises(NumericalError, match="finite"):

@@ -58,8 +58,8 @@ def test_sampled_fields_store_real_values_as_float64():
         assert sample_field(spec, lambda t, x: fn(B_LIN, 0.0, t, x)).values.dtype == np.float64
         assert sample_field(spec, lambda t, x: fn(B_LIN, 1.5, t, x)).values.dtype == np.complex128
     phi = sample_field(spec, lambda t, x: phi_lambda(B_LIN, 1.5, t, x))
-    assert phi.real_part().values.dtype == np.float64
-    assert phi.imag_part().values.dtype == np.float64
+    assert GridField(spec, phi.values.real).values.dtype == np.float64
+    assert GridField(spec, phi.values.imag).values.dtype == np.float64
 
 
 def test_real_field_csv_round_trip_is_byte_identical(tmp_path):

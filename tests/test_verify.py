@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,10 @@ import pytest
 import fpkit.cli as cli
 import fpkit.verify as verify
 from fpkit.boundary import Boundary, boundary_potential, parse_boundary
-from fpkit.grids import GridField, GridSpec, NumericalError, sample_field, transform_grid
+from fpkit.grids import (GridField, GridSpec, NumericalError, sample_field, sample_planes,
+                         transform_grid)
 from fpkit.kernels import simpson_weights
+from fpkit.parallel import run_in_order
 from fpkit.solutions import (GammaPoly, closed_w, closed_w_gamma, phi_lambda, phi_lambda_planes,
                              u_lambda)
 from fpkit.transform import log_phi_xx
@@ -65,8 +68,8 @@ def test_residual_forward_phi_lambda():
     # the 1e-4 figure needs the finer grid
     spec_fine = GridSpec(0.0, 0.9, 0.05, 3.0, 451, 1476)
     phi2 = sample_field(spec_fine, lambda t, x: phi_lambda(B_LIN, 2.0, t, x))
-    assert residual_forward(phi2.real_part(), V_LIN).max_rel <= 1e-4
-    assert residual_forward(phi2.imag_part(), V_LIN).max_rel <= 1e-4
+    assert residual_forward(GridField(spec_fine, phi2.values.real), V_LIN).max_rel <= 1e-4
+    assert residual_forward(GridField(spec_fine, phi2.values.imag), V_LIN).max_rel <= 1e-4
 
 
 def test_residual_time_stencil_exact_for_quartic():
@@ -133,21 +136,25 @@ def fine_grid_results(spec, n_workers=1):
 def test_row_block_seams_change_no_report(monkeypatch, nt, n_workers):
     # 47 rows is prime, so every height > 1 leaves a short last block; at
     # nt = 5 a block of >= 5 rows holds both one-sided rows.  Covers the
-    # real closed w, the float64 Phi at lam = 0 and the complex Phi at 1.5.
+    # real closed w, the float64 Phi at lam = 0 and the complex Phi at 1.5,
+    # streamed, and the sampled real closed w and complex u at lam = 1.5.
     spec = GridSpec(0.0, 0.8, 0.1, 2.5, nt, 61)
     w = sample_field(spec, lambda t, x: closed_w(B_LIN, t, x))
+    u = sample_field(spec, lambda t, x: u_lambda(B_LIN, 1.5, t, x))
+    assert u.values.dtype == np.complex128
     results = {}
     for height in (1, 2, 3, 5, nt):
         monkeypatch.setattr(verify, "BLOCK_NODES", height * spec.nx)
         results[height] = (fine_grid_results(spec, n_workers),
-                           residual_backward(w, V_LIN, n_workers).to_json())
+                           residual_backward(w, V_LIN, n_workers).to_json(),
+                           residual_backward(u, V_LIN, n_workers).to_json())
     whole = results[nt]
-    (residuals, form_max), field_rep = whole
+    (residuals, form_max), field_rep, u_rep = whole
     assert set(residuals) == {"backward_closed_w", "forward_phi_lam0.0_re",
                               "forward_phi_lam1.5_re", "forward_phi_lam1.5_im",
                               "backward_transform_w"}
     assert field_rep == residuals["backward_closed_w"]
-    assert form_max > 0.0
+    assert form_max > 0.0 and u_rep["max_abs"] > 0.0
     for height, result in results.items():
         assert result == whole, height
 
@@ -167,12 +174,13 @@ def test_streamed_field_keeps_whole_field_dtype_rule(monkeypatch):
         return values.real, values.imag
 
     field = sample_field(spec, fn)
-    expected = ([residual_forward(field.real_part(), V_LIN),
-                 residual_forward(field.imag_part(), V_LIN)],
+    expected = ([residual_forward(GridField(spec, field.values.real), V_LIN),
+                 residual_forward(GridField(spec, field.values.imag), V_LIN)],
                 float(np.max(np.abs(log_phi_xx(field).values))))
     for height in (1, 4, spec.nt):
         monkeypatch.setattr(verify, "BLOCK_NODES", height * spec.nx)
-        assert verify._stream_checks(spec, planes, V_LIN, +1.0, True) == expected
+        assert verify._stream_checks(spec, partial(sample_planes, spec, planes), V_LIN, +1.0,
+                                     True) == expected
 
 
 def fine_grid_peak(nt, n_workers):
@@ -242,7 +250,8 @@ def test_complex_phi_pass_works_on_real_planes(monkeypatch):
     tracemalloc.start()
     try:
         reports, form_max = verify._stream_checks(
-            spec, lambda t, x: phi_lambda_planes(B_LIN, 1.5, t, x), V_LIN, +1.0, True, planes=2)
+            spec, partial(sample_planes, spec, lambda t, x: phi_lambda_planes(B_LIN, 1.5, t, x)),
+            V_LIN, +1.0, True, planes=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,44 +321,38 @@ def test_block_error_exits_3_and_the_pool_serves_the_next_run(tmp_path, monkeypa
     assert "FAIL" not in capsys.readouterr().out
 
 
-def test_block_map_raises_the_first_failing_block(monkeypatch):
-    # row 3 fails late, so with several workers row 5 fails first; the raise
-    # is still row 3's, the one a serial walk meets
-    spec = GridSpec(0.0, 0.8, 0.1, 2.5, 9, 7)
-    monkeypatch.setattr(verify, "BLOCK_NODES", spec.nx)
-
-    def work(lo, r0, r1, hi):
-        if r0 == 3:
+def test_block_map_raises_the_first_failing_block():
+    # item 3 fails late, so with several workers item 5 fails first; the
+    # raise is still item 3's, the one a serial walk meets
+    def work(i):
+        if i == 3:
             time.sleep(0.05)
-        if r0 in (3, 5):
-            raise NumericalError(f"row {r0}")
-        return r0
+        if i in (3, 5):
+            raise NumericalError(f"item {i}")
+        return i
 
-    spec_ok = GridSpec(0.0, 0.8, 0.1, 2.5, 3, 7)
     for n_workers in (1, 2, 3):
-        with pytest.raises(NumericalError, match="row 3"):
-            verify._map_row_blocks(spec, work, n_workers)
-        assert verify._map_row_blocks(spec_ok, work, n_workers) == [0, 1, 2]
+        with pytest.raises(NumericalError, match="item 3"):
+            run_in_order(work, range(9), n_workers)
+        assert run_in_order(work, [0, 1, 2], n_workers) == [0, 1, 2]
 
 
-def test_block_map_runs_each_block_once_under_thread_switching(monkeypatch):
+def test_block_map_runs_each_block_once_under_thread_switching():
     # more workers than cores, switching threads every microsecond: a claim
-    # taken twice or lost would repeat or drop a block
-    spec = GridSpec(0.0, 0.8, 0.1, 2.5, 3000, 7)
-    monkeypatch.setattr(verify, "BLOCK_NODES", spec.nx)
+    # taken twice or lost would repeat or drop an item
     calls = []
 
-    def work(lo, r0, r1, hi):
-        calls.append(r0)
-        return float(np.sum(np.arange(r0 % 50)))
+    def work(i):
+        calls.append(i)
+        return float(np.sum(np.arange(i % 50)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = verify._map_row_blocks(spec, work, 8)
+        got = run_in_order(work, list(range(3000)), 8)
     finally:
         sys.setswitchinterval(interval)
-    assert got == [float(np.sum(np.arange(r % 50))) for r in range(3000)]
+    assert got == [float(np.sum(np.arange(i % 50))) for i in range(3000)]
     assert sorted(calls) == list(range(3000))
 
 
@@ -431,19 +434,19 @@ PROBES = [2.0 ** -k for k in range(1, 21)]
 
 def test_vanishing_closed_w_passes():
     rep = check_vanishing_at_origin(lambda t, x: closed_w(B_LIN, t, x), 0.0, PROBES)
-    assert rep.passed
+    assert rep.violation_count == 0
 
 
 def test_vanishing_gamma_solution_passes():
     g = GammaPoly((0.0, 1.0))
     rep = check_vanishing_at_origin(lambda t, x: closed_w_gamma(B_LIN, g, t, x),
                                     0.0, PROBES)
-    assert rep.passed
+    assert rep.violation_count == 0
 
 
 def test_vanishing_constant_field_fails():
     rep = check_vanishing_at_origin(lambda t, x: 1.0, 0.0, PROBES)
-    assert not rep.passed
+    assert rep.violation_count > 0
     assert rep.worst_margin < 0.0
 
 
