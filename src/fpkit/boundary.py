@@ -100,22 +100,24 @@ def scalar_or_array(out):
     return out if out.ndim else out.item()
 
 
+def horner(coeffs, z):
+    """sum_j coeffs[j] * z**j by Horner's rule, from zeros of z's shape and
+    dtype (an array, or a 0-d one for a scalar z)."""
+    out = np.zeros_like(z)
+    for c in reversed(coeffs):
+        out = out * z + c
+    return out
+
+
 def eval_fprime(b: Boundary, t):
     """f'(t); accepts scalars or arrays."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    for c in reversed(b.deriv_coeffs):
-        out = out * t + c
-    return scalar_or_array(out)
+    return scalar_or_array(horner(b.deriv_coeffs, np.asarray(t, dtype=float)))
 
 
 def eval_fsecond(b: Boundary, t):
     """f''(t), the derivative of the f' polynomial."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    for j in range(len(b.deriv_coeffs) - 1, 0, -1):
-        out = out * t + j * b.deriv_coeffs[j]
-    return scalar_or_array(out)
+    coeffs = [j * c for j, c in enumerate(b.deriv_coeffs)][1:]
+    return scalar_or_array(horner(coeffs, np.asarray(t, dtype=float)))
 
 
 def boundary_potential(b: Boundary):
@@ -127,14 +129,8 @@ def _antideriv_diff(coeffs, a, c):
     # exact integral of sum c_j u^j over [a, c]
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
-    pa = np.zeros_like(a)
-    pc = np.zeros_like(c)
-    for j in range(len(coeffs) - 1, -1, -1):
-        w = coeffs[j] / (j + 1)
-        pa = pa * a + w
-        pc = pc * c + w
-    out = pc * c - pa * a
-    return scalar_or_array(out)
+    weights = [cj / (j + 1) for j, cj in enumerate(coeffs)]
+    return scalar_or_array(horner(weights, c) * c - horner(weights, a) * a)
 
 
 def integral_fprime(b: Boundary, a, c):

@@ -74,13 +74,16 @@ def _write_json(out: str, name: str, obj) -> None:
 
 
 def _parse_range(text: str) -> np.ndarray:
-    """``a:b:step`` inclusive range, or a single value."""
+    """``a:b:step`` inclusive range, or a single value; all finite."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return np.array([float(parts[0])])
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ConfigError(f"range must be 'a:b:step' or a single value, got {text!r}")
-    a, b, step = (float(p) for p in parts)
+    values = [float(p) for p in parts]
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"range {text!r} must be finite")
+    if len(values) == 1:
+        return np.array(values)
+    a, b, step = values
     if step <= 0 or b < a:
         raise ConfigError(f"bad range {text!r}")
     n = int(round((b - a) / step)) + 1
@@ -240,13 +243,12 @@ def cmd_kernels(args) -> None:
     for n in args.n:
         if not 0 <= n <= MAX_ORDER:
             raise ConfigError(f"kernel order {n} outside [0, {MAX_ORDER}]")
-    out = _out_dir(args)
     rows = []
     for t in t_vals:
         for n in args.n:
             vals = kernel_n(n, float(t), x_vals)
             rows.extend((t, x, n, v) for x, v in zip(x_vals, np.atleast_1d(vals)))
-    _write_csv(out, "kernels.csv", "t,x,n,value", rows)
+    _write_csv(_out_dir(args), "kernels.csv", "t,x,n,value", rows)
     _sidecar(args)
 
 
@@ -309,15 +311,15 @@ def cmd_transform(args) -> None:
 
 
 def _mc_setup(args):
-    """Boundary, MCConfig and output directory of simulate/compare; bad
-    MCConfig values raise ValueError, which ``main`` reports as exit 1."""
+    """Boundary and MCConfig of simulate/compare; bad MCConfig values raise
+    ValueError, which ``main`` reports as exit 1."""
     b = _boundary(args)
     cfg = mc.MCConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
     if args.x0 <= 0.0:
         raise ConfigError("x0 must be positive")
-    return b, cfg, _out_dir(args)
+    return b, cfg
 
 
 def _write_comparison(out: str, table: mc.DensityComparison) -> None:
@@ -328,8 +330,9 @@ def _write_comparison(out: str, table: mc.DensityComparison) -> None:
 
 
 def cmd_simulate(args) -> None:
-    b, cfg, out = _mc_setup(args)
+    b, cfg = _mc_setup(args)
     hist = mc.first_passage_histogram(b, args.x0, cfg, args.bins, args.threads)
+    out = _out_dir(args)
     _write_csv(out, "fpt_histogram.csv", "bin_lo,bin_hi,mass",
                zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses))
     _write_comparison(out, mc.compare_density(b, args.x0, hist))
@@ -340,9 +343,9 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_compare(args) -> None:
-    b, cfg, out = _mc_setup(args)
+    b, cfg = _mc_setup(args)
     hist = mc.first_passage_histogram(b, args.x0, cfg, args.bins, args.threads)
-    _write_comparison(out, mc.compare_density(b, args.x0, hist))
+    _write_comparison(_out_dir(args), mc.compare_density(b, args.x0, hist))
     _sidecar(args)
 
 

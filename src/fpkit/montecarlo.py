@@ -353,25 +353,24 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
     return DensityHistogram(edges, counts / cfg.n_paths, n_crossed, cfg.n_paths)
 
 
-def kappa_time_density(b: Boundary, x0: float, t) -> np.ndarray:
-    """Closed-form hitting-density approximation as a density in time:
-    x0 * k(t, x0 + int_0^t f')."""
+def _time_density(density, t) -> np.ndarray:
+    """density(t) at the times t > 0, and 0 at t = 0."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0.0
-    tp = t[pos]
-    out[pos] = x0 * heat_kernel(tp, x0 + integral_fprime(b, 0.0, tp))
+    out[pos] = density(t[pos])
     return out
+
+
+def kappa_time_density(b: Boundary, x0: float, t) -> np.ndarray:
+    """Closed-form hitting-density approximation as a density in time:
+    x0 * k(t, x0 + int_0^t f')."""
+    return _time_density(lambda tp: x0 * heat_kernel(tp, x0 + integral_fprime(b, 0.0, tp)), t)
 
 
 def reference_time_density(b: Boundary, x0: float, t) -> np.ndarray:
     """Fixed-level tangent reference h(t, x0 + int_0^t f'); exact when f' = 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    tp = t[pos]
-    out[pos] = derived_kernel(tp, x0 + integral_fprime(b, 0.0, tp))
-    return out
+    return _time_density(lambda tp: derived_kernel(tp, x0 + integral_fprime(b, 0.0, tp)), t)
 
 
 def _bin_masses(fn, edges: np.ndarray, nodes_per_bin: int = 65) -> np.ndarray:

@@ -375,8 +375,8 @@ def transform_target(b: Boundary, t, x):
 
 
 def zero_identity_gap(b: Boundary, t, x):
-    """|closed_w2| relative to its first term (floored at 1e-300), at each
-    (t, x)."""
+    """|first - second| of ``closed_w2_terms`` relative to the first term
+    (floored at 1e-300), at each (t, x)."""
     first, second = closed_w2_terms(b, t, x)
     return np.abs(first - second) / np.maximum(np.abs(first), 1e-300)
 

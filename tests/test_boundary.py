@@ -44,7 +44,8 @@ def test_parse_nonpositive_horizon_rejected():
 
 
 def test_parse_malformed_rejected():
-    for bad in ("fprime=1", "s=1", "s=1; fprime=", "s=1 fprime=2", "s=one; fprime=1"):
+    for bad in ("fprime=1", "s=1", "s=1; fprime=", "s=1 fprime=2", "s=one; fprime=1",
+                "s=1; fprime=0.5,nan", '{"s": 1, "fprime": [0.5'):
         with pytest.raises(BoundaryFormatError):
             parse_boundary(bad)
 
@@ -123,3 +124,12 @@ def test_fsecond_matches_central_difference(coeffs, t):
     h = 1e-4
     fd = (eval_fprime(b, t + h) - eval_fprime(b, t - h)) / (2 * h)
     assert abs(fd - eval_fsecond(b, t)) <= 1e-7
+
+
+def test_boundary_json_needs_both_keys_and_numbers():
+    for obj in ({"s": 1.0}, [1.0, 0.5]):
+        with pytest.raises(BoundaryFormatError, match="needs keys"):
+            boundary_from_json(obj)
+    for obj in ({"s": "one", "fprime": [0.5]}, {"s": 1.0, "fprime": None}):
+        with pytest.raises(BoundaryFormatError, match="bad boundary JSON"):
+            boundary_from_json(obj)

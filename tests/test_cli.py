@@ -92,10 +92,22 @@ def test_verify_fast_exit_zero(tmp_path, capsys):
     ["solution", "--boundary", "s=1; fprime=0", "--config", "grid_number.json"],
     # passes _parse_grid; the residual preconditions need nt, nx >= 5
     ["verify", "--boundary", "s=1; fprime=0", "--grid", "0:0.9:3,0.05:3:8"],
+    ["verify", "--boundary", "s=1; fprime=0", "--field", "three_columns.csv"],
+    ["kernels", "--t", "1:2"],
+    ["kernels", "--x", "3:-3:0.1"],
+    ["kernels", "--x", "-3:3:0"],
+    ["kernels", "--x", "inf", "--n", "0"],
+    ["kernels", "--config", "list.json"],
+    ["solution", "--boundary", '{"s": 1, "fprime": [0.5'],
+    ["solution", "--boundary", "s=1; fprime=0.5,nan"],
+    ["simulate", "--boundary", "s=1; fprime=0", "--paths", "10", "--steps", "10",
+     "--bins", "0"],
 ])
 def test_rejected_run_creates_no_out_dir(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "grid_number.json").write_text('{"grid": 5}')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "three_columns.csv").write_text("t,x,re\n0,0,1\n0,1,1\n1,0,1\n1,1,1\n")
     assert main(argv + ["--out", "out"]) == 1
     assert not (tmp_path / "out").exists()
 
@@ -105,7 +117,9 @@ def test_rejected_run_creates_no_out_dir(tmp_path, monkeypatch, argv):
     ["transform", "--boundary", "s=1; fprime=1", "--lam", "1.5", "--grid", "0:0.5:5,0:800:11"],
     # closed w at t = 0, x = -35 on f' = 70t is ~exp(816)
     ["solution", "--boundary", "s=1; fprime=0,70", "--grid", "0:0.5:5,-35:0:8"],
-], ids=["transform", "solution"])
+    # g_12 ~ (x/t)^12 = 1e360 against a Gaussian of exp(-5e29)
+    ["kernels", "--t", "1e-30", "--x", "1", "--n", "12"],
+], ids=["transform", "solution", "kernels"])
 def test_numerical_failure_creates_no_out_dir(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 3

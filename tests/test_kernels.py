@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fourier_oracle import fourier_quadrature_oracle
+from fpkit.grids import NumericalError
 from fpkit.kernels import (MAX_ORDER, default_half_width, derived_kernel, heat_kernel,
                            kernel_n, simpson_weights, symmetric_nodes, symmetric_simpson)
 
@@ -122,3 +123,18 @@ def test_default_half_width_guideline():
 
 def test_max_order_constant():
     assert MAX_ORDER == 12
+
+
+def test_simpson_weights_need_an_odd_count_of_three_or_more():
+    for n in (1, 2, 4):
+        with pytest.raises(ValueError, match="odd node count"):
+            simpson_weights(n, 0.1)
+
+
+def test_kernel_overflow_raises():
+    # g_12 ~ (x/t)^12 = 1e360 overflows while the Gaussian underflows: inf * 0
+    # is refused, as a scalar and inside an array
+    with pytest.raises(NumericalError, match="finite"):
+        kernel_n(12, 1e-30, 1.0)
+    with pytest.raises(NumericalError, match="finite"):
+        kernel_n(12, 1e-30, np.array([0.0, 1.0]))

@@ -34,3 +34,30 @@ def test_verify_imports_nothing_from_montecarlo():
             imported += [alias.name for alias in node.names]
     assert imported
     assert not [name for name in imported if "montecarlo" in name.split(".")]
+
+
+def _functions(name: str):
+    return [node for node in _tree(name).body if isinstance(node, ast.FunctionDef)]
+
+
+def test_one_overflow_rule_for_the_closed_forms():
+    # NumericalError is raised in the one helper that closed_form returns
+    # through, and every public function of solutions is a closed form
+    raisers = set()
+    for name in ("kernels.py", "solutions.py"):
+        for fn in _functions(name):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Raise) and node.exc is not None
+                        and "NumericalError" in ast.unparse(node.exc)):
+                    raisers.add((name, fn.name))
+    assert raisers == {("kernels.py", "_finite")}
+    for fn in _functions("solutions.py"):
+        if not fn.name.startswith("_"):
+            assert [ast.unparse(d) for d in fn.decorator_list] == ["closed_form"], fn.name
+
+
+def test_kernels_take_one_gaussian():
+    # one function of kernels calls np.exp: kernel_n, the heat kernel's one form
+    callers = {fn.name for fn in _functions("kernels.py") for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.exp"}
+    assert callers == {"kernel_n"}

@@ -523,3 +523,21 @@ def test_histogram_invariants_enforced():
         DensityHistogram(np.array([0.0, 0.5, 0.4]), np.array([0.1, 0.1]), 10, 100)
     with pytest.raises(ValueError):
         DensityHistogram(np.array([0.0, 0.5, 1.0]), np.array([0.9, 0.2]), 110, 100)
+    for masses in (np.array([0.5, -0.1]), np.array([0.5])):
+        with pytest.raises(ValueError, match="nonnegative, one per bin"):
+            DensityHistogram(np.array([0.0, 0.5, 1.0]), masses, 10, 100)
+
+
+def test_estimate_and_bin_count_preconditions():
+    from fpkit.montecarlo import MCEstimate
+    with pytest.raises(ValueError, match="negative"):
+        MCEstimate(0.5, -1.0, 10)
+    with pytest.raises(ValueError, match="at least one bin"):
+        first_passage_histogram(B_ZERO, 1.0, MCConfig(10, 10, seed=1), 0)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2])
+def test_fk_with_too_few_paths_reports_zero_std_error(n_paths):
+    # one or two paths make one mirrored pair: no degree of freedom is left
+    est = bessel_bridge_fk(B_LIN, 1.0, MCConfig(n_paths, 8, seed=1))
+    assert est.std_error == 0.0 and 0.0 < est.mean < 1.0 and est.n_paths == n_paths

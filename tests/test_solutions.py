@@ -6,10 +6,9 @@ import pytest
 from fpkit.boundary import Boundary, integral_fprime, parse_boundary
 from fpkit.grids import NumericalError
 from fpkit.kernels import derived_kernel, heat_kernel, simpson_weights
-from fpkit.solutions import (GammaPoly, b2_first, b2_second, closed_w, closed_w2,
-                             closed_w2_terms, closed_w_gamma, kappa, phi_lambda,
-                             phi_lambda_planes, product_phi_u, u_lambda, w1_lambda,
-                             w2_lambda)
+from fpkit.solutions import (GammaPoly, b2_first, b2_second, closed_w, closed_w2_terms,
+                             closed_w_gamma, kappa, phi_lambda, phi_lambda_planes,
+                             product_phi_u, u_lambda, w1_lambda, w2_lambda)
 
 B_CONST = parse_boundary("s=1; fprime=1")
 B_ZERO = parse_boundary("s=1; fprime=0")
@@ -334,6 +333,11 @@ def test_gamma_degree_cap():
 
 
 def test_closed_w2_vanishes():
+    # the second variant is the difference of its two equal terms
+    def closed_w2(b, t, x):
+        first, second = closed_w2_terms(b, t, x)
+        return first - second
+
     assert closed_w2(B_ZERO, 0.5, 1.0) == 0.0
     rng = np.random.default_rng(37)
     for _ in range(50):
@@ -360,3 +364,15 @@ def test_kappa_over_h_equals_horizon_for_fixed_level():
         for x in np.linspace(0.05, 3.0, 20):
             ratio = kappa(b, float(x)) / derived_kernel(s, float(x))
             assert ratio == pytest.approx(s, rel=1e-12)
+
+
+def test_product_and_b2_overflow_raises():
+    # 0.5 int_0^1000 10^2 = 5e4 in the exponent: past float64, refused rather
+    # than returned as inf - inf j, -inf + nan j or inf + nan j
+    b = parse_boundary("s=1000; fprime=10")
+    for fn in (lambda lam: product_phi_u(b, lam), lambda lam: b2_first(b, lam, 1.0),
+               lambda lam: b2_second(b, lam, 1.0)):
+        with pytest.raises(NumericalError, match="finite"):
+            fn(0.5)
+        with pytest.raises(NumericalError, match="finite"):
+            fn(np.array([0.0, 0.5]))

@@ -446,3 +446,31 @@ def test_engine_grid_refinement_convergence():
     coarse = deviation(46, 39)
     fine = deviation(91, 77)
     assert coarse / fine >= 3.5
+
+
+def test_field_csv_rejects_bad_columns_lattice_and_order(tmp_path):
+    nodes = [(t, x) for t in (0.0, 0.1, 0.2) for x in (0.0, 0.5, 1.0)]
+    cases = {
+        "columns": ["t,x,re"] + [f"{t},{x},1.0" for t, x in nodes],
+        "lattice": ["t,x,re,im"] + [f"{t},{x},1.0,0.0" for t, x in nodes[:-1]],
+        "row-major": ["t,x,re,im"] + [f"{t},{x},1.0,0.0" for x, t in nodes],
+    }
+    for name, match in (("columns", "columns t,x,re,im"), ("lattice", "complete lattice"),
+                        ("row-major", "row-major")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(cases[name]) + "\n")
+        with pytest.raises(ValueError, match=match):
+            read_field_csv(path)
+
+
+def test_non_finite_potential_raises():
+    spec = GridSpec(0.0, 0.5, 0.0, 1.0, 5, 5)
+    with pytest.raises(NumericalError, match="not finite"):
+        sample_potential(spec, lambda t, x: np.where(x > 0.5, np.inf, 0.0))
+
+
+def test_stencils_need_their_node_counts():
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        cumulative_simpson(np.ones(2), 0.1)
+    with pytest.raises(ValueError, match="4 nodes"):
+        one_sided_first_derivative(np.ones((2, 3)), 0.1)

@@ -521,3 +521,14 @@ def test_adjoint_pairing_flux_identity():
     lhs = (inner(t0 + h) - inner(t0 - h)) / (2 * h)
     rhs = flux_at(t0, X) - flux_at(t0, 0.0)
     assert abs(lhs - rhs) <= 1e-5 * (1 + abs(rhs))
+
+
+def test_report_and_inequality_preconditions():
+    from fpkit.verify import DiagnosticReport
+    for count in (-1, 6):
+        with pytest.raises(ValueError, match="violation count"):
+            DiagnosticReport(count, 0.0, 5)
+    spec = GridSpec(0.0, 0.5, -1.0, 1.0, 5, 5)
+    w = sample_field(spec, lambda t, x: closed_w(B_LIN, t, x))
+    with pytest.raises(ValueError, match="x >= 0"):
+        check_inequality(w, B_LIN.horizon_s)
