@@ -20,15 +20,18 @@ Two estimators:
   bridge from x at time 0 to the origin at time s, realized as the
   modulus of a 3-D Brownian bridge (positivity is automatic),
   stepped on the radius alone, and averaged over mirrored path pairs.
-  ``n_steps`` = n asks FK for max(2, ceil(n/2)) intervals of its own mesh,
-  graded toward s, where the sweep takes n chords; each pair's mean
-  integral is a control variate with an exact discrete mean, and the
+  ``n_steps`` = n asks FK for m = 2 max(8, ceil(n/25)) intervals of its
+  own mesh, graded toward s, where the sweep takes n chords.  FK returns
+  the Richardson combination of the trapezoid rules at m and at m/2
+  intervals, whose nodes are the even ones of the m mesh, so one path
+  set serves both.  Each pair's mean of the same combination of the two
+  integrals is a control variate with an exact discrete mean, and the
   reported std_error is that control-variate estimator's.  A level with
   constant f' gives exactly 1 without stepping.
   Its normals and exponentials come from uniforms, ``FK_CHUNK`` steps at
   a time (``_draw_variates``): Box-Muller normals on a float64 radius
   uniform reach 8.57 sigma, and -log(1 - U) exponentials on a float64 U
-  reach 36.7.  The radius steps in float32; the integral sums in float32
+  reach 36.7.  The radius steps in float32; the integrals sum in float32
   within a chunk and in float64 across chunks.
 
 Reproducibility contract: random streams belong to fixed 8,192-path
@@ -457,17 +460,15 @@ def _radial_step(radius: np.ndarray, n_lead: int, shrink: float,
     np.sqrt(radius, out=radius)
 
 
-def _graded_mesh(s: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """FK's time nodes u_j = s (1 - (1 - j/m)^2), j = 0 .. m, with
-    m = max(2, ceil(n_steps / 2)), and the time s - u_j = s ((m - j) / m)^2
-    left at each, free of cancellation.
+def _graded_mesh(s: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """FK's time nodes u_j = s (1 - (1 - j/m)^2), j = 0 .. m, and the time
+    s - u_j = s ((m - j) / m)^2 left at each, free of cancellation.
 
     E[R_u] falls like sqrt(s - u) at the horizon, where a uniform mesh
-    loses most of its accuracy.  These nodes crowd toward s: measured
-    against the hitting-density oracle, the rule's bias at m graded
-    intervals is no larger than at n_steps uniform ones.
+    loses most of its accuracy, and these nodes crowd toward s.  For even
+    m, node 2i is bit for bit node i of the m/2 mesh: (m - 2i)/m and
+    (m/2 - i)/(m/2) are one rational, and each step rounds it alike.
     """
-    m = max(2, -(-n_steps // 2))
     left = s * ((m - np.arange(m + 1)) / m) ** 2
     return s - left, left
 
@@ -492,32 +493,35 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     The bridge is the modulus of a 3-D Brownian bridge from (x, 0, 0) to
     the origin, stepped by exact conditional sampling of the radius alone
     (``_radial_step``: one normal and one exponential per path-step).  The
-    time integral I uses the trapezoid rule on FK's own graded mesh
-    (``_graded_mesh``): ``cfg.n_steps`` = n asks for m = max(2, ceil(n/2))
-    intervals, crowded toward s, where the first-passage sweep takes n
-    chords.  Paths come in mirrored pairs within each 8,192-path block:
-    the block draws for its first half, and its second half steps with the
-    negated normals and the same exponentials; each pair is one sample (a
-    block of odd size leaves one path unpaired).
+    time integral uses the trapezoid rule on FK's own graded mesh
+    (``_graded_mesh``): ``cfg.n_steps`` = n asks for
+    m = 2 max(8, ceil(n/25)) intervals, crowded toward s, where the
+    first-passage sweep takes n chords.  Each path sums two integrals, I_m
+    over every node and I_{m/2} over the even nodes, which are the m/2
+    mesh.  The rule's bias falls like m^-2, so the Richardson value
+    y = (4 exp(-I_m) - exp(-I_{m/2})) / 3 cancels its leading term
+    (Talay & Tubaro 1990).  Paths come in mirrored pairs within each
+    8,192-path block: the block draws for its first half, and its second
+    half steps with the negated normals and the same exponentials; each
+    pair is one sample (a block of odd size leaves one path unpaired).
 
-    Each sample y = mean of exp(-I) over the pair carries the control
-    variate c = mean of I over the pair, whose mean E[I_h] = sum_j coef_j
-    E[R_{u_j}] is exact for the discrete rule (``_bridge_radius_mean``).
-    The estimate is ybar - beta (cbar - E[I_h]), with beta = cov(y, c) /
-    var(c) taken from the same samples; that costs a bias of O(1/count),
-    about 0.005 std_error at 25,000 pairs on f' = 0.5 + 0.3t.  std_error
-    is this estimator's: the residual variance over count - 2 degrees of
-    freedom, over the sample count, so 1 or 2 paths give a single sample
-    and a std_error of 0.0.  A level
-    with constant f' has f'' = 0, so the estimate is exactly 1 with
-    std_error 0.0, and no path is stepped.  Streams come per fixed block
-    and blocks report their sums, reduced in block order, so the estimate
-    is bit for bit the same for any ``n_workers``.
+    Each sample, the pair's mean of y, carries the control variate c, the
+    pair's mean of (4 I_m - I_{m/2}) / 3, whose mean is exact for the
+    discrete rules: E[I] = sum_j coef_j E[R_{u_j}] on either mesh
+    (``_bridge_radius_mean``).  The estimate is ybar - beta (cbar - E[c]),
+    with beta = cov(y, c) / var(c) taken from the same samples; that costs
+    a bias of O(1/count).  std_error is this estimator's: the residual
+    variance over count - 2 degrees of freedom, over the sample count, so
+    1 or 2 paths give a single sample and a std_error of 0.0.  A level with
+    constant f' has f'' = 0, so the estimate is exactly 1 with std_error
+    0.0, and no path is stepped.  Streams come per fixed block and blocks
+    report their sums, reduced in block order, so the estimate is bit for
+    bit the same for any ``n_workers``.
 
     Each block draws the variates of ``FK_CHUNK`` steps at a time from
     uniforms (``_draw_variates``): normals by Box-Muller, which reach
     8.57 sigma, and exponentials as -log(1 - U), which reach 36.7.  The
-    radius steps in float32; the integral sums in float32 within a chunk
+    radius steps in float32; both integrals sum in float32 within a chunk
     and in float64 across chunks.
     """
     if x <= 0.0:
@@ -525,17 +529,23 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     if not any(b.deriv_coeffs[1:]):
         return MCEstimate(1.0, 0.0, cfg.n_paths)
     s = b.horizon_s
-    nodes, left = _graded_mesh(s, cfg.n_steps)
+    # m is even, so that the m/2 mesh of the Richardson pair is its even nodes
+    nodes, left = _graded_mesh(s, 2 * max(8, -(-cfg.n_steps // 25)))
     width = np.diff(nodes)
-    # trapezoid weights folded with f''; the last node (R_s = 0) adds nothing
-    coef = np.asarray(eval_fsecond(b, nodes), dtype=float)
-    coef *= np.append(width, 0.0) + np.append(0.0, width)
-    coef *= 0.5
-    weight = coef[1:-1].astype(np.float32)
-    # E[I_h] of the rule as the paths apply it, with the float32 weights;
-    # samples are centred at it and at exp(-E[I_h]) before they are summed
-    mean_integral = coef[0] * x + float(np.sum(
-        weight * _bridge_radius_mean(x, s, nodes[1:-1], left[1:-1])))
+    fsecond = np.asarray(eval_fsecond(b, nodes), dtype=float)
+    # trapezoid weights folded with f'', on the m mesh and on its even nodes
+    # (0 at the odd ones); the last node (R_s = 0) adds nothing
+    coef = np.zeros((2, nodes.size))
+    for row, stride in zip(coef, (1, 2)):
+        gap = np.diff(nodes[::stride])
+        row[::stride] = 0.5 * fsecond[::stride] * (np.append(gap, 0.0) + np.append(0.0, gap))
+    weight = coef[:, 1:-1].astype(np.float32)
+    # E[I_m] and E[I_{m/2}] of the rules as the paths apply them, with the
+    # float32 weights; samples are centred at E[c] and at exp(-E[c]) before
+    # they are summed
+    means = coef[:, 0] * x + np.sum(
+        weight * _bridge_radius_mean(x, s, nodes[1:-1], left[1:-1]), axis=1)
+    mean_integral = float(4.0 * means[0] - means[1]) / 3.0
     y_centre = math.exp(-mean_integral)
     # step j runs from u_j to u_{j+1}, over the time s - u_j left to the bridge
     n_moves = nodes.size - 2
@@ -555,14 +565,15 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
         n_lead = lead_cuts[-1]
         n_pairs = size - n_lead
         radius = np.full(size, x, dtype=np.float32)
-        integral = np.full(size, coef[0] * x)
+        integral = np.repeat(coef[:, :1] * x, size, axis=1)
         # step i's normals and exponentials side by side: once the step is
-        # taken, their 2 n_lead >= size floats hold its term of the integral,
-        # and the first step's hold the chunk's float32 sum
+        # taken, their 2 n_lead >= size floats hold its term of the
+        # integral.  Step 0's row sums the chunk's terms of I_m; step 1's
+        # (FK_CHUNK is even, so chunks start on even nodes and step i ends
+        # on an m/2 node when i is odd) sums those of I_{m/2}
         variates = np.empty((FK_CHUNK, 2, n_lead), dtype=np.float32)
         z, e = variates[:, 0], variates[:, 1]
         terms = variates.reshape(FK_CHUNK, -1)[:, :size]
-        chunk_sum = terms[0]
         scratch = np.empty((FK_CHUNK + 1) // 2 * ((max(sizes) + 1) // 2))
         draws = [(rng, slice(lo, hi)) for (rng, _), lo, hi
                  in zip(streams, lead_cuts[:-1], lead_cuts[1:])]
@@ -575,25 +586,34 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
             e[:k] *= two_var[chunk]
             for i in range(k):
                 _radial_step(radius, n_lead, shrink[j0 + i], z[i], e[i])
-                np.multiply(radius, weight[j0 + i], out=terms[i])
+                np.multiply(radius, weight[0, j0 + i], out=terms[i])
                 if i:
-                    chunk_sum += terms[i]
-            integral += chunk_sum
-        # in place, in the spent variates, FK_CHUNK >= 3 float64 per lead
-        # path: temporaries here would raise the estimator's peak memory.
-        # Sample i pairs lead path i with path n_lead + i; with an odd last
-        # block, the last lead path is alone
+                    terms[0] += terms[i]
+                if i % 2:
+                    np.multiply(radius, weight[1, j0 + i], out=terms[i])
+                    if i > 1:
+                        terms[1] += terms[i]
+            integral[0] += terms[0]
+            if k > 1:
+                integral[1] += terms[1]
+        # in place from here: temporaries would raise the estimator's peak
+        # memory.  Sample i pairs lead path i with path n_lead + i; with an
+        # odd last block, the last lead path is alone and counts twice in
+        # its pair sum, so the pair mean of 4 v_m - v_{m/2} is its sum / 6
         samples = variates.reshape(-1).view(np.float64)
-        c, y, product = (samples[r * n_lead:(r + 1) * n_lead] for r in range(3))
 
-        def pair_means(out):
-            np.add(integral[:n_pairs], integral[n_lead:], out=out[:n_pairs])
-            out[:n_pairs] *= 0.5
-            out[n_pairs:] = integral[n_pairs:n_lead]
+        def richardson_pair_means(rows, out):
+            np.multiply(rows[0], 4.0, out=out[:size])
+            out[:size] -= rows[1]
+            out[:n_pairs] += out[n_lead:size]
+            out[n_pairs:n_lead] *= 2.0
+            out[:n_lead] /= 6.0
+            return out[:n_lead]
 
-        pair_means(c)
+        c = richardson_pair_means(integral, samples)
         np.exp(np.negative(integral, out=integral), out=integral)
-        pair_means(y)
+        y = richardson_pair_means(integral, integral[0])
+        product = integral[1, :n_lead]
         c -= mean_integral
         y -= y_centre
         results = []

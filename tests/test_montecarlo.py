@@ -379,28 +379,40 @@ def test_drawn_variates_reach_their_tails():
 
 def test_fk_float32_radius_matches_float64_stepping():
     # the estimator steps and sums in float32; stepping its own draws in
-    # float64 here, on the graded mesh u_j = s (1 - (1 - j/m)^2), m = n/2,
-    # with the control-variate estimate, must give the same mean within
-    # 0.01 standard error
+    # float64 here, on the graded mesh u_j = s (1 - (1 - j/m)^2) with
+    # m = 2 max(8, ceil(n/25)), must give the same mean within 0.01 standard
+    # error.  The reference sums the trapezoid rules at m and at m/2
+    # intervals (the even nodes), takes the Richardson pair
+    # (4 exp(-I_m) - exp(-I_{m/2})) / 3 and, as its control variate, the
+    # same pair of the integrals with its exact mean
     cfg = MCConfig(n_paths=20000, n_steps=200, seed=23)
     est = bessel_bridge_fk(B_LIN, 1.0, cfg)
-    s, x, m = B_LIN.horizon_s, 1.0, cfg.n_steps // 2
+    s, x, m = B_LIN.horizon_s, 1.0, 2 * max(8, -(-cfg.n_steps // 25))
     t = s * (1.0 - (1.0 - np.arange(m + 1) / m) ** 2)
-    coef = np.asarray(eval_fsecond(B_LIN, t), dtype=float)
-    coef *= 0.5 * (np.append(np.diff(t), 0.0) + np.append(0.0, np.diff(t)))
+
+    def trapezoid_coef(nodes):
+        width = np.diff(nodes)
+        coef = np.asarray(eval_fsecond(B_LIN, nodes), dtype=float)
+        return coef * 0.5 * (np.append(width, 0.0) + np.append(0.0, width))
+
+    coef_m, coef_h = trapezoid_coef(t), trapezoid_coef(t[::2])
     mu, sig = x * (s - t[1:-1]) / s, np.sqrt(t[1:-1] * (s - t[1:-1]) / s)
-    mean_integral = coef[0] * x + np.sum(coef[1:-1] * _noncentral_chi3_mean(mu, sig))
+    mean_r = _noncentral_chi3_mean(mu, sig)
+    mean_m = coef_m[0] * x + np.sum(coef_m[1:-1] * mean_r)
+    mean_h = coef_h[0] * x + np.sum(coef_h[1:-1] * mean_r[1::2])
+    mean_integral = (4.0 * mean_m - mean_h) / 3.0
     ys, cs = [], []
     for block, lo in enumerate(range(0, cfg.n_paths, BLOCK_SIZE)):
         n = min(BLOCK_SIZE, cfg.n_paths - lo)
         lead, trail = (n + 1) // 2, n // 2
         rng = montecarlo._block_rng(cfg.seed, block)
         radius = np.full(n, x)
-        integral = coef[0] * radius
+        integral_m, integral_h = coef_m[0] * radius, coef_h[0] * radius
         for j0 in range(0, m - 1, FK_CHUNK):
             z, e = _variates(rng, min(FK_CHUNK, m - 1 - j0), lead)
             for i in range(z.shape[0]):
-                tau, dt = s - t[j0 + i], t[j0 + i + 1] - t[j0 + i]
+                j = j0 + i
+                tau, dt = s - t[j], t[j + 1] - t[j]
                 shrink = (tau - dt) / tau
                 var = dt * shrink
                 step = np.sqrt(var) * z[i].astype(float)
@@ -408,8 +420,12 @@ def test_fk_float32_radius_matches_float64_stepping():
                 radius += np.concatenate([step, -step[:trail]])
                 expo = np.concatenate([e[i], e[i][:trail]]).astype(float)
                 radius = np.sqrt(radius ** 2 + 2.0 * var * expo)
-                integral += coef[j0 + i + 1] * radius
-        for vals, out in ((np.exp(-integral), ys), (integral, cs)):
+                integral_m += coef_m[j + 1] * radius
+                if (j + 1) % 2 == 0:
+                    integral_h += coef_h[(j + 1) // 2] * radius
+        y = (4.0 * np.exp(-integral_m) - np.exp(-integral_h)) / 3.0
+        c = (4.0 * integral_m - integral_h) / 3.0
+        for vals, out in ((y, ys), (c, cs)):
             out.append(np.append(0.5 * (vals[:trail] + vals[lead:]), vals[trail:lead]))
     y, c = np.concatenate(ys), np.concatenate(cs)
     cov = np.cov(y, c)
@@ -444,20 +460,41 @@ def _fk_density(b, x0, est):
     return prefactor * est.mean, prefactor * est.std_error
 
 
-@pytest.mark.parametrize("b", [B_LIN, B_DOWN, parse_boundary("s=2; fprime=-0.5,0.6")],
-                         ids=["rising", "falling", "s2"])
+@pytest.mark.parametrize("b", [B_LIN, B_DOWN, parse_boundary("s=2; fprime=-0.5,0.6"),
+                               parse_boundary("s=1; fprime=0,3")],
+                         ids=["rising", "falling", "s2", "strong"])
 def test_fk_density_matches_volterra_oracle(b):
     # the hitting density at the horizon, prefactor x FK, against the
-    # Buonocore-Nobile-Ricciardi solution; the graded mesh keeps FK's bias
-    # far below the control variate's std error
+    # Buonocore-Nobile-Ricciardi solution; the Richardson pair on the graded
+    # mesh keeps FK's bias far below the control variate's std error
     est = bessel_bridge_fk(b, 1.0, MCConfig(50000, 800, seed=808), n_workers=2)
     density, se = _fk_density(b, 1.0, est)
     truth = hitting_density_at(b, 1.0, b.horizon_s)[0]
     assert abs(density - truth) <= 4.0 * se
 
 
+def test_fk_richardson_on_the_coarsest_mesh_matches_volterra_oracle():
+    # --steps 32 gives m = 16 graded intervals, where the plain trapezoid
+    # rule alone is biased by ~90 std errors at 400k paths
+    est = bessel_bridge_fk(B_LIN, 1.0, MCConfig(400000, 32, seed=810), n_workers=2)
+    density, se = _fk_density(B_LIN, 1.0, est)
+    truth = hitting_density_at(B_LIN, 1.0, 1.0)[0]
+    assert abs(density - truth) <= 4.0 * se
+
+
+def test_graded_mesh_even_nodes_are_the_half_mesh():
+    # the Richardson pair shares one path set: node 2i of the m mesh must be
+    # node i of the m/2 mesh bit for bit, and so must the time left
+    for s in (1.0, 1.7):
+        for m in range(16, 201, 2):
+            nodes, left = montecarlo._graded_mesh(s, m)
+            half_nodes, half_left = montecarlo._graded_mesh(s, m // 2)
+            assert nodes[::2].tobytes() == half_nodes.tobytes(), (s, m)
+            assert left[::2].tobytes() == half_left.tobytes(), (s, m)
+
+
 def test_fk_control_variate_std_error():
-    # 3.9e-5 with the plain mean of mirrored pairs
+    # 6.6e-5 with the plain mean of mirrored pairs
     est = bessel_bridge_fk(B_LIN, 1.0, MCConfig(50000, 800, seed=809), n_workers=2)
     assert 0.0 < est.std_error <= 1e-5
 
