@@ -48,12 +48,13 @@ def _finite(out):
 
 
 def closed_form(fn):
-    """The return path of every closed form: ``fn`` runs with float overflow
-    and invalid operations ignored, so a value that underflows gives 0, and
-    its value, or each value of a returned tuple, goes through ``_finite``."""
+    """The return path of every closed form: ``fn`` runs with float overflow,
+    division by zero and invalid operations ignored, so a value that
+    underflows gives 0, and its value, or each value of a returned tuple,
+    goes through ``_finite``."""
     @functools.wraps(fn)
     def checked(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             out = fn(*args, **kwargs)
         return tuple(map(_finite, out)) if isinstance(out, tuple) else _finite(out)
     return checked
@@ -77,15 +78,36 @@ def kernel_n(n: int, t, x):
 
     n = 0 is the heat kernel, n = 1 the derived kernel.  0 <= n <= 12,
     t > 0.  The package's one Gaussian, g_n * exp(-x^2/(2t)) / sqrt(2 pi t),
-    taken left to right.
+    taken left to right; where that is not finite, it is taken again with
+    the scale of g_n moved into the exponent, so a kernel that is finite
+    or 0 in float64 is returned even when g_n alone overflows.
     """
     if not 0 <= n <= MAX_ORDER:
         raise ValueError(f"kernel order must be in [0, {MAX_ORDER}], got {n}")
     _check_t(t)
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    g = next(islice(hermite_factors(t, x), n, None))
-    return g * np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
+
+    def times_gaussian(factor, log_scale=0.0):
+        return factor * np.exp(log_scale - x * x / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
+
+    value = times_gaussian(next(islice(hermite_factors(t, x), n, None)))
+    if np.isfinite(value).all():
+        return value
+    # g_n (or a g_k before it) overflowed, where the Gaussian may vanish.
+    # g_n = sigma^n h_n with sigma = max(|x|/t, 1/sqrt(t)), and h_n follows
+    # the same recurrence at t sigma^2 and x sigma, whose coefficients
+    # x / (t sigma) in [-1, 1] and k / (t sigma^2) <= k keep it in range;
+    # h_n's log and sigma^n join the exponent.  Past the cap,
+    # t sigma^2 = x^2/t makes the Gaussian 0
+    far = x * x > t
+    tau = np.minimum(x * x / t, np.finfo(float).max)
+    h = next(islice(hermite_factors(np.where(far, tau, 1.0),
+                                    np.where(far, np.copysign(tau, x), x / np.sqrt(t))),
+                    n, None))
+    log_sigma = np.where(far, np.log(np.abs(x)) - np.log(t), -0.5 * np.log(t))
+    scaled = times_gaussian(np.sign(h), np.log(np.abs(h)) + n * log_sigma)
+    return np.where(np.isfinite(value), value, scaled)
 
 
 def heat_kernel(t, x):

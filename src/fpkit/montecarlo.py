@@ -27,12 +27,8 @@ Two estimators:
   set serves both.  Each pair's mean of the same combination of the two
   integrals is a control variate with an exact discrete mean, and the
   reported std_error is that control-variate estimator's.  A level with
-  constant f' gives exactly 1 without stepping.
-  Its normals and exponentials come from uniforms, ``FK_CHUNK`` steps at
-  a time (``_draw_variates``): Box-Muller normals on a float64 radius
-  uniform reach 8.57 sigma, and -log(1 - U) exponentials on a float64 U
-  reach 36.7.  The radius steps in float32; the integrals sum in float32
-  within a chunk and in float64 across chunks.
+  constant f' gives exactly 1 without stepping.  Each block draws its
+  float64 normals and exponentials step by step from numpy's Generator.
 
 Reproducibility contract: random streams belong to fixed 8,192-path
 blocks, and block ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``.
@@ -69,9 +65,6 @@ MAX_UNIT_PATHS = 1 << 16
 COARSE_CHORDS = 8
 #: -log of the largest bridge-crossing chance that a stride may skip (2**-64)
 SKIP_LOG_P = 64.0 * np.log(2.0)
-#: steps of the FK estimator whose variates a block draws in one go; a fill
-#: per block and step would cost more numpy calls than the stepping itself
-FK_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -401,43 +394,6 @@ def compare_density(b: Boundary, x0: float, hist: DensityHistogram) -> DensityCo
     return DensityComparison(edges, emp, kappa_mass, ref_mass, z, n)
 
 
-def _draw_variates(rng: np.random.Generator, z: np.ndarray, e: np.ndarray,
-                   u: np.ndarray) -> None:
-    """Fill ``z`` with standard normals and ``e`` with standard exponentials,
-    both float32 of one shape (k, n), from the uniforms of ``rng``; ``u`` is
-    flat float64 scratch of h n values, h = (k + 1) // 2.
-
-    The normals come by Box & Muller (1958) from h rows of float64 uniforms
-    U and then h rows of float32 ones V: pair i has the radius
-    sqrt(-2 log(1 - U)), at most sqrt(106 ln 2) = 8.57 for U = 1 - 2**-53,
-    and the angle 2 pi V; the cosines fill the leading h rows and the sines
-    the rest.  The exponentials are -log(1 - U), at most 53 ln 2 = 36.7,
-    from k further rows of float64 uniforms, h rows at a time.
-    """
-    k, n = z.shape
-    h = (k + 1) // 2
-    radius = u[:h * n].reshape(h, n)
-    rng.random(out=radius)
-    np.negative(radius, out=radius)
-    np.log1p(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=z[:h])
-    # the radii now sit in the cosine rows, and u is free for the angles
-    angle = u.view(np.float32)[:h * n].reshape(h, n)
-    rng.random(dtype=np.float32, out=angle)
-    angle *= np.float32(2.0 * np.pi)
-    np.sin(angle[:k - h], out=z[h:])
-    z[h:] *= z[:k - h]
-    np.cos(angle, out=angle)
-    z[:h] *= angle
-    for rows in (e[:h], e[h:]):
-        expo = u[:rows.size].reshape(rows.shape)
-        rng.random(out=expo)
-        np.negative(expo, out=expo)
-        np.log1p(expo, out=expo)
-        np.negative(expo, out=rows)
-
-
 def _radial_step(radius: np.ndarray, n_lead: int, shrink: float,
                  z: np.ndarray, e: np.ndarray) -> None:
     """One exact bridge step on the radius, in place.
@@ -518,11 +474,10 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     report their sums, reduced in block order, so the estimate is bit for
     bit the same for any ``n_workers``.
 
-    Each block draws the variates of ``FK_CHUNK`` steps at a time from
-    uniforms (``_draw_variates``): normals by Box-Muller, which reach
-    8.57 sigma, and exponentials as -log(1 - U), which reach 36.7.  The
-    radius steps in float32; both integrals sum in float32 within a chunk
-    and in float64 across chunks.
+    At each step every block draws its float64 normals, then its
+    exponentials, from its Generator (``standard_normal`` and
+    ``standard_exponential``), and the radius and both integrals stay in
+    float64.
     """
     if x <= 0.0:
         raise ValueError(f"starting point must be positive, got {x}")
@@ -531,7 +486,6 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     s = b.horizon_s
     # m is even, so that the m/2 mesh of the Richardson pair is its even nodes
     nodes, left = _graded_mesh(s, 2 * max(8, -(-cfg.n_steps // 25)))
-    width = np.diff(nodes)
     fsecond = np.asarray(eval_fsecond(b, nodes), dtype=float)
     # trapezoid weights folded with f'', on the m mesh and on its even nodes
     # (0 at the odd ones); the last node (R_s = 0) adds nothing
@@ -539,91 +493,55 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     for row, stride in zip(coef, (1, 2)):
         gap = np.diff(nodes[::stride])
         row[::stride] = 0.5 * fsecond[::stride] * (np.append(gap, 0.0) + np.append(0.0, gap))
-    weight = coef[:, 1:-1].astype(np.float32)
-    # E[I_m] and E[I_{m/2}] of the rules as the paths apply them, with the
-    # float32 weights; samples are centred at E[c] and at exp(-E[c]) before
-    # they are summed
+    weight = coef[:, 1:-1]
+    # E[I_m] and E[I_{m/2}] of the discrete rules; samples are centred at
+    # E[c] and at exp(-E[c]) before they are summed
     means = coef[:, 0] * x + np.sum(
         weight * _bridge_radius_mean(x, s, nodes[1:-1], left[1:-1]), axis=1)
     mean_integral = float(4.0 * means[0] - means[1]) / 3.0
     y_centre = math.exp(-mean_integral)
     # step j runs from u_j to u_{j+1}, over the time s - u_j left to the bridge
-    n_moves = nodes.size - 2
     shrink = left[1:-1] / left[:-2]
-    var = width[:-1] * shrink
-    root_var = np.sqrt(var).astype(np.float32)[:, None]
-    two_var = (2.0 * var).astype(np.float32)[:, None]
-    shrink = shrink.astype(np.float32)
+    var = np.diff(nodes)[:-1] * shrink
 
     def worker(streams, size: int):
         # the unit's radii hold every block's first half (the larger one
         # when its size is odd) in block order, then every block's second
         # half; BLOCK_SIZE is even, so only the unit's last block can be odd
         # and second-half path i mirrors first-half path i
-        sizes = [part.stop - part.start for _, part in streams]
-        lead_cuts = np.cumsum([0] + [(n + 1) // 2 for n in sizes])
+        lead_cuts = np.cumsum([0] + [(part.stop - part.start + 1) // 2 for _, part in streams])
         n_lead = lead_cuts[-1]
         n_pairs = size - n_lead
-        radius = np.full(size, x, dtype=np.float32)
+        radius = np.full(size, x)
         integral = np.repeat(coef[:, :1] * x, size, axis=1)
-        # step i's normals and exponentials side by side: once the step is
-        # taken, their 2 n_lead >= size floats hold its term of the
-        # integral.  Step 0's row sums the chunk's terms of I_m; step 1's
-        # (FK_CHUNK is even, so chunks start on even nodes and step i ends
-        # on an m/2 node when i is odd) sums those of I_{m/2}
-        variates = np.empty((FK_CHUNK, 2, n_lead), dtype=np.float32)
-        z, e = variates[:, 0], variates[:, 1]
-        terms = variates.reshape(FK_CHUNK, -1)[:, :size]
-        scratch = np.empty((FK_CHUNK + 1) // 2 * ((max(sizes) + 1) // 2))
+        term = np.empty(size)
+        z = np.empty(n_lead)
+        e = np.empty(n_lead)
         draws = [(rng, slice(lo, hi)) for (rng, _), lo, hi
                  in zip(streams, lead_cuts[:-1], lead_cuts[1:])]
-        for j0 in range(0, n_moves, FK_CHUNK):
-            chunk = slice(j0, min(j0 + FK_CHUNK, n_moves))
-            k = chunk.stop - j0
+        for j in range(nodes.size - 2):
             for rng, part in draws:
-                _draw_variates(rng, z[:k, part], e[:k, part], scratch)
-            z[:k] *= root_var[chunk]
-            e[:k] *= two_var[chunk]
-            for i in range(k):
-                _radial_step(radius, n_lead, shrink[j0 + i], z[i], e[i])
-                np.multiply(radius, weight[0, j0 + i], out=terms[i])
-                if i:
-                    terms[0] += terms[i]
-                if i % 2:
-                    np.multiply(radius, weight[1, j0 + i], out=terms[i])
-                    if i > 1:
-                        terms[1] += terms[i]
-            integral[0] += terms[0]
-            if k > 1:
-                integral[1] += terms[1]
-        # in place from here: temporaries would raise the estimator's peak
-        # memory.  Sample i pairs lead path i with path n_lead + i; with an
-        # odd last block, the last lead path is alone and counts twice in
-        # its pair sum, so the pair mean of 4 v_m - v_{m/2} is its sum / 6
-        samples = variates.reshape(-1).view(np.float64)
+                rng.standard_normal(out=z[part])
+                rng.standard_exponential(out=e[part])
+            z *= math.sqrt(var[j])
+            e *= 2.0 * var[j]
+            _radial_step(radius, n_lead, shrink[j], z, e)
+            for row, w in zip(integral, weight[:, j]):
+                if w:
+                    row += np.multiply(radius, w, out=term)
+        # freed first, so that the samples' temporaries below take their place
+        del radius, term, z, e
 
-        def richardson_pair_means(rows, out):
-            np.multiply(rows[0], 4.0, out=out[:size])
-            out[:size] -= rows[1]
-            out[:n_pairs] += out[n_lead:size]
-            out[n_pairs:n_lead] *= 2.0
-            out[:n_lead] /= 6.0
-            return out[:n_lead]
+        def pair_means(v):
+            # sample i pairs lead path i with path n_lead + i; with an odd
+            # last block, the last lead path is alone and is its own sample
+            return np.append(0.5 * (v[:n_pairs] + v[n_lead:]), v[n_pairs:n_lead])
 
-        c = richardson_pair_means(integral, samples)
-        np.exp(np.negative(integral, out=integral), out=integral)
-        y = richardson_pair_means(integral, integral[0])
-        product = integral[1, :n_lead]
-        c -= mean_integral
-        y -= y_centre
-        results = []
-        for lo, hi in zip(lead_cuts[:-1], lead_cuts[1:]):
-            block = slice(lo, hi)
-            sums = [float(np.sum(y[block])), float(np.sum(c[block]))]
-            for f, g in ((y, y), (c, c), (y, c)):
-                sums.append(float(np.sum(np.multiply(f[block], g[block], out=product[block]))))
-            results.append((int(hi - lo), *sums))
-        return results
+        c = pair_means((4.0 * integral[0] - integral[1]) / 3.0) - mean_integral
+        y = pair_means((4.0 * np.exp(-integral[0]) - np.exp(-integral[1])) / 3.0) - y_centre
+        blocks = [(y[lo:hi], c[lo:hi]) for lo, hi in zip(lead_cuts[:-1], lead_cuts[1:])]
+        return [(yb.size, *(float(np.sum(v)) for v in (yb, cb, yb * yb, cb * cb, yb * cb)))
+                for yb, cb in blocks]
 
     results = _run_blocks(worker, cfg.seed, cfg.n_paths, n_workers)
     count, sum_y, sum_c, sum_yy, sum_cc, sum_yc = (sum(col) for col in zip(*results))

@@ -117,14 +117,26 @@ def test_rejected_run_creates_no_out_dir(tmp_path, monkeypatch, argv):
     ["transform", "--boundary", "s=1; fprime=1", "--lam", "1.5", "--grid", "0:0.5:5,0:800:11"],
     # closed w at t = 0, x = -35 on f' = 70t is ~exp(816)
     ["solution", "--boundary", "s=1; fprime=0,70", "--grid", "0:0.5:5,-35:0:8"],
-    # g_12 ~ (x/t)^12 = 1e360 against a Gaussian of exp(-5e29)
-    ["kernels", "--t", "1e-30", "--x", "1", "--n", "12"],
+    # at x = 0, g_12 = 10395 / t^6 = 1e292 against a Gaussian of 4e23
+    ["kernels", "--t", "1e-48", "--x", "0", "--n", "12"],
 ], ids=["transform", "solution", "kernels"])
 def test_numerical_failure_creates_no_out_dir(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 3
     assert "not a finite float64" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_kernels_that_are_zero_in_float64_give_zero(tmp_path):
+    # g_12 ~ (x/t)^12 = 1e360, or x/t itself, overflows while the Gaussian
+    # is 0: the kernel is 0, not refused
+    from fpkit.kernels import derived_kernel, kernel_n
+
+    assert kernel_n(12, 1e-30, 1.0) == 0.0
+    assert derived_kernel(5e-324, 1.0) == 0.0
+    assert main(["kernels", "--t", "1e-30", "--x", "1", "--n", "12",
+                 "--out", str(tmp_path)]) == 0
+    assert [float(row["value"]) for row in read_csv(tmp_path / "kernels.csv")] == [0.0]
 
 
 def test_verify_corrupted_field_fails_with_report(tmp_path):

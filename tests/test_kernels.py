@@ -132,9 +132,19 @@ def test_simpson_weights_need_an_odd_count_of_three_or_more():
 
 
 def test_kernel_overflow_raises():
-    # g_12 ~ (x/t)^12 = 1e360 overflows while the Gaussian underflows: inf * 0
-    # is refused, as a scalar and inside an array
+    # at x = 0, g_12 = 10395 / t^6 = 1e292 and the Gaussian is
+    # 1 / sqrt(2 pi t) = 4e23: the kernel itself overflows, and is refused
+    # as a scalar and inside an array
     with pytest.raises(NumericalError, match="finite"):
-        kernel_n(12, 1e-30, 1.0)
+        kernel_n(12, 1e-48, 0.0)
     with pytest.raises(NumericalError, match="finite"):
-        kernel_n(12, 1e-30, np.array([0.0, 1.0]))
+        kernel_n(12, 1e-48, np.array([0.0, 1.0]))
+
+
+def test_kernel_past_an_overflowing_factor_is_returned():
+    # at x = 1e-301, t = 1e-75 the recurrence passes g_10 = -945 / t^5,
+    # which overflows, yet g_11 = -10395 x / t^6 (1 + O(x^2/t)) and the
+    # kernel, -1.3e190, are finite
+    x, t = 1e-301, 1e-75
+    leading = -np.exp(np.log(10395 * x) - 6.5 * np.log(t) - 0.5 * np.log(2.0 * np.pi))
+    assert kernel_n(11, t, x) == pytest.approx(leading, rel=1e-12)

@@ -61,3 +61,11 @@ def test_kernels_take_one_gaussian():
     callers = {fn.name for fn in _functions("kernels.py") for node in ast.walk(fn)
                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.exp"}
     assert callers == {"kernel_n"}
+
+
+def test_montecarlo_draws_only_numpy_samplers():
+    # normals and exponentials come from the Generator's own samplers, so
+    # no hand-made transform of uniforms (Box-Muller, -log(1 - U)) returns
+    calls = {ast.unparse(node.func) for node in ast.walk(_tree("montecarlo.py"))
+             if isinstance(node, ast.Call)}
+    assert not calls & {"np.sin", "np.cos", "np.log1p"}

@@ -1,18 +1,16 @@
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.stats import expon, invgauss, kstest, norm
+from scipy.stats import invgauss, kstest, norm
 
 from chi_square import chi_square_two_sample, chi_square_vs_reference
 from fpkit import montecarlo
 from fpkit.boundary import (Boundary, eval_fprime, eval_fsecond, integral_fprime_sq,
                             parse_boundary)
-from fpkit.montecarlo import (BLOCK_SIZE, FK_CHUNK, MAX_UNIT_PATHS, DensityHistogram,
-                              MCConfig, bessel_bridge_fk, compare_density,
-                              first_passage_histogram, kappa_time_density,
-                              reference_time_density, _bin_masses, _draw_variates,
+from fpkit.montecarlo import (BLOCK_SIZE, MAX_UNIT_PATHS, DensityHistogram, MCConfig,
+                              bessel_bridge_fk, compare_density, first_passage_histogram,
+                              kappa_time_density, reference_time_density, _bin_masses,
                               _hit_times, _radial_step)
 from volterra_oracle import hitting_density_at, trapezoid_density
 
@@ -223,11 +221,11 @@ def test_compare_density_empty_bin_z_floors_variance_at_one_path():
 
 
 def test_fk_constant_slope_gives_exactly_one(monkeypatch):
-    # f'' = 0 makes every trapezoid weight 0: no path may be stepped
-    def draw(*args):
-        raise AssertionError("FK drew variates on a level with f'' = 0")
+    # f'' = 0 makes every trapezoid weight 0: no stream may even be made
+    def stream(*args):
+        raise AssertionError("FK made a stream on a level with f'' = 0")
 
-    monkeypatch.setattr(montecarlo, "_draw_variates", draw)
+    monkeypatch.setattr(montecarlo, "_block_rng", stream)
     cfg = MCConfig(n_paths=4000, n_steps=50, seed=7)
     est = bessel_bridge_fk(B_UP, 1.0, cfg)  # f'' = 0
     assert est.mean == 1.0
@@ -340,51 +338,15 @@ def test_radial_step_mirror_steps_with_negated_normals():
     assert paired.tobytes() == plain.tobytes()
 
 
-def _variates(rng, k, n):
-    z = np.empty((k, n), dtype=np.float32)
-    e = np.empty((k, n), dtype=np.float32)
-    _draw_variates(rng, z, e, np.empty((k + 1) // 2 * n))
-    return z, e
-
-
-@pytest.mark.parametrize("which, law", [(0, norm), (1, expon)], ids=["normal", "exponential"])
-def test_drawn_variates_follow_their_laws(which, law):
-    # 1M draws against N(0, 1) or Exp(1): chi-square over 50 equiprobable
-    # cells, the last of them the remainder cell of chi_square_vs_reference
-    sample = _variates(np.random.default_rng(99), FK_CHUNK, 10 ** 6 // FK_CHUNK)[which]
-    cells = 50
-    inner_edges = law.ppf(np.arange(1, cells) / cells)
-    counts = np.bincount(np.searchsorted(inner_edges, sample.ravel()), minlength=cells)
-    hist = SimpleNamespace(masses=counts[:-1] / sample.size, n_total=sample.size)
-    stat, p = chi_square_vs_reference(hist, np.full(cells - 1, 1.0 / cells))
-    assert p > 0.001, (stat, p)
-
-
-class _ExtremeUniforms:
-    """Stands in for a generator whose every float64 uniform is the largest,
-    1 - 2**-53, and whose every float32 uniform is 0."""
-
-    def random(self, dtype=np.float64, out=None):
-        out[...] = 1.0 - 2.0 ** -53 if dtype == np.float64 else 0.0
-
-
-def test_drawn_variates_reach_their_tails():
-    # the smallest 1 - U, 2**-53, gives the radius sqrt(106 ln 2) = 8.57 at
-    # angle 0 and the exponential 53 ln 2 = 36.7
-    z, e = _variates(_ExtremeUniforms(), FK_CHUNK, 5)
-    h = (FK_CHUNK + 1) // 2
-    assert z[:h].min() > 8.0
-    assert e.min() > 36.0
-
-
-def test_fk_float32_radius_matches_float64_stepping():
-    # the estimator steps and sums in float32; stepping its own draws in
-    # float64 here, on the graded mesh u_j = s (1 - (1 - j/m)^2) with
-    # m = 2 max(8, ceil(n/25)), must give the same mean within 0.01 standard
-    # error.  The reference sums the trapezoid rules at m and at m/2
-    # intervals (the even nodes), takes the Richardson pair
-    # (4 exp(-I_m) - exp(-I_{m/2})) / 3 and, as its control variate, the
-    # same pair of the integrals with its exact mean
+def test_fk_matches_a_per_block_float64_reference():
+    # one block at a time, drawing per step its normals and then its
+    # exponentials, as the estimator does, and stepping on the graded mesh
+    # u_j = s (1 - (1 - j/m)^2) with m = 2 max(8, ceil(n/25)).  Both take
+    # the same draws in float64, so only rounding may part the means: they
+    # must agree within 1e-9 standard error.  The reference sums the trapezoid
+    # rules at m and at m/2 intervals (the even nodes), takes the Richardson
+    # pair (4 exp(-I_m) - exp(-I_{m/2})) / 3 and, as its control variate,
+    # the same pair of the integrals with its exact mean
     cfg = MCConfig(n_paths=20000, n_steps=200, seed=23)
     est = bessel_bridge_fk(B_LIN, 1.0, cfg)
     s, x, m = B_LIN.horizon_s, 1.0, 2 * max(8, -(-cfg.n_steps // 25))
@@ -408,21 +370,18 @@ def test_fk_float32_radius_matches_float64_stepping():
         rng = montecarlo._block_rng(cfg.seed, block)
         radius = np.full(n, x)
         integral_m, integral_h = coef_m[0] * radius, coef_h[0] * radius
-        for j0 in range(0, m - 1, FK_CHUNK):
-            z, e = _variates(rng, min(FK_CHUNK, m - 1 - j0), lead)
-            for i in range(z.shape[0]):
-                j = j0 + i
-                tau, dt = s - t[j], t[j + 1] - t[j]
-                shrink = (tau - dt) / tau
-                var = dt * shrink
-                step = np.sqrt(var) * z[i].astype(float)
-                radius *= shrink
-                radius += np.concatenate([step, -step[:trail]])
-                expo = np.concatenate([e[i], e[i][:trail]]).astype(float)
-                radius = np.sqrt(radius ** 2 + 2.0 * var * expo)
-                integral_m += coef_m[j + 1] * radius
-                if (j + 1) % 2 == 0:
-                    integral_h += coef_h[(j + 1) // 2] * radius
+        for j in range(m - 1):
+            z, e = rng.standard_normal(lead), rng.standard_exponential(lead)
+            tau, dt = s - t[j], t[j + 1] - t[j]
+            shrink = (tau - dt) / tau
+            var = dt * shrink
+            step = np.sqrt(var) * z
+            radius *= shrink
+            radius += np.concatenate([step, -step[:trail]])
+            radius = np.sqrt(radius ** 2 + 2.0 * var * np.concatenate([e, e[:trail]]))
+            integral_m += coef_m[j + 1] * radius
+            if (j + 1) % 2 == 0:
+                integral_h += coef_h[(j + 1) // 2] * radius
         y = (4.0 * np.exp(-integral_m) - np.exp(-integral_h)) / 3.0
         c = (4.0 * integral_m - integral_h) / 3.0
         for vals, out in ((y, ys), (c, cs)):
@@ -430,7 +389,7 @@ def test_fk_float32_radius_matches_float64_stepping():
     y, c = np.concatenate(ys), np.concatenate(cs)
     cov = np.cov(y, c)
     mean64 = y.mean() - cov[0, 1] / cov[1, 1] * (c.mean() - mean_integral)
-    assert abs(est.mean - mean64) <= 0.01 * est.std_error
+    assert abs(est.mean - mean64) <= 1e-9 * est.std_error
 
 
 @pytest.mark.parametrize("slope", [0.7, -0.5])
