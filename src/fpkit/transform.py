@@ -15,14 +15,10 @@ Numerics: the per-row x-integral uses 4th-order cumulative Simpson (odd
 nx required); B2 is integrated in t by the same one-step 4th-order
 cumulative rule with B2(0) = 0; boundary x-derivatives at x = 0 use
 one-sided 4-point stencils, whose leading error cancels between the
-Phi_x u and Phi u_x terms.  d^2/dx^2 log Phi works on Phi's real and
-imaginary planes (``log_planes_xx``).  Its real part is the residual
-check's 3-point stencil ``second_difference_x`` of log|Phi|, taken as
-0.5 log(re^2 + im^2), or as log(hypot(re, im)) when a square overflows.
-Its imaginary part is the difference of consecutive x-steps of the phase
-arctan2(im, re), over dx^2.  Only a step of size pi or more is
-corrected, modulo 2 pi as np.unwrap would, so the phase itself is never
-unwrapped along the row.
+Phi_x u and Phi u_x terms.  ``log_phi_xx`` takes d^2/dx^2 log Phi of a
+sampled field: the residual check's 3-point stencil ``second_difference_x``
+on log|Phi|, and the difference of the phase's x-steps, each wrapped into
+[-pi, pi] as np.unwrap would, so the phase itself is never unwrapped.
 """
 
 from __future__ import annotations
@@ -96,103 +92,36 @@ def _magnitudes(mags: np.ndarray) -> np.ndarray:
     return mags
 
 
-def _second_difference_rows(out: np.ndarray, a: np.ndarray, dx: float) -> None:
-    """d^2/dx^2 of ``a`` along its rows into ``out``.  An edge column takes
-    the stencil on its three nearest nodes summed from the edge, which on
-    the right is the neighbour's value."""
-    second_difference_x(a, dx, out[:, 1:-1])
-    second_difference_x(a[:, 2::-1], dx, out[:, :1])
-    out[:, -1] = out[:, -2]
-
-
-def _unwrap_steps(steps: np.ndarray, scratch: np.ndarray) -> None:
-    """Correct, in place and as np.unwrap would, the x-steps of a wrapped
-    phase that reach pi in size, to their value modulo 2 pi in [-pi, pi].
-    A step left within 1e-9 of pi is refused.  ``scratch`` is a float64
-    buffer of ``steps``' shape."""
-    limit = np.pi * (1.0 - 1e-9)
-    flat = steps.reshape(-1)
-    near = np.flatnonzero(np.abs(steps, out=scratch) >= limit)
-    if near.size == 0:
-        return
-    step = flat[near]
-    wrapped = np.mod(step + np.pi, 2.0 * np.pi) - np.pi
-    wrapped[(wrapped == -np.pi) & (step > 0.0)] = np.pi
-    step = np.where(np.abs(step) >= np.pi, wrapped, step)
-    if np.abs(step).max() >= limit:
-        raise NumericalError("phase jump of ~pi between adjacent x nodes; grid does not "
-                             "resolve the field's oscillation (need |lam| * dx < pi)")
-    flat[near] = step
-
-
-def _log_modulus(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """log|re + i im| as 0.5 log(re^2 + im^2), refused as ``_magnitudes``
-    refuses hypot(re, im).  When the largest square is not finite (it
-    overflowed, or is NaN) the modulus is hypot(re, im) instead.
-
-    The refusal stays the one on hypot: a node with hypot(re, im) <=
-    MIN_FIELD_MAGNITUDE has re^2 + im^2 <= MIN_FIELD_MAGNITUDE^2 up to a
-    few ulp, so every such node is among those whose square lies within
-    a relative 1e-12 above that bound, and hypot is taken on those alone.
-    """
-    with np.errstate(over="ignore"):
-        sq = np.multiply(re, re)
-        sq += np.square(im)
-    if not np.isfinite(sq.max()):
-        return np.log(_magnitudes(np.hypot(re, im, out=sq)), out=sq)
-    bound = MIN_FIELD_MAGNITUDE ** 2 * (1.0 + 1e-12)
-    if sq.min() <= bound:
-        near = sq <= bound
-        _magnitudes(np.hypot(re[near], im[near]))
-    np.log(sq, out=sq)
-    sq *= 0.5
-    return sq
-
-
-def log_planes_xx(re: np.ndarray, im: np.ndarray | None, dx: float):
-    """Second x-derivative of log Phi = log|Phi| + i * phase along the rows
-    of Phi = re + i * im, given as float64 planes (``im`` None for a real
-    Phi).  Returns its real and imaginary planes, the latter None for a
-    real Phi.  A real Phi must keep its sign along each x-row; a complex
-    Phi's phase must step by less than pi between x nodes.
-
-    log|Phi| is log|re| for a real Phi and 0.5 log(re^2 + im^2) for a
-    complex one (``_log_modulus``).  The phase's second difference is the
-    difference of its x-steps, taken from arctan2(im, re); a step of size
-    pi or more is corrected modulo 2 pi, as np.unwrap would.
-    """
-    if im is None:
-        log_mag = _magnitudes(np.abs(re))
-        if np.diff(np.signbit(re), axis=1).any():
-            raise NumericalError("real Phi changes sign between adjacent x nodes")
-        np.log(log_mag, out=log_mag)
-    else:
-        log_mag = _log_modulus(re, im)
-    xx_re = np.empty(re.shape)
-    _second_difference_rows(xx_re, log_mag, dx)
-    if im is None:
-        return xx_re, None
-    steps = np.diff(np.arctan2(im, re, out=log_mag), axis=1)
-    xx_im = log_mag  # the phase's buffer, free once its steps are taken
-    _unwrap_steps(steps, xx_im[:, 1:])
-    np.subtract(steps[:, 1:], steps[:, :-1], out=xx_im[:, 1:-1])
-    xx_im[:, 1:-1] /= dx * dx
-    xx_im[:, 0] = xx_im[:, 1]
-    xx_im[:, -1] = xx_im[:, -2]
-    return xx_re, xx_im
-
-
 def log_phi_xx(phi: GridField) -> GridField:
-    """``log_planes_xx`` of a sampled field, as a field."""
-    values = phi.values
-    xx_re, xx_im = log_planes_xx(values.real,
-                                 values.imag if np.iscomplexobj(values) else None,
-                                 phi.spec.dx)
-    if xx_im is None:
-        return GridField(phi.spec, xx_re)
-    out = np.empty(values.shape, dtype=complex)
-    out.real = xx_re
-    out.imag = xx_im
+    """Second x-derivative of log Phi = log|Phi| + i * phase along the rows
+    of a sampled field, at the interior columns, each edge column taking
+    its neighbour's value.  Its real part is the 3-point stencil
+    ``second_difference_x`` of log|Phi|; its imaginary part is the
+    difference of consecutive x-steps of Phi's angle over dx^2, each step
+    of size pi or more taken modulo 2 pi, as np.unwrap would.
+
+    Refused: a magnitude at or below MIN_FIELD_MAGNITUDE, a real Phi that
+    changes sign between x nodes, and a phase step within 1e-9 of pi in
+    size, which the grid does not resolve.
+    """
+    values, dx = phi.values, phi.spec.dx
+    log = _magnitudes(np.abs(values))
+    np.log(log, out=log)
+    out = np.empty(values.shape, dtype=values.dtype)
+    second_difference_x(log, dx, out.real[:, 1:-1])
+    if np.iscomplexobj(values):
+        steps = np.diff(np.angle(values), axis=1)
+        wrapped = np.abs(steps) >= np.pi
+        steps[wrapped] = np.mod(steps[wrapped] + np.pi, 2.0 * np.pi) - np.pi
+        if np.abs(steps).max() >= np.pi * (1.0 - 1e-9):
+            raise NumericalError("phase jump of ~pi between adjacent x nodes; grid does not "
+                                 "resolve the field's oscillation (need |lam| * dx < pi)")
+        phase_xx = np.subtract(steps[:, 1:], steps[:, :-1], out=out.imag[:, 1:-1])
+        phase_xx /= dx * dx
+    elif np.diff(np.signbit(values), axis=1).any():
+        raise NumericalError("real Phi changes sign between adjacent x nodes")
+    out[:, 0] = out[:, 1]
+    out[:, -1] = out[:, -2]
     return GridField(phi.spec, out)
 
 

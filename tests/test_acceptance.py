@@ -21,9 +21,9 @@ from fpkit.montecarlo import (MCConfig, _bin_masses, bessel_bridge_fk, first_pas
                               reference_time_density)
 from fpkit.solutions import GammaPoly
 from fpkit.transform import bluman_shtelen_w, log_phi_xx
-from fpkit.verify import (check_inequality, check_vanishing_at_origin, product_spread,
-                          quadrature_match, residual_backward, residual_forward,
-                          transform_target, zero_identity_gap)
+from fpkit.verify import (check_inequality, check_vanishing_at_origin, form_preservation,
+                          product_spread, quadrature_match, residual_backward,
+                          residual_forward, transform_target, zero_identity_gap)
 
 B_ACC = fp.parse_boundary("s=1; fprime=0.5,0.3")
 V_ACC = fp.boundary_potential(B_ACC)
@@ -68,12 +68,16 @@ def test_criterion_02_adjoint_residual():
 
 
 def test_criterion_03_form_preservation():
+    # on the whole fine grid, at its own dx, and as verify takes it: on the
+    # grid's t rows at the x spacing nearest 0.05
     worst = 0.0
     for lam in (0.0, 1.5):
         phi = sample_field(GRID_ACC, lambda t, x: fp.phi_lambda(B_ACC, lam, t, x))
         worst = max(worst, float(np.max(np.abs(log_phi_xx(phi).values))))
-    ok = worst <= 1e-8
-    report(3, ok, f"max |d2/dx2 log phi| = {worst:.3e} (tol 1e-8)")
+    shared = form_preservation(B_ACC, GRID_ACC)
+    ok = worst <= 1e-8 and shared <= 1e-8
+    report(3, ok, f"max |d2/dx2 log phi| = {worst:.3e} on the grid, {shared:.3e} on the "
+                  "0.05 stencil (tol 1e-8)")
     assert ok
 
 

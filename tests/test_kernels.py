@@ -148,3 +148,20 @@ def test_kernel_past_an_overflowing_factor_is_returned():
     x, t = 1e-301, 1e-75
     leading = -np.exp(np.log(10395 * x) - 6.5 * np.log(t) - 0.5 * np.log(2.0 * np.pi))
     assert kernel_n(11, t, x) == pytest.approx(leading, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, t, x", [(12, 1e-30, 4e-14), (8, 1.32e-155, -2.45e-76)])
+def test_kernel_past_an_underflowing_gaussian_is_returned(n, t, x):
+    # exp(-x^2/2t) is 0 in float64 (z^2/2 = 800 and 2273 with z = x/sqrt(t)),
+    # before g_n (finite at n = 12, overflowing at n = 8) and 1/sqrt(2 pi t)
+    # scale it back up: the kernel t^(-(n+1)/2) He_n(z) exp(-z^2/2) / sqrt(2 pi),
+    # He_n the probabilists' Hermite polynomial, is 2.36e-134 and 5.53e-277
+    z = x / np.sqrt(t)
+    he = np.polynomial.hermite_e.hermeval(z, [0.0] * n + [1.0])
+    expected = np.sign(he) * np.exp(np.log(abs(he)) - 0.5 * (n + 1) * np.log(t)
+                                    - 0.5 * z * z - 0.5 * np.log(2.0 * np.pi))
+    assert expected > 1e-300
+    assert kernel_n(n, t, x) == pytest.approx(expected, rel=1e-11, abs=0.0)
+    # inside an array beside a kernel taken directly, each keeps its scalar bits
+    both = kernel_n(n, np.array([t, 1.0]), np.array([x, 0.5]))
+    assert both[0] == kernel_n(n, t, x) and both[1] == kernel_n(n, 1.0, 0.5)

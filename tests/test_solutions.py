@@ -5,7 +5,8 @@ import pytest
 
 from fpkit.boundary import Boundary, integral_fprime, parse_boundary
 from fpkit.grids import NumericalError
-from fpkit.kernels import derived_kernel, heat_kernel, simpson_weights
+from fpkit.kernels import (default_half_width, derived_kernel, heat_kernel, simpson_weights,
+                           symmetric_simpson)
 from fpkit.solutions import (GammaPoly, b2_first, b2_second, closed_w, closed_w2_terms,
                              closed_w_gamma, kappa, phi_lambda, phi_lambda_planes,
                              product_phi_u, u_lambda, w1_lambda, w2_lambda)
@@ -219,6 +220,23 @@ def test_w2_minus_w1_identity():
         expected = ((integral_fprime(b, 0.0, b.horizon_s) + 1j * lam * b.horizon_s)
                     * u_lambda(b, lam, t, x))
         assert abs(gap - expected) <= 1e-12 * (1 + abs(expected))
+
+
+def test_second_solution_vanishes_by_lambda_quadrature():
+    # an oracle for "the second solution vanishes" apart from closed_w2_terms:
+    # the lambda-quadrature of w2_lambda itself, at 50 (t, x) on
+    # f' = 0.5 + 0.3t, normalised by 1 + A with A = exp(int_t^s f'^2/2 + x f'(t)),
+    # since A X k(s - t, X) falls to ~1e-70 near the horizon.  It reads
+    # 9.1e-17 at worst
+    fprime = np.polynomial.Polynomial([0.5, 0.3])
+    rise, rise_sq = fprime.integ(), (fprime * fprime).integ()
+    s = B_LIN.horizon_s
+    rng = np.random.default_rng(20240505)
+    for t, x in rng.uniform([0.0, 0.0], [s - 0.05, 3.0], (50, 2)):
+        half_width = default_half_width(s - t, x + rise(s) - rise(t))
+        quad = symmetric_simpson(lambda lam: w2_lambda(B_LIN, lam, t, x), half_width, 16001)
+        a = np.exp(0.5 * (rise_sq(s) - rise_sq(t)) + x * fprime(t))
+        assert abs(quad) <= 1e-14 * (1.0 + a), (t, x)
 
 
 # ---------------------------------------------------------------- closed forms

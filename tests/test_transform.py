@@ -7,8 +7,8 @@ import fpkit.transform as transform
 from fpkit.boundary import boundary_potential, integral_fprime, parse_boundary
 from fpkit.grids import (GridField, GridSpec, NumericalError, read_field_csv, sample_field,
                          sample_potential, transform_grid, write_field_csv)
-from fpkit.solutions import closed_w, phi_lambda, phi_lambda_planes, u_lambda
-from fpkit.transform import (bluman_shtelen_w, cumulative_simpson, log_phi_xx, log_planes_xx,
+from fpkit.solutions import closed_w, phi_lambda, u_lambda
+from fpkit.transform import (bluman_shtelen_w, cumulative_simpson, log_phi_xx,
                              one_sided_first_derivative)
 from fpkit.verify import residual_backward
 
@@ -234,75 +234,34 @@ def test_log_phi_xx_matches_unwrap_oracle_at_a_step_just_under_pi(sign):
     np.testing.assert_allclose(out, 0.6, rtol=0.0, atol=ORACLE_ATOL)
 
 
-def test_log_planes_xx_memory_is_a_few_planes():
-    # the plane routine holds log|Phi| (later the phase, then the phase's
-    # second difference), the real output and the phase's x-steps: measured
-    # 3.13-3.40 planes' bytes from 201x301 up to 901x2951.  The complex
-    # routine it replaced peaked at ~7 planes (3.5 complex fields).
-    spec = GridSpec(0.0, 0.9, 0.0, 3.0, 201, 301)
-    tt, xx = spec.mesh()
-    re, im = phi_lambda_planes(B_LIN, 1.5, tt, xx)
-    tracemalloc.start()
-    try:
-        log_planes_xx(re, im, spec.dx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * re.nbytes
-
-
-def test_log_modulus_matches_log_hypot():
-    # 0.5 log(re^2 + im^2) against log(hypot(re, im)): the square errs by
-    # ~1.5 ulp, hypot by 1, and each log by 1 ulp of its size, so 4 ulp of
-    # max(1, |log|Phi||) bounds the gap.  On near-ties |re| ~ |im| too
-    rng = np.random.default_rng(11)
-    angle = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 4000),
-                            np.pi / 4 + rng.integers(-4, 5, 1000) * 1e-16])
-    eps = np.finfo(float).eps
-    for scale in (1.0, 3e-10, 1e-5, 1e5, 1e150):
-        radius = scale * np.exp(rng.uniform(-3.0, 3.0, angle.size))
-        re, im = radius * np.cos(angle), radius * np.sin(angle)
-        expected = np.log(np.hypot(re, im))
-        got = transform._log_modulus(re, im)
-        assert np.all(np.abs(got - expected) <= 4 * eps * np.maximum(1.0, np.abs(expected)))
-
-
-def test_log_modulus_falls_back_to_hypot_when_a_square_overflows():
-    # one square past float64, or a NaN, sends the whole plane to hypot: the
-    # result is log(hypot(re, im)) bit for bit, with no overflow warning
-    rng = np.random.default_rng(12)
-    re, im = rng.normal(size=(2, 5, 7))
-    for big in (1e155, 1e200, 1.7e308, np.nan):
-        re_big, im_big = re.copy(), im.copy()
-        re_big[2, 3], im_big[4, 0] = big, -big
-        np.testing.assert_array_equal(transform._log_modulus(re_big, im_big),
-                                      np.log(np.hypot(re_big, im_big)))
-
-
 def test_log_modulus_refuses_as_hypot_does_at_the_magnitude_floor():
-    # radii within a few ulp of MIN_FIELD_MAGNITUDE, at angles off the axes:
-    # refused exactly when hypot(re, im) <= MIN_FIELD_MAGNITUDE, with the
-    # smallest hypot in the message; squares that underflow are refused too
+    # log_phi_xx takes log|Phi| of radii within a few ulp of
+    # MIN_FIELD_MAGNITUDE, at angles off the axes: refused exactly when
+    # hypot(re, im) <= MIN_FIELD_MAGNITUDE, with the smallest hypot in the
+    # message; radii down to 0 and the smallest subnormal are refused too
     floor = transform.MIN_FIELD_MAGNITUDE
     eps = np.finfo(float).eps
+    spec = GridSpec(0.0, 1.0, 0.0, 0.2, 3, 3)
+
+    def field(first):
+        return GridField(spec, np.array([[first, 1.0 + 0.5j, 2.0]] * 3))
+
     outcomes = set()
     for k in range(-6, 7):
         for angle in (0.0, 0.3, np.pi / 4, 1.2):
-            radius = floor * (1.0 + k * eps)
-            re = np.array([[radius * np.cos(angle), 1.0, 2.0]])
-            im = np.array([[radius * np.sin(angle), 0.5, 0.0]])
-            smallest = np.hypot(re, im).min()
+            phi = field(floor * (1.0 + k * eps) * np.exp(1j * angle))
+            smallest = np.hypot(phi.values.real, phi.values.imag).min()
             refused = smallest <= floor
             outcomes.add(refused)
             if refused:
                 with pytest.raises(NumericalError, match=f"magnitude {smallest:.3e} at or"):
-                    log_planes_xx(re, im, 0.1)
+                    log_phi_xx(phi)
             else:
-                log_planes_xx(re, im, 0.1)
+                log_phi_xx(phi)
     assert outcomes == {True, False}
     for tiny in (0.0, 1e-170, 5e-324):
         with pytest.raises(NumericalError, match="at or below"):
-            log_planes_xx(np.array([[tiny, 1.0, 1.0]]), np.array([[tiny, 0.0, 0.0]]), 0.1)
+            log_phi_xx(field(tiny * (1.0 + 1.0j)))
 
 
 def test_log_phi_xx_rejects_unresolved_phase():

@@ -19,7 +19,6 @@ from fpkit.kernels import simpson_weights
 from fpkit.parallel import run_in_order
 from fpkit.solutions import (GammaPoly, closed_w, closed_w_gamma, phi_lambda, phi_lambda_planes,
                              u_lambda)
-from fpkit.transform import log_phi_xx
 from fpkit.verify import (TOLERANCES, CheckResult, check_inequality,
                           check_vanishing_at_origin, product_spread, quadrature_match,
                           residual_backward, residual_forward, run_checks, zero_identity_gap)
@@ -174,13 +173,12 @@ def test_streamed_field_keeps_whole_field_dtype_rule(monkeypatch):
         return values.real, values.imag
 
     field = sample_field(spec, fn)
-    expected = ([residual_forward(GridField(spec, field.values.real), V_LIN),
-                 residual_forward(GridField(spec, field.values.imag), V_LIN)],
-                float(np.max(np.abs(log_phi_xx(field).values))))
+    expected = [residual_forward(GridField(spec, field.values.real), V_LIN),
+                residual_forward(GridField(spec, field.values.imag), V_LIN)]
     for height in (1, 4, spec.nt):
         monkeypatch.setattr(verify, "BLOCK_NODES", height * spec.nx)
-        assert verify._stream_checks(spec, partial(sample_planes, spec, planes), V_LIN, +1.0,
-                                     True) == expected
+        assert verify._stream_checks(spec, partial(sample_planes, spec, planes), V_LIN,
+                                     +1.0) == expected
 
 
 def fine_grid_peak(nt, n_workers):
@@ -208,29 +206,27 @@ def test_fine_grid_memory_two_workers_at_most_two_blocks():
     assert fine_grid_peak(321, 2) <= 2.0 * fine_grid_peak(321, 1)
 
 
-def test_max_modulus_is_the_largest_complex_abs():
-    # the prefilter on re^2 + im^2 must not lose the largest |re + i im|:
-    # near-ties on a circle, squares that overflow or underflow, zeros, NaN
-    rng = np.random.default_rng(7)
-    angle = rng.uniform(0.0, 2.0 * np.pi, 5000)
-    cases = [rng.normal(size=(2, 40, 30))]
-    for scale in (1.0, 1e-9, 1e200, 1e-170, 1e-320):
-        radius = scale * (1.0 + rng.integers(-3, 4, angle.size) * np.finfo(float).eps)
-        cases.append(np.stack([radius * np.cos(angle), radius * np.sin(angle)]))
-    cases += [np.zeros((2, 3, 4)), np.array([[1.0, np.nan], [0.5, 2.0]]),
-              np.array([[1e300, -1e300], [1e300, 1e-300]])]
-    for re, im in cases:
-        expected = np.max(np.abs(re + 1j * im))
-        got = verify._max_modulus(re, im)
-        assert got == expected or (np.isnan(got) and np.isnan(expected))
+def test_form_preservation_does_not_fail_under_refinement():
+    # the form check samples Phi on the grid's t rows and x extents at the
+    # x spacing nearest 0.05, so refining x changes none of its bits.  At
+    # each grid's own dx the stencil's roundoff would read 2.81e-9, 1.12e-8
+    # and 4.49e-8 here, 4x per halving.  Only the form entry is judged: at
+    # nt = 9 other checks fail by design
+    values = set()
+    for nx in (2951, 5901, 11801):
+        _, _, diagnostics = run_checks(B_LIN, GridSpec(0.0, 0.9, 0.05, 3.0, 9, nx),
+                                       SMALL_TSPEC, TOLERANCES, 0, 1.0, None)
+        values.add(diagnostics["form_preservation_max_abs"])
+    assert len(values) == 1
+    assert values.pop() <= TOLERANCES["tol_form_preservation"]
 
 
 def test_complex_phi_pass_works_on_real_planes(monkeypatch):
-    # the lam = 1.5 pass never unwraps, takes no cos, sin or hypot on more
-    # nodes than one grid row, and holds no complex block: at one worker its
-    # traced peak is 6.6 of its halo'd block planes (float64, and half as
-    # tall as a real field's), where sampling and checking a complex128
-    # block peaked at 9.1
+    # the lam = 1.5 pass never unwraps, takes no cos, sin, hypot, log or
+    # arctan2 on more nodes than one grid row (form preservation is not
+    # taken on its blocks), and holds no complex block: at one worker its
+    # traced peak is 4.7 of its halo'd block planes (float64, and half as
+    # tall as a real field's)
     spec = GridSpec(0.0, 0.9, 0.05, 3.0, 161, 2951)
 
     def no_unwrap(*args, **kwargs):
@@ -244,19 +240,19 @@ def test_complex_phi_pass_works_on_real_planes(monkeypatch):
         return guarded
 
     monkeypatch.setattr(np, "unwrap", no_unwrap)
-    for name in ("cos", "sin", "hypot"):
+    for name in ("cos", "sin", "hypot", "log", "arctan2"):
         monkeypatch.setattr(np, name, at_most_a_row(name, getattr(np, name)))
     plane = (verify.BLOCK_NODES // (2 * spec.nx) + 4) * spec.nx * 8
     tracemalloc.start()
     try:
-        reports, form_max = verify._stream_checks(
+        reports = verify._stream_checks(
             spec, partial(sample_planes, spec, lambda t, x: phi_lambda_planes(B_LIN, 1.5, t, x)),
-            V_LIN, +1.0, True, planes=2)
+            V_LIN, +1.0, planes=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(reports) == 2 and 0.0 < form_max < TOLERANCES["tol_form_preservation"]
-    assert peak < 8 * plane
+    assert len(reports) == 2
+    assert peak < 6 * plane
 
 
 @pytest.mark.parametrize("seed", [7, 1, 123])
