@@ -90,10 +90,13 @@ def _parse_range(text: str) -> np.ndarray:
     return a + step * np.arange(n)
 
 
-def _parse_grid(text: str, b: Boundary, engine: bool = False) -> GridSpec:
+def _parse_grid(text: str, b: Boundary, engine: bool = False,
+                flag: str | None = None) -> GridSpec:
     """``tmin:tmax:nt,xmin:xmax:nx`` whose times keep s - t >= 0.05.
 
     ``engine`` makes it the transformation engine's grid (``transform_grid``).
+    A ``flag`` names the option of a grid that residual checks will read,
+    which then needs at least 5 x 5 nodes.
     """
     try:
         t_part, x_part = text.split(",")
@@ -105,6 +108,8 @@ def _parse_grid(text: str, b: Boundary, engine: bool = False) -> GridSpec:
         raise ConfigError(f"grid must be 'tmin:tmax:nt,xmin:xmax:nx', got {text!r}") from exc
     if engine:
         spec = transform_grid(spec.t_min, spec.t_max, spec.x_max, spec.nt, spec.nx)
+    if flag is not None and min(spec.nt, spec.nx) < 5:
+        raise ConfigError(f"{flag} needs at least 5 x 5 nodes, got {spec.nt}x{spec.nx}")
     if spec.t_max > b.horizon_s - 0.05:
         raise ConfigError(f"grid {text!r} must keep s - t >= 0.05 (s = {b.horizon_s})")
     return spec
@@ -273,11 +278,13 @@ def cmd_solution(args) -> None:
 
 def cmd_verify(args) -> None:
     b = _boundary(args)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     # --fast's 4x coarser grid relaxes the residual tolerances on it by 20
     scale = 20.0 if args.fast and args.grid is None else 1.0
     default_grid = "0:0.9:226,0.05:3:739" if args.fast else "0:0.9:901,0.05:3:2951"
-    spec = _parse_grid(default_grid if args.grid is None else args.grid, b)
-    tspec = _parse_grid(args.transform_grid, b, engine=True)
+    spec = _parse_grid(default_grid if args.grid is None else args.grid, b, flag="--grid")
+    tspec = _parse_grid(args.transform_grid, b, engine=True, flag="--transform-grid")
     tols = {name: getattr(args, name) for name in TOLERANCES}
     try:
         field = None if args.field is None else read_field_csv(args.field)
@@ -299,7 +306,7 @@ def cmd_verify(args) -> None:
 
 def cmd_transform(args) -> None:
     b = _boundary(args)
-    spec = _parse_grid(args.grid, b, engine=True)
+    spec = _parse_grid(args.grid, b, engine=True, flag="--grid")
     u = sample_field(spec, lambda t, x: u_lambda(b, args.lam, t, x))
     phi = sample_field(spec, lambda t, x: phi_lambda(b, args.lam, t, x))
     w = bluman_shtelen_w(u, phi)

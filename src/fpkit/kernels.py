@@ -79,27 +79,19 @@ def kernel_n(n: int, t, x):
     n = 0 is the heat kernel, n = 1 the derived kernel.  0 <= n <= 12,
     t > 0.  The package's one Gaussian, g_n * exp(-x^2/(2t)) / sqrt(2 pi t),
     taken left to right; where that is not finite, or is 0 while g_n is
-    not, it is taken again with the scale of g_n moved into the exponent
-    (and with 1/sqrt(2 pi t) as well where the exp alone leaves float64),
-    so a kernel that is finite or 0 in float64 is returned even when g_n
-    alone overflows or the Gaussian alone underflows.
+    not, it is taken again once, in log space, with the scale of g_n and
+    1/sqrt(2 pi t) moved into the exponent, so a kernel that is finite or 0
+    in float64 is returned even when g_n alone overflows or the Gaussian
+    alone underflows.
     """
     if not 0 <= n <= MAX_ORDER:
         raise ValueError(f"kernel order must be in [0, {MAX_ORDER}], got {n}")
     _check_t(t)
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-
-    def times_gaussian(factor, log_scale=0.0):
-        return factor * np.exp(log_scale - x * x / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
-
-    def lost(value, factor):
-        """Where ``value`` is not finite, or is 0 though ``factor`` is not."""
-        return ~np.isfinite(value) | ((value == 0.0) & (factor != 0.0))
-
     g = next(islice(hermite_factors(t, x), n, None))
-    value = times_gaussian(g)
-    redo = lost(value, g)
+    value = g * np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
+    redo = ~np.isfinite(value) | ((value == 0.0) & (g != 0.0))
     if not redo.any():
         return value
     # g_n (or a g_k before it) overflowed where the Gaussian may vanish, or
@@ -107,21 +99,17 @@ def kernel_n(n: int, t, x):
     # g_n = sigma^n h_n with sigma = max(|x|/t, 1/sqrt(t)), and h_n follows
     # the same recurrence at t sigma^2 and x sigma, whose coefficients
     # x / (t sigma) in [-1, 1] and k / (t sigma^2) <= k keep it in range;
-    # h_n's log and sigma^n join the exponent.  Past the cap,
-    # t sigma^2 = x^2/t makes the Gaussian 0
+    # h_n's log, sigma^n and the Gaussian's factors all join one exponent.
+    # Past the cap, t sigma^2 = x^2/t makes the Gaussian 0
     far = x * x > t
     tau = np.minimum(x * x / t, np.finfo(float).max)
     h = next(islice(hermite_factors(np.where(far, tau, 1.0),
                                     np.where(far, np.copysign(tau, x), x / np.sqrt(t))),
                     n, None))
     log_sigma = np.where(far, np.log(np.abs(x)) - np.log(t), -0.5 * np.log(t))
-    log_scale = np.log(np.abs(h)) + n * log_sigma
-    scaled = times_gaussian(np.sign(h), log_scale)
-    # where that exp still leaves float64 before the division by
-    # sqrt(2 pi t), the division joins the exponent too
-    log_scale -= 0.5 * np.log(2.0 * np.pi * t) + x * x / (2.0 * t)
-    folded = np.sign(h) * np.exp(log_scale)
-    return np.where(redo, np.where(lost(scaled, h), folded, scaled), value)
+    log_k = (np.log(np.abs(h)) + n * log_sigma - 0.5 * np.log(2.0 * np.pi * t)
+             - x * x / (2.0 * t))
+    return np.where(redo, np.sign(h) * np.exp(log_k), value)
 
 
 def heat_kernel(t, x):

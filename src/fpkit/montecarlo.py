@@ -127,7 +127,6 @@ class DensityComparison:
     kappa_mass: np.ndarray
     reference_mass: np.ndarray
     z_scores: np.ndarray
-    n_total: int
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -391,7 +390,7 @@ def compare_density(b: Boundary, x0: float, hist: DensityHistogram) -> DensityCo
     emp, n = hist.masses, hist.n_total
     se = np.sqrt(np.maximum(emp * (1.0 - emp), 1.0 / n) / n)
     z = (emp - kappa_mass) / se
-    return DensityComparison(edges, emp, kappa_mass, ref_mass, z, n)
+    return DensityComparison(edges, emp, kappa_mass, ref_mass, z)
 
 
 def _radial_step(radius: np.ndarray, n_lead: int, shrink: float,

@@ -12,25 +12,25 @@ magnitude (floored at 1e-12) because the solutions decay exponentially
 in x and pointwise relative error is meaningless in the tail.
 
 Residuals are streamed through blocks of rows, ``BLOCK_NODES // nx``
-rows high (half that for Phi at lam != 0, sampled as two planes),
-so no grid-sized temporary is built.  A block carries a 2-row halo on
-each side for the five-point time stencil.  The one-sided rows are used
-only at the grid's first and last interior rows, never at a seam between
-blocks.  Each block yields its own results: its largest
+rows high, so no grid-sized temporary is built.  A block carries a 2-row
+halo on each side for the five-point time stencil.  The one-sided rows
+are used only at the grid's first and last interior rows, never at a
+seam between blocks.  Each block yields its own results: its largest
 |residual| with its first row-major position, and its largest |w|.
 They are reduced in block order, a later block taking the maximum only
 when it is strictly greater, so the report is the whole-grid one bit for
 bit.  One walker, ``_stream_checks``, takes every residual, reading each
-block with its halo from a block source: the rows of a sampled field for
-``residual_backward``/``residual_forward``, and for ``run_checks``' three
-fine-grid fields (closed w, and Phi at lam = 0 and 1.5) the block sampled
-afresh, so that no whole field is held.  A sampled block is two
-contiguous float64 planes, Re and Im (``phi_lambda_planes``; Im is None
-for a real field), and no complex block is built.  No cos or sin runs
-per node of a block: Phi's phase takes them once per row and once per
-column.  A block whose Im plane is all zero counts as real, and the
-imaginary entry exists when some block has a nonzero Im plane, the whole
-field's dtype rule.
+block with its halo from one or more sources: the rows of a sampled
+field for ``residual_backward``/``residual_forward``, and for
+``run_checks``' three fine-grid fields (closed w, and Phi at lam = 0 and
+1.5) the block sampled afresh, so that no whole field is held.  The
+three share one walk: each block samples the potential once and takes
+the fields' residuals in turn, dropping one field's planes before it
+samples the next.  A sampled block is two contiguous float64 planes, Re
+and Im (``phi_lambda_planes``; Im is None for a real field), and no
+complex block is built.  No cos or sin runs per node of a block: Phi's
+phase takes them once per row and once per column.  A field with an Im
+plane gets an imaginary entry, also where that plane is all zero.
 
 Form preservation (log Phi affine in x, so d2/dx2 log Phi = 0 and the
 Bluman-Shtelen step keeps the potential) is taken once, before the
@@ -53,8 +53,9 @@ asserted, since derived closed forms can violate the bound (the
 fixed-boundary case with s > 1 does).
 
 ``run_checks`` is the suite behind ``fpkit verify``; the acceptance tests
-share its form check (``form_preservation``) and its per-point measures
-(``transform_target``, ``zero_identity_gap``, ``product_spread``).
+share its form check (``form_preservation``), its transformation-loop
+check (``transform_loop``) and its per-point measures
+(``zero_identity_gap``, ``product_spread``).
 """
 
 from __future__ import annotations
@@ -130,12 +131,10 @@ class DiagnosticReport:
         }
 
 
-#: Nodes per row block of a residual or fine-grid pass on a real field: 32
-#: rows of the default 901x2951 grid.  The block height is this over nx, so
-#: memory is flat in nt and nx; each worker holds one block's arrays at a
-#: time.  A complex field's block, two planes per node, is half as tall, so
-#: the blocks of every pass hold about the same bytes.
-BLOCK_NODES = 96_000
+#: Nodes per row block of a residual walk: 16 rows of the default 901x2951
+#: grid.  The block height is this over nx, so memory is flat in nt and nx;
+#: each worker holds one block of one field at a time.
+BLOCK_NODES = 48_000
 
 #: x spacing of the form-preservation stencil, whatever the grid's dx: a
 #: wide stencil keeps its roundoff floor, ~eps |log Phi| / dx^2, far below
@@ -143,13 +142,13 @@ BLOCK_NODES = 96_000
 FORM_STENCIL_DX = 0.05
 
 
-def _row_blocks(spec: GridSpec, planes: int = 1):
-    """Yield (lo, r0, r1, hi) per row block of a field of ``planes`` float64
-    planes.  The own rows r0..r1-1 of the blocks partition the grid; rows
-    lo..hi-1 add the 2-row halo that the time stencil reads, widened at the
-    grid's first and last rows to the five rows of the one-sided stencils."""
+def _row_blocks(spec: GridSpec):
+    """Yield (lo, r0, r1, hi) per row block of ``spec``.  The own rows
+    r0..r1-1 of the blocks partition the grid; rows lo..hi-1 add the 2-row
+    halo that the time stencil reads, widened at the grid's first and last
+    rows to the five rows of the one-sided stencils."""
     nt = spec.nt
-    height = max(1, BLOCK_NODES // (planes * spec.nx))
+    height = max(1, BLOCK_NODES // spec.nx)
     for r0 in range(0, nt, height):
         r1 = min(r0 + height, nt)
         yield max(0, min(r0 - 2, nt - 5)), r0, r1, min(nt, max(r1 + 2, 5))
@@ -215,12 +214,6 @@ def _block_peaks(spec: GridSpec, time_sign: float, w: np.ndarray, vv: np.ndarray
     return scale, (float(mags[i, j]), ra - 1 + int(i), int(j))
 
 
-def _zero_peaks(spec: GridSpec, r0: int, r1: int):
-    """``_block_peaks`` of a block whose w is identically 0."""
-    ra = max(r0, 1)
-    return 0.0, ((0.0, ra - 1, 0) if ra < min(r1, spec.nt - 1) else None)
-
-
 def _residual_report(spec: GridSpec, entries) -> ResidualReport:
     """The whole-grid report from the blocks' ``_block_peaks`` entries, in
     block order: np.argmax takes the first block holding the maximum (or a
@@ -233,48 +226,44 @@ def _residual_report(spec: GridSpec, entries) -> ResidualReport:
     return ResidualReport(max_abs, max_abs / scale, float(t_at), float(x_at), spec)
 
 
-def _stream_checks(spec: GridSpec, planes_of: Callable, v: Callable, time_sign: float,
-                   n_workers: int = 1, planes: int = 1) -> list[ResidualReport]:
-    """Residual reports over ``spec``, one row block at a time:
-    ``planes_of(lo, hi)`` gives the field's grid rows lo..hi-1 as (re, im).
-    ``im`` is None when ``re`` holds the whole field, real or complex; a
-    complex ``re`` gets one report, of complex moduli.  ``planes`` is 2 when
-    the blocks hold two planes, which halves the block height.
+def _stream_checks(spec: GridSpec, sources, v: Callable,
+                   n_workers: int = 1) -> list[list[ResidualReport]]:
+    """Residual reports of every source over ``spec``, in one walk of its row
+    blocks.  A source is (planes_of, time_sign): ``planes_of(lo, hi)`` gives
+    the field's grid rows lo..hi-1 as (re, im).  ``im`` is None when ``re``
+    holds the whole field, real or complex; a complex ``re`` gets one report,
+    of complex moduli.  Each block samples the potential once, then takes
+    the sources in turn, dropping one source's planes before the next's.
 
-    Returns one report for ``re`` and, when any block holds a nonzero
-    ``im``, one for ``im``.
+    Returns, per source, one report for ``re`` and, when the source yields
+    an ``im`` plane, one for ``im``.
     """
     _check_residual_grid(spec)
 
     def block(rows):
         lo, r0, r1, hi = rows
-        re, im = planes_of(lo, hi)
         vv = sample_potential(spec, v, lo, hi)
-        if im is not None and not np.any(im):
-            im = None
-        re_peaks = _block_peaks(spec, time_sign, re, vv, lo, r0, r1)
-        im_peaks = (_zero_peaks(spec, r0, r1) if im is None
-                    else _block_peaks(spec, time_sign, im, vv, lo, r0, r1))
-        return re_peaks, im_peaks, im is not None
+        return [[_block_peaks(spec, time_sign, plane, vv, lo, r0, r1)
+                 for plane in planes_of(lo, hi) if plane is not None]
+                for planes_of, time_sign in sources]
 
-    results = run_in_order(block, list(_row_blocks(spec, planes)), n_workers)
-    parts = [[re for re, _, _ in results]]
-    if any(is_complex for _, _, is_complex in results):
-        parts.append([im for _, im, _ in results])
-    return [_residual_report(spec, entries) for entries in parts]
+    results = run_in_order(block, list(_row_blocks(spec)), n_workers)
+    return [[_residual_report(spec, entries) for entries in zip(*per_block)]
+            for per_block in zip(*results)]
 
 
 def residual_backward(w: GridField, v: Callable, n_workers: int = 1) -> ResidualReport:
     """Residual of -w_t + V w - w_xx/2 at interior nodes; V is the (t, x)
     function ``v``.  The report is the same for any ``n_workers``."""
-    (report,) = _stream_checks(w.spec, lambda lo, hi: (w.values[lo:hi], None), v, -1.0,
-                               n_workers)
+    ((report,),) = _stream_checks(w.spec, [(lambda lo, hi: (w.values[lo:hi], None), -1.0)],
+                                  v, n_workers)
     return report
 
 
 def residual_forward(phi: GridField, v: Callable) -> ResidualReport:
     """Residual of +Phi_t + V Phi - Phi_xx/2 at interior nodes."""
-    (report,) = _stream_checks(phi.spec, lambda lo, hi: (phi.values[lo:hi], None), v, +1.0)
+    ((report,),) = _stream_checks(phi.spec, [(lambda lo, hi: (phi.values[lo:hi], None), +1.0)],
+                                  v)
     return report
 
 
@@ -363,11 +352,19 @@ def quadrature_match(b: Boundary, g: GammaPoly, t: float, x: float,
     return abs(closed - quad) / (1.0 + abs(closed))
 
 
-def transform_target(b: Boundary, t, x):
-    """Analytic lambda = 0 target of the transformation loop: (x - int_0^t f') u_0."""
-    u0 = u_lambda(b, 0.0, t, x)
-    u0 *= np.asarray(x) - integral_fprime(b, 0.0, t)
-    return u0
+def transform_loop(b: Boundary, tspec: GridSpec):
+    """The transformation loop at lam = 0 on ``tspec``: (dev, w_engine), with
+    w_engine the ``bluman_shtelen_w`` of u_0 and Phi_0 sampled on ``tspec``,
+    and dev its largest deviation from the analytic target
+    (x - int_0^t f') u_0 over the grid, relative to the target's largest
+    magnitude (floored at 1e-12)."""
+    u0 = sample_field(tspec, lambda t, x: u_lambda(b, 0.0, t, x))
+    w_engine = bluman_shtelen_w(u0, sample_field(tspec, lambda t, x: phi_lambda(b, 0.0, t, x)))
+    tt, xx = tspec.mesh()
+    target = u0.values * (xx - integral_fprime(b, 0.0, tt))
+    dev = float(np.max(_abs(w_engine.values - target))
+                / max(float(np.max(np.abs(target))), RELATIVE_FLOOR))
+    return dev, w_engine
 
 
 def zero_identity_gap(b: Boundary, t, x):
@@ -420,7 +417,8 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     order, 10 quadrature, 200 zero-identity and 20 product draws; the 200
     zero-identity (t, x) pairs come from one call, which draws the numbers
     that 200 calls for t and then x would.  Form preservation is taken
-    first, on its own small fields (``form_preservation``).
+    first, on its own small fields (``form_preservation``); closed w and
+    Phi at lam = 0 and 1.5 then share one walk of ``spec``'s row blocks.
     Residual row blocks run ``n_workers`` at a time; the results do not
     depend on it.
     """
@@ -436,13 +434,13 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     if field is not None:
         residual_check("external_field_backward", "external field residual",
                        residual_backward(field, v1, n_workers), tols["tol_backward"])
-    w_rows = partial(sample_planes, spec, lambda t, x: (closed_w(b, t, x), None))
-    (rep_w,) = _stream_checks(spec, w_rows, v1, -1.0, n_workers)
+    sources = [(partial(sample_planes, spec, lambda t, x: (closed_w(b, t, x), None)), -1.0)]
+    sources += [(partial(sample_planes, spec, partial(phi_lambda_planes, b, lam)), +1.0)
+                for lam in (0.0, 1.5)]
+    (rep_w,), *phi_reps = _stream_checks(spec, sources, v1, n_workers)
     residual_check("backward_closed_w", "backward residual (closed w)", rep_w,
                    tols["tol_backward"] * grid_scale)
-    for lam in (0.0, 1.5):
-        phi_rows = partial(sample_planes, spec, lambda t, x: phi_lambda_planes(b, lam, t, x))
-        reps = _stream_checks(spec, phi_rows, v1, +1.0, n_workers, 2 if lam else 1)
+    for lam, reps in zip((0.0, 1.5), phi_reps):
         for name, rep in zip(("re", "im"), reps):
             residual_check(f"forward_phi_lam{lam}_{name}",
                            f"forward residual (phi, lam={lam}, {name})",
@@ -450,11 +448,7 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     checks.append(CheckResult("form preservation (d2/dx2 log phi)", "max_abs",
                               form_pres_max, tols["tol_form_preservation"]))
 
-    w_engine = bluman_shtelen_w(sample_field(tspec, lambda t, x: u_lambda(b, 0.0, t, x)),
-                                sample_field(tspec, lambda t, x: phi_lambda(b, 0.0, t, x)))
-    target = sample_field(tspec, lambda t, x: transform_target(b, t, x)).values
-    dev = float(np.max(_abs(w_engine.values - target))
-                / max(float(np.max(np.abs(target))), RELATIVE_FLOOR))
+    dev, w_engine = transform_loop(b, tspec)
     checks.append(CheckResult("transform loop vs analytic target", "max_rel_dev", dev,
                               tols["tol_transform"]))
     residual_check("backward_transform_w", "transform loop residual",

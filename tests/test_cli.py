@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fpkit.cli as cli
 from fpkit.cli import build_parser, main
 from fpkit.grids import read_field_csv
 from fpkit.verify import TOLERANCES
@@ -110,6 +111,41 @@ def test_rejected_run_creates_no_out_dir(tmp_path, monkeypatch, argv):
     (tmp_path / "three_columns.csv").write_text("t,x,re\n0,0,1\n0,1,1\n1,0,1\n1,1,1\n")
     assert main(argv + ["--out", "out"]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--seed", "-3"], "--seed"),
+    (["verify", "--grid", "0:0.9:4,0.05:3:61"], "--grid"),
+    (["verify", "--transform-grid", "0:0.9:91,0:3:3"], "--transform-grid"),
+    (["transform", "--grid", "0:0.9:91,0:3:3"], "--grid"),
+], ids=["verify-seed", "verify-grid", "verify-transform-grid", "transform-grid"])
+def test_bad_verify_and_transform_inputs_fail_before_sampling(tmp_path, monkeypatch, capsys,
+                                                              argv, flag):
+    # rejected with the flag's name before any field is sampled, where numpy's
+    # or the stencil's own error would name neither
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the inputs were checked")
+
+    monkeypatch.setattr(cli, "run_checks", never)
+    monkeypatch.setattr(cli, "sample_field", never)
+    out = tmp_path / "out"
+    argv = argv[:1] + ["--boundary", "s=1; fprime=0.5,0.3"] + argv[1:] + ["--out", str(out)]
+    assert main(argv) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_takes_large_seeds(tmp_path, monkeypatch):
+    seeds = []
+
+    def record(b, spec, tspec, tols, seed, *args, **kwargs):
+        seeds.append(seed)
+        return [], {}, {}
+
+    monkeypatch.setattr(cli, "run_checks", record)
+    assert main(["verify", "--boundary", "s=1; fprime=0", "--seed", str(2 ** 70),
+                 "--out", str(tmp_path)]) == 0
+    assert seeds == [2 ** 70]
 
 
 @pytest.mark.parametrize("argv", [

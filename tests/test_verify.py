@@ -141,12 +141,18 @@ def test_row_block_seams_change_no_report(monkeypatch, nt, n_workers):
     w = sample_field(spec, lambda t, x: closed_w(B_LIN, t, x))
     u = sample_field(spec, lambda t, x: u_lambda(B_LIN, 1.5, t, x))
     assert u.values.dtype == np.complex128
+    sources = [(partial(sample_planes, spec, lambda t, x: (closed_w(B_LIN, t, x), None)), -1.0)]
+    sources += [(partial(sample_planes, spec, partial(phi_lambda_planes, B_LIN, lam)), +1.0)
+                for lam in (0.0, 1.5)]
     results = {}
     for height in (1, 2, 3, 5, nt):
         monkeypatch.setattr(verify, "BLOCK_NODES", height * spec.nx)
         results[height] = (fine_grid_results(spec, n_workers),
                            residual_backward(w, V_LIN, n_workers).to_json(),
                            residual_backward(u, V_LIN, n_workers).to_json())
+        # the one walk of run_checks reports each source as its own walk does
+        assert verify._stream_checks(spec, sources, V_LIN, n_workers) == [
+            verify._stream_checks(spec, [source], V_LIN, n_workers)[0] for source in sources]
     whole = results[nt]
     (residuals, form_max), field_rep, u_rep = whole
     assert set(residuals) == {"backward_closed_w", "forward_phi_lam0.0_re",
@@ -177,8 +183,40 @@ def test_streamed_field_keeps_whole_field_dtype_rule(monkeypatch):
                 residual_forward(GridField(spec, field.values.imag), V_LIN)]
     for height in (1, 4, spec.nt):
         monkeypatch.setattr(verify, "BLOCK_NODES", height * spec.nx)
-        assert verify._stream_checks(spec, partial(sample_planes, spec, planes), V_LIN,
-                                     +1.0) == expected
+        assert verify._stream_checks(spec, [(partial(sample_planes, spec, planes), +1.0)],
+                                     V_LIN) == [expected]
+
+
+def test_all_zero_im_plane_gets_an_all_zero_report():
+    # a source that yields an Im plane gets an imaginary report, zero when
+    # the plane is zero everywhere: no block's Im plane counts as absent
+    spec = GridSpec(0.0, 0.8, 0.1, 2.5, 23, 41)
+
+    def planes(t, x):
+        re = phi_lambda(B_LIN, 0.0, t, x)
+        return re, np.zeros_like(re)
+
+    ((re_rep, im_rep),) = verify._stream_checks(
+        spec, [(partial(sample_planes, spec, planes), +1.0)], V_LIN)
+    assert re_rep == residual_forward(sample_field(spec, partial(phi_lambda, B_LIN, 0.0)), V_LIN)
+    assert (im_rep.max_abs, im_rep.max_rel) == (0.0, 0.0)
+    assert (im_rep.t_at_max, im_rep.x_at_max) == (spec.t_min + spec.dt, spec.x_min + spec.dx)
+
+
+def test_run_checks_samples_the_potential_once_per_fine_grid_block(monkeypatch):
+    # closed w and Phi at lam = 0 and 1.5 share one walk of the fine grid
+    spec = GridSpec(0.0, 0.8, 0.1, 2.5, 29, 61)
+    monkeypatch.setattr(verify, "BLOCK_NODES", 4 * spec.nx)
+    calls = []
+    original = verify.sample_potential
+
+    def counted(grid, *args, **kwargs):
+        calls.append(grid)
+        return original(grid, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "sample_potential", counted)
+    run_checks(B_LIN, spec, SMALL_TSPEC, TOLERANCES, 0, 1.0, None)
+    assert calls.count(spec) == len(list(verify._row_blocks(spec))) == 8
 
 
 def fine_grid_peak(nt, n_workers):
@@ -225,8 +263,7 @@ def test_complex_phi_pass_works_on_real_planes(monkeypatch):
     # the lam = 1.5 pass never unwraps, takes no cos, sin, hypot, log or
     # arctan2 on more nodes than one grid row (form preservation is not
     # taken on its blocks), and holds no complex block: at one worker its
-    # traced peak is 4.7 of its halo'd block planes (float64, and half as
-    # tall as a real field's)
+    # traced peak is 4.7 of its halo'd block planes (float64)
     spec = GridSpec(0.0, 0.9, 0.05, 3.0, 161, 2951)
 
     def no_unwrap(*args, **kwargs):
@@ -242,12 +279,13 @@ def test_complex_phi_pass_works_on_real_planes(monkeypatch):
     monkeypatch.setattr(np, "unwrap", no_unwrap)
     for name in ("cos", "sin", "hypot", "log", "arctan2"):
         monkeypatch.setattr(np, name, at_most_a_row(name, getattr(np, name)))
-    plane = (verify.BLOCK_NODES // (2 * spec.nx) + 4) * spec.nx * 8
+    plane = (verify.BLOCK_NODES // spec.nx + 4) * spec.nx * 8
     tracemalloc.start()
     try:
-        reports = verify._stream_checks(
-            spec, partial(sample_planes, spec, lambda t, x: phi_lambda_planes(B_LIN, 1.5, t, x)),
-            V_LIN, +1.0, planes=2)
+        (reports,) = verify._stream_checks(
+            spec, [(partial(sample_planes, spec,
+                            lambda t, x: phi_lambda_planes(B_LIN, 1.5, t, x)), +1.0)],
+            V_LIN)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
