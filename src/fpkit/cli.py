@@ -31,8 +31,8 @@ from . import montecarlo as mc
 from .boundary import (Boundary, BoundaryFormatError, boundary_from_json, boundary_potential,
                        parse_boundary)
 from .grids import (GridSpec, NumericalError, read_field_csv, sample_field, transform_grid,
-                    write_field_csv)
-from .kernels import MAX_ORDER, kernel_n
+                    write_csv, write_field_csv)
+from .kernels import HORIZON_MARGIN, MAX_ORDER, kernel_n
 from .solutions import GammaPoly, closed_w_gamma, kappa, phi_lambda, u_lambda
 from .transform import bluman_shtelen_w
 from .verify import TOLERANCES, residual_backward, run_checks
@@ -54,17 +54,6 @@ class AssertionFailure(RuntimeError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
-def _write_csv(out: str, name: str, header: str, rows) -> None:
-    with open(os.path.join(out, name), "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _write_json(out: str, name: str, obj) -> None:
@@ -92,26 +81,31 @@ def _parse_range(text: str) -> np.ndarray:
 
 def _parse_grid(text: str, b: Boundary, engine: bool = False,
                 flag: str | None = None) -> GridSpec:
-    """``tmin:tmax:nt,xmin:xmax:nx`` whose times keep s - t >= 0.05.
+    """``tmin:tmax:nt,xmin:xmax:nx`` whose times keep s - t >= HORIZON_MARGIN.
 
     ``engine`` makes it the transformation engine's grid (``transform_grid``).
     A ``flag`` names the option of a grid that residual checks will read,
-    which then needs at least 5 x 5 nodes.
+    which then needs at least 5 x 5 nodes.  A grid that ``GridSpec`` refuses
+    is reported with the flag (or "grid") and the refusal's cause.
     """
     try:
         t_part, x_part = text.split(",")
         t_min, t_max, nt = t_part.split(":")
         x_min, x_max, nx = x_part.split(":")
-        spec = GridSpec(float(t_min), float(t_max), float(x_min), float(x_max),
-                        int(nt), int(nx))
+        numbers = float(t_min), float(t_max), float(x_min), float(x_max), int(nt), int(nx)
     except (AttributeError, ValueError, TypeError) as exc:
         raise ConfigError(f"grid must be 'tmin:tmax:nt,xmin:xmax:nx', got {text!r}") from exc
-    if engine:
-        spec = transform_grid(spec.t_min, spec.t_max, spec.x_max, spec.nt, spec.nx)
+    try:
+        spec = GridSpec(*numbers)
+        if engine:
+            spec = transform_grid(spec.t_min, spec.t_max, spec.x_max, spec.nt, spec.nx)
+    except ValueError as exc:
+        raise ConfigError(f"{flag or 'grid'} {text!r}: {exc}") from exc
     if flag is not None and min(spec.nt, spec.nx) < 5:
         raise ConfigError(f"{flag} needs at least 5 x 5 nodes, got {spec.nt}x{spec.nx}")
-    if spec.t_max > b.horizon_s - 0.05:
-        raise ConfigError(f"grid {text!r} must keep s - t >= 0.05 (s = {b.horizon_s})")
+    if spec.t_max > b.horizon_s - HORIZON_MARGIN:
+        raise ConfigError(f"grid {text!r} must keep s - t >= {HORIZON_MARGIN} "
+                          f"(s = {b.horizon_s})")
     return spec
 
 
@@ -254,14 +248,14 @@ def cmd_kernels(args) -> None:
         for n in args.n:
             vals = kernel_n(n, float(t), x_vals)
             rows.extend((t, x, n, v) for x, v in zip(x_vals, np.atleast_1d(vals)))
-    _write_csv(_out_dir(args), "kernels.csv", "t,x,n,value", rows)
+    write_csv(os.path.join(_out_dir(args), "kernels.csv"), "t,x,n,value", rows)
     _sidecar(args)
 
 
 def cmd_solution(args) -> None:
     b = _boundary(args)
     g = GammaPoly(tuple(args.gamma))
-    upper = max(0.9 * (b.horizon_s - 0.05), 1e-3)
+    upper = max(0.9 * (b.horizon_s - HORIZON_MARGIN), 1e-3)
     spec = _parse_grid(f"0:{upper!r}:10,0:3:31" if args.grid is None else args.grid, b)
     tt, xx = spec.mesh()
     w = closed_w_gamma(b, g, tt, xx)
@@ -271,8 +265,8 @@ def cmd_solution(args) -> None:
     out = _out_dir(args)
     rows = [(t, x, w[i, j]) for i, t in enumerate(spec.t_nodes())
             for j, x in enumerate(x_nodes)]
-    _write_csv(out, "w.csv", "t,x,value", rows)
-    _write_csv(out, "kappa.csv", "x,value", list(zip(x_nonneg, np.atleast_1d(kap))))
+    write_csv(os.path.join(out, "w.csv"), "t,x,value", rows)
+    write_csv(os.path.join(out, "kappa.csv"), "x,value", zip(x_nonneg, np.atleast_1d(kap)))
     _sidecar(args)
 
 
@@ -332,17 +326,17 @@ def _mc_setup(args):
 
 def _write_comparison(out: str, table: mc.DensityComparison) -> None:
     edges = table.bin_edges
-    _write_csv(out, "comparison.csv", "bin_lo,bin_hi,empirical,kappa,reference,z",
-               zip(edges[:-1], edges[1:], table.empirical, table.kappa_mass,
-                   table.reference_mass, table.z_scores))
+    write_csv(os.path.join(out, "comparison.csv"), "bin_lo,bin_hi,empirical,kappa,reference,z",
+              zip(edges[:-1], edges[1:], table.empirical, table.kappa_mass,
+                  table.reference_mass, table.z_scores))
 
 
 def cmd_simulate(args) -> None:
     b, cfg = _mc_setup(args)
     hist = mc.first_passage_histogram(b, args.x0, cfg, args.bins, args.threads)
     out = _out_dir(args)
-    _write_csv(out, "fpt_histogram.csv", "bin_lo,bin_hi,mass",
-               zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses))
+    write_csv(os.path.join(out, "fpt_histogram.csv"), "bin_lo,bin_hi,mass",
+              zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses))
     _write_comparison(out, mc.compare_density(b, args.x0, hist))
     fk = mc.bessel_bridge_fk(b, args.x0, cfg, args.threads)
     _write_json(out, "feynman_kac.json",

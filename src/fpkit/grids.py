@@ -3,9 +3,11 @@
 A field's values are an nt-by-nx array, float64 when every imaginary
 part is zero and complex128 otherwise: the dtype alone says whether a
 field is real.  The ``GridField`` constructor is the one place that
-chooses it.  CSV serialization uses the header ``t,x,re,im``, row-major
-by t, with 17 significant digits so baselines round-trip bit-exactly; a
-float64 field writes 0 in its ``im`` column.
+chooses it.  ``sample_field`` is the one sampler (``verify``'s residual
+walk calls the closed forms on nodes it builds once per pass), and
+``write_csv`` the one CSV writer: LF, 17 significant digits, so values
+round-trip bit-exactly.  A field CSV has the header ``t,x,re,im``,
+row-major by t; a float64 field writes 0 in its ``im`` column.
 """
 
 from __future__ import annotations
@@ -94,51 +96,26 @@ class GridField:
         object.__setattr__(self, "values", np.require(v, dtype, "CW"))
 
 
-def _sample(spec: GridSpec, fn: Callable, lo: int, hi: int) -> np.ndarray:
-    """fn(t, x) broadcast over grid rows lo..hi-1.  The nodes are slices of
-    the whole grid's, so each value is bit for bit the whole-grid one."""
-    tt, xx = spec.mesh()
-    return np.broadcast_to(fn(tt[lo:hi], xx), (hi - lo, spec.nx))
-
-
 def sample_field(spec: GridSpec, fn: Callable) -> GridField:
     """Evaluate fn(t, x) on the grid via broadcasting; the field holds one copy."""
-    return GridField(spec, _sample(spec, fn, 0, spec.nt))
+    return GridField(spec, np.broadcast_to(fn(*spec.mesh()), (spec.nt, spec.nx)))
 
 
-def sample_planes(spec: GridSpec, fn: Callable, lo: int, hi: int):
-    """Grid rows lo..hi-1 of the float64 planes (re, im) = fn(t, x), each
-    C-contiguous; an ``im`` of None stays None.  The nodes are those of
-    ``sample_field``, so each value is bit for bit the whole-grid one."""
-    tt, xx = spec.mesh()
-    return tuple(None if p is None
-                 else np.ascontiguousarray(np.broadcast_to(p, (hi - lo, spec.nx)), dtype=float)
-                 for p in fn(tt[lo:hi], xx))
-
-
-def sample_potential(spec: GridSpec, v: Callable, lo: int = 0,
-                     hi: int | None = None) -> np.ndarray:
-    """A real potential v(t, x) on grid rows lo..hi-1 (default: all), as a
-    read-only array (a broadcast view when v does not vary along t or x).
-    Raises NumericalError when a value is not finite."""
-    out = _sample(spec, lambda t, x: np.asarray(v(t, x), dtype=float),
-                  lo, spec.nt if hi is None else hi)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("potential is not finite on the grid")
-    return out
+def write_csv(path, header: str, rows) -> None:
+    """LF CSV: ``header``, then one line per row of numbers at 17
+    significant digits, so every float64 round-trips bit-exactly."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
 
 
 def write_field_csv(path, field: GridField) -> None:
     """Serialize a field: header t,x,re,im, row-major by t, 17 digits, LF."""
-    t = field.spec.t_nodes()
     x = field.spec.x_nodes()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,x,re,im\n")
-        for i in range(field.spec.nt):
-            row = field.values[i]
-            ti = f"{t[i]:.17g}"
-            for j in range(field.spec.nx):
-                fh.write(f"{ti},{x[j]:.17g},{row[j].real:.17g},{row[j].imag:.17g}\n")
+    write_csv(path, "t,x,re,im", ((ti, xj, v.real, v.imag)
+                                  for ti, row in zip(field.spec.t_nodes(), field.values)
+                                  for xj, v in zip(x, row)))
 
 
 def read_field_csv(path) -> GridField:

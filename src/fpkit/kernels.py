@@ -126,8 +126,14 @@ def derived_kernel(t, x):
     return kernel_n(1, t, x)
 
 
+#: Least time to the horizon, s - t, that ``default_half_width`` is
+#: calibrated for; grids and quadrature points keep t <= s - HORIZON_MARGIN.
+HORIZON_MARGIN = 0.05
+
+
 def default_half_width(t: float, x: float) -> float:
-    """Truncation guideline: Gaussian tail beyond L is < 1e-300 for t >= 0.05."""
+    """Truncation guideline: Gaussian tail beyond L is < 1e-300 for
+    t >= HORIZON_MARGIN."""
     return 40.0 / np.sqrt(t) + abs(x) / t
 
 

@@ -368,11 +368,15 @@ def reference_time_density(b: Boundary, x0: float, t) -> np.ndarray:
     return _time_density(lambda tp: derived_kernel(tp, x0 + integral_fprime(b, 0.0, tp)), t)
 
 
-def _bin_masses(fn, edges: np.ndarray, nodes_per_bin: int = 65) -> np.ndarray:
+#: Simpson nodes per histogram bin of the closed-form bin masses
+BIN_NODES = 65
+
+
+def _bin_masses(fn, edges: np.ndarray) -> np.ndarray:
     """Composite-Simpson mass of the density ``fn`` in each bin of ``edges``,
-    with one call of ``fn`` on every bin's nodes at once."""
-    ts = np.linspace(edges[:-1], edges[1:], nodes_per_bin, axis=1)
-    weights = simpson_weights(nodes_per_bin, ts[:, 1:2] - ts[:, :1])
+    with one call of ``fn`` on every bin's BIN_NODES nodes at once."""
+    ts = np.linspace(edges[:-1], edges[1:], BIN_NODES, axis=1)
+    weights = simpson_weights(BIN_NODES, ts[:, 1:2] - ts[:, :1])
     return np.sum(weights * fn(ts), axis=1)
 
 

@@ -23,13 +23,13 @@ bit.  One walker, ``_stream_checks``, takes every residual, reading each
 block with its halo from one or more sources: the rows of a sampled
 field for ``residual_backward``/``residual_forward``, and for
 ``run_checks``' three fine-grid fields (closed w, and Phi at lam = 0 and
-1.5) the block sampled afresh, so that no whole field is held.  The
-three share one walk: each block samples the potential once and takes
-the fields' residuals in turn, dropping one field's planes before it
-samples the next.  A sampled block is two contiguous float64 planes, Re
-and Im (``phi_lambda_planes``; Im is None for a real field), and no
-complex block is built.  No cos or sin runs per node of a block: Phi's
-phase takes them once per row and once per column.  A field with an Im
+1.5) the closed forms called on the block's rows of nodes built once,
+so that no whole field is held.  The three share one walk: each block
+evaluates the potential once and takes the fields' residuals in turn,
+dropping one field's planes before it evaluates the next.  A block is
+two float64 planes, Re and Im (``phi_lambda_planes``; Im is None for a
+real field), and no complex block is built.  No cos or sin runs per
+node of a block: Phi's phase takes them once per row and once per column.  A field with an Im
 plane gets an imaginary entry, also where that plane is all zero.
 
 Form preservation (log Phi affine in x, so d2/dx2 log Phi = 0 and the
@@ -61,14 +61,13 @@ check (``transform_loop``) and its per-point measures
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .boundary import Boundary, boundary_potential, integral_fprime
-from .grids import GridField, GridSpec, sample_field, sample_planes, sample_potential
-from .kernels import default_half_width, derived_kernel, symmetric_simpson
+from .grids import GridField, GridSpec, NumericalError, sample_field
+from .kernels import HORIZON_MARGIN, default_half_width, derived_kernel, symmetric_simpson
 from .parallel import run_in_order
 from .solutions import (GammaPoly, closed_w, closed_w2_terms, closed_w_gamma, phi_lambda,
                         phi_lambda_planes, product_phi_u, u_lambda, w1_lambda)
@@ -232,17 +231,22 @@ def _stream_checks(spec: GridSpec, sources, v: Callable,
     blocks.  A source is (planes_of, time_sign): ``planes_of(lo, hi)`` gives
     the field's grid rows lo..hi-1 as (re, im).  ``im`` is None when ``re``
     holds the whole field, real or complex; a complex ``re`` gets one report,
-    of complex moduli.  Each block samples the potential once, then takes
-    the sources in turn, dropping one source's planes before the next's.
+    of complex moduli.  Each block evaluates the potential once on its rows
+    of the grid's nodes, built once, refusing a value that is not finite,
+    then takes the sources in turn, dropping one source's planes first.
 
     Returns, per source, one report for ``re`` and, when the source yields
     an ``im`` plane, one for ``im``.
     """
     _check_residual_grid(spec)
+    tt, xx = spec.mesh()
 
     def block(rows):
         lo, r0, r1, hi = rows
-        vv = sample_potential(spec, v, lo, hi)
+        vv = np.asarray(v(tt[lo:hi], xx), dtype=float)
+        if not np.all(np.isfinite(vv)):
+            raise NumericalError("potential is not finite on the grid")
+        vv = np.broadcast_to(vv, (hi - lo, spec.nx))
         return [[_block_peaks(spec, time_sign, plane, vv, lo, r0, r1)
                  for plane in planes_of(lo, hi) if plane is not None]
                 for planes_of, time_sign in sources]
@@ -334,20 +338,21 @@ def check_vanishing_at_origin(w_eval: Callable[[float, float], float], t: float,
     return DiagnosticReport(decrease_viol + final_viol, worst, probes.size)
 
 
-def quadrature_match(b: Boundary, g: GammaPoly, t: float, x: float,
-                     nodes: int = 16001) -> float:
+def quadrature_match(b: Boundary, g: GammaPoly, t: float, x: float) -> float:
     """Mismatch between the closed form and the direct lambda-quadrature.
 
     Integrates Gamma(lam) * w1_lambda over the symmetric window
-    ``default_half_width(s - t, X)`` with ``symmetric_simpson`` and returns
-    |closed - quadrature| / (1 + |closed|).  Requires s - t >= 0.05.
+    ``default_half_width(s - t, X)`` with ``symmetric_simpson`` on 16001
+    nodes and returns |closed - quadrature| / (1 + |closed|).  Requires
+    s - t >= HORIZON_MARGIN.
     """
     s = b.horizon_s
-    if s - t < 0.05:
-        raise ValueError(f"quadrature window calibrated for s - t >= 0.05, got {s - t}")
+    if s - t < HORIZON_MARGIN:
+        raise ValueError(f"quadrature window calibrated for s - t >= {HORIZON_MARGIN}, "
+                         f"got {s - t}")
     half_width = default_half_width(s - t, x + integral_fprime(b, t, s))
     quad = float(symmetric_simpson(lambda lam: g(lam) * w1_lambda(b, lam, t, x),
-                                   half_width, nodes).real)
+                                   half_width, 16001).real)
     closed = closed_w_gamma(b, g, t, x)
     return abs(closed - quad) / (1.0 + abs(closed))
 
@@ -418,7 +423,8 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     zero-identity (t, x) pairs come from one call, which draws the numbers
     that 200 calls for t and then x would.  Form preservation is taken
     first, on its own small fields (``form_preservation``); closed w and
-    Phi at lam = 0 and 1.5 then share one walk of ``spec``'s row blocks.
+    Phi at lam = 0 and 1.5 then share one walk of ``spec``'s row blocks,
+    on ``spec``'s nodes built once.
     Residual row blocks run ``n_workers`` at a time; the results do not
     depend on it.
     """
@@ -434,8 +440,9 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     if field is not None:
         residual_check("external_field_backward", "external field residual",
                        residual_backward(field, v1, n_workers), tols["tol_backward"])
-    sources = [(partial(sample_planes, spec, lambda t, x: (closed_w(b, t, x), None)), -1.0)]
-    sources += [(partial(sample_planes, spec, partial(phi_lambda_planes, b, lam)), +1.0)
+    tt, xx = spec.mesh()
+    sources = [(lambda lo, hi: (closed_w(b, tt[lo:hi], xx), None), -1.0)]
+    sources += [(lambda lo, hi, lam=lam: phi_lambda_planes(b, lam, tt[lo:hi], xx), +1.0)
                 for lam in (0.0, 1.5)]
     (rep_w,), *phi_reps = _stream_checks(spec, sources, v1, n_workers)
     residual_check("backward_closed_w", "backward residual (closed w)", rep_w,
@@ -457,13 +464,13 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     rng = np.random.default_rng(seed)
     quad_worst = 0.0
     for _ in range(10):
-        t = rng.uniform(0.0, b.horizon_s - 0.05)
+        t = rng.uniform(0.0, b.horizon_s - HORIZON_MARGIN)
         x = rng.uniform(0.0, 2.0)
         g = GammaPoly(tuple(rng.uniform(-1.0, 1.0, rng.integers(1, 5))))
         quad_worst = max(quad_worst, quadrature_match(b, g, float(t), float(x)))
     checks.append(CheckResult("contour integration vs quadrature", "worst", quad_worst,
                               tols["tol_quadrature"]))
-    t, x = rng.uniform([0.0, 0.0], [b.horizon_s - 0.05, 3.0], (200, 2)).T
+    t, x = rng.uniform([0.0, 0.0], [b.horizon_s - HORIZON_MARGIN, 3.0], (200, 2)).T
     zero_worst = float(np.max(zero_identity_gap(b, t, x)))
     checks.append(CheckResult("second solution vanishes", "worst", zero_worst,
                               tols["tol_zero_identity"]))

@@ -135,6 +135,25 @@ def test_bad_verify_and_transform_inputs_fail_before_sampling(tmp_path, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag, cause", [
+    (["verify", "--grid", "0:0.9:2,0.05:3:61"], "--grid", "nt, nx >= 3, got 2x61"),
+    (["verify", "--grid", "0:0.9:91,3:0.05:61"], "--grid", "extents must be increasing"),
+    (["transform", "--grid", "0:0.9:91,0:3:2"], "--grid", "nt, nx >= 3, got 91x2"),
+    (["solution", "--grid", "0:0.9:91,3:0.05:61"], "grid", "extents must be increasing"),
+], ids=["verify-nt", "verify-extents", "transform-nx", "solution-extents"])
+def test_grid_refused_by_gridspec_names_the_flag_and_cause(tmp_path, capsys, argv, flag,
+                                                           cause):
+    # a grid that parses but that GridSpec refuses is reported with its own
+    # cause, not as a malformed 'tmin:tmax:nt,xmin:xmax:nx'
+    out = tmp_path / "out"
+    argv = argv[:1] + ["--boundary", "s=1; fprime=0.5,0.3"] + argv[1:] + ["--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} '{argv[4]}': ")
+    assert cause in err and "tmin:tmax:nt" not in err
+    assert not out.exists()
+
+
 def test_verify_takes_large_seeds(tmp_path, monkeypatch):
     seeds = []
 

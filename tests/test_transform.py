@@ -6,7 +6,7 @@ import pytest
 import fpkit.transform as transform
 from fpkit.boundary import boundary_potential, integral_fprime, parse_boundary
 from fpkit.grids import (GridField, GridSpec, NumericalError, read_field_csv, sample_field,
-                         sample_potential, transform_grid, write_field_csv)
+                         transform_grid, write_field_csv)
 from fpkit.solutions import closed_w, phi_lambda, u_lambda
 from fpkit.transform import (bluman_shtelen_w, cumulative_simpson, log_phi_xx,
                              one_sided_first_derivative)
@@ -279,8 +279,8 @@ def test_potential_v2_preserves_v1_for_affine_log():
     spec = GridSpec(0.0, 0.9, 0.0, 3.0, 21, 61)
     v1 = boundary_potential(B_LIN)
     phi = sample_field(spec, lambda t, x: phi_lambda(B_LIN, 0.7, t, x))
-    v2 = sample_potential(spec, v1) - log_phi_xx(phi).values
-    np.testing.assert_allclose(v2, sample_potential(spec, v1), atol=1e-8)
+    v2 = sample_field(spec, v1).values - log_phi_xx(phi).values
+    np.testing.assert_allclose(v2, sample_field(spec, v1).values, atol=1e-8)
     # V1 = x f'' with f'' = 0.3
     tt, xx = spec.mesh()
     np.testing.assert_allclose(v2.real, 0.3 * np.broadcast_to(xx, v2.shape), atol=1e-8)
@@ -289,7 +289,7 @@ def test_potential_v2_preserves_v1_for_affine_log():
 def test_potential_v2_zero_for_trivial_inputs():
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 5, 7)
     phi = sample_field(spec, lambda t, x: np.ones(np.broadcast(t, x).shape))
-    v2 = sample_potential(spec, lambda t, x: 0.0) - log_phi_xx(phi).values
+    v2 = sample_field(spec, lambda t, x: 0.0).values - log_phi_xx(phi).values
     assert np.all(v2 == 0.0)
 
 
@@ -388,7 +388,7 @@ def test_engine_residual_closes_loop():
     v1 = boundary_potential(B_LIN)
     rep = residual_backward(w, v1)
     assert rep.max_rel <= 1e2 * (spec.dx ** 2 + spec.dt ** 2)
-    v2 = sample_potential(spec, v1) - log_phi_xx(phi).values  # V2 = V1 - (log Phi)_xx
+    v2 = sample_field(spec, v1).values - log_phi_xx(phi).values  # V2 = V1 - (log Phi)_xx
     rep2 = residual_backward(w, lambda t, x: v2.real)
     assert abs(rep2.max_rel - rep.max_rel) <= 1e2 * (spec.dx ** 2 + spec.dt ** 2)
 
@@ -424,8 +424,9 @@ def test_field_csv_rejects_bad_columns_lattice_and_order(tmp_path):
 
 def test_non_finite_potential_raises():
     spec = GridSpec(0.0, 0.5, 0.0, 1.0, 5, 5)
+    field = GridField(spec, np.zeros((spec.nt, spec.nx)))
     with pytest.raises(NumericalError, match="not finite"):
-        sample_potential(spec, lambda t, x: np.where(x > 0.5, np.inf, 0.0))
+        residual_backward(field, lambda t, x: np.where(x > 0.5, np.inf, 0.0))
 
 
 def test_stencils_need_their_node_counts():

@@ -13,8 +13,7 @@ import pytest
 import fpkit.cli as cli
 import fpkit.verify as verify
 from fpkit.boundary import Boundary, boundary_potential, parse_boundary
-from fpkit.grids import (GridField, GridSpec, NumericalError, sample_field, sample_planes,
-                         transform_grid)
+from fpkit.grids import GridField, GridSpec, NumericalError, sample_field, transform_grid
 from fpkit.kernels import simpson_weights
 from fpkit.parallel import run_in_order
 from fpkit.solutions import (GammaPoly, closed_w, closed_w_gamma, phi_lambda, phi_lambda_planes,
@@ -123,6 +122,13 @@ def test_residual_order_of_accuracy():
 SMALL_TSPEC = transform_grid(0.0, 0.9, 3.0, 31, 31)
 
 
+def rows(spec, planes):
+    """A walk source's ``planes_of``: the planes (re, im) = planes(t, x) on
+    grid rows lo..hi-1 of ``spec``, whose nodes are built once."""
+    tt, xx = spec.mesh()
+    return lambda lo, hi: planes(tt[lo:hi], xx)
+
+
 def fine_grid_results(spec, n_workers=1):
     """run_checks' residual entries and form-preservation maximum on ``spec``."""
     _, residuals, diagnostics = run_checks(B_LIN, spec, SMALL_TSPEC, TOLERANCES, 0, 1.0, None,
@@ -141,8 +147,8 @@ def test_row_block_seams_change_no_report(monkeypatch, nt, n_workers):
     w = sample_field(spec, lambda t, x: closed_w(B_LIN, t, x))
     u = sample_field(spec, lambda t, x: u_lambda(B_LIN, 1.5, t, x))
     assert u.values.dtype == np.complex128
-    sources = [(partial(sample_planes, spec, lambda t, x: (closed_w(B_LIN, t, x), None)), -1.0)]
-    sources += [(partial(sample_planes, spec, partial(phi_lambda_planes, B_LIN, lam)), +1.0)
+    sources = [(rows(spec, lambda t, x: (closed_w(B_LIN, t, x), None)), -1.0)]
+    sources += [(rows(spec, partial(phi_lambda_planes, B_LIN, lam)), +1.0)
                 for lam in (0.0, 1.5)]
     results = {}
     for height in (1, 2, 3, 5, nt):
@@ -183,8 +189,7 @@ def test_streamed_field_keeps_whole_field_dtype_rule(monkeypatch):
                 residual_forward(GridField(spec, field.values.imag), V_LIN)]
     for height in (1, 4, spec.nt):
         monkeypatch.setattr(verify, "BLOCK_NODES", height * spec.nx)
-        assert verify._stream_checks(spec, [(partial(sample_planes, spec, planes), +1.0)],
-                                     V_LIN) == [expected]
+        assert verify._stream_checks(spec, [(rows(spec, planes), +1.0)], V_LIN) == [expected]
 
 
 def test_all_zero_im_plane_gets_an_all_zero_report():
@@ -197,7 +202,7 @@ def test_all_zero_im_plane_gets_an_all_zero_report():
         return re, np.zeros_like(re)
 
     ((re_rep, im_rep),) = verify._stream_checks(
-        spec, [(partial(sample_planes, spec, planes), +1.0)], V_LIN)
+        spec, [(rows(spec, planes), +1.0)], V_LIN)
     assert re_rep == residual_forward(sample_field(spec, partial(phi_lambda, B_LIN, 0.0)), V_LIN)
     assert (im_rep.max_abs, im_rep.max_rel) == (0.0, 0.0)
     assert (im_rep.t_at_max, im_rep.x_at_max) == (spec.t_min + spec.dt, spec.x_min + spec.dx)
@@ -208,15 +213,38 @@ def test_run_checks_samples_the_potential_once_per_fine_grid_block(monkeypatch):
     spec = GridSpec(0.0, 0.8, 0.1, 2.5, 29, 61)
     monkeypatch.setattr(verify, "BLOCK_NODES", 4 * spec.nx)
     calls = []
-    original = verify.sample_potential
 
-    def counted(grid, *args, **kwargs):
-        calls.append(grid)
-        return original(grid, *args, **kwargs)
+    def counted_potential(b):
+        v = boundary_potential(b)
 
-    monkeypatch.setattr(verify, "sample_potential", counted)
+        def counted(t, x):
+            calls.append(np.shape(x))
+            return v(t, x)
+        return counted
+
+    monkeypatch.setattr(verify, "boundary_potential", counted_potential)
     run_checks(B_LIN, spec, SMALL_TSPEC, TOLERANCES, 0, 1.0, None)
-    assert calls.count(spec) == len(list(verify._row_blocks(spec))) == 8
+    # the transform loop's residual calls it on SMALL_TSPEC's 31 columns
+    assert calls.count((1, spec.nx)) == len(list(verify._row_blocks(spec))) == 8
+
+
+@pytest.mark.parametrize("height", [1, 4, 29])
+def test_run_checks_builds_the_fine_grid_nodes_once_not_per_block(monkeypatch, height):
+    # whatever the block height, one pass builds spec's nodes twice: once in
+    # the walk, for the potential, and once in run_checks, for the three
+    # fields (the parent rebuilt them for every block of every field)
+    spec = GridSpec(0.0, 0.8, 0.1, 2.5, 29, 61)
+    monkeypatch.setattr(verify, "BLOCK_NODES", height * spec.nx)
+    calls = []
+    original = GridSpec.mesh
+
+    def counted(grid):
+        calls.append(grid)
+        return original(grid)
+
+    monkeypatch.setattr(GridSpec, "mesh", counted)
+    run_checks(B_LIN, spec, SMALL_TSPEC, TOLERANCES, 0, 1.0, None)
+    assert calls.count(spec) == 2
 
 
 def fine_grid_peak(nt, n_workers):
@@ -283,8 +311,7 @@ def test_complex_phi_pass_works_on_real_planes(monkeypatch):
     tracemalloc.start()
     try:
         (reports,) = verify._stream_checks(
-            spec, [(partial(sample_planes, spec,
-                            lambda t, x: phi_lambda_planes(B_LIN, 1.5, t, x)), +1.0)],
+            spec, [(rows(spec, lambda t, x: phi_lambda_planes(B_LIN, 1.5, t, x)), +1.0)],
             V_LIN)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -338,17 +365,17 @@ def test_block_error_exits_3_and_the_pool_serves_the_next_run(tmp_path, monkeypa
     # two workers whatever the host; the block at t >= 0.5 of the lam = 1.5
     # field fails inside a worker or the caller
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
-    original = verify.sample_planes
+    original = verify.phi_lambda_planes
 
-    def failing(spec, fn, lo, hi):
-        re, im = original(spec, fn, lo, hi)
-        if spec.t_nodes()[lo] >= 0.5 and im is not None:
+    def failing(b, lam, t, x):
+        re, im = original(b, lam, t, x)
+        if t[0, 0] >= 0.5 and im is not None:
             raise NumericalError("injected block failure")
         return re, im
 
     argv = ["verify", "--boundary", "s=1; fprime=0.5,0.3", "--fast"]
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "sample_planes", failing)
+        patch.setattr(verify, "phi_lambda_planes", failing)
         assert cli.main(argv + ["--out", str(tmp_path / "failed")]) == 3
     assert "injected block failure" in capsys.readouterr().err
     assert cli.main(argv + ["--out", str(tmp_path / "next")]) == 0
