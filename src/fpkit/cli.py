@@ -319,8 +319,8 @@ def _mc_setup(args):
     cfg = mc.MCConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
-    if args.x0 <= 0.0:
-        raise ConfigError("x0 must be positive")
+    if not args.x0 > 0.0:
+        raise ConfigError(f"x0 must be positive, got {args.x0}")
     return b, cfg
 
 
@@ -334,11 +334,13 @@ def _write_comparison(out: str, table: mc.DensityComparison) -> None:
 def cmd_simulate(args) -> None:
     b, cfg = _mc_setup(args)
     hist = mc.first_passage_histogram(b, args.x0, cfg, args.bins, args.threads)
+    table = mc.compare_density(b, args.x0, hist)
+    fk = mc.bessel_bridge_fk(b, args.x0, cfg, args.threads)
+    # --out is made only once nothing numerical is left to fail
     out = _out_dir(args)
     write_csv(os.path.join(out, "fpt_histogram.csv"), "bin_lo,bin_hi,mass",
               zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses))
-    _write_comparison(out, mc.compare_density(b, args.x0, hist))
-    fk = mc.bessel_bridge_fk(b, args.x0, cfg, args.threads)
+    _write_comparison(out, table)
     _write_json(out, "feynman_kac.json",
                 {**fk.to_json(), "n_steps": cfg.n_steps, "seed": cfg.seed})
     _sidecar(args)
@@ -347,7 +349,8 @@ def cmd_simulate(args) -> None:
 def cmd_compare(args) -> None:
     b, cfg = _mc_setup(args)
     hist = mc.first_passage_histogram(b, args.x0, cfg, args.bins, args.threads)
-    _write_comparison(_out_dir(args), mc.compare_density(b, args.x0, hist))
+    table = mc.compare_density(b, args.x0, hist)
+    _write_comparison(_out_dir(args), table)
     _sidecar(args)
 
 

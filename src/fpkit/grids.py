@@ -27,7 +27,8 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform rectangular sampling of [t_min, t_max] x [x_min, x_max]."""
+    """Uniform rectangular sampling of [t_min, t_max] x [x_min, x_max], with
+    finite, increasing extents and at least 3 nodes on each axis."""
 
     t_min: float
     t_max: float
@@ -39,6 +40,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nt < 3 or self.nx < 3:
             raise ValueError(f"grid needs nt, nx >= 3, got {self.nt}x{self.nx}")
+        if not np.all(np.isfinite([self.t_min, self.t_max, self.x_min, self.x_max])):
+            raise ValueError("grid extents must be finite")
         if not (self.t_max > self.t_min and self.x_max > self.x_min):
             raise ValueError("grid extents must be increasing")
 

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import Boundary, eval_fsecond, integral_fprime
+from .grids import NumericalError
 from .kernels import derived_kernel, heat_kernel, simpson_weights
 from .parallel import run_in_order
 
@@ -264,7 +265,7 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
     n_paths * n_strides * 2**-64 in expectation.  A stride of one chord is
     the plain step: a normal and an exponential for every path.
     """
-    if x0 <= 0.0:
+    if not x0 > 0.0:
         raise ValueError(f"x0 must be positive, got {x0}")
     if n_bins < 1:
         raise ValueError("need at least one bin")
@@ -272,7 +273,14 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
     n_steps = cfg.n_steps if any(b.deriv_coeffs[1:]) else 1
     dt = s / n_steps
     t_nodes = np.linspace(0.0, s, n_steps + 1)
-    level = (x0 + integral_fprime(b, 0.0, t_nodes)).astype(np.float32)
+    level = x0 + integral_fprime(b, 0.0, t_nodes)
+    # the sweep's float32 products of two distances below the level, d1 d2,
+    # stay finite (below 3.4e38) while |level| < 1e19
+    peak = float(np.max(np.abs(level)))
+    if not peak < 1e19:
+        raise NumericalError(f"level x0 + int_0^t f' reaches {peak:.3g}; the float32 "
+                             "sweep takes |level| < 1e19")
+    level = level.astype(np.float32)
     edges = np.linspace(0.0, s, n_bins + 1)
     sqrt_dt = np.float32(np.sqrt(dt))
     half_dt = np.float32(0.5 * dt)
@@ -444,6 +452,7 @@ def _bridge_radius_mean(x: float, s: float, u: np.ndarray, left: np.ndarray) -> 
     return sigma * np.sqrt(2.0 / np.pi) * np.exp(-a * a) + (mu + sigma * sigma / mu) * erf
 
 
+@np.errstate(all="ignore")
 def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
                      n_workers: int = 1) -> MCEstimate:
     """Feynman-Kac estimate of E[exp(-int_0^s f''(u) R_u du)], R a 3-D
@@ -481,8 +490,15 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     exponentials, from its Generator (``standard_normal`` and
     ``standard_exponential``), and the radius and both integrals stay in
     float64.
+
+    An estimate that is not a finite float64 raises NumericalError: from a
+    start so far from the origin that the squared radius overflows, or so
+    near it (subnormal) that E[R]'s closed form divides by an underflowed
+    mean, or with weights exp(-I) past float64 where f'' < 0.  Such
+    arithmetic runs on to inf or NaN, with numpy's floating-point warnings
+    off, and is refused at the end.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"starting point must be positive, got {x}")
     if not any(b.deriv_coeffs[1:]):
         return MCEstimate(1.0, 0.0, cfg.n_paths)
@@ -502,11 +518,16 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     means = coef[:, 0] * x + np.sum(
         weight * _bridge_radius_mean(x, s, nodes[1:-1], left[1:-1]), axis=1)
     mean_integral = float(4.0 * means[0] - means[1]) / 3.0
-    y_centre = math.exp(-mean_integral)
+    try:
+        y_centre = math.exp(-mean_integral)
+    except OverflowError:
+        raise NumericalError(f"Feynman-Kac centre exp({-mean_integral:.3g}) is not a finite "
+                             "float64") from None
     # step j runs from u_j to u_{j+1}, over the time s - u_j left to the bridge
     shrink = left[1:-1] / left[:-2]
     var = np.diff(nodes)[:-1] * shrink
 
+    @np.errstate(all="ignore")
     def worker(streams, size: int):
         # the unit's radii hold every block's first half (the larger one
         # when its size is odd) in block order, then every block's second
@@ -559,4 +580,6 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
         std_error = math.sqrt(max(ss_y - beta * sp_yc, 0.0) / (dof * count))
     else:
         std_error = 0.0
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise NumericalError(f"Feynman-Kac estimate from x = {x} is not a finite float64")
     return MCEstimate(float(mean), std_error, cfg.n_paths)

@@ -22,7 +22,7 @@ when it is strictly greater, so the report is the whole-grid one bit for
 bit.  One walker, ``_stream_checks``, takes every residual, reading each
 block with its halo from one or more sources: the rows of a sampled
 field for ``residual_backward``/``residual_forward``, and for
-``run_checks``' three fine-grid fields (closed w, and Phi at lam = 0 and
+``fine_grid_residuals``' three fields (closed w, and Phi at lam = 0 and
 1.5) the closed forms called on the block's rows of nodes built once,
 so that no whole field is held.  The three share one walk: each block
 evaluates the potential once and takes the fields' residuals in turn,
@@ -53,9 +53,9 @@ asserted, since derived closed forms can violate the bound (the
 fixed-boundary case with s > 1 does).
 
 ``run_checks`` is the suite behind ``fpkit verify``; the acceptance tests
-share its form check (``form_preservation``), its transformation-loop
-check (``transform_loop``) and its per-point measures
-(``zero_identity_gap``, ``product_spread``).
+share its definitions: ``fine_grid_residuals``, ``form_preservation``,
+``transform_loop``, ``VANISHING_PROBES`` and the per-point measures
+``zero_identity_gap`` and ``product_spread``.
 """
 
 from __future__ import annotations
@@ -135,6 +135,9 @@ class DiagnosticReport:
 #: each worker holds one block of one field at a time.
 BLOCK_NODES = 48_000
 
+#: x probes of the vanishing-at-origin check, 2^-1 down to 2^-20
+VANISHING_PROBES = tuple(2.0 ** -k for k in range(1, 21))
+
 #: x spacing of the form-preservation stencil, whatever the grid's dx: a
 #: wide stencil keeps its roundoff floor, ~eps |log Phi| / dx^2, far below
 #: tol_form_preservation (see the module docstring).
@@ -151,11 +154,6 @@ def _row_blocks(spec: GridSpec):
     for r0 in range(0, nt, height):
         r1 = min(r0 + height, nt)
         yield max(0, min(r0 - 2, nt - 5)), r0, r1, min(nt, max(r1 + 2, 5))
-
-
-def _check_residual_grid(spec: GridSpec) -> None:
-    if spec.nt < 5 or spec.nx < 5:
-        raise ValueError(f"residual check needs nt, nx >= 5, got {spec.nt}x{spec.nx}")
 
 
 def _time_derivative(c: np.ndarray, lo: int, ra: int, rb: int, nt: int,
@@ -238,7 +236,8 @@ def _stream_checks(spec: GridSpec, sources, v: Callable,
     Returns, per source, one report for ``re`` and, when the source yields
     an ``im`` plane, one for ``im``.
     """
-    _check_residual_grid(spec)
+    if spec.nt < 5 or spec.nx < 5:
+        raise ValueError(f"residual check needs nt, nx >= 5, got {spec.nt}x{spec.nx}")
     tt, xx = spec.mesh()
 
     def block(rows):
@@ -254,6 +253,20 @@ def _stream_checks(spec: GridSpec, sources, v: Callable,
     results = run_in_order(block, list(_row_blocks(spec)), n_workers)
     return [[_residual_report(spec, entries) for entries in zip(*per_block)]
             for per_block in zip(*results)]
+
+
+def fine_grid_residuals(b: Boundary, spec: GridSpec, n_workers: int = 1) -> dict:
+    """ResidualReports of closed w (backward) and Phi at lam = 0 and 1.5
+    (forward: Re, and Im where complex) on ``spec``, keyed as in
+    ``residuals.json``, from one walk of its row blocks on nodes built once."""
+    tt, xx = spec.mesh()
+    sources = [(lambda lo, hi: (closed_w(b, tt[lo:hi], xx), None), -1.0)]
+    sources += [(lambda lo, hi, lam=lam: phi_lambda_planes(b, lam, tt[lo:hi], xx), +1.0)
+                for lam in (0.0, 1.5)]
+    (rep_w,), *phi_reps = _stream_checks(spec, sources, boundary_potential(b), n_workers)
+    return {"backward_closed_w": rep_w,
+            **{f"forward_phi_lam{lam}_{part}": rep for lam, reps in zip((0.0, 1.5), phi_reps)
+               for part, rep in zip(("re", "im"), reps)}}
 
 
 def residual_backward(w: GridField, v: Callable, n_workers: int = 1) -> ResidualReport:
@@ -357,19 +370,19 @@ def quadrature_match(b: Boundary, g: GammaPoly, t: float, x: float) -> float:
     return abs(closed - quad) / (1.0 + abs(closed))
 
 
-def transform_loop(b: Boundary, tspec: GridSpec):
-    """The transformation loop at lam = 0 on ``tspec``: (dev, w_engine), with
+def transform_loop(b: Boundary, tspec: GridSpec, n_workers: int = 1):
+    """The transformation loop at lam = 0 on ``tspec``: (dev, report), with
     w_engine the ``bluman_shtelen_w`` of u_0 and Phi_0 sampled on ``tspec``,
-    and dev its largest deviation from the analytic target
-    (x - int_0^t f') u_0 over the grid, relative to the target's largest
-    magnitude (floored at 1e-12)."""
+    dev its largest deviation from the analytic target (x - int_0^t f') u_0
+    over the grid, relative to the target's largest magnitude (floored at
+    1e-12), and report its ``residual_backward``."""
     u0 = sample_field(tspec, lambda t, x: u_lambda(b, 0.0, t, x))
     w_engine = bluman_shtelen_w(u0, sample_field(tspec, lambda t, x: phi_lambda(b, 0.0, t, x)))
     tt, xx = tspec.mesh()
     target = u0.values * (xx - integral_fprime(b, 0.0, tt))
     dev = float(np.max(_abs(w_engine.values - target))
                 / max(float(np.max(np.abs(target))), RELATIVE_FLOOR))
-    return dev, w_engine
+    return dev, residual_backward(w_engine, boundary_potential(b), n_workers)
 
 
 def zero_identity_gap(b: Boundary, t, x):
@@ -423,12 +436,11 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     zero-identity (t, x) pairs come from one call, which draws the numbers
     that 200 calls for t and then x would.  Form preservation is taken
     first, on its own small fields (``form_preservation``); closed w and
-    Phi at lam = 0 and 1.5 then share one walk of ``spec``'s row blocks,
-    on ``spec``'s nodes built once.
+    Phi at lam = 0 and 1.5 then share one walk of ``spec``'s row blocks
+    (``fine_grid_residuals``).
     Residual row blocks run ``n_workers`` at a time; the results do not
     depend on it.
     """
-    v1 = boundary_potential(b)
     checks: list[CheckResult] = []
     residuals: dict = {}
     form_pres_max = form_preservation(b, spec)
@@ -439,27 +451,23 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
 
     if field is not None:
         residual_check("external_field_backward", "external field residual",
-                       residual_backward(field, v1, n_workers), tols["tol_backward"])
-    tt, xx = spec.mesh()
-    sources = [(lambda lo, hi: (closed_w(b, tt[lo:hi], xx), None), -1.0)]
-    sources += [(lambda lo, hi, lam=lam: phi_lambda_planes(b, lam, tt[lo:hi], xx), +1.0)
-                for lam in (0.0, 1.5)]
-    (rep_w,), *phi_reps = _stream_checks(spec, sources, v1, n_workers)
-    residual_check("backward_closed_w", "backward residual (closed w)", rep_w,
-                   tols["tol_backward"] * grid_scale)
-    for lam, reps in zip((0.0, 1.5), phi_reps):
-        for name, rep in zip(("re", "im"), reps):
-            residual_check(f"forward_phi_lam{lam}_{name}",
-                           f"forward residual (phi, lam={lam}, {name})",
-                           rep, tols["tol_forward"] * grid_scale)
+                       residual_backward(field, boundary_potential(b), n_workers),
+                       tols["tol_backward"])
+    fine = fine_grid_residuals(b, spec, n_workers)
+    residual_check("backward_closed_w", "backward residual (closed w)",
+                   fine.pop("backward_closed_w"), tols["tol_backward"] * grid_scale)
+    for key, rep in fine.items():
+        lam, part = key.removeprefix("forward_phi_lam").split("_")
+        residual_check(key, f"forward residual (phi, lam={lam}, {part})", rep,
+                       tols["tol_forward"] * grid_scale)
     checks.append(CheckResult("form preservation (d2/dx2 log phi)", "max_abs",
                               form_pres_max, tols["tol_form_preservation"]))
 
-    dev, w_engine = transform_loop(b, tspec)
+    dev, rep_t = transform_loop(b, tspec, n_workers)
     checks.append(CheckResult("transform loop vs analytic target", "max_rel_dev", dev,
                               tols["tol_transform"]))
-    residual_check("backward_transform_w", "transform loop residual",
-                   residual_backward(w_engine, v1, n_workers), tols["tol_transform_residual"])
+    residual_check("backward_transform_w", "transform loop residual", rep_t,
+                   tols["tol_transform_residual"])
 
     rng = np.random.default_rng(seed)
     quad_worst = 0.0
@@ -482,8 +490,7 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
         prod_worst = max(prod_worst, product_spread(b, lam, ts, xs))
     checks.append(CheckResult("product constancy", "worst", prod_worst, tols["tol_product"]))
 
-    probes = [2.0 ** -k for k in range(1, 21)]
-    rep_v = check_vanishing_at_origin(lambda t, x: closed_w(b, t, x), 0.0, probes)
+    rep_v = check_vanishing_at_origin(lambda t, x: closed_w(b, t, x), 0.0, VANISHING_PROBES)
     checks.append(CheckResult("vanishing at origin (t=0)", "violations",
                               rep_v.violation_count, 0))
 

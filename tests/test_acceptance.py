@@ -16,19 +16,18 @@ import pytest
 import fpkit as fp
 from chi_square import chi_square_vs_reference
 from fpkit.cli import main as cli_main
-from fpkit.grids import GridField, GridSpec, sample_field, transform_grid
-from fpkit.montecarlo import (MCConfig, _bin_masses, bessel_bridge_fk, first_passage_histogram,
-                              reference_time_density)
+from fpkit.grids import GridSpec, sample_field, transform_grid
+from fpkit.montecarlo import MCConfig, bessel_bridge_fk, compare_density, first_passage_histogram
 from fpkit.solutions import GammaPoly
 from fpkit.transform import log_phi_xx
-from fpkit.verify import (check_inequality, check_vanishing_at_origin, form_preservation,
-                          product_spread, quadrature_match, residual_backward,
-                          residual_forward, transform_loop, zero_identity_gap)
+from fpkit.verify import (VANISHING_PROBES, check_inequality, check_vanishing_at_origin,
+                          fine_grid_residuals, form_preservation, product_spread,
+                          quadrature_match, transform_loop, zero_identity_gap)
 
 B_ACC = fp.parse_boundary("s=1; fprime=0.5,0.3")
-V_ACC = fp.boundary_potential(B_ACC)
 GRID_ACC = GridSpec(0.0, 0.9, 0.05, 3.0, 901, 2951)       # dt = dx = 1e-3
 GRID_ACC_HALF = GridSpec(0.0, 0.9, 0.05, 3.0, 1801, 5901)  # dt = dx = 5e-4
+WORKERS = len(os.sched_getaffinity(0))
 
 
 def report(num, ok, detail):
@@ -38,10 +37,8 @@ def report(num, ok, detail):
 
 def test_criterion_01_backward_residual():
     start = time.perf_counter()
-    w = sample_field(GRID_ACC, lambda t, x: fp.closed_w(B_ACC, t, x))
-    rep = residual_backward(w, V_ACC)
-    w_half = sample_field(GRID_ACC_HALF, lambda t, x: fp.closed_w(B_ACC, t, x))
-    rep_half = residual_backward(w_half, V_ACC)
+    rep, rep_half = (fine_grid_residuals(B_ACC, grid, WORKERS)["backward_closed_w"]
+                     for grid in (GRID_ACC, GRID_ACC_HALF))
     elapsed = time.perf_counter() - start
     ratio = rep.max_rel / rep_half.max_rel
     ok = rep.max_rel <= 1e-4 and ratio >= 3.5 and elapsed < 30.0
@@ -57,11 +54,9 @@ def test_criterion_01_backward_residual():
 
 
 def test_criterion_02_adjoint_residual():
-    worst = 0.0
-    for lam in (0.0, 1.5):
-        phi = sample_field(GRID_ACC, lambda t, x: fp.phi_lambda(B_ACC, lam, t, x))
-        for part in (phi.values.real, phi.values.imag):
-            worst = max(worst, residual_forward(GridField(GRID_ACC, part), V_ACC).max_rel)
+    # Phi at lam = 0 is real; at lam = 1.5 its Re and Im are taken
+    worst = max(rep.max_rel for key, rep in fine_grid_residuals(B_ACC, GRID_ACC, WORKERS).items()
+                if key.startswith("forward_"))
     ok = worst <= 1e-4
     report(2, ok, f"worst forward max_rel over lam in {{0, 1.5}}, re/im: {worst:.3e} (tol 1e-4)")
     assert ok
@@ -117,8 +112,7 @@ def test_criterion_05_zero_identity():
 
 def test_criterion_06_transform_loop():
     # the check fpkit verify runs, on its default transform grid
-    dev, w = transform_loop(B_ACC, transform_grid(0.0, 0.9, 3.0, 901, 301))
-    rep = residual_backward(w, V_ACC)
+    dev, rep = transform_loop(B_ACC, transform_grid(0.0, 0.9, 3.0, 901, 301))
     ok = dev <= 1e-6 and rep.max_rel <= 1e-3
     report(6, ok, f"analytic-target deviation = {dev:.3e} (tol 1e-6), "
                   f"residual max_rel = {rep.max_rel:.3e} (tol 1e-3)")
@@ -145,7 +139,7 @@ def test_criterion_08_vanishing_at_origin():
     exact_zero = (fp.closed_w(B_ACC, 0.0, 0.0) == 0.0)
     g = GammaPoly((0.4, -0.7, 0.2))
     exact_zero &= (fp.closed_w_gamma(B_ACC, g, 0.0, 0.0) == 0.0)
-    probes = [2.0 ** -k for k in range(1, 21)]
+    probes = VANISHING_PROBES  # the probes of fpkit verify's check
     rep_w = check_vanishing_at_origin(lambda t, x: fp.closed_w(B_ACC, t, x), 0.0, probes)
     rep_g = check_vanishing_at_origin(
         lambda t, x: fp.closed_w_gamma(B_ACC, GammaPoly((0.0, 1.0)), t, x), 0.0, probes)
@@ -185,7 +179,7 @@ def test_criterion_10_monte_carlo_validation():
     cfg = MCConfig(n_paths=1_000_000, n_steps=2000, seed=42)
     hist = first_passage_histogram(b0, 1.0, cfg, 20, n_workers=workers)
     elapsed = time.perf_counter() - start
-    expected = _bin_masses(lambda t: reference_time_density(b0, 1.0, t), hist.bin_edges)
+    expected = compare_density(b0, 1.0, hist).reference_mass
     stat, p_value = chi_square_vs_reference(hist, expected)
 
     fk_flat = bessel_bridge_fk(fp.parse_boundary("s=1; fprime=1"), 1.0,

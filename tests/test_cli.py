@@ -103,6 +103,10 @@ def test_verify_fast_exit_zero(tmp_path, capsys):
     ["solution", "--boundary", "s=1; fprime=0.5,nan"],
     ["simulate", "--boundary", "s=1; fprime=0", "--paths", "10", "--steps", "10",
      "--bins", "0"],
+    ["simulate", "--boundary", "s=1; fprime=0.5,0.3", "--paths", "10", "--steps", "10",
+     "--x0", "nan"],
+    ["compare", "--boundary", "s=1; fprime=0.5,0.3", "--paths", "10", "--steps", "10",
+     "--x0", "nan"],
 ])
 def test_rejected_run_creates_no_out_dir(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -140,7 +144,13 @@ def test_bad_verify_and_transform_inputs_fail_before_sampling(tmp_path, monkeypa
     (["verify", "--grid", "0:0.9:91,3:0.05:61"], "--grid", "extents must be increasing"),
     (["transform", "--grid", "0:0.9:91,0:3:2"], "--grid", "nt, nx >= 3, got 91x2"),
     (["solution", "--grid", "0:0.9:91,3:0.05:61"], "grid", "extents must be increasing"),
-], ids=["verify-nt", "verify-extents", "transform-nx", "solution-extents"])
+    (["verify", "--grid", "0:0.9:91,0.05:inf:61"], "--grid", "extents must be finite"),
+    (["verify", "--grid", "0:0.9:91,-inf:3:61"], "--grid", "extents must be finite"),
+    (["verify", "--grid", "0:nan:91,0.05:3:61"], "--grid", "extents must be finite"),
+    (["transform", "--grid", "0:0.9:91,0:inf:61"], "--grid", "extents must be finite"),
+    (["solution", "--grid", "0:0.9:11,0:inf:31"], "grid", "extents must be finite"),
+], ids=["verify-nt", "verify-extents", "transform-nx", "solution-extents", "verify-inf",
+        "verify-minus-inf", "verify-nan", "transform-inf", "solution-inf"])
 def test_grid_refused_by_gridspec_names_the_flag_and_cause(tmp_path, capsys, argv, flag,
                                                            cause):
     # a grid that parses but that GridSpec refuses is reported with its own
@@ -174,7 +184,10 @@ def test_verify_takes_large_seeds(tmp_path, monkeypatch):
     ["solution", "--boundary", "s=1; fprime=0,70", "--grid", "0:0.5:5,-35:0:8"],
     # at x = 0, g_12 = 10395 / t^6 = 1e292 against a Gaussian of 4e23
     ["kernels", "--t", "1e-48", "--x", "0", "--n", "12"],
-], ids=["transform", "solution", "kernels"])
+    # the sweep runs; FK's weights exp(-int f'' R) are ~exp(1.5e9)
+    ["simulate", "--boundary", "s=1; fprime=0.5,-0.3", "--x0", "1e10", "--paths", "1000",
+     "--steps", "10"],
+], ids=["transform", "solution", "kernels", "simulate"])
 def test_numerical_failure_creates_no_out_dir(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 3
@@ -306,6 +319,16 @@ def test_mc_rejects_nonpositive_threads(tmp_path, command, threads):
                "--threads", threads, "--out", str(tmp_path)])
     assert rc == 1
     assert not (tmp_path / "config.json").exists()
+
+
+def test_simulate_far_start_exits_3_without_output(tmp_path, capsys):
+    # at x0 = 1e200 the sweep's float32 level and FK's squared radius both
+    # overflow: the run is refused before --out is made, so no NaN is written
+    out = tmp_path / "out"
+    assert main(["simulate", "--boundary", "s=1; fprime=0.5,0.3", "--x0", "1e200",
+                 "--paths", "1000", "--steps", "10", "--out", str(out)]) == 3
+    assert "float32 sweep" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_rejects_zero_paths(tmp_path):

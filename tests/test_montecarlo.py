@@ -8,6 +8,7 @@ from chi_square import chi_square_two_sample, chi_square_vs_reference
 from fpkit import montecarlo
 from fpkit.boundary import (Boundary, eval_fprime, eval_fsecond, integral_fprime_sq,
                             parse_boundary)
+from fpkit.grids import NumericalError
 from fpkit.montecarlo import (BLOCK_SIZE, MAX_UNIT_PATHS, DensityHistogram, MCConfig,
                               bessel_bridge_fk, compare_density, first_passage_histogram,
                               kappa_time_density, reference_time_density, _bin_masses,
@@ -67,6 +68,34 @@ def test_x0_validation():
         first_passage_histogram(B_ZERO, 0.0, cfg, 10)
     with pytest.raises(ValueError):
         bessel_bridge_fk(B_ZERO, -1.0, cfg)
+    with pytest.raises(ValueError):
+        first_passage_histogram(B_LIN, float("nan"), cfg, 10)
+    with pytest.raises(ValueError):
+        bessel_bridge_fk(B_LIN, float("nan"), cfg)
+
+
+def test_fk_past_float64_raises_numerical_error():
+    # the squared radius, the weights exp(-I) and the centre exp(-E[c]) each
+    # overflow float64 in turn, and at a subnormal start E[R] divides by an
+    # underflowed mean: refused, never returned as NaN or inf, and no
+    # numpy warning escapes, in the pool's thread either (40,000 paths make
+    # two work units); a start of 1e150 still gives a finite 0
+    cfg = MCConfig(40000, 10, seed=1)
+    for fprime, x in (("0.5,0.3", 1e160), ("0.5,-0.3", 2400.0), ("0.5,-0.3", 1e10),
+                      ("0.5,0.3", 5e-324)):
+        with pytest.raises(NumericalError, match="Feynman-Kac"):
+            bessel_bridge_fk(parse_boundary(f"s=1; fprime={fprime}"), x, cfg, n_workers=2)
+    est = bessel_bridge_fk(B_LIN, 1e150, cfg, n_workers=2)
+    assert (est.mean, est.std_error) == (0.0, 0.0)
+
+
+def test_sweep_refuses_a_level_past_its_float32_range():
+    # d1 * d2 overflows float32 from |level| ~ 1.8e19, the cast itself from 3.4e38
+    cfg = MCConfig(1000, 10, seed=1)
+    for x0 in (1e20, 1e200):
+        with pytest.raises(NumericalError, match="float32 sweep"):
+            first_passage_histogram(B_LIN, x0, cfg, 10)
+    assert first_passage_histogram(B_LIN, 1e18, cfg, 10).n_crossed == 0
 
 
 def test_fixed_level_histogram_matches_exact_density():
@@ -74,7 +103,7 @@ def test_fixed_level_histogram_matches_exact_density():
     # 4 empirical standard errors per bin at this path count
     cfg = MCConfig(n_paths=200000, n_steps=400, seed=42)
     h = first_passage_histogram(B_ZERO, 1.0, cfg, 20)
-    expected = _bin_masses(lambda t: reference_time_density(B_ZERO, 1.0, t), h.bin_edges)
+    expected = compare_density(B_ZERO, 1.0, h).reference_mass
     se = np.sqrt(expected * (1 - expected) / h.n_total)
     assert np.all(np.abs(h.masses - expected) <= 4.0 * se)
     stat, p = chi_square_vs_reference(h, expected)

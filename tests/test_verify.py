@@ -18,9 +18,10 @@ from fpkit.kernels import simpson_weights
 from fpkit.parallel import run_in_order
 from fpkit.solutions import (GammaPoly, closed_w, closed_w_gamma, phi_lambda, phi_lambda_planes,
                              u_lambda)
-from fpkit.verify import (TOLERANCES, CheckResult, check_inequality,
-                          check_vanishing_at_origin, product_spread, quadrature_match,
-                          residual_backward, residual_forward, run_checks, zero_identity_gap)
+from fpkit.verify import (TOLERANCES, VANISHING_PROBES, CheckResult, check_inequality,
+                          check_vanishing_at_origin, fine_grid_residuals, product_spread,
+                          quadrature_match, residual_backward, residual_forward, run_checks,
+                          zero_identity_gap)
 
 B_LIN = parse_boundary("s=1; fprime=0.5,0.3")
 B_CONST = parse_boundary("s=1; fprime=1")
@@ -231,8 +232,8 @@ def test_run_checks_samples_the_potential_once_per_fine_grid_block(monkeypatch):
 @pytest.mark.parametrize("height", [1, 4, 29])
 def test_run_checks_builds_the_fine_grid_nodes_once_not_per_block(monkeypatch, height):
     # whatever the block height, one pass builds spec's nodes twice: once in
-    # the walk, for the potential, and once in run_checks, for the three
-    # fields (the parent rebuilt them for every block of every field)
+    # the walk, for the potential, and once in fine_grid_residuals, for the
+    # three fields (not once per block of each field)
     spec = GridSpec(0.0, 0.8, 0.1, 2.5, 29, 61)
     monkeypatch.setattr(verify, "BLOCK_NODES", height * spec.nx)
     calls = []
@@ -270,6 +271,17 @@ def test_fine_grid_memory_two_workers_at_most_two_blocks():
     # is the one-worker run's, so the peak stays within twice that run's
     # however the threads interleave
     assert fine_grid_peak(321, 2) <= 2.0 * fine_grid_peak(321, 1)
+
+
+def test_fine_grid_residuals_are_the_ones_verify_writes(tmp_path):
+    # acceptance criteria 1 and 2 read these reports
+    assert cli.main(["verify", "--boundary", "s=1; fprime=0.5,0.3", "--fast",
+                     "--out", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "residuals.json").read_text())
+    reports = fine_grid_residuals(B_LIN, GridSpec(0.0, 0.9, 0.05, 3.0, 226, 739))
+    assert {key: rep.to_json() for key, rep in reports.items()} == {
+        key: written[key] for key in reports}
+    assert set(written) - set(reports) == {"backward_transform_w"}
 
 
 def test_form_preservation_does_not_fail_under_refinement():
@@ -490,23 +502,20 @@ def test_inequality_rejects_complex_and_bad_grid():
 
 # ------------------------------------------------------- vanishing at x -> 0
 
-PROBES = [2.0 ** -k for k in range(1, 21)]
-
-
 def test_vanishing_closed_w_passes():
-    rep = check_vanishing_at_origin(lambda t, x: closed_w(B_LIN, t, x), 0.0, PROBES)
+    rep = check_vanishing_at_origin(lambda t, x: closed_w(B_LIN, t, x), 0.0, VANISHING_PROBES)
     assert rep.violation_count == 0
 
 
 def test_vanishing_gamma_solution_passes():
     g = GammaPoly((0.0, 1.0))
     rep = check_vanishing_at_origin(lambda t, x: closed_w_gamma(B_LIN, g, t, x),
-                                    0.0, PROBES)
+                                    0.0, VANISHING_PROBES)
     assert rep.violation_count == 0
 
 
 def test_vanishing_constant_field_fails():
-    rep = check_vanishing_at_origin(lambda t, x: 1.0, 0.0, PROBES)
+    rep = check_vanishing_at_origin(lambda t, x: 1.0, 0.0, VANISHING_PROBES)
     assert rep.violation_count > 0
     assert rep.worst_margin < 0.0
 
