@@ -120,6 +120,15 @@ def eval_fsecond(b: Boundary, t):
     return scalar_or_array(horner(coeffs, np.asarray(t, dtype=float)))
 
 
+def sup_abs_fsecond(b: Boundary) -> float:
+    """max |f''| over [0, s], taken at the ends and at the real parts, clipped
+    to [0, s], of the roots of f''' (every extremum of f'' inside is one)."""
+    third = np.trim_zeros([j * (j - 1) * c for j, c in enumerate(b.deriv_coeffs)][2:], "b")
+    roots = np.polynomial.polynomial.polyroots(third) if len(third) > 1 else np.empty(0)
+    t = np.concatenate([[0.0, b.horizon_s], np.clip(roots.real, 0.0, b.horizon_s)])
+    return float(np.max(np.abs(eval_fsecond(b, t))))
+
+
 def boundary_potential(b: Boundary):
     """The moving-boundary potential V1(t, x) = x f''(t), as a (t, x) function."""
     return lambda t, x: np.asarray(x) * eval_fsecond(b, t)

@@ -167,10 +167,11 @@ OPTIONS = (
     Option("--x0", _MC, float, 1.0, "initial distance to the level"),
     Option("--paths", _MC, int, 100000, "number of paths"),
     Option("--steps", _MC, int, 2000,
-           "time steps n: the sweep takes n chords, simulate's Feynman-Kac "
-           "2 max(8, ceil(n/25)) intervals graded toward s, Richardson-"
-           "extrapolated with its half mesh (constant f' takes one chord and "
-           "no Feynman-Kac step)"),
+           "time steps n: simulate's Feynman-Kac takes m = 2 max(8, ceil(n/25)) "
+           "intervals graded toward s, Richardson-extrapolated with its half "
+           "mesh; the sweep takes min(n, max(m, c)) uniform chords, c the "
+           f"fewest within {mc.CHORD_GAP:g} of the level by its sup |f''| (constant f' "
+           "takes one chord and no Feynman-Kac step)"),
     Option("--seed", _MC, int, 42, "seed of the random streams"),
     Option("--bins", _MC, int, 20, "histogram bins on [0, s]"),
     Option("--threads", _MC, int, 1, "worker threads (outputs do not depend on it)"),

@@ -3,15 +3,18 @@
 Two estimators:
 
 * ``first_passage_histogram`` -- first-passage times of standard
-  Brownian motion to the moving level x0 + int_0^t f'.  Each step
-  replaces the level by its chord; a path crosses inside a step with the
-  Brownian-bridge probability exp(-2 d1 d2 / dt), and every crossing gets
-  its exact time inside its step (``_hit_times``).  The sweep strides
-  ``COARSE_CHORDS`` steps at a time on one normal per path, skips a path
-  whose bridge over the stride meets the stride's lowest level node with
-  chance below 2**-64, and fills in the steps of every other path by
-  exact Brownian-bridge sampling (``_refine``).  The law is therefore
-  exact against the chords whatever the bins, up to at most
+  Brownian motion to the moving level x0 + int_0^t f'.  ``n_steps`` = n
+  asks for min(n, max(m, c)) uniform steps (``sweep_chords``), where
+  m = 2 max(8, ceil(n/25)) is FK's own count (``mesh_size``) and c the
+  fewest chords that the level's sup |f''| keeps within CHORD_GAP of it.
+  Each step replaces the level by its chord; a path crosses inside a step
+  with the Brownian-bridge probability exp(-2 d1 d2 / dt), and every
+  crossing gets its exact time inside its step (``_hit_times``).  The
+  sweep strides ``COARSE_CHORDS`` steps at a time on one normal per path,
+  skips a path whose bridge over the stride meets the stride's lowest
+  level node with chance below 2**-64, and fills in the steps of every
+  other path by exact Brownian-bridge sampling (``_refine``).  The law is
+  therefore exact against the chords whatever the bins, up to at most
   n_paths * n_strides * 2**-64 expected skipped crossings per run, and a
   level with constant f' -- its own chord -- takes one step over [0, s].
 
@@ -20,15 +23,15 @@ Two estimators:
   bridge from x at time 0 to the origin at time s, realized as the
   modulus of a 3-D Brownian bridge (positivity is automatic),
   stepped on the radius alone, and averaged over mirrored path pairs.
-  ``n_steps`` = n asks FK for m = 2 max(8, ceil(n/25)) intervals of its
-  own mesh, graded toward s, where the sweep takes n chords.  FK returns
-  the Richardson combination of the trapezoid rules at m and at m/2
-  intervals, whose nodes are the even ones of the m mesh, so one path
-  set serves both.  Each pair's mean of the same combination of the two
-  integrals is a control variate with an exact discrete mean, and the
-  reported std_error is that control-variate estimator's.  A level with
-  constant f' gives exactly 1 without stepping.  Each block draws its
-  float64 normals and exponentials step by step from numpy's Generator.
+  ``n_steps`` = n asks FK for m = ``mesh_size(n)`` intervals of its own
+  mesh, graded toward s.  FK returns the Richardson combination of the
+  trapezoid rules at m and at m/2 intervals, whose nodes are the even
+  ones of the m mesh, so one path set serves both.  Each pair's mean of
+  the same combination of the two integrals is a control variate with an
+  exact discrete mean, and the reported std_error is that control-variate
+  estimator's.  A level with constant f' gives exactly 1 without
+  stepping.  Each block draws its float64 normals and exponentials step
+  by step from numpy's Generator.
 
 Reproducibility contract: random streams belong to fixed 8,192-path
 blocks, and block ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``.
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import Boundary, eval_fsecond, integral_fprime
+from .boundary import Boundary, eval_fsecond, integral_fprime, sup_abs_fsecond
 from .grids import NumericalError
 from .kernels import derived_kernel, heat_kernel, simpson_weights
 from .parallel import run_in_order
@@ -64,8 +67,16 @@ MAX_UNIT_PATHS = 1 << 16
 #: chords per stride of the first-passage sweep; one normal per path covers
 #: a stride, and only paths within reach of the level see its chords
 COARSE_CHORDS = 8
+#: most paths of a block that one ``_refine`` call takes, which bounds its
+#: working memory (~136 bytes a path at 8 chords)
+REFINE_PATHS = 1 << 12
 #: -log of the largest bridge-crossing chance that a stride may skip (2**-64)
 SKIP_LOG_P = 64.0 * np.log(2.0)
+#: largest gap, sup |f''| h^2 / 8, between the level and a chord of width h
+#: that ``sweep_chords`` lets a level's curvature ask for; at the rule's
+#: chords for 400, 800 and 2000 steps, no level of the bias table in
+#: CHANGES.md has a bin biased by 0.06 of its 1M-path standard error
+CHORD_GAP = 2.5e-5
 
 
 @dataclass(frozen=True)
@@ -128,6 +139,29 @@ class DensityComparison:
     kappa_mass: np.ndarray
     reference_mass: np.ndarray
     z_scores: np.ndarray
+
+
+def mesh_size(n_steps: int) -> int:
+    """m = 2 max(8, ceil(n/25)) for ``n_steps`` = n: the intervals of FK's
+    graded mesh, and the fewest chords the sweep takes of a curved level
+    when n allows them."""
+    return 2 * max(8, -(-n_steps // 25))
+
+
+def sweep_chords(b: Boundary, n_steps: int) -> int:
+    """Uniform chords of the first-passage sweep over [0, s] when
+    ``n_steps`` = n are asked for: 1 for a level with constant f', which
+    is its own chord, and otherwise min(n, max(m, c)), with m =
+    ``mesh_size(n)`` and c the fewest chords of width h = s/c whose gap
+    from the level, at most sup |f''| h^2 / 8, is within CHORD_GAP."""
+    if not any(b.deriv_coeffs[1:]):
+        return 1
+    # a sup |f''| past float64 (inf or NaN) asks for every step
+    with np.errstate(over="ignore", invalid="ignore"):
+        need = b.horizon_s * math.sqrt(sup_abs_fsecond(b) / (8.0 * CHORD_GAP))
+    if not need < n_steps:
+        return n_steps
+    return min(n_steps, max(mesh_size(n_steps), math.ceil(need)))
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -195,14 +229,14 @@ def _hit_times(rng: np.random.Generator, a: np.ndarray, d2: np.ndarray,
     return dt * np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
-def _refine(streams, idx: np.ndarray, start: np.ndarray, end: np.ndarray,
-            level: np.ndarray, dt: float) -> tuple:
+def _refine(rng: np.random.Generator, idx: np.ndarray, start: np.ndarray,
+            end: np.ndarray, level: np.ndarray, dt: float) -> tuple:
     """Chord-by-chord crossing test, over one stride of k = level.size - 1
-    chords, of the paths ``idx`` (sorted) of a work unit, given each one's
-    position ``start`` at the stride's first node and ``end`` at its last.
+    chords, of the paths ``idx`` of one block, given each one's position
+    ``start`` at the stride's first node and ``end`` at its last.
 
-    Each block draws, from its own stream, k - 1 normals and then k
-    exponentials for each of its paths in ``idx``.  The normals give the
+    The block's stream ``rng`` gives k - 1 rows of normals and then k rows
+    of exponentials, one column per path of ``idx``.  The normals give the
     k - 1 interior nodes, drawn exactly from the Brownian bridge between
     ``start`` and ``end``: Levy's construction, node after node, sums in
     closed form to the pinned bridge (k - i) sum_{l <= i} z_l
@@ -212,15 +246,10 @@ def _refine(streams, idx: np.ndarray, start: np.ndarray, end: np.ndarray,
     their distances below the level at its two ends.
     """
     m, k = idx.size, level.size - 1
-    normals = np.empty((m, k - 1), dtype=np.float32)
-    expo = np.empty((m, k), dtype=np.float32)
-    cuts = np.searchsorted(idx, [part.start for _, part in streams] + [streams[-1][1].stop])
-    for (rng, _), lo, hi in zip(streams, cuts[:-1], cuts[1:]):
-        rng.standard_normal(dtype=np.float32, out=normals[lo:hi])
-        rng.standard_exponential(dtype=np.float32, out=expo[lo:hi])
-    # chord-major from here on: one row per node or chord
+    # chord-major: one row per node or chord, one column per path
+    bridge = rng.standard_normal((k - 1, m), dtype=np.float32)
+    expo = rng.standard_exponential((k, m), dtype=np.float32)
     i = np.arange(1, k)[:, None]
-    bridge = np.ascontiguousarray(normals.T)
     bridge *= np.sqrt(dt / ((k - i) * (k - i + 1))).astype(np.float32)
     for row in range(1, k - 1):
         bridge[row] += bridge[row - 1]
@@ -233,7 +262,6 @@ def _refine(streams, idx: np.ndarray, start: np.ndarray, end: np.ndarray,
     np.subtract(level[1:k, None], dist[1:k], out=dist[1:k])
     np.subtract(level[0], start, out=dist[0])
     np.subtract(level[k], end, out=dist[k])
-    expo = np.ascontiguousarray(expo.T)
     expo *= np.float32(0.5 * dt)
     crossing = expo > dist[:-1] * dist[1:]
     cols = np.flatnonzero(crossing.any(axis=0))
@@ -246,13 +274,15 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
     """Empirical first-passage histogram of Brownian motion to the moving level.
 
     Paths start at 0; the level at time t is x0 + int_0^t f'(u) du, taken
-    as its chord over each of ``cfg.n_steps`` steps.  A path crosses when
-    an Euler endpoint reaches the level or, between two endpoints below it,
-    with the Brownian-bridge probability exp(-2 d1 d2 / dt); the crossing
-    time inside the step is then drawn exactly (``_hit_times``).  A level
-    with constant f' is its own chord, so it takes one step over [0, s]
-    and its histogram is exact in law; a curved level errs only by the
-    chords, however the bins sit against the steps.
+    as its chord over each of ``sweep_chords(b, cfg.n_steps)`` uniform
+    steps, at most ``cfg.n_steps``; the bias table in CHANGES.md, of the
+    chords against the Volterra oracle, set CHORD_GAP.  A path crosses
+    when an Euler endpoint reaches the level or, between two endpoints
+    below it, with the Brownian-bridge probability exp(-2 d1 d2 / dt); the
+    crossing time inside the step is then drawn exactly (``_hit_times``).
+    A level with constant f' is its own chord, so it takes one step over
+    [0, s] and its histogram is exact in law; a curved level errs only by
+    the chords, however the bins sit against the steps.
 
     The sweep strides ``COARSE_CHORDS`` chords at a time, with one normal
     per path for its position at the stride's end.  The chords lie at or
@@ -270,9 +300,9 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
     if n_bins < 1:
         raise ValueError("need at least one bin")
     s = b.horizon_s
-    n_steps = cfg.n_steps if any(b.deriv_coeffs[1:]) else 1
-    dt = s / n_steps
-    t_nodes = np.linspace(0.0, s, n_steps + 1)
+    n_chords = sweep_chords(b, cfg.n_steps)
+    dt = s / n_chords
+    t_nodes = np.linspace(0.0, s, n_chords + 1)
     level = x0 + integral_fprime(b, 0.0, t_nodes)
     # the sweep's float32 products of two distances below the level, d1 d2,
     # stay finite (below 3.4e38) while |level| < 1e19
@@ -295,8 +325,8 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
         # per stride: the paths first crossing in it, their steps, d1 and d2
         hits = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int32),
                  np.empty(0, dtype=np.float32), np.empty(0, dtype=np.float32))]
-        for j in range(0, n_steps, COARSE_CHORDS):
-            k = min(COARSE_CHORDS, n_steps - j)
+        for j in range(0, n_chords, COARSE_CHORDS):
+            k = min(COARSE_CHORDS, n_chords - j)
             for rng, part in streams:
                 rng.standard_normal(dtype=np.float32, out=z[part])
             if k == 1:
@@ -335,8 +365,14 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
                 newly &= alive
                 idx = np.flatnonzero(newly)
                 if idx.size:
-                    idx, chord, a, d2 = _refine(streams, idx, w[idx], z[idx],
-                                                level[j:j + k + 1], dt)
+                    # each block's paths, REFINE_PATHS at a time and in order
+                    cuts = np.searchsorted(idx, [part.start for _, part in streams] + [size])
+                    pieces = [(rng, idx[lo:min(lo + REFINE_PATHS, last)])
+                              for (rng, _), first, last in zip(streams, cuts[:-1], cuts[1:])
+                              for lo in range(first, last, REFINE_PATHS)]
+                    refined = [_refine(rng, piece, w[piece], z[piece], level[j:j + k + 1], dt)
+                               for rng, piece in pieces]
+                    idx, chord, a, d2 = (np.concatenate(column) for column in zip(*refined))
                     hits.append((idx, (j + chord).astype(np.int32), a, d2))
                 w, z = z, w
             alive[idx] = False
@@ -463,8 +499,8 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     (``_radial_step``: one normal and one exponential per path-step).  The
     time integral uses the trapezoid rule on FK's own graded mesh
     (``_graded_mesh``): ``cfg.n_steps`` = n asks for
-    m = 2 max(8, ceil(n/25)) intervals, crowded toward s, where the
-    first-passage sweep takes n chords.  Each path sums two integrals, I_m
+    m = ``mesh_size(n)`` = 2 max(8, ceil(n/25)) intervals, crowded toward
+    s.  Each path sums two integrals, I_m
     over every node and I_{m/2} over the even nodes, which are the m/2
     mesh.  The rule's bias falls like m^-2, so the Richardson value
     y = (4 exp(-I_m) - exp(-I_{m/2})) / 3 cancels its leading term
@@ -504,7 +540,7 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
         return MCEstimate(1.0, 0.0, cfg.n_paths)
     s = b.horizon_s
     # m is even, so that the m/2 mesh of the Richardson pair is its even nodes
-    nodes, left = _graded_mesh(s, 2 * max(8, -(-cfg.n_steps // 25)))
+    nodes, left = _graded_mesh(s, mesh_size(cfg.n_steps))
     fsecond = np.asarray(eval_fsecond(b, nodes), dtype=float)
     # trapezoid weights folded with f'', on the m mesh and on its even nodes
     # (0 at the odd ones); the last node (R_s = 0) adds nothing
@@ -536,7 +572,7 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
         lead_cuts = np.cumsum([0] + [(part.stop - part.start + 1) // 2 for _, part in streams])
         n_lead = lead_cuts[-1]
         n_pairs = size - n_lead
-        radius = np.full(size, x)
+        radius = np.full(size, x, dtype=np.float64)
         integral = np.repeat(coef[:, :1] * x, size, axis=1)
         term = np.empty(size)
         z = np.empty(n_lead)

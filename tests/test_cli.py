@@ -305,6 +305,16 @@ def test_simulate_threads_do_not_change_outputs(tmp_path):
     assert outs[1] == outs[2] == outs[3]
 
 
+def test_simulate_records_the_requested_steps(tmp_path):
+    # the sweep takes 39 chords of 400 on this level and FK 32 intervals,
+    # but both sidecars keep the --steps that was asked for
+    out = tmp_path / "out"
+    assert main(["simulate", "--boundary", "s=1; fprime=0.5,0.3", "--paths", "200",
+                 "--steps", "400", "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())["steps"] == 400
+    assert json.loads((out / "feynman_kac.json").read_text())["n_steps"] == 400
+
+
 def test_compare_threads_do_not_change_outputs(tmp_path):
     base = ["compare", "--boundary", "s=1; fprime=0", "--x0", "1",
             "--paths", "20001", "--steps", "60", "--seed", "8"]

@@ -1,3 +1,4 @@
+import functools
 import time
 
 import numpy as np
@@ -11,14 +12,15 @@ from fpkit.boundary import (Boundary, eval_fprime, eval_fsecond, integral_fprime
 from fpkit.grids import NumericalError
 from fpkit.montecarlo import (BLOCK_SIZE, MAX_UNIT_PATHS, DensityHistogram, MCConfig,
                               bessel_bridge_fk, compare_density, first_passage_histogram,
-                              kappa_time_density, reference_time_density, _bin_masses,
-                              _hit_times, _radial_step)
-from volterra_oracle import hitting_density_at, trapezoid_density
+                              kappa_time_density, reference_time_density, sweep_chords,
+                              _bin_masses, _hit_times, _radial_step)
+from volterra_oracle import hitting_bin_masses, hitting_density_at, trapezoid_density
 
 B_ZERO = parse_boundary("s=1; fprime=0")
 B_UP = parse_boundary("s=1; fprime=1")
 B_LIN = parse_boundary("s=1; fprime=0.5,0.3")
 B_DOWN = parse_boundary("s=1; fprime=0,-0.3")
+B_STRONG = parse_boundary("s=1; fprime=0,3")
 
 
 def test_config_validation():
@@ -136,18 +138,20 @@ def test_constant_slope_histogram_matches_bachelier_levy(slope, n_bins):
 
 def test_curved_level_histogram_independent_of_step_grid():
     # exact in-step crossing times leave a curved level only the chord error,
-    # so 10 steps (two bins each) and 400 steps give one law at this size
+    # so 10 chords (two bins each) and the 160 that --steps 2000 takes give
+    # one law at this size
     coarse = first_passage_histogram(B_LIN, 1.0, MCConfig(262144, 10, seed=31), 20)
-    fine = first_passage_histogram(B_LIN, 1.0, MCConfig(262144, 400, seed=32), 20)
+    fine = first_passage_histogram(B_LIN, 1.0, MCConfig(262144, 2000, seed=32), 20)
     stat, p = chi_square_two_sample(coarse, fine)
     assert p > 0.001
 
 
 @pytest.mark.parametrize("slope, n_bins", [(0.7, 20), (-0.5, 17)])
 def test_line_through_chord_sweep_matches_bachelier_levy(slope, n_bins):
-    # a 1e-300 curvature keeps the 200-step sweep, strides and bridge
-    # refinement included, while the level equals x0 + c t to float64; the
-    # strided chords are then exact, so Bachelier-Levy is the law
+    # a 1e-300 curvature keeps the chord sweep (16 chords at --steps 200),
+    # strides and bridge refinement included, while the level equals
+    # x0 + c t to float64; the strided chords are then exact, so
+    # Bachelier-Levy is the law
     x0 = 1.0
     b = Boundary((slope, 1e-300), 1.0)
     h = first_passage_histogram(b, x0, MCConfig(n_paths=262144, n_steps=200, seed=1618),
@@ -158,15 +162,17 @@ def test_line_through_chord_sweep_matches_bachelier_levy(slope, n_bins):
 
 
 @pytest.mark.parametrize("b, x0, n_steps", [
-    (B_LIN, 1.0, 100),
-    (B_DOWN, 1.0, 100),
-    # falls ~1.6 per 8-chord stride near t = 0.2, where its paths cross:
-    # a path above a stride's lowest node must be refined, not skipped
+    (B_LIN, 1.0, 36),
+    (B_DOWN, 1.0, 36),
+    # 40 chords: falls ~1.6 per 8-chord stride near t = 0.2, where its paths
+    # cross: a path above a stride's lowest node must be refined, not skipped
     (parse_boundary("s=1; fprime=0,-40"), 2.0, 40),
 ], ids=["rising", "falling", "steep"])
 def test_strided_sweep_matches_chord_by_chord_sweep(b, x0, n_steps, monkeypatch):
-    # one chord per stride is the plain per-chord sweep; 100 steps end on a
-    # 4-chord stride
+    # one chord per stride is the plain per-chord sweep; 36 steps, fewer
+    # than the rule's floor on either gentle level, are 36 chords, which end
+    # on a 4-chord stride
+    assert sweep_chords(b, n_steps) == n_steps
     strided = first_passage_histogram(b, x0, MCConfig(262144, n_steps, seed=41), 20, n_workers=2)
     monkeypatch.setattr(montecarlo, "COARSE_CHORDS", 1)
     plain = first_passage_histogram(b, x0, MCConfig(262144, n_steps, seed=42), 20, n_workers=2)
@@ -179,9 +185,57 @@ def test_far_curved_level_skips_every_stride(monkeypatch):
         raise AssertionError("a stride refined a path 8 standard deviations off")
 
     monkeypatch.setattr(montecarlo, "_refine", refine)
+    # 39 chords: four 8-chord strides and a 7-chord one, none a plain step
+    assert sweep_chords(B_LIN, 100) == 39
     h = first_passage_histogram(B_LIN, 8.0, MCConfig(20000, 100, seed=5), 10)
     assert h.n_crossed == 0
     assert not np.any(h.masses)
+
+
+@pytest.mark.parametrize("b, chords", [
+    # c = ceil(s sqrt(sup |f''| / (8 CHORD_GAP))) is 39 at f'' = 0.3 and 123 at
+    # f'' = 3; m = 2 max(8, ceil(n/25)) is 16 up to n = 200, 32, 64 and 160
+    (B_LIN, [2, 10, 16, 17, 39, 64, 160]),
+    (B_STRONG, [2, 10, 16, 17, 123, 123, 160]),
+    (B_UP, [1] * 7),
+], ids=["gentle", "strong", "constant"])
+def test_sweep_chord_count_per_requested_steps(b, chords, monkeypatch):
+    # min(n, max(m, c)) chords of n requested: the sweep's level nodes say so
+    steps = (2, 10, 16, 17, 400, 800, 2000)
+    assert [sweep_chords(b, n) for n in steps] == chords
+    nodes = []
+    original = montecarlo.integral_fprime
+
+    def level(b, a, t):
+        nodes.append(np.size(t))
+        return original(b, a, t)
+
+    monkeypatch.setattr(montecarlo, "integral_fprime", level)
+    for n in steps:
+        first_passage_histogram(b, 1.0, MCConfig(16, n, seed=1), 4)
+    assert [k - 1 for k in nodes] == chords
+
+
+def test_sweep_chords_take_every_step_past_float64_curvature():
+    # sup |f''| overflows float64 on this level; every requested step is taken
+    b = Boundary((0.0,) * 16 + (1e300,), 1e3)
+    assert sweep_chords(b, 50) == 50
+
+
+@functools.cache
+def _oracle_bin_masses(b):
+    return hitting_bin_masses(b, 1.0, 20)
+
+
+@pytest.mark.parametrize("b", [B_LIN, B_STRONG], ids=["gentle", "strong"])
+@pytest.mark.parametrize("n_steps", [800, 2000])
+def test_sweep_at_the_rule_chords_matches_volterra_oracle(b, n_steps):
+    # 64 or 123 chords at 800 steps and 160 at 2000, whose worst bin the
+    # bias table puts within 0.011 of a 1M-path standard error
+    h = first_passage_histogram(b, 1.0, MCConfig(262144, n_steps, seed=2026), 20,
+                                n_workers=2)
+    stat, p = chi_square_vs_reference(h, _oracle_bin_masses(b))
+    assert p > 0.001
 
 
 @pytest.mark.parametrize("a, d2", [
@@ -247,6 +301,15 @@ def test_compare_density_empty_bin_z_floors_variance_at_one_path():
     table = compare_density(B_ZERO, 1.0, hist)
     assert table.kappa_mass[0] > 0.0
     assert table.z_scores[0] == -table.kappa_mass[0] * n
+
+
+def test_fk_int_start_matches_float_start_bit_for_bit():
+    # an int x must build a float64 radius, not an int64 one that the
+    # in-place bridge step cannot take
+    cfg = MCConfig(20000, 10, seed=1)
+    b = parse_boundary("s=1; fprime=0.5,-0.3")
+    as_int, as_float = bessel_bridge_fk(b, 1, cfg), bessel_bridge_fk(b, 1.0, cfg)
+    assert (as_int.mean, as_int.std_error) == (as_float.mean, as_float.std_error)
 
 
 def test_fk_constant_slope_gives_exactly_one(monkeypatch):
@@ -449,7 +512,7 @@ def _fk_density(b, x0, est):
 
 
 @pytest.mark.parametrize("b", [B_LIN, B_DOWN, parse_boundary("s=2; fprime=-0.5,0.6"),
-                               parse_boundary("s=1; fprime=0,3")],
+                               B_STRONG],
                          ids=["rising", "falling", "s2", "strong"])
 def test_fk_density_matches_volterra_oracle(b):
     # the hitting density at the horizon, prefactor x FK, against the
