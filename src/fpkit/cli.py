@@ -8,9 +8,10 @@ the flag, else the value in the ``--config`` JSON file (``null`` counts
 as absent), else the table default.  A config key that no option of the
 command reads is an error, and so is a config value that its option's
 converter rejects or would change (a switch takes only true/false).  A
-command writes CSV/JSON artifacts into ``--out`` and a ``config.json``
-sidecar with every option it reads, so rerunning with ``--config`` on
-that sidecar reproduces its outputs.
+command writes CSV/JSON artifacts into ``--out`` and returns how many
+checks it failed; then ``main``, on exit 0 or 2 only, writes a
+``config.json`` sidecar with every option the command read, so rerunning
+with ``--config`` on that sidecar reproduces its outputs.
 
 Exit codes: 0 success, 1 usage/config error, 2 assertion failure
 (a verified tolerance was missed), 3 numerical failure.
@@ -28,8 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import montecarlo as mc
-from .boundary import (Boundary, BoundaryFormatError, boundary_from_json, boundary_potential,
-                       parse_boundary)
+from .boundary import Boundary, boundary_from_json, boundary_potential, parse_boundary
 from .grids import (GridSpec, NumericalError, read_field_csv, sample_field, transform_grid,
                     write_csv, write_field_csv)
 from .kernels import HORIZON_MARGIN, MAX_ORDER, kernel_n
@@ -45,10 +45,6 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(ValueError):
     """Bad flags or config-file contents."""
-
-
-class AssertionFailure(RuntimeError):
-    """A verified tolerance was missed."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,7 +232,7 @@ def _sidecar(args) -> None:
                 {k: v for k, v in vars(args).items() if k not in ("config", "out")})
 
 
-def cmd_kernels(args) -> None:
+def cmd_kernels(args) -> int:
     t_vals = _parse_range(args.t)
     x_vals = _parse_range(args.x)
     if np.any(t_vals <= 0.0):
@@ -250,10 +246,10 @@ def cmd_kernels(args) -> None:
             vals = kernel_n(n, float(t), x_vals)
             rows.extend((t, x, n, v) for x, v in zip(x_vals, np.atleast_1d(vals)))
     write_csv(os.path.join(_out_dir(args), "kernels.csv"), "t,x,n,value", rows)
-    _sidecar(args)
+    return 0
 
 
-def cmd_solution(args) -> None:
+def cmd_solution(args) -> int:
     b = _boundary(args)
     g = GammaPoly(tuple(args.gamma))
     upper = max(0.9 * (b.horizon_s - HORIZON_MARGIN), 1e-3)
@@ -268,10 +264,10 @@ def cmd_solution(args) -> None:
             for j, x in enumerate(x_nodes)]
     write_csv(os.path.join(out, "w.csv"), "t,x,value", rows)
     write_csv(os.path.join(out, "kappa.csv"), "x,value", zip(x_nonneg, np.atleast_1d(kap)))
-    _sidecar(args)
+    return 0
 
 
-def cmd_verify(args) -> None:
+def cmd_verify(args) -> int:
     b = _boundary(args)
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
@@ -291,15 +287,12 @@ def cmd_verify(args) -> None:
     _write_json(out, "residuals.json", residuals)
     _write_json(out, "diagnostics.json", diagnostics)
     _write_json(out, "checks.json", [c.to_json() for c in checks])
-    _sidecar(args)
     for c in checks:
         print(c.line())
-    failed = sum(not c.passed for c in checks)
-    if failed:
-        raise AssertionFailure(f"{failed} verification check(s) failed")
+    return sum(not c.passed for c in checks)
 
 
-def cmd_transform(args) -> None:
+def cmd_transform(args) -> int:
     b = _boundary(args)
     spec = _parse_grid(args.grid, b, engine=True, flag="--grid")
     u = sample_field(spec, lambda t, x: u_lambda(b, args.lam, t, x))
@@ -310,18 +303,17 @@ def cmd_transform(args) -> None:
     out = _out_dir(args)
     write_field_csv(os.path.join(out, "w_transform.csv"), w)
     _write_json(out, "residuals.json", {"backward_transform_w": rep.to_json()})
-    _sidecar(args)
+    return 0
 
 
 def _mc_setup(args):
-    """Boundary and MCConfig of simulate/compare; bad MCConfig values raise
-    ValueError, which ``main`` reports as exit 1."""
+    """Boundary and MCConfig of simulate/compare; bad MCConfig values, like
+    the x0 that ``first_passage_histogram`` refuses, raise ValueError, which
+    ``main`` reports as exit 1."""
     b = _boundary(args)
     cfg = mc.MCConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
-    if not args.x0 > 0.0:
-        raise ConfigError(f"x0 must be positive, got {args.x0}")
     return b, cfg
 
 
@@ -332,7 +324,7 @@ def _write_comparison(out: str, table: mc.DensityComparison) -> None:
                   table.reference_mass, table.z_scores))
 
 
-def cmd_simulate(args) -> None:
+def cmd_simulate(args) -> int:
     b, cfg = _mc_setup(args)
     hist = mc.first_passage_histogram(b, args.x0, cfg, args.bins, args.threads)
     table = mc.compare_density(b, args.x0, hist)
@@ -344,15 +336,15 @@ def cmd_simulate(args) -> None:
     _write_comparison(out, table)
     _write_json(out, "feynman_kac.json",
                 {**fk.to_json(), "n_steps": cfg.n_steps, "seed": cfg.seed})
-    _sidecar(args)
+    return 0
 
 
-def cmd_compare(args) -> None:
+def cmd_compare(args) -> int:
     b, cfg = _mc_setup(args)
     hist = mc.first_passage_histogram(b, args.x0, cfg, args.bins, args.threads)
     table = mc.compare_density(b, args.x0, hist)
     _write_comparison(_out_dir(args), table)
-    _sidecar(args)
+    return 0
 
 
 COMMANDS = {
@@ -395,21 +387,20 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _resolve(args)
-        COMMANDS[args.command][0](args)
-        return EXIT_OK
-    except (ConfigError, BoundaryFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except AssertionFailure as exc:
-        print(f"assertion failure: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
-    except (NumericalError, FloatingPointError) as exc:
+        failed = COMMANDS[args.command][0](args)
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        # precondition violations from the numeric layer (bad grids, ranges)
+        # ConfigError, BoundaryFormatError and the numeric layer's refused
+        # preconditions (bad grids, ranges, x0)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _sidecar(args)
+    if failed:
+        print(f"assertion failure: {failed} verification check(s) failed", file=sys.stderr)
+        return EXIT_ASSERTION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

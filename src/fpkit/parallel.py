@@ -24,10 +24,9 @@ def run_in_order(work: Callable, items: Sequence, n_workers: int) -> list:
     malloc arena, which the rest of the run uses anyway, takes a share of
     the items, not one more arena keeping an item's high-water mark.  After
     a raise no further item is claimed; once the claimed items end, the
-    raise of the lowest item is re-raised, the one a serial walk meets.
+    raise of the lowest item is re-raised, the one a serial walk meets.  At
+    one worker (or one item) the calling thread alone is that serial walk.
     """
-    if n_workers <= 1 or len(items) <= 1:
-        return [work(item) for item in items]
     results, errors = [None] * len(items), {}
     claims = itertools.count()
 

@@ -54,12 +54,11 @@ def cumulative_simpson(y: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     panels *= h / 3.0
     np.cumsum(panels, axis=-1, out=out[..., 2::2])
     n_half = (n - 1) // 2 if n % 2 == 1 else (n - 2) // 2
-    if n_half > 0:
-        odd = np.multiply(y[..., 0:2 * n_half:2], 5.0, out=out[..., 1:2 * n_half:2])
-        odd += 8.0 * y[..., 1:2 * n_half:2]
-        odd -= y[..., 2:2 * n_half + 1:2]
-        odd *= h / 12.0
-        odd += out[..., 0:2 * n_half:2]
+    odd = np.multiply(y[..., 0:2 * n_half:2], 5.0, out=out[..., 1:2 * n_half:2])
+    odd += 8.0 * y[..., 1:2 * n_half:2]
+    odd -= y[..., 2:2 * n_half + 1:2]
+    odd *= h / 12.0
+    odd += out[..., 0:2 * n_half:2]
     if n % 2 == 0:
         out[..., -1] = out[..., -2] + (h / 12.0) * (
             -y[..., -3] + 8.0 * y[..., -2] + 5.0 * y[..., -1]

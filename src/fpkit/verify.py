@@ -54,7 +54,7 @@ fixed-boundary case with s > 1 does).
 
 ``run_checks`` is the suite behind ``fpkit verify``; the acceptance tests
 share its definitions: ``fine_grid_residuals``, ``form_preservation``,
-``transform_loop``, ``VANISHING_PROBES`` and the per-point measures
+``transform_loop``, ``vanishing_probes`` and the per-point measures
 ``zero_identity_gap`` and ``product_spread``.
 """
 
@@ -134,9 +134,6 @@ class DiagnosticReport:
 #: grid.  The block height is this over nx, so memory is flat in nt and nx;
 #: each worker holds one block of one field at a time.
 BLOCK_NODES = 48_000
-
-#: x probes of the vanishing-at-origin check, 2^-1 down to 2^-20
-VANISHING_PROBES = tuple(2.0 ** -k for k in range(1, 21))
 
 #: x spacing of the form-preservation stencil, whatever the grid's dx: a
 #: wide stencil keeps its roundoff floor, ~eps |log Phi| / dx^2, far below
@@ -319,6 +316,16 @@ def check_inequality(w: GridField, s: float) -> DiagnosticReport:
     return DiagnosticReport(violations, float(margin.min()), vals.size)
 
 
+def vanishing_probes(s: float) -> tuple[float, ...]:
+    """x probes of the vanishing-at-origin check, sqrt(s) 2^-k for k = 1, 2, ...
+    up to the first <= 1e-6 (2^-1 ... 2^-20 at s = 1): x k(s, x) peaks near
+    sqrt(s), so the probes start where |w(0, x)| falls toward the origin."""
+    probes = [float(np.sqrt(s)) / 2.0]
+    while probes[-1] > 1e-6:
+        probes.append(probes[-1] / 2.0)
+    return tuple(probes)
+
+
 def check_vanishing_at_origin(w_eval: Callable[[float, float], float], t: float,
                               x_probes: Sequence[float]) -> DiagnosticReport:
     """Probe |w(t, x)| on a decreasing sequence x_k -> 0.
@@ -341,7 +348,7 @@ def check_vanishing_at_origin(w_eval: Callable[[float, float], float], t: float,
     vals = np.array([abs(complex(w_eval(t, xk))) for xk in probes])
     slack = 1e-9
     decrease_viol = int(np.count_nonzero(vals[1:] > vals[:-1] * (1.0 + slack) + 1e-300))
-    worst_decrease = float(np.min(vals[:-1] - vals[1:])) if vals.size > 1 else 0.0
+    worst_decrease = float(np.min(vals[:-1] - vals[1:]))
     slope_prev = vals[-2] / probes[-2]
     slope_last = vals[-1] / probes[-1]
     slope_tol = slope_prev * np.sqrt(probes[-2] / probes[-1]) * (1.0 + slack)
@@ -490,7 +497,8 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
         prod_worst = max(prod_worst, product_spread(b, lam, ts, xs))
     checks.append(CheckResult("product constancy", "worst", prod_worst, tols["tol_product"]))
 
-    rep_v = check_vanishing_at_origin(lambda t, x: closed_w(b, t, x), 0.0, VANISHING_PROBES)
+    rep_v = check_vanishing_at_origin(lambda t, x: closed_w(b, t, x), 0.0,
+                                      vanishing_probes(b.horizon_s))
     checks.append(CheckResult("vanishing at origin (t=0)", "violations",
                               rep_v.violation_count, 0))
 

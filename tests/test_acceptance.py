@@ -20,9 +20,9 @@ from fpkit.grids import GridSpec, sample_field, transform_grid
 from fpkit.montecarlo import MCConfig, bessel_bridge_fk, compare_density, first_passage_histogram
 from fpkit.solutions import GammaPoly
 from fpkit.transform import log_phi_xx
-from fpkit.verify import (VANISHING_PROBES, check_inequality, check_vanishing_at_origin,
-                          fine_grid_residuals, form_preservation, product_spread,
-                          quadrature_match, transform_loop, zero_identity_gap)
+from fpkit.verify import (check_inequality, check_vanishing_at_origin, fine_grid_residuals,
+                          form_preservation, product_spread, quadrature_match, transform_loop,
+                          vanishing_probes, zero_identity_gap)
 
 B_ACC = fp.parse_boundary("s=1; fprime=0.5,0.3")
 GRID_ACC = GridSpec(0.0, 0.9, 0.05, 3.0, 901, 2951)       # dt = dx = 1e-3
@@ -139,7 +139,7 @@ def test_criterion_08_vanishing_at_origin():
     exact_zero = (fp.closed_w(B_ACC, 0.0, 0.0) == 0.0)
     g = GammaPoly((0.4, -0.7, 0.2))
     exact_zero &= (fp.closed_w_gamma(B_ACC, g, 0.0, 0.0) == 0.0)
-    probes = VANISHING_PROBES  # the probes of fpkit verify's check
+    probes = vanishing_probes(B_ACC.horizon_s)  # the probes of fpkit verify's check, s = 1
     rep_w = check_vanishing_at_origin(lambda t, x: fp.closed_w(B_ACC, t, x), 0.0, probes)
     rep_g = check_vanishing_at_origin(
         lambda t, x: fp.closed_w_gamma(B_ACC, GammaPoly((0.0, 1.0)), t, x), 0.0, probes)

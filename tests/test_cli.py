@@ -187,7 +187,10 @@ def test_verify_takes_large_seeds(tmp_path, monkeypatch):
     # the sweep runs; FK's weights exp(-int f'' R) are ~exp(1.5e9)
     ["simulate", "--boundary", "s=1; fprime=0.5,-0.3", "--x0", "1e10", "--paths", "1000",
      "--steps", "10"],
-], ids=["transform", "solution", "kernels", "simulate"])
+    # closed w on the residual grid, as for solution
+    ["verify", "--boundary", "s=1; fprime=0,70", "--grid", "0:0.5:5,-35:0:8",
+     "--transform-grid", "0:0.5:5,0:3:5"],
+], ids=["transform", "solution", "kernels", "simulate", "verify"])
 def test_numerical_failure_creates_no_out_dir(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 3
@@ -341,6 +344,14 @@ def test_simulate_far_start_exits_3_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_compare_far_start_exits_3_without_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["compare", "--boundary", "s=1; fprime=0.5,0.3", "--x0", "1e200",
+                 "--paths", "1000", "--steps", "10", "--out", str(out)]) == 3
+    assert "float32 sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_zero_paths(tmp_path):
     rc = main(["simulate", "--boundary", "s=1; fprime=0", "--paths", "0",
                "--out", str(tmp_path)])
@@ -398,6 +409,24 @@ def test_sidecar_replays_the_run(tmp_path, capsys, argv):
     assert main([argv[0], "--config", str(first / "config.json"), "--out", str(replay)]) == 0
     assert capsys.readouterr().out == stdout
     names = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in replay.iterdir()) == names
+    for name in names:
+        assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+
+
+def test_failed_verify_sidecar_replays_with_exit_2(tmp_path, capsys):
+    # a run that misses a tolerance still writes config.json, after its outputs
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    argv = ["verify", "--boundary", "s=1; fprime=0.5,0.3", "--grid", "0:0.9:47,0.05:3:61",
+            "--transform-grid", "0:0.9:91,0:3:61"]
+    assert main(argv + ["--out", str(first)]) == 2
+    run = capsys.readouterr()
+    assert "FAIL " in run.out
+    assert run.err.startswith("assertion failure: ")
+    assert main(["verify", "--config", str(first / "config.json"), "--out", str(replay)]) == 2
+    assert capsys.readouterr() == run
+    names = sorted(p.name for p in first.iterdir())
+    assert names == ["checks.json", "config.json", "diagnostics.json", "residuals.json"]
     assert sorted(p.name for p in replay.iterdir()) == names
     for name in names:
         assert (first / name).read_bytes() == (replay / name).read_bytes(), name

@@ -18,9 +18,9 @@ from fpkit.kernels import simpson_weights
 from fpkit.parallel import run_in_order
 from fpkit.solutions import (GammaPoly, closed_w, closed_w_gamma, phi_lambda, phi_lambda_planes,
                              u_lambda)
-from fpkit.verify import (TOLERANCES, VANISHING_PROBES, CheckResult, check_inequality,
-                          check_vanishing_at_origin, fine_grid_residuals, product_spread,
-                          quadrature_match, residual_backward, residual_forward, run_checks,
+from fpkit.verify import (TOLERANCES, CheckResult, check_inequality, check_vanishing_at_origin,
+                          fine_grid_residuals, product_spread, quadrature_match,
+                          residual_backward, residual_forward, run_checks, vanishing_probes,
                           zero_identity_gap)
 
 B_LIN = parse_boundary("s=1; fprime=0.5,0.3")
@@ -410,6 +410,20 @@ def test_block_map_raises_the_first_failing_block():
         assert run_in_order(work, [0, 1, 2], n_workers) == [0, 1, 2]
 
 
+def test_block_map_at_one_worker_runs_nothing_after_a_raise():
+    calls = []
+
+    def work(i):
+        calls.append(i)
+        if i in (3, 5):
+            raise NumericalError(f"item {i}")
+        return i
+
+    with pytest.raises(NumericalError, match="item 3"):
+        run_in_order(work, range(9), 1)
+    assert calls == [0, 1, 2, 3]
+
+
 def test_block_map_runs_each_block_once_under_thread_switching():
     # more workers than cores, switching threads every microsecond: a claim
     # taken twice or lost would repeat or drop an item
@@ -503,21 +517,42 @@ def test_inequality_rejects_complex_and_bad_grid():
 # ------------------------------------------------------- vanishing at x -> 0
 
 def test_vanishing_closed_w_passes():
-    rep = check_vanishing_at_origin(lambda t, x: closed_w(B_LIN, t, x), 0.0, VANISHING_PROBES)
+    rep = check_vanishing_at_origin(lambda t, x: closed_w(B_LIN, t, x), 0.0,
+                                    vanishing_probes(B_LIN.horizon_s))
     assert rep.violation_count == 0
 
 
 def test_vanishing_gamma_solution_passes():
     g = GammaPoly((0.0, 1.0))
     rep = check_vanishing_at_origin(lambda t, x: closed_w_gamma(B_LIN, g, t, x),
-                                    0.0, VANISHING_PROBES)
+                                    0.0, vanishing_probes(B_LIN.horizon_s))
     assert rep.violation_count == 0
 
 
 def test_vanishing_constant_field_fails():
-    rep = check_vanishing_at_origin(lambda t, x: 1.0, 0.0, VANISHING_PROBES)
+    rep = check_vanishing_at_origin(lambda t, x: 1.0, 0.0, vanishing_probes(1.0))
     assert rep.violation_count > 0
     assert rep.worst_margin < 0.0
+
+
+def test_vanishing_probes_at_unit_horizon_are_the_powers_of_two():
+    want = tuple(2.0 ** -k for k in range(1, 21))
+    assert [p.hex() for p in vanishing_probes(1.0)] == [p.hex() for p in want]
+    assert [len(vanishing_probes(s)) for s in (0.1, 0.25, 2.0, 4.0)] == [19, 19, 21, 21]
+
+
+def test_vanishing_line_passes_on_a_short_horizon():
+    # at s = 0.1 the peak of x k(s, x) sits near sqrt(s) = 0.32: probes
+    # from x = 0.5 would start past it, where |w(0, x)| still rises toward
+    # the origin.  Only the vanishing line is read; the residual lines may
+    # fail on a grid this small
+    b = parse_boundary("s=0.1; fprime=0.5,0.3")
+    spec = GridSpec(0.0, 0.04, 0.01, 1.0, 41, 331)
+    tspec = transform_grid(0.0, 0.04, 1.0, 41, 101)
+    checks, _, diagnostics = run_checks(b, spec, tspec, TOLERANCES, 20240501, 1.0, None)
+    (line,) = [c for c in checks if c.name == "vanishing at origin (t=0)"]
+    assert line.value == 0 and line.passed
+    assert diagnostics["vanishing_at_origin"]["total"] == 19
 
 
 def test_vanishing_probe_validation():
