@@ -163,11 +163,12 @@ OPTIONS = (
     Option("--x0", _MC, float, 1.0, "initial distance to the level"),
     Option("--paths", _MC, int, 100000, "number of paths"),
     Option("--steps", _MC, int, 2000,
-           "time steps n: simulate's Feynman-Kac takes m = 2 max(8, ceil(n/25)) "
-           "intervals graded toward s, Richardson-extrapolated with its half "
-           "mesh; the sweep takes min(n, max(m, c)) uniform chords, c the "
-           f"fewest within {mc.CHORD_GAP:g} of the level by its sup |f''| (constant f' "
-           "takes one chord and no Feynman-Kac step)"),
+           "cap n on the sweep's uniform chords: it takes min(n, "
+           f"max({mc.MIN_CHORDS}, c)), c the fewest within {mc.CHORD_GAP:g} of the level "
+           "by its sup |f''|; simulate's Feynman-Kac takes its own "
+           f"{mc.FK_INTERVALS} max(1, s/x0^2) intervals graded toward s, even and at "
+           f"most {mc.FK_MAX_INTERVALS}, whatever n is (constant f' takes one chord "
+           "and no Feynman-Kac step)"),
     Option("--seed", _MC, int, 42, "seed of the random streams"),
     Option("--bins", _MC, int, 20, "histogram bins on [0, s]"),
     Option("--threads", _MC, int, 1, "worker threads (outputs do not depend on it)"),
@@ -335,7 +336,8 @@ def cmd_simulate(args) -> int:
               zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses))
     _write_comparison(out, table)
     _write_json(out, "feynman_kac.json",
-                {**fk.to_json(), "n_steps": cfg.n_steps, "seed": cfg.seed})
+                {**fk.to_json(), "n_steps": cfg.n_steps,
+                 "intervals": mc.fk_intervals(b, args.x0), "seed": cfg.seed})
     return 0
 
 

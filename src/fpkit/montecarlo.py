@@ -4,9 +4,9 @@ Two estimators:
 
 * ``first_passage_histogram`` -- first-passage times of standard
   Brownian motion to the moving level x0 + int_0^t f'.  ``n_steps`` = n
-  asks for min(n, max(m, c)) uniform steps (``sweep_chords``), where
-  m = 2 max(8, ceil(n/25)) is FK's own count (``mesh_size``) and c the
-  fewest chords that the level's sup |f''| keeps within CHORD_GAP of it.
+  asks for min(n, max(MIN_CHORDS, c)) uniform steps (``sweep_chords``),
+  where c is the fewest chords that the level's sup |f''| keeps within
+  CHORD_GAP of it; n only caps the count.
   Each step replaces the level by its chord; a path crosses inside a step
   with the Brownian-bridge probability exp(-2 d1 d2 / dt), and every
   crossing gets its exact time inside its step (``_hit_times``).  The
@@ -23,10 +23,12 @@ Two estimators:
   bridge from x at time 0 to the origin at time s, realized as the
   modulus of a 3-D Brownian bridge (positivity is automatic),
   stepped on the radius alone, and averaged over mirrored path pairs.
-  ``n_steps`` = n asks FK for m = ``mesh_size(n)`` intervals of its own
-  mesh, graded toward s.  FK returns the Richardson combination of the
-  trapezoid rules at m and at m/2 intervals, whose nodes are the even
-  ones of the m mesh, so one path set serves both.  Each pair's mean of
+  FK takes m = FK_INTERVALS max(1, s / x^2) intervals of its own mesh,
+  graded toward s, rounded up to even and at most FK_MAX_INTERVALS,
+  whatever ``n_steps`` says (``fk_intervals``).  It returns the
+  Richardson combination of the trapezoid rules at m and at m/2
+  intervals, whose nodes are the even ones of the m mesh, so one path
+  set serves both.  Each pair's mean of
   the same combination of the two integrals is a control variate with an
   exact discrete mean, and the reported std_error is that control-variate
   estimator's.  A level with constant f' gives exactly 1 without
@@ -74,9 +76,18 @@ REFINE_PATHS = 1 << 12
 SKIP_LOG_P = 64.0 * np.log(2.0)
 #: largest gap, sup |f''| h^2 / 8, between the level and a chord of width h
 #: that ``sweep_chords`` lets a level's curvature ask for; at the rule's
-#: chords for 400, 800 and 2000 steps, no level of the bias table in
-#: CHANGES.md has a bin biased by 0.06 of its 1M-path standard error
+#: chords, no level of the bias table in CHANGES.md has a bin biased by
+#: 0.06 of its 1M-path standard error
 CHORD_GAP = 2.5e-5
+#: fewest chords the sweep takes of a curved level when ``n_steps`` allows
+#: them, however gentle the level
+MIN_CHORDS = 16
+#: intervals of FK's graded mesh per unit of s / x^2, and its fewest; the
+#: FK bias table in CHANGES.md set it
+FK_INTERVALS = 32
+#: most intervals of FK's graded mesh, which starts x below
+#: sqrt(FK_INTERVALS s / FK_MAX_INTERVALS) take; the table does not reach them
+FK_MAX_INTERVALS = 4096
 
 
 @dataclass(frozen=True)
@@ -141,19 +152,12 @@ class DensityComparison:
     z_scores: np.ndarray
 
 
-def mesh_size(n_steps: int) -> int:
-    """m = 2 max(8, ceil(n/25)) for ``n_steps`` = n: the intervals of FK's
-    graded mesh, and the fewest chords the sweep takes of a curved level
-    when n allows them."""
-    return 2 * max(8, -(-n_steps // 25))
-
-
 def sweep_chords(b: Boundary, n_steps: int) -> int:
     """Uniform chords of the first-passage sweep over [0, s] when
     ``n_steps`` = n are asked for: 1 for a level with constant f', which
-    is its own chord, and otherwise min(n, max(m, c)), with m =
-    ``mesh_size(n)`` and c the fewest chords of width h = s/c whose gap
-    from the level, at most sup |f''| h^2 / 8, is within CHORD_GAP."""
+    is its own chord, and otherwise min(n, max(MIN_CHORDS, c)), with c the
+    fewest chords of width h = s/c whose gap from the level, at most
+    sup |f''| h^2 / 8, is within CHORD_GAP.  n only caps the count."""
     if not any(b.deriv_coeffs[1:]):
         return 1
     # a sup |f''| past float64 (inf or NaN) asks for every step
@@ -161,7 +165,23 @@ def sweep_chords(b: Boundary, n_steps: int) -> int:
         need = b.horizon_s * math.sqrt(sup_abs_fsecond(b) / (8.0 * CHORD_GAP))
     if not need < n_steps:
         return n_steps
-    return min(n_steps, max(mesh_size(n_steps), math.ceil(need)))
+    return min(n_steps, max(MIN_CHORDS, math.ceil(need)))
+
+
+def fk_intervals(b: Boundary, x: float) -> int:
+    """Intervals m of the graded mesh that ``bessel_bridge_fk`` steps from
+    the start ``x`` on the level ``b``: 0 for a level with constant f',
+    whose estimate is exactly 1 without stepping, and otherwise
+    FK_INTERVALS max(1, s / x^2) rounded up to even, at most
+    FK_MAX_INTERVALS.  By Brownian scaling, FK from x over [0, s] is FK
+    from 1 over [0, s / x^2] with f'' rescaled, and the bias table in
+    CHANGES.md shows its bias growing with s / x^2; the rule keeps the
+    mesh's first interval, about 2 s / m, within x^2 / 16."""
+    if not any(b.deriv_coeffs[1:]):
+        return 0
+    # a start that is subnormal or near it asks for the most: s / x / x is inf
+    half = 0.5 * FK_INTERVALS * max(1.0, b.horizon_s / x / x)
+    return 2 * math.ceil(min(half, 0.5 * FK_MAX_INTERVALS))
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -498,11 +518,13 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     the origin, stepped by exact conditional sampling of the radius alone
     (``_radial_step``: one normal and one exponential per path-step).  The
     time integral uses the trapezoid rule on FK's own graded mesh
-    (``_graded_mesh``): ``cfg.n_steps`` = n asks for
-    m = ``mesh_size(n)`` = 2 max(8, ceil(n/25)) intervals, crowded toward
-    s.  Each path sums two integrals, I_m
-    over every node and I_{m/2} over the even nodes, which are the m/2
-    mesh.  The rule's bias falls like m^-2, so the Richardson value
+    (``_graded_mesh``) of m = ``fk_intervals(b, x)`` intervals, crowded
+    toward s: 32 while s <= x^2, and 32 s / x^2 beyond, rounded up to even
+    and at most FK_MAX_INTERVALS.  ``cfg.n_steps`` does not enter: the FK
+    bias table in CHANGES.md, against the Volterra oracle, set m.
+    Each path sums two integrals, I_m over every node and I_{m/2} over the
+    even nodes, which are the m/2 mesh.  The rule's bias falls like m^-2,
+    so the Richardson value
     y = (4 exp(-I_m) - exp(-I_{m/2})) / 3 cancels its leading term
     (Talay & Tubaro 1990).  Paths come in mirrored pairs within each
     8,192-path block: the block draws for its first half, and its second
@@ -530,17 +552,19 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     An estimate that is not a finite float64 raises NumericalError: from a
     start so far from the origin that the squared radius overflows, or so
     near it (subnormal) that E[R]'s closed form divides by an underflowed
-    mean, or with weights exp(-I) past float64 where f'' < 0.  Such
-    arithmetic runs on to inf or NaN, with numpy's floating-point warnings
-    off, and is refused at the end.
+    mean, or with weights exp(-I) past float64 where f'' < 0.  A centre
+    exp(-E[c]) that is not finite is refused before any path steps; other
+    such arithmetic runs on to inf or NaN, with numpy's floating-point
+    warnings off, and is refused at the end.
     """
     if not x > 0.0:
         raise ValueError(f"starting point must be positive, got {x}")
-    if not any(b.deriv_coeffs[1:]):
+    m = fk_intervals(b, x)
+    if not m:
         return MCEstimate(1.0, 0.0, cfg.n_paths)
     s = b.horizon_s
     # m is even, so that the m/2 mesh of the Richardson pair is its even nodes
-    nodes, left = _graded_mesh(s, mesh_size(cfg.n_steps))
+    nodes, left = _graded_mesh(s, m)
     fsecond = np.asarray(eval_fsecond(b, nodes), dtype=float)
     # trapezoid weights folded with f'', on the m mesh and on its even nodes
     # (0 at the odd ones); the last node (R_s = 0) adds nothing
@@ -557,8 +581,11 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     try:
         y_centre = math.exp(-mean_integral)
     except OverflowError:
+        y_centre = math.inf
+    # refused before stepping: a NaN or inf centre makes the estimate one too
+    if not math.isfinite(y_centre):
         raise NumericalError(f"Feynman-Kac centre exp({-mean_integral:.3g}) is not a finite "
-                             "float64") from None
+                             "float64")
     # step j runs from u_j to u_{j+1}, over the time s - u_j left to the bridge
     shrink = left[1:-1] / left[:-2]
     var = np.diff(nodes)[:-1] * shrink

@@ -309,13 +309,16 @@ def test_simulate_threads_do_not_change_outputs(tmp_path):
 
 
 def test_simulate_records_the_requested_steps(tmp_path):
-    # the sweep takes 39 chords of 400 on this level and FK 32 intervals,
-    # but both sidecars keep the --steps that was asked for
-    out = tmp_path / "out"
-    assert main(["simulate", "--boundary", "s=1; fprime=0.5,0.3", "--paths", "200",
-                 "--steps", "400", "--out", str(out)]) == 0
-    assert json.loads((out / "config.json").read_text())["steps"] == 400
-    assert json.loads((out / "feynman_kac.json").read_text())["n_steps"] == 400
+    # the sweep takes 39 chords of 400 on the curved level and FK 32
+    # intervals, but both sidecars keep the --steps that was asked for, and
+    # feynman_kac.json the intervals that FK took (none for a constant f')
+    for boundary, intervals in (("s=1; fprime=0.5,0.3", 32), ("s=1; fprime=0.5", 0)):
+        out = tmp_path / str(intervals)
+        assert main(["simulate", "--boundary", boundary, "--paths", "200",
+                     "--steps", "400", "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["steps"] == 400
+        fk = json.loads((out / "feynman_kac.json").read_text())
+        assert (fk["n_steps"], fk["intervals"]) == (400, intervals)
 
 
 def test_compare_threads_do_not_change_outputs(tmp_path):

@@ -10,10 +10,11 @@ from fpkit import montecarlo
 from fpkit.boundary import (Boundary, eval_fprime, eval_fsecond, integral_fprime_sq,
                             parse_boundary)
 from fpkit.grids import NumericalError
-from fpkit.montecarlo import (BLOCK_SIZE, MAX_UNIT_PATHS, DensityHistogram, MCConfig,
-                              bessel_bridge_fk, compare_density, first_passage_histogram,
-                              kappa_time_density, reference_time_density, sweep_chords,
-                              _bin_masses, _hit_times, _radial_step)
+from fpkit.montecarlo import (BLOCK_SIZE, FK_INTERVALS, MAX_UNIT_PATHS, DensityHistogram,
+                              MCConfig, bessel_bridge_fk, compare_density,
+                              first_passage_histogram, fk_intervals, kappa_time_density,
+                              reference_time_density, sweep_chords, _bin_masses,
+                              _hit_times, _radial_step)
 from volterra_oracle import hitting_bin_masses, hitting_density_at, trapezoid_density
 
 B_ZERO = parse_boundary("s=1; fprime=0")
@@ -21,6 +22,7 @@ B_UP = parse_boundary("s=1; fprime=1")
 B_LIN = parse_boundary("s=1; fprime=0.5,0.3")
 B_DOWN = parse_boundary("s=1; fprime=0,-0.3")
 B_STRONG = parse_boundary("s=1; fprime=0,3")
+B_S2 = parse_boundary("s=2; fprime=-0.5,0.6")
 
 
 def test_config_validation():
@@ -194,13 +196,13 @@ def test_far_curved_level_skips_every_stride(monkeypatch):
 
 @pytest.mark.parametrize("b, chords", [
     # c = ceil(s sqrt(sup |f''| / (8 CHORD_GAP))) is 39 at f'' = 0.3 and 123 at
-    # f'' = 3; m = 2 max(8, ceil(n/25)) is 16 up to n = 200, 32, 64 and 160
-    (B_LIN, [2, 10, 16, 17, 39, 64, 160]),
-    (B_STRONG, [2, 10, 16, 17, 123, 123, 160]),
+    # f'' = 3; past c, more requested steps add no chord
+    (B_LIN, [2, 10, 16, 17, 39, 39, 39]),
+    (B_STRONG, [2, 10, 16, 17, 123, 123, 123]),
     (B_UP, [1] * 7),
 ], ids=["gentle", "strong", "constant"])
 def test_sweep_chord_count_per_requested_steps(b, chords, monkeypatch):
-    # min(n, max(m, c)) chords of n requested: the sweep's level nodes say so
+    # min(n, max(16, c)) chords of n requested: the sweep's level nodes say so
     steps = (2, 10, 16, 17, 400, 800, 2000)
     assert [sweep_chords(b, n) for n in steps] == chords
     nodes = []
@@ -230,8 +232,8 @@ def _oracle_bin_masses(b):
 @pytest.mark.parametrize("b", [B_LIN, B_STRONG], ids=["gentle", "strong"])
 @pytest.mark.parametrize("n_steps", [800, 2000])
 def test_sweep_at_the_rule_chords_matches_volterra_oracle(b, n_steps):
-    # 64 or 123 chords at 800 steps and 160 at 2000, whose worst bin the
-    # bias table puts within 0.011 of a 1M-path standard error
+    # 39 or 123 chords at both 800 and 2000 steps, whose worst bin the bias
+    # table puts within 0.016 of a 1M-path standard error
     h = first_passage_histogram(b, 1.0, MCConfig(262144, n_steps, seed=2026), 20,
                                 n_workers=2)
     stat, p = chi_square_vs_reference(h, _oracle_bin_masses(b))
@@ -433,7 +435,7 @@ def test_radial_step_mirror_steps_with_negated_normals():
 def test_fk_matches_a_per_block_float64_reference():
     # one block at a time, drawing per step its normals and then its
     # exponentials, as the estimator does, and stepping on the graded mesh
-    # u_j = s (1 - (1 - j/m)^2) with m = 2 max(8, ceil(n/25)).  Both take
+    # u_j = s (1 - (1 - j/m)^2) with m = FK_INTERVALS.  Both take
     # the same draws in float64, so only rounding may part the means: they
     # must agree within 1e-9 standard error.  The reference sums the trapezoid
     # rules at m and at m/2 intervals (the even nodes), takes the Richardson
@@ -441,7 +443,7 @@ def test_fk_matches_a_per_block_float64_reference():
     # the same pair of the integrals with its exact mean
     cfg = MCConfig(n_paths=20000, n_steps=200, seed=23)
     est = bessel_bridge_fk(B_LIN, 1.0, cfg)
-    s, x, m = B_LIN.horizon_s, 1.0, 2 * max(8, -(-cfg.n_steps // 25))
+    s, x, m = B_LIN.horizon_s, 1.0, FK_INTERVALS
     t = s * (1.0 - (1.0 - np.arange(m + 1) / m) ** 2)
 
     def trapezoid_coef(nodes):
@@ -511,8 +513,7 @@ def _fk_density(b, x0, est):
     return prefactor * est.mean, prefactor * est.std_error
 
 
-@pytest.mark.parametrize("b", [B_LIN, B_DOWN, parse_boundary("s=2; fprime=-0.5,0.6"),
-                               B_STRONG],
+@pytest.mark.parametrize("b", [B_LIN, B_DOWN, B_S2, B_STRONG],
                          ids=["rising", "falling", "s2", "strong"])
 def test_fk_density_matches_volterra_oracle(b):
     # the hitting density at the horizon, prefactor x FK, against the
@@ -525,8 +526,9 @@ def test_fk_density_matches_volterra_oracle(b):
 
 
 def test_fk_richardson_on_the_coarsest_mesh_matches_volterra_oracle():
-    # --steps 32 gives m = 16 graded intervals, where the plain trapezoid
-    # rule alone is biased by ~90 std errors at 400k paths
+    # FK's mesh from x0 = 1 at s = 1, m = 32 graded intervals at any --steps,
+    # where the plain trapezoid rule alone is biased by ~22 std errors at
+    # 400k paths
     est = bessel_bridge_fk(B_LIN, 1.0, MCConfig(400000, 32, seed=810), n_workers=2)
     density, se = _fk_density(B_LIN, 1.0, est)
     truth = hitting_density_at(B_LIN, 1.0, 1.0)[0]
@@ -550,12 +552,41 @@ def test_fk_control_variate_std_error():
     assert 0.0 < est.std_error <= 1e-5
 
 
-def test_fk_step_refinement_consistency():
-    n_paths = 30000
-    est_n = bessel_bridge_fk(B_LIN, 1.0, MCConfig(n_paths, 128, seed=101))
-    est_2n = bessel_bridge_fk(B_LIN, 1.0, MCConfig(n_paths, 256, seed=202))
-    combined = np.hypot(est_n.std_error, est_2n.std_error)
-    assert abs(est_n.mean - est_2n.mean) <= 3.0 * combined
+@pytest.mark.parametrize("b, x, intervals", [
+    (B_LIN, 1.0, 32), (B_STRONG, 1.0, 32), (B_LIN, 2.0, 32), (B_S2, 1.0, 64),
+    (B_LIN, 0.5, 128), (B_LIN, 0.3, 356), (B_LIN, 1e-3, 4096), (B_LIN, 5e-324, 4096),
+    (B_UP, 1.0, 0),
+], ids=["gentle", "strong", "far", "s2", "near", "nearer", "capped", "subnormal",
+        "constant"])
+def test_fk_interval_count_per_level(b, x, intervals, monkeypatch):
+    # 32 max(1, s / x^2) intervals, even and at most 4096, and not --steps:
+    # the nodes that f'' is taken on say so (the run stops there), and a
+    # constant f' takes none
+    class Taken(Exception):
+        pass
+
+    def fsecond(b, t):
+        raise Taken(np.size(t) - 1)
+
+    monkeypatch.setattr(montecarlo, "eval_fsecond", fsecond)
+    assert fk_intervals(b, x) == intervals
+    for n in (2, 32, 400, 800, 2000):
+        if not intervals:
+            assert bessel_bridge_fk(b, x, MCConfig(16, n, seed=1)).mean == 1.0
+            continue
+        with pytest.raises(Taken) as taken:
+            bessel_bridge_fk(b, x, MCConfig(16, n, seed=1))
+        assert taken.value.args == (intervals,)
+
+
+def test_fk_at_the_rule_intervals_matches_volterra_oracle():
+    # f' = 2t^2, the table's steepest level (sup |f''| = 4), whose bias the
+    # table puts within 0.1 of a 1M-path standard error at 32 intervals
+    b = parse_boundary("s=1; fprime=0,0,2")
+    est = bessel_bridge_fk(b, 1.0, MCConfig(1_000_000, 2000, seed=812), n_workers=2)
+    density, se = _fk_density(b, 1.0, est)
+    truth = hitting_density_at(b, 1.0, 1.0)[0]
+    assert abs(density - truth) <= 4.0 * se
 
 
 @pytest.mark.parametrize("n_paths", [4000, 4001])
