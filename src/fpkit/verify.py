@@ -53,9 +53,10 @@ asserted, since derived closed forms can violate the bound (the
 fixed-boundary case with s > 1 does).
 
 ``run_checks`` is the suite behind ``fpkit verify``; the acceptance tests
-share its definitions: ``fine_grid_residuals``, ``form_preservation``,
-``transform_loop``, ``vanishing_probes`` and the per-point measures
-``zero_identity_gap`` and ``product_spread``.
+share its definitions: ``fine_grid_residuals``, ``observed_order`` (its
+reports under nested grid halving, and their ratios),
+``form_preservation``, ``transform_loop``, ``vanishing_probes`` and the
+per-point measures ``zero_identity_gap`` and ``product_spread``.
 """
 
 from __future__ import annotations
@@ -264,6 +265,23 @@ def fine_grid_residuals(b: Boundary, spec: GridSpec, n_workers: int = 1) -> dict
     return {"backward_closed_w": rep_w,
             **{f"forward_phi_lam{lam}_{part}": rep for lam, reps in zip((0.0, 1.5), phi_reps)
                for part, rep in zip(("re", "im"), reps)}}
+
+
+def observed_order(b: Boundary, spec: GridSpec, levels: int, n_workers: int = 1):
+    """``fine_grid_residuals`` on ``spec`` and its ``levels - 1`` nested
+    halvings, (nt, nx) -> (2 nt - 1, 2 nx - 1) on the same extents, so dt
+    and dx halve exactly: (reports, ratios), one report dict per level and,
+    per key, the levels - 1 ratios of successive max_rel, ~4 for the
+    operator's 2nd order (Roache 1998)."""
+    if levels < 1:
+        raise ValueError(f"observed order needs levels >= 1, got {levels}")
+    reports = [fine_grid_residuals(b, replace(spec, nt=2 ** k * (spec.nt - 1) + 1,
+                                              nx=2 ** k * (spec.nx - 1) + 1), n_workers)
+               for k in range(levels)]
+    ratios = {key: tuple(coarse[key].max_rel / fine[key].max_rel
+                         for coarse, fine in zip(reports, reports[1:]))
+              for key in reports[0]}
+    return reports, ratios
 
 
 def residual_backward(w: GridField, v: Callable, n_workers: int = 1) -> ResidualReport:

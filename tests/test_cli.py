@@ -28,12 +28,19 @@ def test_kernels_row_count(tmp_path):
     assert (tmp_path / "config.json").exists()
 
 
-def test_kernels_rejects_singular_time(tmp_path):
-    assert main(["kernels", "--t", "0", "--out", str(tmp_path)]) == 1
+def test_kernels_rejects_singular_time(tmp_path, capsys):
+    # kernel_n's own refusals; the CSV is written only after every t and n
+    out = tmp_path / "k"
+    assert main(["kernels", "--t", "0", "--out", str(out)]) == 1
+    assert "kernel time must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_kernels_rejects_order_cap(tmp_path):
-    assert main(["kernels", "--t", "1", "--n", "13", "--out", str(tmp_path)]) == 1
+def test_kernels_rejects_order_cap(tmp_path, capsys):
+    out = tmp_path / "k"  # order 0 is taken before 13 is refused
+    assert main(["kernels", "--t", "1", "--n", "0,13", "--out", str(out)]) == 1
+    assert "kernel order must be in [0, 12]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solution_outputs(tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import fpkit
@@ -69,3 +70,20 @@ def test_montecarlo_draws_only_numpy_samplers():
     calls = {ast.unparse(node.func) for node in ast.walk(_tree("montecarlo.py"))
              if isinstance(node, ast.Call)}
     assert not calls & {"np.sin", "np.cos", "np.log1p"}
+
+
+def test_package_imports_numpy_and_the_standard_library_alone():
+    # pyproject.toml's one dependency is numpy; scipy and the rest are test-only
+    imported = set()  # (file, top-level module) of every absolute import
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(_tree(path.name)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported |= {(path.name, name.split(".")[0]) for name in names}
+    assert ("verify.py", "numpy") in imported
+    assert not {(file, root) for file, root in imported
+                if root != "numpy" and root not in sys.stdlib_module_names}

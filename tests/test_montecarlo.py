@@ -7,15 +7,14 @@ from scipy.stats import invgauss, kstest, norm
 
 from chi_square import chi_square_two_sample, chi_square_vs_reference
 from fpkit import montecarlo
-from fpkit.boundary import (Boundary, eval_fprime, eval_fsecond, integral_fprime_sq,
-                            parse_boundary)
+from fpkit.boundary import Boundary, eval_fsecond, parse_boundary
 from fpkit.grids import NumericalError
 from fpkit.montecarlo import (BLOCK_SIZE, FK_INTERVALS, MAX_UNIT_PATHS, DensityHistogram,
                               MCConfig, bessel_bridge_fk, compare_density,
                               first_passage_histogram, fk_intervals, kappa_time_density,
                               reference_time_density, sweep_chords, _bin_masses,
                               _hit_times, _radial_step)
-from volterra_oracle import hitting_bin_masses, hitting_density_at, trapezoid_density
+from volterra_oracle import fk_density, hitting_bin_masses, hitting_density_at, trapezoid_density
 
 B_ZERO = parse_boundary("s=1; fprime=0")
 B_UP = parse_boundary("s=1; fprime=1")
@@ -505,14 +504,6 @@ def test_volterra_oracle_converges_on_a_curved_level():
     assert value == pytest.approx(0.0924982208, abs=1e-10)
 
 
-def _fk_density(b, x0, est):
-    # x0 (2 pi s^3)^(-1/2) exp(-x0^2/2s - f'(0) x0 - 1/2 int_0^s f'^2) E[...]
-    s = b.horizon_s
-    prefactor = x0 / np.sqrt(2.0 * np.pi * s ** 3) * np.exp(
-        -x0 * x0 / (2.0 * s) - eval_fprime(b, 0.0) * x0 - 0.5 * integral_fprime_sq(b, 0.0, s))
-    return prefactor * est.mean, prefactor * est.std_error
-
-
 @pytest.mark.parametrize("b", [B_LIN, B_DOWN, B_S2, B_STRONG],
                          ids=["rising", "falling", "s2", "strong"])
 def test_fk_density_matches_volterra_oracle(b):
@@ -520,7 +511,7 @@ def test_fk_density_matches_volterra_oracle(b):
     # Buonocore-Nobile-Ricciardi solution; the Richardson pair on the graded
     # mesh keeps FK's bias far below the control variate's std error
     est = bessel_bridge_fk(b, 1.0, MCConfig(50000, 800, seed=808), n_workers=2)
-    density, se = _fk_density(b, 1.0, est)
+    density, se = fk_density(b, 1.0, est)
     truth = hitting_density_at(b, 1.0, b.horizon_s)[0]
     assert abs(density - truth) <= 4.0 * se
 
@@ -530,7 +521,7 @@ def test_fk_richardson_on_the_coarsest_mesh_matches_volterra_oracle():
     # where the plain trapezoid rule alone is biased by ~22 std errors at
     # 400k paths
     est = bessel_bridge_fk(B_LIN, 1.0, MCConfig(400000, 32, seed=810), n_workers=2)
-    density, se = _fk_density(B_LIN, 1.0, est)
+    density, se = fk_density(B_LIN, 1.0, est)
     truth = hitting_density_at(B_LIN, 1.0, 1.0)[0]
     assert abs(density - truth) <= 4.0 * se
 
@@ -584,7 +575,7 @@ def test_fk_at_the_rule_intervals_matches_volterra_oracle():
     # table puts within 0.1 of a 1M-path standard error at 32 intervals
     b = parse_boundary("s=1; fprime=0,0,2")
     est = bessel_bridge_fk(b, 1.0, MCConfig(1_000_000, 2000, seed=812), n_workers=2)
-    density, se = _fk_density(b, 1.0, est)
+    density, se = fk_density(b, 1.0, est)
     truth = hitting_density_at(b, 1.0, 1.0)[0]
     assert abs(density - truth) <= 4.0 * se
 

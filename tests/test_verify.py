@@ -19,7 +19,7 @@ from fpkit.parallel import run_in_order
 from fpkit.solutions import (GammaPoly, closed_w, closed_w_gamma, phi_lambda, phi_lambda_planes,
                              u_lambda)
 from fpkit.verify import (TOLERANCES, CheckResult, check_inequality, check_vanishing_at_origin,
-                          fine_grid_residuals, product_spread, quadrature_match,
+                          fine_grid_residuals, observed_order, product_spread, quadrature_match,
                           residual_backward, residual_forward, run_checks, vanishing_probes,
                           zero_identity_gap)
 
@@ -282,6 +282,40 @@ def test_fine_grid_residuals_are_the_ones_verify_writes(tmp_path):
     assert {key: rep.to_json() for key, rep in reports.items()} == {
         key: written[key] for key in reports}
     assert set(written) - set(reports) == {"backward_transform_w"}
+
+
+def test_observed_order_halves_dt_and_dx_exactly():
+    spec = GridSpec(0.0, 0.7, 0.1, 2.9, 6, 8)
+    reports, ratios = observed_order(B_LIN, spec, 4)
+    assert len(reports) == 4
+    for k, level in enumerate(reports):
+        for rep in level.values():
+            assert rep.grid == GridSpec(0.0, 0.7, 0.1, 2.9, 2 ** k * 5 + 1, 2 ** k * 7 + 1)
+            assert rep.grid.dt == spec.dt / 2 ** k and rep.grid.dx == spec.dx / 2 ** k
+    assert set(ratios) == set(reports[0])
+    assert all(len(r) == 3 for r in ratios.values())
+    assert ratios["backward_closed_w"][1] == (reports[1]["backward_closed_w"].max_rel
+                                              / reports[2]["backward_closed_w"].max_rel)
+
+
+def test_observed_order_level_zero_is_fine_grid_residuals():
+    spec = GridSpec(0.0, 0.9, 0.05, 3.0, 57, 185)
+    reports, _ = observed_order(B_LIN, spec, 2, n_workers=2)
+    assert reports[0] == fine_grid_residuals(B_LIN, spec)
+
+
+def test_observed_order_of_closed_w_on_the_coarse_triple():
+    # 114x370 -> 227x739 -> 453x1477: ratios approach 4 from above (4.88, 4.29)
+    _, ratios = observed_order(B_LIN, GridSpec(0.0, 0.9, 0.05, 3.0, 114, 370), 3,
+                               n_workers=2)
+    assert len(ratios["backward_closed_w"]) == 2
+    assert min(ratios["backward_closed_w"]) >= 3.5
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+def test_observed_order_needs_a_level(levels):
+    with pytest.raises(ValueError, match="levels >= 1"):
+        observed_order(B_LIN, RESID_SPEC, levels)
 
 
 def test_form_preservation_does_not_fail_under_refinement():

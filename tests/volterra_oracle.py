@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from fpkit.boundary import eval_fprime, integral_fprime
+from fpkit.boundary import eval_fprime, integral_fprime, integral_fprime_sq
 
 
 def _psi(b, x0, t, y, tau):
@@ -87,3 +87,13 @@ def hitting_bin_masses(b, x0: float, n_bins: int, n: int = 1280) -> np.ndarray:
         h = b.horizon_s / intervals
         masses.append(h * (per_bin.sum(axis=1) - 0.5 * ends[:-1] + 0.5 * ends[1:]))
     return masses[1] + (masses[1] - masses[0]) / (2.0 ** 1.5 - 1.0)
+
+
+def fk_density(b, x0: float, est) -> tuple[float, float]:
+    """(density, std error) at the horizon s from a ``bessel_bridge_fk``
+    estimate: x0 (2 pi s^3)^(-1/2) exp(-x0^2/2s - f'(0) x0 - 1/2 int_0^s f'^2)
+    times its mean and its std error, to hold against ``hitting_density_at``."""
+    s = b.horizon_s
+    prefactor = x0 / np.sqrt(2.0 * np.pi * s ** 3) * np.exp(
+        -x0 * x0 / (2.0 * s) - eval_fprime(b, 0.0) * x0 - 0.5 * integral_fprime_sq(b, 0.0, s))
+    return prefactor * est.mean, prefactor * est.std_error
