@@ -130,8 +130,9 @@ def sup_abs_fsecond(b: Boundary) -> float:
 
 
 def boundary_potential(b: Boundary):
-    """The moving-boundary potential V1(t, x) = x f''(t), as a (t, x) function."""
-    return lambda t, x: np.asarray(x) * eval_fsecond(b, t)
+    """The moving-boundary potential V1(t, x) = x f''(t), as a (t, x) function
+    that writes its value into the array ``out`` when one is given."""
+    return lambda t, x, out=None: np.multiply(x, eval_fsecond(b, t), out=out)
 
 
 def _antideriv_diff(coeffs, a, c):

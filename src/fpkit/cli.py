@@ -33,6 +33,7 @@ from .boundary import Boundary, boundary_from_json, boundary_potential, parse_bo
 from .grids import (GridSpec, NumericalError, read_field_csv, sample_field, transform_grid,
                     write_csv, write_field_csv)
 from .kernels import HORIZON_MARGIN, kernel_n
+from .parallel import usable_cores
 from .solutions import GammaPoly, closed_w_gamma, kappa, phi_lambda, u_lambda
 from .transform import bluman_shtelen_w
 from .verify import TOLERANCES, residual_backward, run_checks
@@ -280,7 +281,7 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read field CSV {args.field}: {exc}") from exc
     checks, residuals, diagnostics = run_checks(b, spec, tspec, tols, args.seed, scale, field,
-                                                n_workers=len(os.sched_getaffinity(0)))
+                                                n_workers=usable_cores())
     out = _out_dir(args)
     _write_json(out, "residuals.json", residuals)
     _write_json(out, "diagnostics.json", diagnostics)

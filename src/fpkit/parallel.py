@@ -1,12 +1,22 @@
 """fpkit's one thread pool, and ``run_in_order``, which runs work items on it
-and returns their results in item order, whatever the worker count."""
+and returns their results in item order, whatever the worker count;
+``usable_cores`` counts the cores the process may run on."""
 
 from __future__ import annotations
 
 import functools
 import itertools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
+
+
+def usable_cores() -> int:
+    """The size of the process's CPU affinity set, where the platform has one
+    (Linux), else ``os.cpu_count()``, or 1 when that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @functools.cache

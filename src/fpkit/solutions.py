@@ -68,8 +68,17 @@ def _args(b: Boundary, t, *args, strict_upper: bool = False):
     return (t, *(np.asarray(a, dtype=float) for a in args))
 
 
+def _planes(out, n: int, *args) -> list:
+    """``out``, the float64 planes a closed form builds its value in, or ``n``
+    new ones of the broadcast shape of ``args``."""
+    if out is not None:
+        return out
+    shape = np.broadcast_shapes(*map(np.shape, args))
+    return [np.empty(shape) for _ in range(n)]
+
+
 @closed_form
-def phi_lambda_planes(b: Boundary, lam, t, x):
+def phi_lambda_planes(b: Boundary, lam, t, x, out=None):
     """``phi_lambda`` as the float64 planes (Re, Im): one real exp of the
     log-magnitude times the cos and sin of the phase a - c, with
     a = lam int_0^t f' and c = lam x.  The cos and sin of a and of c are
@@ -77,35 +86,45 @@ def phi_lambda_planes(b: Boundary, lam, t, x):
     cos(a - c) = cos a cos c + sin a sin c and
     sin(a - c) = sin a cos c - cos a sin c, so no trig call runs per node
     of a (t, x) grid.  Im is None when lam is all zero, where Phi is real.
+
+    ``out``, when given, holds planes of the broadcast shape that the value
+    is built in: Re in out[0], and for a nonzero lam Im in out[1], with
+    out[2] and out[3] as scratch.
     """
     t, x, lam = _args(b, t, x, lam)
-    log_mag = np.asarray(0.5 * integral_fprime_sq(b, 0.0, t) - x * eval_fprime(b, t)
-                         - 0.5 * lam * lam * t)
+    real = not np.any(lam)
+    out = _planes(out, 1 if real else 4, t, x, lam)
+    # 0.5 int_0^t f'^2 - x f'(t) - lam^2 t / 2, built in one plane
+    log_mag = np.multiply(x, eval_fprime(b, t), out=out[0 if real else 2])
+    np.subtract(0.5 * integral_fprime_sq(b, 0.0, t), log_mag, out=log_mag)
+    log_mag -= 0.5 * lam * lam * t
     mag = np.exp(log_mag, out=log_mag)
-    if not np.any(lam):
+    if real:
         return mag, None
     a = lam * integral_fprime(b, 0.0, t)
     c = lam * x
     cos_a, sin_a, cos_c, sin_c = np.cos(a), np.sin(a), np.cos(c), np.sin(c)
-    re = np.asarray(cos_a * cos_c)
-    re += sin_a * sin_c
+    re, im, _, term = out[:4]
+    np.multiply(cos_a, cos_c, out=re)
+    re += np.multiply(sin_a, sin_c, out=term)
     re *= mag
-    im = np.asarray(sin_a * cos_c)
-    im -= cos_a * sin_c
+    np.multiply(sin_a, cos_c, out=im)
+    im -= np.multiply(cos_a, sin_c, out=term)
     im *= mag
     return re, im
 
 
 @closed_form
-def phi_lambda(b: Boundary, lam, t, x):
+def phi_lambda(b: Boundary, lam, t, x, out=None):
     """Adjoint-equation solution; log is affine in x for every lam.
 
     exp{ int_0^t (f')^2/2 - x f'(t) - lam^2 t / 2 - i lam (x - int_0^t f') }
 
     When lam is all zero the exponent stays real, and so does the result.
-    Built from ``phi_lambda_planes``.
+    Built from ``phi_lambda_planes``, in its planes ``out`` when given (a
+    real value is returned in out[0]).
     """
-    re, im = phi_lambda_planes(b, lam, t, x)
+    re, im = phi_lambda_planes(b, lam, t, x, out=out)
     if im is None:
         return re
     out = np.empty(np.shape(re), dtype=complex)
@@ -115,18 +134,22 @@ def phi_lambda(b: Boundary, lam, t, x):
 
 
 @closed_form
-def u_lambda(b: Boundary, lam, t, x):
+def u_lambda(b: Boundary, lam, t, x, out=None):
     """Backward-equation solution paired with ``phi_lambda``.
 
     exp{ int_t^s (f')^2/2 + x f'(t) } *
     exp{ -lam^2 (s-t)/2 + i lam (x + int_t^s f') }
 
-    Real, like ``phi_lambda``, when lam is all zero.
+    Real, like ``phi_lambda``, when lam is all zero.  ``out``, when given,
+    holds one float64 plane of the broadcast shape that the real exponent is
+    built in, and a real value returned in.
     """
     t, x, lam = _args(b, t, x, lam)
     s = b.horizon_s
-    expo = np.asarray(0.5 * integral_fprime_sq(b, t, s) + x * eval_fprime(b, t)
-                      - 0.5 * lam * lam * (s - t))
+    expo = _planes(out, 1, t, x, lam)[0]
+    np.multiply(x, eval_fprime(b, t), out=expo)
+    np.add(0.5 * integral_fprime_sq(b, t, s), expo, out=expo)
+    expo -= 0.5 * lam * lam * (s - t)
     if np.any(lam):
         wave = np.asarray(1j * lam * (x + integral_fprime(b, t, s)))
         expo = np.add(expo, wave, out=wave)
@@ -174,19 +197,22 @@ def w2_lambda(b: Boundary, lam, t, x):
     return ((x + integral_fprime(b, t, s)) + 1j * lam * (s - t)) * u_lambda(b, lam, t, x)
 
 
-def _weighted_kernel(b: Boundary, t, x):
+def _weighted_kernel(b: Boundary, t, x, out=None):
     """(t, x, A k(s-t, X), X, s-t) with t and x as ``_args`` gives them (t < s)
     and X = x + int_t^s f'.  A = exp{int_t^s (f')^2/2 + x f'(t)} and the heat
     kernel k(s-t, X) take one exp of their summed exponent, so a large A
     against a small k gives their finite product, not inf * 0.  Its callers
-    are closed forms, so that exp runs with overflow ignored."""
+    are closed forms, so that exp runs with overflow ignored.  X and A k are
+    built in out[1] and out[2] of the planes ``out`` (three), out[0] holding
+    X^2 on the way."""
     t, x = _args(b, t, x, strict_upper=True)
     s = b.horizon_s
     st = s - t
-    shifted = np.asarray(x + integral_fprime(b, t, s))  # kernel spatial argument
-    expo = np.asarray(x * eval_fprime(b, t))
+    square, shifted, expo = _planes(out, 3, t, x)[:3]
+    np.add(x, integral_fprime(b, t, s), out=shifted)  # kernel spatial argument
+    np.multiply(x, eval_fprime(b, t), out=expo)
     expo += 0.5 * integral_fprime_sq(b, t, s)
-    square = np.multiply(shifted, shifted)
+    np.multiply(shifted, shifted, out=square)
     square /= 2.0 * st
     expo -= square
     weight = np.exp(expo, out=expo)
@@ -195,18 +221,21 @@ def _weighted_kernel(b: Boundary, t, x):
 
 
 @closed_form
-def closed_w(b: Boundary, t, x):
+def closed_w(b: Boundary, t, x, out=None):
     """Contour-integrated solution of the backward equation.
 
     A(t,x) * [ (x - int_0^t f') k(s-t, X) + t * (X/(s-t)) k(s-t, X) ]
     with X = x + int_t^s f' and A = exp{ int_t^s (f')^2/2 + x f'(t) }.
+
+    Built in three float64 planes of the broadcast shape, ``out`` when
+    given, the value in out[0]; no other grid-sized array is made.
     """
-    t, x, weight, shifted, st = _weighted_kernel(b, t, x)
-    # (drift + t * (shifted / st)) * A k, built in the buffers of shifted and
-    # drift, so that no more than four grid-sized arrays live at once
+    out = _planes(out, 3, t, x)
+    t, x, weight, shifted, st = _weighted_kernel(b, t, x, out)
+    # (drift + t * (shifted / st)) * A k, with drift in the plane of X^2
     shifted /= st
     shifted *= t
-    drift = x - integral_fprime(b, 0.0, t)
+    drift = np.subtract(x, integral_fprime(b, 0.0, t), out=out[0])
     drift += shifted
     drift *= weight
     return drift

@@ -19,18 +19,33 @@ seam between blocks.  Each block yields its own results: its largest
 |residual| with its first row-major position, and its largest |w|.
 They are reduced in block order, a later block taking the maximum only
 when it is strictly greater, so the report is the whole-grid one bit for
-bit.  One walker, ``_stream_checks``, takes every residual, reading each
-block with its halo from one or more sources: the rows of a sampled
-field for ``residual_backward``/``residual_forward``, and for
-``fine_grid_residuals``' three fields (closed w, and Phi at lam = 0 and
-1.5) the closed forms called on the block's rows of nodes built once,
-so that no whole field is held.  The three share one walk: each block
-evaluates the potential once and takes the fields' residuals in turn,
-dropping one field's planes before it evaluates the next.  A block is
-two float64 planes, Re and Im (``phi_lambda_planes``; Im is None for a
-real field), and no complex block is built.  No cos or sin runs per
-node of a block: Phi's phase takes them once per row and once per column.  A field with an Im
-plane gets an imaginary entry, also where that plane is all zero.
+bit.  One walker, ``_walk``, runs every pass: per block it writes the
+potential on the block's rows of the grid's nodes, built once per pass,
+and hands the block to the pass.  ``_stream_checks`` takes residuals on
+it, reading each block with its halo from one or more sources: the rows
+of a sampled field for ``residual_backward``/``residual_forward``, and
+for ``fine_grid_residuals``' three fields (closed w, and Phi at lam = 0
+and 1.5) the closed forms called on the block's rows, so that no whole
+field is held.  The three share one walk: each block takes the fields'
+residuals in turn, building each field in the planes the previous one
+used.  A block is two float64 planes, Re and Im (``phi_lambda_planes``;
+Im is None for a real field), and no complex block is built.  No cos or
+sin runs per node of a block: Phi's phase takes them once per row and
+once per column.  A field with an Im plane gets an imaginary entry, also
+where that plane is all zero.
+
+The transformation loop (``transform_loop``) is walked too, on its own
+grid: the Bluman-Shtelen B2 step takes u_0 and Phi_0 on the grid's first
+four columns, and each block samples them on its rows, builds the
+engine's rows of w there, and reduces its residual and its deviation
+from the analytic target, so the loop holds no whole field either.
+
+Each worker of a walk builds its blocks in one workspace of five float64
+block planes (the potential and four more), made at its first block and
+reused at every later one: the closed forms, ``bluman_shtelen_rows`` and
+``_block_peaks`` take the planes as output buffers, with the arithmetic
+they do without them, so after a worker's first block no block-sized
+float64 array is allocated.
 
 Form preservation (log Phi affine in x, so d2/dx2 log Phi = 0 and the
 Bluman-Shtelen step keeps the potential) is taken once, before the
@@ -45,8 +60,8 @@ The blocks of a pass run on ``n_workers`` threads (``fpkit verify``
 passes every core the process may run on) through the shared runner,
 ``parallel.run_in_order``, which returns their results in block order.
 A block's results depend on its rows alone, so every output is bit for
-bit the same for any worker count.  In-flight memory is n_workers times
-one block.
+bit the same for any worker count.  In-flight memory is one workspace
+per worker.
 
 The bound 0 <= w <= h(s-t, x) is a diagnostic: it is reported, never
 asserted, since derived closed forms can violate the bound (the
@@ -72,7 +87,7 @@ from .kernels import HORIZON_MARGIN, default_half_width, derived_kernel, symmetr
 from .parallel import run_in_order
 from .solutions import (GammaPoly, closed_w, closed_w2_terms, closed_w_gamma, phi_lambda,
                         phi_lambda_planes, product_phi_u, u_lambda, w1_lambda)
-from .transform import bluman_shtelen_w, log_phi_xx, second_difference_x
+from .transform import bluman_shtelen_b2, bluman_shtelen_rows, log_phi_xx, second_difference_x
 
 RELATIVE_FLOOR = 1e-12
 
@@ -133,7 +148,7 @@ class DiagnosticReport:
 
 #: Nodes per row block of a residual walk: 16 rows of the default 901x2951
 #: grid.  The block height is this over nx, so memory is flat in nt and nx;
-#: each worker holds one block of one field at a time.
+#: each worker holds one workspace of five block planes.
 BLOCK_NODES = 48_000
 
 #: x spacing of the form-preservation stencil, whatever the grid's dx: a
@@ -155,15 +170,16 @@ def _row_blocks(spec: GridSpec):
 
 
 def _time_derivative(c: np.ndarray, lo: int, ra: int, rb: int, nt: int,
-                     dt: float) -> np.ndarray:
-    """4th-order w_t at grid rows ra..rb-1, from ``c`` holding rows lo.. .
+                     dt: float, out: np.ndarray | None = None) -> np.ndarray:
+    """4th-order w_t at grid rows ra..rb-1, from ``c`` holding rows lo.. ,
+    built in ``out`` when given.
 
     Inner rows use the central five-point stencil; the grid's first and
     last interior rows (1 and nt-2) use the one-sided five-point form
     (-3, -10, 18, -6, 1)/12 and its mirror, so no node outside the grid
     is read.
     """
-    wt = np.empty((rb - ra, c.shape[1]), dtype=c.dtype)
+    wt = np.empty((rb - ra, c.shape[1]), dtype=c.dtype) if out is None else out
     a, b = ra + (ra == 1), rb - (rb == nt - 1)  # the central rows a..b-1
     inner = wt[a - ra:b - ra]  # built in place: no block-sized temporaries
     k, n = a - lo, b - a
@@ -184,22 +200,32 @@ def _abs(a: np.ndarray) -> np.ndarray:
     return np.abs(a, out=None if np.iscomplexobj(a) else a)
 
 
+def _fit(plane: np.ndarray | None, shape) -> np.ndarray | None:
+    """A C-contiguous array of ``shape`` over the start of a workspace plane."""
+    return None if plane is None else plane.reshape(-1)[:np.prod(shape)].reshape(shape)
+
+
 def _block_peaks(spec: GridSpec, time_sign: float, w: np.ndarray, vv: np.ndarray,
-                 lo: int, r0: int, r1: int):
+                 lo: int, r0: int, r1: int, out=(None, None)):
     """(scale, peak) of one residual, time_sign * w_t + V w - w_xx/2, over
     the row block whose own rows are r0..r1-1: the largest |w| on those
     rows, and (largest |residual|, interior i, j) at its first row-major
     position, or None when the block holds no interior row.  ``w`` and the
-    potential ``vv`` hold grid rows lo.. ."""
-    scale = float(np.max(np.abs(w[r0 - lo:r1 - lo])))
+    potential ``vv`` hold grid rows lo.. .  For a real ``w`` the residual
+    is built in ``out``, two float64 planes at least w's size."""
+    if np.iscomplexobj(w):
+        out = (None, None)
+    own = w[r0 - lo:r1 - lo]
+    scale = float(np.max(np.abs(own, out=_fit(out[0], own.shape))))
     ra, rb = max(r0, 1), min(r1, spec.nt - 1)
     if ra >= rb:
         return scale, None
     rows = w[ra - lo:rb - lo]
+    shape = (rb - ra, spec.nx - 2)
     # (time_sign * wt + V w) - 0.5 * wxx, in two buffers
-    res = _time_derivative(w[:, 1:-1], lo, ra, rb, spec.nt, spec.dt)
+    res = _time_derivative(w[:, 1:-1], lo, ra, rb, spec.nt, spec.dt, _fit(out[0], shape))
     res *= time_sign
-    term = np.multiply(vv[ra - lo:rb - lo, 1:-1], rows[:, 1:-1])
+    term = np.multiply(vv[ra - lo:rb - lo, 1:-1], rows[:, 1:-1], out=_fit(out[1], shape))
     res += term
     term = second_difference_x(rows, spec.dx, out=term)
     term *= 0.5
@@ -221,36 +247,72 @@ def _residual_report(spec: GridSpec, entries) -> ResidualReport:
     return ResidualReport(max_abs, max_abs / scale, float(t_at), float(x_at), spec)
 
 
-def _stream_checks(spec: GridSpec, sources, v: Callable,
-                   n_workers: int = 1) -> list[list[ResidualReport]]:
-    """Residual reports of every source over ``spec``, in one walk of its row
-    blocks.  A source is (planes_of, time_sign): ``planes_of(lo, hi)`` gives
-    the field's grid rows lo..hi-1 as (re, im).  ``im`` is None when ``re``
-    holds the whole field, real or complex; a complex ``re`` gets one report,
-    of complex moduli.  Each block evaluates the potential once on its rows
-    of the grid's nodes, built once, refusing a value that is not finite,
-    then takes the sources in turn, dropping one source's planes first.
-
-    Returns, per source, one report for ``re`` and, when the source yields
-    an ``im`` plane, one for ``im``.
+def _walk(spec: GridSpec, v: Callable, measure: Callable, n_workers: int) -> list:
+    """``measure(rows, vv, planes)`` on every row block of ``spec``, in block
+    order: rows is the block's (lo, r0, r1, hi), vv the potential
+    ``v(t, x, out)`` written on its rows of the grid's nodes, built once, and
+    refused where it is not finite, and planes four float64 planes of the
+    block's shape for ``measure`` to build in.  A block takes all five from
+    a spare workspace, or makes one when none is spare, and hands it back
+    when done; so the walk makes one workspace per worker at most, and no
+    block-sized float64 array after each worker's first block.
     """
     if spec.nt < 5 or spec.nx < 5:
         raise ValueError(f"residual check needs nt, nx >= 5, got {spec.nt}x{spec.nx}")
     tt, xx = spec.mesh()
+    blocks = list(_row_blocks(spec))
+    size = max(hi - lo for lo, _, _, hi in blocks) * spec.nx
+    spare = []
 
     def block(rows):
-        lo, r0, r1, hi = rows
-        vv = np.asarray(v(tt[lo:hi], xx), dtype=float)
+        lo, _, _, hi = rows
+        try:
+            workspace = spare.pop()  # atomic: no two blocks take the same one
+        except IndexError:
+            workspace = [np.empty(size) for _ in range(5)]
+        vv, *planes = (p[:(hi - lo) * spec.nx].reshape(hi - lo, spec.nx) for p in workspace)
+        v(tt[lo:hi], xx, out=vv)
         if not np.all(np.isfinite(vv)):
             raise NumericalError("potential is not finite on the grid")
-        vv = np.broadcast_to(vv, (hi - lo, spec.nx))
-        return [[_block_peaks(spec, time_sign, plane, vv, lo, r0, r1)
-                 for plane in planes_of(lo, hi) if plane is not None]
+        result = measure(rows, vv, planes)
+        spare.append(workspace)
+        return result
+
+    return run_in_order(block, blocks, n_workers)
+
+
+def _stream_checks(spec: GridSpec, sources, v: Callable,
+                   n_workers: int = 1) -> list[list[ResidualReport]]:
+    """Residual reports of every source over ``spec``, in one ``_walk`` of
+    its row blocks.  A source is (planes_of, time_sign): ``planes_of(lo, hi,
+    out)`` gives the field's grid rows lo..hi-1 as (re, im), built in the
+    block's planes ``out`` (re in out[0], im in out[1], out[2:] scratch) or
+    read from elsewhere.  ``im`` is None when ``re`` holds the whole field,
+    real or complex; a complex ``re`` gets one report, of complex moduli.
+    Each block takes the sources in turn, each in the same planes, their
+    residuals built in out[2] and out[3].
+
+    Returns, per source, one report for ``re`` and, when the source yields
+    an ``im`` plane, one for ``im``.
+    """
+    def measure(rows, vv, planes):
+        lo, r0, r1, hi = rows
+        return [[_block_peaks(spec, time_sign, plane, vv, lo, r0, r1, planes[2:])
+                 for plane in planes_of(lo, hi, planes) if plane is not None]
                 for planes_of, time_sign in sources]
 
-    results = run_in_order(block, list(_row_blocks(spec)), n_workers)
+    results = _walk(spec, v, measure, n_workers)
     return [[_residual_report(spec, entries) for entries in zip(*per_block)]
             for per_block in zip(*results)]
+
+
+def _writing(v: Callable) -> Callable:
+    """The (t, x) function ``v`` as a walk's potential, which writes its
+    value, broadcast, into ``out``."""
+    def potential(t, x, out):
+        out[...] = v(t, x)
+        return out
+    return potential
 
 
 def fine_grid_residuals(b: Boundary, spec: GridSpec, n_workers: int = 1) -> dict:
@@ -258,9 +320,9 @@ def fine_grid_residuals(b: Boundary, spec: GridSpec, n_workers: int = 1) -> dict
     (forward: Re, and Im where complex) on ``spec``, keyed as in
     ``residuals.json``, from one walk of its row blocks on nodes built once."""
     tt, xx = spec.mesh()
-    sources = [(lambda lo, hi: (closed_w(b, tt[lo:hi], xx), None), -1.0)]
-    sources += [(lambda lo, hi, lam=lam: phi_lambda_planes(b, lam, tt[lo:hi], xx), +1.0)
-                for lam in (0.0, 1.5)]
+    sources = [(lambda lo, hi, out: (closed_w(b, tt[lo:hi], xx, out=out), None), -1.0)]
+    sources += [(lambda lo, hi, out, lam=lam: phi_lambda_planes(b, lam, tt[lo:hi], xx, out=out),
+                 +1.0) for lam in (0.0, 1.5)]
     (rep_w,), *phi_reps = _stream_checks(spec, sources, boundary_potential(b), n_workers)
     return {"backward_closed_w": rep_w,
             **{f"forward_phi_lam{lam}_{part}": rep for lam, reps in zip((0.0, 1.5), phi_reps)
@@ -287,15 +349,15 @@ def observed_order(b: Boundary, spec: GridSpec, levels: int, n_workers: int = 1)
 def residual_backward(w: GridField, v: Callable, n_workers: int = 1) -> ResidualReport:
     """Residual of -w_t + V w - w_xx/2 at interior nodes; V is the (t, x)
     function ``v``.  The report is the same for any ``n_workers``."""
-    ((report,),) = _stream_checks(w.spec, [(lambda lo, hi: (w.values[lo:hi], None), -1.0)],
-                                  v, n_workers)
+    ((report,),) = _stream_checks(w.spec, [(lambda lo, hi, out: (w.values[lo:hi], None), -1.0)],
+                                  _writing(v), n_workers)
     return report
 
 
 def residual_forward(phi: GridField, v: Callable) -> ResidualReport:
     """Residual of +Phi_t + V Phi - Phi_xx/2 at interior nodes."""
-    ((report,),) = _stream_checks(phi.spec, [(lambda lo, hi: (phi.values[lo:hi], None), +1.0)],
-                                  v)
+    ((report,),) = _stream_checks(
+        phi.spec, [(lambda lo, hi, out: (phi.values[lo:hi], None), +1.0)], _writing(v))
     return report
 
 
@@ -397,17 +459,38 @@ def quadrature_match(b: Boundary, g: GammaPoly, t: float, x: float) -> float:
 
 def transform_loop(b: Boundary, tspec: GridSpec, n_workers: int = 1):
     """The transformation loop at lam = 0 on ``tspec``: (dev, report), with
-    w_engine the ``bluman_shtelen_w`` of u_0 and Phi_0 sampled on ``tspec``,
-    dev its largest deviation from the analytic target (x - int_0^t f') u_0
-    over the grid, relative to the target's largest magnitude (floored at
-    1e-12), and report its ``residual_backward``."""
-    u0 = sample_field(tspec, lambda t, x: u_lambda(b, 0.0, t, x))
-    w_engine = bluman_shtelen_w(u0, sample_field(tspec, lambda t, x: phi_lambda(b, 0.0, t, x)))
+    w_engine the Bluman-Shtelen w of u_0 and Phi_0 on ``tspec``, dev its
+    largest deviation from the analytic target (x - int_0^t f') u_0 over the
+    grid, relative to the target's largest magnitude (floored at 1e-12), and
+    report its backward residual.
+
+    The engine's B2 step takes u_0 and Phi_0 on the grid's first four
+    columns; then one ``_walk`` of ``tspec``'s row blocks samples them on
+    each block's rows, builds w_engine's rows there (``bluman_shtelen_rows``)
+    and takes the block's residual peaks and the deviation's two maxima on
+    its own rows.  Reduced in block order, they are the whole-field figures
+    bit for bit, and no whole field is held.
+    """
     tt, xx = tspec.mesh()
-    target = u0.values * (xx - integral_fprime(b, 0.0, tt))
-    dev = float(np.max(_abs(w_engine.values - target))
-                / max(float(np.max(np.abs(target))), RELATIVE_FLOOR))
-    return dev, residual_backward(w_engine, boundary_potential(b), n_workers)
+    b2 = bluman_shtelen_b2(tspec, u_lambda(b, 0.0, tt, xx[:, :4]),
+                           phi_lambda(b, 0.0, tt, xx[:, :4]))
+    drift = integral_fprime(b, 0.0, tt)
+
+    def measure(rows, vv, planes):
+        lo, r0, r1, hi = rows
+        u0 = u_lambda(b, 0.0, tt[lo:hi], xx, out=planes[:1])
+        phi0 = phi_lambda(b, 0.0, tt[lo:hi], xx, out=planes[1:2])
+        w = bluman_shtelen_rows(tspec, u0, phi0, b2[lo:hi], out=planes[2:])
+        peaks = _block_peaks(tspec, -1.0, w, vv, lo, r0, r1, (planes[1], planes[3]))
+        own = slice(r0 - lo, r1 - lo)
+        target = np.subtract(xx, drift[r0:r1], out=planes[3][own])
+        target *= u0[own]
+        gap = _abs(np.subtract(w[own], target, out=planes[1][own]))
+        return peaks, float(np.max(gap)), float(np.max(_abs(target)))
+
+    peaks, gaps, targets = zip(*_walk(tspec, boundary_potential(b), measure, n_workers))
+    dev = float(np.max(gaps) / max(float(np.max(targets)), RELATIVE_FLOOR))
+    return dev, _residual_report(tspec, peaks)
 
 
 def zero_identity_gap(b: Boundary, t, x):
@@ -462,9 +545,9 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     that 200 calls for t and then x would.  Form preservation is taken
     first, on its own small fields (``form_preservation``); closed w and
     Phi at lam = 0 and 1.5 then share one walk of ``spec``'s row blocks
-    (``fine_grid_residuals``).
-    Residual row blocks run ``n_workers`` at a time; the results do not
-    depend on it.
+    (``fine_grid_residuals``), and the transform loop walks ``tspec``'s.
+    Row blocks run ``n_workers`` at a time; the results do not depend on
+    it.
     """
     checks: list[CheckResult] = []
     residuals: dict = {}

@@ -20,6 +20,7 @@ from chi_square import chi_square_vs_reference
 from fpkit.cli import main as cli_main
 from fpkit.grids import GridSpec, sample_field, transform_grid
 from fpkit.montecarlo import MCConfig, bessel_bridge_fk, compare_density, first_passage_histogram
+from fpkit.parallel import usable_cores
 from fpkit.solutions import GammaPoly
 from fpkit.transform import log_phi_xx
 from fpkit.verify import (check_inequality, check_vanishing_at_origin, form_preservation,
@@ -29,7 +30,7 @@ from volterra_oracle import fk_density, hitting_density_at
 
 B_ACC = fp.parse_boundary("s=1; fprime=0.5,0.3")
 GRID_ACC = GridSpec(0.0, 0.9, 0.05, 3.0, 901, 2951)  # dt = dx = 1e-3
-WORKERS = len(os.sched_getaffinity(0))
+WORKERS = usable_cores()
 
 
 def report(num, ok, detail):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fpkit.boundary import Boundary, integral_fprime, parse_boundary
+from fpkit.boundary import Boundary, boundary_potential, integral_fprime, parse_boundary
 from fpkit.grids import NumericalError
 from fpkit.kernels import (default_half_width, derived_kernel, heat_kernel, simpson_weights,
                            symmetric_simpson)
@@ -62,6 +62,27 @@ def test_phi_lambda_is_its_planes_bit_for_bit():
     re, im = phi_lambda_planes(B_LIN, 0.0, t, x)
     assert im is None
     assert np.array_equal(phi_lambda(B_LIN, 0.0, t, x), re)
+
+
+def test_closed_forms_built_in_given_planes_are_their_own_values():
+    # the residual walks pass a block's planes as out: the value is built in
+    # out[0] (Im in out[1]), bit for bit what the form returns without them
+    t = np.linspace(0.0, 0.9, 7)[:, None]
+    x = np.linspace(0.0, 3.0, 11)[None, :]
+    planes = [np.full((7, 11), np.nan) for _ in range(4)]
+
+    def check(got, want, plane):
+        assert np.shares_memory(got, plane) and np.array_equal(got, want)
+
+    check(closed_w(B_LIN, t, x, out=planes), closed_w(B_LIN, t, x), planes[0])
+    check(u_lambda(B_LIN, 0.0, t, x, out=planes), u_lambda(B_LIN, 0.0, t, x), planes[0])
+    check(phi_lambda(B_LIN, 0.0, t, x, out=planes), phi_lambda(B_LIN, 0.0, t, x), planes[0])
+    (re, im), (want_re, want_im) = (phi_lambda_planes(B_LIN, 1.5, t, x, out=planes),
+                                    phi_lambda_planes(B_LIN, 1.5, t, x))
+    check(re, want_re, planes[0])
+    check(im, want_im, planes[1])
+    v = boundary_potential(B_LIN)
+    check(v(t, x, out=planes[0]), v(t, x), planes[0])
 
 
 @pytest.mark.parametrize("lam", [1.5, -0.7, 23.0])

@@ -8,8 +8,8 @@ from fpkit.boundary import boundary_potential, integral_fprime, parse_boundary
 from fpkit.grids import (GridField, GridSpec, NumericalError, read_field_csv, sample_field,
                          transform_grid, write_field_csv)
 from fpkit.solutions import closed_w, phi_lambda, u_lambda
-from fpkit.transform import (bluman_shtelen_w, cumulative_simpson, log_phi_xx,
-                             one_sided_first_derivative)
+from fpkit.transform import (bluman_shtelen_b2, bluman_shtelen_rows, bluman_shtelen_w,
+                             cumulative_simpson, log_phi_xx, one_sided_first_derivative)
 from fpkit.verify import residual_backward
 
 B_LIN = parse_boundary("s=1; fprime=0.5,0.3")
@@ -124,6 +124,16 @@ def test_cumulative_simpson_convergence_rate():
         return np.max(np.abs(cumulative_simpson(np.sin(3 * xs), xs[1] - xs[0])
                              - (1 - np.cos(3 * xs)) / 3))
     assert worst(41) / worst(81) > 12.0  # 4th order gives ~16
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 10])
+def test_cumulative_simpson_in_a_given_array_is_its_own_value(n):
+    y = np.random.default_rng(n).normal(size=(5, n))
+    for axis, values in ((1, y), (0, y.T.copy())):
+        out = np.full(values.shape, np.nan)
+        got = cumulative_simpson(values, 0.1, axis=axis, out=out)
+        assert np.shares_memory(got, out)
+        assert np.array_equal(got, cumulative_simpson(values, 0.1, axis=axis))
 
 
 def test_one_sided_first_derivative_order():
@@ -313,6 +323,21 @@ def test_engine_matches_analytic_target():
     # a complex input pair keeps a complex result
     u15, phi15 = engine_fields(B_CONST, 1.5, spec)
     assert bluman_shtelen_w(u15, phi15).values.dtype == np.complex128
+
+
+def test_engine_row_form_on_row_slices_is_the_whole_field_engine():
+    # B2 from the first four columns, then each row on its own: any slice
+    # of rows, built in given planes, is the whole field's bit for bit
+    spec = transform_grid(0.0, 0.9, 3.0, 41, 61)
+    u, phi = engine_fields(B_LIN, 0.0, spec)
+    whole = bluman_shtelen_w(u, phi).values
+    b2 = bluman_shtelen_b2(spec, u.values[:, :4], phi.values[:, :4])
+    for lo, hi in ((0, 7), (5, 30), (30, 41)):
+        planes = [np.empty((hi - lo, spec.nx)) for _ in range(2)]
+        rows = bluman_shtelen_rows(spec, u.values[lo:hi], phi.values[lo:hi], b2[lo:hi],
+                                   out=planes)
+        assert np.shares_memory(rows, planes[0])
+        assert np.array_equal(rows, whole[lo:hi])
 
 
 def test_engine_zero_input_gives_zero():

@@ -12,16 +12,17 @@ import pytest
 
 import fpkit.cli as cli
 import fpkit.verify as verify
-from fpkit.boundary import Boundary, boundary_potential, parse_boundary
+from fpkit.boundary import Boundary, boundary_potential, integral_fprime, parse_boundary
 from fpkit.grids import GridField, GridSpec, NumericalError, sample_field, transform_grid
 from fpkit.kernels import simpson_weights
-from fpkit.parallel import run_in_order
+from fpkit.parallel import run_in_order, usable_cores
 from fpkit.solutions import (GammaPoly, closed_w, closed_w_gamma, phi_lambda, phi_lambda_planes,
                              u_lambda)
+from fpkit.transform import bluman_shtelen_w
 from fpkit.verify import (TOLERANCES, CheckResult, check_inequality, check_vanishing_at_origin,
                           fine_grid_residuals, observed_order, product_spread, quadrature_match,
-                          residual_backward, residual_forward, run_checks, vanishing_probes,
-                          zero_identity_gap)
+                          residual_backward, residual_forward, run_checks, transform_loop,
+                          vanishing_probes, zero_identity_gap)
 
 B_LIN = parse_boundary("s=1; fprime=0.5,0.3")
 B_CONST = parse_boundary("s=1; fprime=1")
@@ -124,17 +125,20 @@ SMALL_TSPEC = transform_grid(0.0, 0.9, 3.0, 31, 31)
 
 
 def rows(spec, planes):
-    """A walk source's ``planes_of``: the planes (re, im) = planes(t, x) on
-    grid rows lo..hi-1 of ``spec``, whose nodes are built once."""
+    """A walk source's ``planes_of``: the planes (re, im) = planes(t, x, out)
+    on grid rows lo..hi-1 of ``spec``, whose nodes are built once, built in
+    the block's planes ``out``."""
     tt, xx = spec.mesh()
-    return lambda lo, hi: planes(tt[lo:hi], xx)
+    return lambda lo, hi, out: planes(tt[lo:hi], xx, out)
 
 
 def fine_grid_results(spec, n_workers=1):
-    """run_checks' residual entries and form-preservation maximum on ``spec``."""
+    """run_checks' residual entries, form-preservation maximum and transform
+    loop deviation on ``spec`` (the loop's grid is SMALL_TSPEC)."""
     _, residuals, diagnostics = run_checks(B_LIN, spec, SMALL_TSPEC, TOLERANCES, 0, 1.0, None,
                                            n_workers=n_workers)
-    return residuals, diagnostics["form_preservation_max_abs"]
+    return (residuals, diagnostics["form_preservation_max_abs"],
+            diagnostics["transform_max_rel_deviation"])
 
 
 @pytest.mark.parametrize("nt, n_workers", [(47, 1), (5, 1), (47, 2), (5, 2)],
@@ -144,11 +148,13 @@ def test_row_block_seams_change_no_report(monkeypatch, nt, n_workers):
     # nt = 5 a block of >= 5 rows holds both one-sided rows.  Covers the
     # real closed w, the float64 Phi at lam = 0 and the complex Phi at 1.5,
     # streamed, and the sampled real closed w and complex u at lam = 1.5.
+    # The transform loop's blocks on SMALL_TSPEC's 31 columns are then 1, 3,
+    # 5, 9 and all 31 rows high, and its deviation and residual hold too.
     spec = GridSpec(0.0, 0.8, 0.1, 2.5, nt, 61)
     w = sample_field(spec, lambda t, x: closed_w(B_LIN, t, x))
     u = sample_field(spec, lambda t, x: u_lambda(B_LIN, 1.5, t, x))
     assert u.values.dtype == np.complex128
-    sources = [(rows(spec, lambda t, x: (closed_w(B_LIN, t, x), None)), -1.0)]
+    sources = [(rows(spec, lambda t, x, out: (closed_w(B_LIN, t, x, out=out), None)), -1.0)]
     sources += [(rows(spec, partial(phi_lambda_planes, B_LIN, lam)), +1.0)
                 for lam in (0.0, 1.5)]
     results = {}
@@ -161,14 +167,56 @@ def test_row_block_seams_change_no_report(monkeypatch, nt, n_workers):
         assert verify._stream_checks(spec, sources, V_LIN, n_workers) == [
             verify._stream_checks(spec, [source], V_LIN, n_workers)[0] for source in sources]
     whole = results[nt]
-    (residuals, form_max), field_rep, u_rep = whole
+    (residuals, form_max, dev), field_rep, u_rep = whole
     assert set(residuals) == {"backward_closed_w", "forward_phi_lam0.0_re",
                               "forward_phi_lam1.5_re", "forward_phi_lam1.5_im",
                               "backward_transform_w"}
     assert field_rep == residuals["backward_closed_w"]
-    assert form_max > 0.0 and u_rep["max_abs"] > 0.0
+    assert form_max > 0.0 and dev > 0.0 and u_rep["max_abs"] > 0.0
     for height, result in results.items():
         assert result == whole, height
+
+
+def whole_field_transform_loop(tspec):
+    """transform_loop's (dev, report) from whole fields: the engine on u_0 and
+    Phi_0 sampled on ``tspec``, its residual_backward, and the deviation
+    from (x - int_0^t f') u_0 over the whole grid."""
+    u0 = sample_field(tspec, partial(u_lambda, B_LIN, 0.0))
+    w = bluman_shtelen_w(u0, sample_field(tspec, partial(phi_lambda, B_LIN, 0.0)))
+    tt, xx = tspec.mesh()
+    target = u0.values * (xx - integral_fprime(B_LIN, 0.0, tt))
+    dev = float(np.max(np.abs(w.values - target))
+                / max(float(np.max(np.abs(target))), verify.RELATIVE_FLOOR))
+    return dev, residual_backward(w, V_LIN)
+
+
+@pytest.mark.parametrize("tspec, height", [
+    (SMALL_TSPEC, None), (SMALL_TSPEC, 4), (transform_grid(0.0, 0.9, 3.0, 331, 301), None)],
+    ids=["small", "small-4-rows", "331x301"])
+def test_transform_loop_is_the_whole_field_loop_bit_for_bit(monkeypatch, tspec, height):
+    # the loop walks tspec in row blocks and reduces in block order: 331 is
+    # prime, so its 159-row blocks end in a short one (13 rows), as SMALL_TSPEC's
+    # 4-row blocks do (3 rows), while SMALL_TSPEC is one block by default
+    if height is not None:
+        monkeypatch.setattr(verify, "BLOCK_NODES", height * tspec.nx)
+    expected = whole_field_transform_loop(tspec)
+    assert expected[0] > 0.0 and expected[1].max_abs > 0.0
+    for n_workers in (1, 2, 3):
+        assert transform_loop(B_LIN, tspec, n_workers) == expected
+
+
+def test_transform_loop_keeps_the_engine_refusals(tmp_path, capsys):
+    # on f' = 10, Phi_0 = exp(50 t - 10 x) is e^-30 at t = 0, x = 3: below
+    # MIN_FIELD_MAGNITUDE, so the loop's first block refuses it (exit 3),
+    # after the residual grid, which stops at x = 1, has passed
+    argv = ["verify", "--boundary", "s=1; fprime=10", "--grid", "0:0.5:9,0.05:1:9",
+            "--transform-grid", "0:0.5:9,0:3:9", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 3
+    assert "at or below 1e-12" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="x_min = 0"):
+        transform_loop(B_LIN, GridSpec(0.0, 0.9, 0.1, 3.0, 31, 31))
+    with pytest.raises(ValueError, match="odd nx"):
+        transform_loop(B_LIN, GridSpec(0.0, 0.9, 0.0, 3.0, 31, 30))
 
 
 def test_streamed_field_keeps_whole_field_dtype_rule(monkeypatch):
@@ -181,7 +229,7 @@ def test_streamed_field_keeps_whole_field_dtype_rule(monkeypatch):
         phi = phi_lambda(B_LIN, 1.5, t, x)
         return np.where(t < 0.3, np.abs(phi), phi)
 
-    def planes(t, x):
+    def planes(t, x, out):
         values = fn(t, x)
         return values.real, values.imag
 
@@ -198,7 +246,7 @@ def test_all_zero_im_plane_gets_an_all_zero_report():
     # the plane is zero everywhere: no block's Im plane counts as absent
     spec = GridSpec(0.0, 0.8, 0.1, 2.5, 23, 41)
 
-    def planes(t, x):
+    def planes(t, x, out):
         re = phi_lambda(B_LIN, 0.0, t, x)
         return re, np.zeros_like(re)
 
@@ -218,9 +266,9 @@ def test_run_checks_samples_the_potential_once_per_fine_grid_block(monkeypatch):
     def counted_potential(b):
         v = boundary_potential(b)
 
-        def counted(t, x):
+        def counted(t, x, out=None):
             calls.append(np.shape(x))
-            return v(t, x)
+            return v(t, x, out=out)
         return counted
 
     monkeypatch.setattr(verify, "boundary_potential", counted_potential)
@@ -271,6 +319,29 @@ def test_fine_grid_memory_two_workers_at_most_two_blocks():
     # is the one-worker run's, so the peak stays within twice that run's
     # however the threads interleave
     assert fine_grid_peak(321, 2) <= 2.0 * fine_grid_peak(321, 1)
+
+
+def transform_peak(nt, n_workers):
+    """Peak of the allocations traced, in every thread, over transform_loop
+    on an nt x 301 transform grid."""
+    tracemalloc.start()
+    try:
+        transform_loop(B_LIN, transform_grid(0.0, 0.9, 3.0, nt, 301), n_workers)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transform_loop_memory_flat_in_nt():
+    # the loop's fields are built in row blocks of a reused workspace, so
+    # doubling nt leaves the traced peak where it was (whole fields double
+    # it: 10.97 MB against 5.56 MB)
+    assert transform_peak(901, 1) <= 1.1 * transform_peak(451, 1)
+
+
+def test_transform_loop_memory_two_workers_at_most_two_blocks():
+    # each worker makes one workspace; the rest of the loop is shared
+    assert transform_peak(901, 2) <= 2.0 * transform_peak(901, 1)
 
 
 def test_fine_grid_residuals_are_the_ones_verify_writes(tmp_path):
@@ -357,8 +428,7 @@ def test_complex_phi_pass_works_on_real_planes(monkeypatch):
     tracemalloc.start()
     try:
         (reports,) = verify._stream_checks(
-            spec, [(rows(spec, lambda t, x: phi_lambda_planes(B_LIN, 1.5, t, x)), +1.0)],
-            V_LIN)
+            spec, [(rows(spec, partial(phi_lambda_planes, B_LIN, 1.5)), +1.0)], V_LIN)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -410,11 +480,11 @@ def test_run_checks_outputs_do_not_depend_on_worker_count(monkeypatch):
 def test_block_error_exits_3_and_the_pool_serves_the_next_run(tmp_path, monkeypatch, capsys):
     # two workers whatever the host; the block at t >= 0.5 of the lam = 1.5
     # field fails inside a worker or the caller
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "usable_cores", lambda: 2)
     original = verify.phi_lambda_planes
 
-    def failing(b, lam, t, x):
-        re, im = original(b, lam, t, x)
+    def failing(b, lam, t, x, out=None):
+        re, im = original(b, lam, t, x, out=out)
         if t[0, 0] >= 0.5 and im is not None:
             raise NumericalError("injected block failure")
         return re, im
@@ -426,6 +496,20 @@ def test_block_error_exits_3_and_the_pool_serves_the_next_run(tmp_path, monkeypa
     assert "injected block failure" in capsys.readouterr().err
     assert cli.main(argv + ["--out", str(tmp_path / "next")]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_runs_where_the_platform_has_no_affinity_set(tmp_path, monkeypatch, capsys):
+    # macOS and Windows have no os.sched_getaffinity: verify counts the
+    # cores by os.cpu_count() there, and its outputs do not change
+    argv = ["verify", "--boundary", "s=1; fprime=0.5,0.3", "--fast", "--out"]
+    assert cli.main(argv + [str(tmp_path / "affinity")]) == 0
+    printed = capsys.readouterr().out
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert usable_cores() == (os.cpu_count() or 1)
+    assert cli.main(argv + [str(tmp_path / "count")]) == 0
+    assert capsys.readouterr().out == printed
+    for name in ("residuals.json", "diagnostics.json", "checks.json", "config.json"):
+        assert (tmp_path / "count" / name).read_bytes() == (tmp_path / "affinity" / name).read_bytes()
 
 
 def test_block_map_raises_the_first_failing_block():
