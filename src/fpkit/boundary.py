@@ -36,13 +36,9 @@ class Boundary:
     horizon_s: float
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.deriv_coeffs)
-        if not coeffs:
-            coeffs = (0.0,)
+        coeffs = tuple(float(c) for c in self.deriv_coeffs) or (0.0,)
         if len(coeffs) - 1 > MAX_DEGREE:
-            raise BoundaryFormatError(
-                f"f' degree {len(coeffs) - 1} exceeds cap {MAX_DEGREE}"
-            )
+            raise BoundaryFormatError(f"f' degree {len(coeffs) - 1} exceeds cap {MAX_DEGREE}")
         if not all(np.isfinite(c) for c in coeffs):
             raise BoundaryFormatError("non-finite f' coefficient")
         object.__setattr__(self, "deriv_coeffs", coeffs)
@@ -83,9 +79,7 @@ def parse_boundary(text: str) -> Boundary:
 def boundary_from_json(obj: dict) -> Boundary:
     """Build a Boundary from ``{"s": real, "fprime": [reals]}``."""
     if not isinstance(obj, dict) or "s" not in obj or "fprime" not in obj:
-        raise BoundaryFormatError(
-            f"boundary JSON needs keys 's' and 'fprime', got {obj!r}"
-        )
+        raise BoundaryFormatError(f"boundary JSON needs keys 's' and 'fprime', got {obj!r}")
     fp = obj["fprime"]
     if isinstance(fp, (int, float)):
         fp = [fp]

@@ -60,7 +60,8 @@ def _write_json(out: str, name: str, obj) -> None:
 
 
 def _parse_range(text: str) -> np.ndarray:
-    """``a:b:step`` inclusive range, or a single value; all finite."""
+    """``a:b:step``, the nodes a + k step not past b in the decimals written
+    (so only rounding puts one past b), or a single value; all finite."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ConfigError(f"range must be 'a:b:step' or a single value, got {text!r}")
@@ -72,8 +73,9 @@ def _parse_range(text: str) -> np.ndarray:
     a, b, step = values
     if step <= 0 or b < a:
         raise ConfigError(f"bad range {text!r}")
-    n = int(round((b - a) / step)) + 1
-    return a + step * np.arange(n)
+    from fractions import Fraction  # imported here: it loads decimal, which no other command uses
+    lo, hi, exact_step = map(Fraction, parts)
+    return a + step * np.arange((hi - lo) // exact_step + 1)
 
 
 def _parse_grid(text: str, b: Boundary, engine: bool = False,
@@ -391,9 +393,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        # ConfigError, BoundaryFormatError and the numeric layer's refused
-        # preconditions (bad grids, ranges, x0)
+    except (ValueError, MemoryError) as exc:
+        # ConfigError, BoundaryFormatError, the numeric layer's refused
+        # preconditions (bad grids, ranges, x0) and arrays past memory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _sidecar(args)

@@ -122,10 +122,12 @@ def write_field_csv(path, field: GridField) -> None:
 
 
 def read_field_csv(path) -> GridField:
-    """Deserialize a field CSV, validating uniform spacing within 1e-12."""
+    """Deserialize a field CSV of finite values, uniformly spaced within 1e-12."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.ndim != 2 or data.shape[1] != 4:
         raise ValueError(f"field CSV must have columns t,x,re,im, got shape {data.shape}")
+    if not np.isfinite(data).all():
+        raise ValueError("field CSV holds a value that is not finite")
     t_col, x_col = data[:, 0], data[:, 1]
     t_vals = np.unique(t_col)
     x_vals = np.unique(x_col)

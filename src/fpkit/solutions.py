@@ -6,8 +6,12 @@ adjoint (forward) equation, ``u_lambda`` the backward one; their product
 is independent of (t, x), which makes the pair-transformation integral
 exact and lets every lambda-integral collapse onto the kernel family.
 
-``closed_w`` and ``closed_w_gamma`` are the contour-integrated real
-solutions.  ``closed_w2_terms`` returns the two equal terms of the
+``closed_w_gamma`` is the one formula for the contour-integrated real
+solutions, built in the caller's planes: the Hermite recurrence
+g_{n+1} = r g_n - (n/tau) g_{n-1} (r = X/tau, tau = s - t) folds each
+member into A k [D sum c_n g_n - (t/tau) sum n c_n g_{n-1}], with
+D = x - int_0^t f' + t r.  ``closed_w`` is its member Gamma = (1,), whose
+sums are 1 and empty.  ``closed_w2_terms`` returns the two equal terms of the
 second antiderivative variant, whose difference vanishes identically: a
 tested artifact rather than an assumption.  ``kappa`` is the resulting
 closed-form approximation to the first hitting time density.
@@ -41,17 +45,17 @@ class GammaPoly:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not coeffs:
-            coeffs = (1.0,)
+        coeffs = tuple(float(c) for c in self.coeffs) or (1.0,)
         if len(coeffs) - 1 > MAX_GAMMA_DEGREE:
-            raise ValueError(
-                f"Gamma degree {len(coeffs) - 1} exceeds cap {MAX_GAMMA_DEGREE}"
-            )
+            raise ValueError(f"Gamma degree {len(coeffs) - 1} exceeds cap {MAX_GAMMA_DEGREE}")
         object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, lam):
         return scalar_or_array(horner(self.coeffs, -1j * np.asarray(lam, dtype=float)))
+
+
+#: Gamma = (1,), the family member that is ``closed_w``
+UNIT_GAMMA = GammaPoly((1.0,))
 
 
 def _args(b: Boundary, t, *args, strict_upper: bool = False):
@@ -221,52 +225,48 @@ def _weighted_kernel(b: Boundary, t, x, out=None):
 
 
 @closed_form
-def closed_w(b: Boundary, t, x, out=None):
-    """Contour-integrated solution of the backward equation.
+def closed_w_gamma(b: Boundary, g: GammaPoly, t, x, out=None):
+    """Gamma-polynomial member of the solution family,
 
-    A(t,x) * [ (x - int_0^t f') k(s-t, X) + t * (X/(s-t)) k(s-t, X) ]
-    with X = x + int_t^s f' and A = exp{ int_t^s (f')^2/2 + x f'(t) }.
-
-    Built in three float64 planes of the broadcast shape, ``out`` when
-    given, the value in out[0]; no other grid-sized array is made.
+    A sum_n c_n [(x - int_0^t f') kernel_n(n, s-t, X) + t kernel_n(n+1, s-t, X)]
+    with X = x + int_t^s f' and A = exp{int_t^s (f')^2/2 + x f'(t)}.  As
+    kernel_n = g_n k and g_{n+1} = r g_n - (n/tau) g_{n-1} (``hermite_factors``,
+    r = X/tau, tau = s - t), it is A k [D sum c_n g_n - (t/tau) sum n c_n g_{n-1}]
+    with D = x - int_0^t f' + t r.  Built in three float64 planes of the
+    broadcast shape, ``out`` when given, the value in out[0]; only a Gamma of
+    degree >= 1 makes its two sums besides.
     """
     out = _planes(out, 3, t, x)
     t, x, weight, shifted, st = _weighted_kernel(b, t, x, out)
-    # (drift + t * (shifted / st)) * A k, with drift in the plane of X^2
+    level, slope = g.coeffs[0], 0.0
+    for n, (c, (h_prev, h)) in enumerate(
+            zip(g.coeffs[1:], pairwise(hermite_factors(st, shifted))), 1):
+        if c:
+            # the first array term makes a new sum; += adds in place after
+            level += c * h
+            slope += n * c * h_prev
+    # [D level - (t/tau) slope] A k, with D in the plane of X^2
     shifted /= st
     shifted *= t
     drift = np.subtract(x, integral_fprime(b, 0.0, t), out=out[0])
     drift += shifted
+    if g != UNIT_GAMMA:
+        drift *= level
+        drift -= slope * (t / st)
     drift *= weight
     return drift
 
 
-@closed_form
-def closed_w_gamma(b: Boundary, g: GammaPoly, t, x):
-    """Gamma-polynomial member of the solution family.
-
-    A(t,x) * sum_n c_n [ (x - int_0^t f') kernel_n(n, s-t, X)
-                         + t * kernel_n(n+1, s-t, X) ].
-    Gamma = (1,) reduces to ``closed_w``.  kernel_n = g_n k, with g_n from
-    ``hermite_factors`` and A k taken once, as in ``closed_w``.
-    """
-    t, x, weight, shifted, st = _weighted_kernel(b, t, x)
-    drift = x - integral_fprime(b, 0.0, t)
-    total = np.zeros(np.broadcast(weight, drift, t).shape)
-    for c, (h, h_next) in zip(g.coeffs, pairwise(hermite_factors(st, shifted))):
-        if c != 0.0:
-            total = total + c * (drift * h + t * h_next)
-    return weight * total
+def closed_w(b: Boundary, t, x, out=None):
+    """Contour-integrated solution A k(s-t, X) [x - int_0^t f' + t X/(s-t)]:
+    ``closed_w_gamma`` at Gamma = (1,), in its planes ``out`` when given."""
+    return closed_w_gamma(b, UNIT_GAMMA, t, x, out=out)
 
 
 @closed_form
 def closed_w2_terms(b: Boundary, t, x):
-    """The two equal terms of the second contour-integrated variant.
-
-    Both are A * X * k(s-t, X): one directly, one assembled through the
-    derived kernel as (s-t) * (X/(s-t)) k.  A k is taken once, as in
-    ``closed_w``.
-    """
+    """The two equal terms A X k(s-t, X) of the second contour-integrated
+    variant: one directly, one through the derived kernel as (s-t) (X/(s-t)) k."""
     _, _, weight, shifted, st = _weighted_kernel(b, t, x)
     return weight * shifted, weight * (st * (shifted / st))
 

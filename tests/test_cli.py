@@ -28,6 +28,27 @@ def test_kernels_row_count(tmp_path):
     assert (tmp_path / "config.json").exists()
 
 
+def test_kernels_ranges_stop_at_their_end(tmp_path):
+    # a step that does not divide b - a stops at the last node before b: 0:1:0.6
+    # is 0 and 0.6, not 1.2, and 0.5:1:0.3 is 0.5 and 0.8, not 1.1
+    assert main(["kernels", "--t", "0.5:1:0.3", "--x", "0:1:0.6", "--n", "0",
+                 "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "kernels.csv")
+    assert [(float(r["t"]), float(r["x"])) for r in rows] == [
+        (0.5, 0.0), (0.5, 0.6), (0.8, 0.0), (0.8, 0.6)]
+    assert cli._parse_range("-3:3:0.1").size == 61
+
+
+def test_array_past_memory_is_one_error_line(tmp_path, capsys):
+    # 0:1:1e-15 asks numpy for 10^15 + 1 nodes, 7.11 PiB: no address space
+    # holds them, so the allocation fails at once
+    out = tmp_path / "k"
+    assert main(["kernels", "--x", "0:1:1e-15", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_kernels_rejects_singular_time(tmp_path, capsys):
     # kernel_n's own refusals; the CSV is written only after every t and n
     out = tmp_path / "k"
@@ -234,6 +255,18 @@ def test_verify_corrupted_field_fails_with_report(tmp_path):
     assert rc == 2
     residuals = json.loads((out2 / "residuals.json").read_text())
     assert residuals["external_field_backward"]["max_rel"] > 1e-2
+
+
+def test_verify_refuses_a_field_with_a_nan(tmp_path, capsys):
+    # read in, the NaN would reach checks.json as "value": NaN, which is not JSON
+    path = tmp_path / "nan.csv"
+    path.write_text("t,x,re,im\n" + "".join(
+        f"{t / 10},{x / 2},{'nan' if t == x == 2 else 1},0\n" for t in range(5) for x in range(5)))
+    out = tmp_path / "check"
+    assert main(["verify", "--boundary", "s=1; fprime=0", "--fast", "--field", str(path),
+                 "--out", str(out)]) == 1
+    assert "cannot read field CSV" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_fast_judges_external_field_at_unscaled_tolerance(tmp_path, capsys):

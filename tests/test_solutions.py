@@ -7,9 +7,9 @@ from fpkit.boundary import Boundary, boundary_potential, integral_fprime, parse_
 from fpkit.grids import NumericalError
 from fpkit.kernels import (default_half_width, derived_kernel, heat_kernel, simpson_weights,
                            symmetric_simpson)
-from fpkit.solutions import (GammaPoly, b2_first, b2_second, closed_w, closed_w2_terms,
-                             closed_w_gamma, kappa, phi_lambda, phi_lambda_planes,
-                             product_phi_u, u_lambda, w1_lambda, w2_lambda)
+from fpkit.solutions import (MAX_GAMMA_DEGREE, GammaPoly, b2_first, b2_second, closed_w,
+                             closed_w2_terms, closed_w_gamma, kappa, phi_lambda,
+                             phi_lambda_planes, product_phi_u, u_lambda, w1_lambda, w2_lambda)
 
 B_CONST = parse_boundary("s=1; fprime=1")
 B_ZERO = parse_boundary("s=1; fprime=0")
@@ -75,6 +75,9 @@ def test_closed_forms_built_in_given_planes_are_their_own_values():
         assert np.shares_memory(got, plane) and np.array_equal(got, want)
 
     check(closed_w(B_LIN, t, x, out=planes), closed_w(B_LIN, t, x), planes[0])
+    for g in (GammaPoly((1.0,)), GammaPoly((0.3, -1.2, 0.5, 0.2, 0.7))):
+        check(closed_w_gamma(B_LIN, g, t, x, out=planes), closed_w_gamma(B_LIN, g, t, x),
+              planes[0])
     check(u_lambda(B_LIN, 0.0, t, x, out=planes), u_lambda(B_LIN, 0.0, t, x), planes[0])
     check(phi_lambda(B_LIN, 0.0, t, x, out=planes), phi_lambda(B_LIN, 0.0, t, x), planes[0])
     (re, im), (want_re, want_im) = (phi_lambda_planes(B_LIN, 1.5, t, x, out=planes),
@@ -308,24 +311,55 @@ def test_closed_w_underflow_gives_zero_and_overflow_raises():
 
 
 def test_closed_w_holds_fewer_than_four_grid_arrays():
-    # closed_w builds in the buffers of its exponent, X and the drift: its
-    # traced peak is 3.13 grid planes on 201 x 2951
+    # closed_w, the family at Gamma = (1,), builds in the buffers of its
+    # exponent, X and the drift: its traced peak is 3.01 grid planes on
+    # 201 x 2951
     t = np.linspace(0.0, 0.9, 201)[:, None]
     x = np.linspace(0.05, 3.0, 2951)[None, :]
-    tracemalloc.start()
-    try:
-        w = closed_w(B_LIN, t, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * w.nbytes
+    for form in (lambda: closed_w(B_LIN, t, x),
+                 lambda: closed_w_gamma(B_LIN, GammaPoly((1.0,)), t, x)):
+        tracemalloc.start()
+        try:
+            w = form()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * w.nbytes
+
+
+def test_closed_w_is_the_unit_gamma_member_bit_for_bit():
+    t = np.linspace(0.0, 0.9, 31)[:, None]
+    x = np.linspace(-1.0, 3.0, 41)[None, :]
+    for b in (B_LIN, B_CONST, parse_boundary("s=2; fprime=-0.5,0.6,0.2")):
+        w = closed_w(b, t, x)
+        assert np.array_equal(w, closed_w_gamma(b, GammaPoly((1.0,)), t, x))
+        assert closed_w(b, 0.3, 1.1) == closed_w_gamma(b, GammaPoly((1.0,)), 0.3, 1.1)
+
+
+def test_closed_w_gamma_is_its_defining_kernel_sum():
+    # A sum_n c_n [(x - int_0^t f') kernel_n(n, s-t, X) + t kernel_n(n+1, s-t, X)]
+    # at every degree, on random levels and points; the worst gap reads 3.2e-15
+    from fpkit.boundary import eval_fprime, integral_fprime_sq
+    from fpkit.kernels import kernel_n
+    rng = np.random.default_rng(41)
+    for degree in range(MAX_GAMMA_DEGREE + 1):
+        for _ in range(6):
+            b = random_boundary(rng, max_degree=3)
+            g = GammaPoly(tuple(rng.uniform(-1.0, 1.0, degree + 1)))
+            s = b.horizon_s
+            t = float(rng.uniform(0.0, s - 0.05))
+            x = float(rng.uniform(0.0, 3.0))
+            tau, shifted = s - t, x + integral_fprime(b, t, s)
+            amp = np.exp(0.5 * integral_fprime_sq(b, t, s) + x * eval_fprime(b, t))
+            drift = x - integral_fprime(b, 0.0, t)
+            expected = amp * sum(c * (drift * kernel_n(n, tau, shifted)
+                                      + t * kernel_n(n + 1, tau, shifted))
+                                 for n, c in enumerate(g.coeffs))
+            got = closed_w_gamma(b, g, t, x)
+            assert abs(got - expected) <= 1e-12 * abs(expected), (degree, got, expected)
 
 
 def test_closed_w_gamma_reductions():
-    # Gamma = (1,) reduces to the base solution
-    for t, x in ((0.0, 0.4), (0.3, 1.1), (0.7, 0.0)):
-        assert closed_w_gamma(B_LIN, GammaPoly((1.0,)), t, x) == pytest.approx(
-            closed_w(B_LIN, t, x), rel=1e-14, abs=1e-300)
     # Gamma = (0, 1): drift * h + t * (X^2/tau^2 - 1/tau) k
     assert closed_w_gamma(B_CONST, GammaPoly((0.0, 1.0)), 0.5, 1.0) == pytest.approx(
         CLOSED_WP_CONST_HALF, rel=1e-12)

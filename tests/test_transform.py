@@ -97,6 +97,17 @@ def test_field_csv_rejects_nonuniform(tmp_path):
         read_field_csv(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_field_csv_rejects_non_finite_values(tmp_path, bad):
+    # a NaN read in would reach checks.json as "value": NaN, which is not JSON
+    path = tmp_path / "bad.csv"
+    rows = ["t,x,re,im"] + [f"{t},{x},{bad if t == x == 0.5 else 1.0},0.0"
+                            for t in (0.0, 0.5, 1.0) for x in (0.0, 0.5, 1.0)]
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="not finite"):
+        read_field_csv(path)
+
+
 # ------------------------------------------------------- cumulative simpson
 
 def test_cumulative_simpson_cubic_accuracy():
