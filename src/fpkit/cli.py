@@ -240,13 +240,12 @@ def _sidecar(args) -> None:
 def cmd_kernels(args) -> int:
     t_vals = _parse_range(args.t)
     x_vals = _parse_range(args.x)
-    rows = []
-    for t in t_vals:
-        for n in args.n:
-            vals = kernel_n(n, float(t), x_vals)
-            rows.extend((t, x, n, v) for x, v in zip(x_vals, np.atleast_1d(vals)))
-    # --out is made only once kernel_n has taken every t and n
-    write_csv(os.path.join(_out_dir(args), "kernels.csv"), "t,x,n,value", rows)
+    values = [(t, n, np.atleast_1d(kernel_n(n, float(t), x_vals)))
+              for t in t_vals for n in args.n]
+    # --out is made only once kernel_n has taken every t and n; the rows are
+    # made as they are written, so only the value arrays are held
+    write_csv(os.path.join(_out_dir(args), "kernels.csv"), "t,x,n,value",
+              ((t, x, n, v) for t, n, vals in values for x, v in zip(x_vals, vals)))
     return 0
 
 

@@ -14,7 +14,7 @@ here and in ``solutions``: a value that underflows gives 0, and one that
 is not a finite float64 raises NumericalError, so no closed form returns
 NaN or inf.
 ``symmetric_simpson`` is the mirrored-node Simpson rule of the
-lambda-quadratures.
+lambda-quadratures, whose Hermitian integrands it evaluates on lam >= 0.
 """
 
 from __future__ import annotations
@@ -148,24 +148,21 @@ def simpson_weights(n: int, h) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def symmetric_nodes(half_width: float, nodes: int) -> np.ndarray:
-    """Nodes on [-L, L] built as an exact mirror image around 0."""
+def symmetric_simpson(f, half_width: float, nodes: int) -> complex:
+    """(1/2pi) * composite-Simpson integral over [-L, L] of a Hermitian f,
+    f(-lam) = conj(f(lam)), on ``nodes`` (odd) nodes mirrored around 0.
+
+    f is evaluated on the nodes lam >= 0 alone, and each pair
+    f(lam) + f(-lam) is taken as f(lam) + conj(f(lam)) before weighting,
+    so the odd imaginary part cancels pairwise; for an f whose value at
+    -lam is bitwise the conjugate of its value at lam, this is the
+    full-node rule bit for bit.
+    """
     if nodes < 3 or nodes % 2 == 0:
         raise ValueError(f"node count must be odd and >= 3, got {nodes}")
-    half = np.linspace(0.0, half_width, (nodes + 1) // 2)
-    return np.concatenate([-half[:0:-1], half])
-
-
-def symmetric_simpson(f, half_width: float, nodes: int) -> complex:
-    """(1/2pi) * composite-Simpson integral of f over [-L, L].
-
-    The nodes are an exact mirror image around 0 and each pair
-    f(lam) + f(-lam) is summed before weighting, so an integrand with
-    f(-lam) = conj(f(lam)) cancels its odd imaginary part pairwise.
-    """
-    lam = symmetric_nodes(half_width, nodes)
-    w = simpson_weights(nodes, lam[1] - lam[0])
+    lam = np.linspace(0.0, half_width, (nodes + 1) // 2)
+    w = simpson_weights(nodes, lam[-1] - lam[-2])[nodes // 2:]
     vals = f(lam)
-    m = nodes // 2
-    folded = w[m] * vals[m] + np.sum(w[m + 1:] * (vals[m + 1:] + vals[m - 1::-1]))
+    pos = vals[1:]
+    folded = w[0] * vals[0] + np.sum(w[1:] * (pos + np.conj(pos)))
     return folded / (2.0 * np.pi)

@@ -86,13 +86,15 @@ def one_sided_first_derivative(y: np.ndarray, h: float) -> np.ndarray:
             - 9.0 * y[..., 2] + 2.0 * y[..., 3]) / (6.0 * h)
 
 
-def second_difference_x(a: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Central d^2/dx^2 along axis -1 at the interior columns (3 points),
-    (a[j+1] - 2 a[j] + a[j-1]) / dx^2, built in ``out`` when given."""
+def second_difference_x(a: np.ndarray, scale: float,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """The central 3-point x stencil along axis -1 at the interior columns,
+    (a[j+1] - 2 a[j] + a[j-1]) * scale, built in ``out`` when given: d^2/dx^2
+    at scale = 1/dx^2, and its multiples at the multiples of that."""
     out = np.multiply(a[..., 1:-1], 2.0, out=out)
     np.subtract(a[..., 2:], out, out=out)
     out += a[..., :-2]
-    out /= dx * dx
+    out *= scale
     return out
 
 
@@ -119,7 +121,7 @@ def log_phi_xx(phi: GridField) -> GridField:
     log = _magnitudes(np.abs(values))
     np.log(log, out=log)
     out = np.empty(values.shape, dtype=values.dtype)
-    second_difference_x(log, dx, out.real[:, 1:-1])
+    second_difference_x(log, 1.0 / (dx * dx), out.real[:, 1:-1])
     if np.iscomplexobj(values):
         steps = np.diff(np.angle(values), axis=1)
         wrapped = np.abs(steps) >= np.pi

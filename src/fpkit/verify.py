@@ -11,6 +11,12 @@ truncation.  The relative figure normalizes by the field's maximum
 magnitude (floored at 1e-12) because the solutions decay exponentially
 in x and pointwise relative error is meaningless in the tail.
 
+No node is divided: the time stencils are scaled by one multiply by
+time_sign / (12 dt), and the x stencil by one multiply by 0.5 / dx^2.
+That x stencil is ``transform.second_difference_x``, the package's one,
+which ``log_phi_xx`` takes at 1 / dx^2.  A real field's largest |w| is
+max(max w, -min w), with no |w| plane written.
+
 Residuals are streamed through blocks of rows, ``BLOCK_NODES // nx``
 rows high, so no grid-sized temporary is built.  A block carries a 2-row
 halo on each side for the five-point time stencil.  The one-sided rows
@@ -170,14 +176,15 @@ def _row_blocks(spec: GridSpec):
 
 
 def _time_derivative(c: np.ndarray, lo: int, ra: int, rb: int, nt: int,
-                     dt: float, out: np.ndarray | None = None) -> np.ndarray:
-    """4th-order w_t at grid rows ra..rb-1, from ``c`` holding rows lo.. ,
-    built in ``out`` when given.
+                     scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The five-point time stencils at grid rows ra..rb-1 times ``scale``,
+    from ``c`` holding rows lo.. , built in ``out`` when given: 4th-order
+    w_t at scale = 1 / (12 dt), and its multiples at the multiples of that.
 
-    Inner rows use the central five-point stencil; the grid's first and
-    last interior rows (1 and nt-2) use the one-sided five-point form
-    (-3, -10, 18, -6, 1)/12 and its mirror, so no node outside the grid
-    is read.
+    Inner rows use the central stencil (-1, 8, 0, -8, 1); the grid's first
+    and last interior rows (1 and nt-2) use the one-sided form
+    (-3, -10, 18, -6, 1) and its mirror, so no node outside the grid is
+    read.
     """
     wt = np.empty((rb - ra, c.shape[1]), dtype=c.dtype) if out is None else out
     a, b = ra + (ra == 1), rb - (rb == nt - 1)  # the central rows a..b-1
@@ -191,7 +198,7 @@ def _time_derivative(c: np.ndarray, lo: int, ra: int, rb: int, nt: int,
         wt[0] = -3.0 * c[0] - 10.0 * c[1] + 18.0 * c[2] - 6.0 * c[3] + c[4]
     if rb == nt - 1:  # then c ends at the grid's last row
         wt[-1] = 3.0 * c[-1] + 10.0 * c[-2] - 18.0 * c[-3] + 6.0 * c[-4] - c[-5]
-    wt /= 12.0 * dt
+    wt *= scale
     return wt
 
 
@@ -213,23 +220,24 @@ def _block_peaks(spec: GridSpec, time_sign: float, w: np.ndarray, vv: np.ndarray
     position, or None when the block holds no interior row.  ``w`` and the
     potential ``vv`` hold grid rows lo.. .  For a real ``w`` the residual
     is built in ``out``, two float64 planes at least w's size."""
+    own = w[r0 - lo:r1 - lo]
     if np.iscomplexobj(w):
         out = (None, None)
-    own = w[r0 - lo:r1 - lo]
-    scale = float(np.max(np.abs(own, out=_fit(out[0], own.shape))))
+        scale = float(np.max(np.abs(own)))
+    else:  # max |own| with no |own| plane: negation is exact
+        scale = float(max(own.max(), -own.min()))
     ra, rb = max(r0, 1), min(r1, spec.nt - 1)
     if ra >= rb:
         return scale, None
     rows = w[ra - lo:rb - lo]
     shape = (rb - ra, spec.nx - 2)
-    # (time_sign * wt + V w) - 0.5 * wxx, in two buffers
-    res = _time_derivative(w[:, 1:-1], lo, ra, rb, spec.nt, spec.dt, _fit(out[0], shape))
-    res *= time_sign
+    # (time_sign * wt + V w) - 0.5 * wxx in two buffers, each stencil scaled
+    # by one multiply
+    res = _time_derivative(w[:, 1:-1], lo, ra, rb, spec.nt, time_sign / (12.0 * spec.dt),
+                           _fit(out[0], shape))
     term = np.multiply(vv[ra - lo:rb - lo, 1:-1], rows[:, 1:-1], out=_fit(out[1], shape))
     res += term
-    term = second_difference_x(rows, spec.dx, out=term)
-    term *= 0.5
-    res -= term
+    res -= second_difference_x(rows, 0.5 / (spec.dx * spec.dx), out=term)
     mags = _abs(res)
     i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
     return scale, (float(mags[i, j]), ra - 1 + int(i), int(j))
@@ -443,7 +451,8 @@ def quadrature_match(b: Boundary, g: GammaPoly, t: float, x: float) -> float:
 
     Integrates Gamma(lam) * w1_lambda over the symmetric window
     ``default_half_width(s - t, X)`` with ``symmetric_simpson`` on 16001
-    nodes and returns |closed - quadrature| / (1 + |closed|).  Requires
+    nodes, which takes this Hermitian integrand on its 8001 nodes lam >= 0,
+    and returns |closed - quadrature| / (1 + |closed|).  Requires
     s - t >= HORIZON_MARGIN.
     """
     s = b.horizon_s
@@ -500,11 +509,17 @@ def zero_identity_gap(b: Boundary, t, x):
     return np.abs(first - second) / np.maximum(np.abs(first), 1e-300)
 
 
-def product_spread(b: Boundary, lam: float, t, x) -> float:
-    """Worst relative deviation of phi_lambda * u_lambda at (t, x) from product_phi_u."""
-    ref = product_phi_u(b, lam)
-    vals = phi_lambda(b, lam, t, x) * u_lambda(b, lam, t, x)
-    return float(np.max(np.abs(vals - ref)) / abs(ref))
+def product_spread(b: Boundary, lam, t, x) -> float:
+    """Worst relative deviation of phi_lambda * u_lambda from product_phi_u:
+    for one lam at the 1-d (t, x), or for m lams at the m rows of 2-d
+    (t, x), each row's largest deviation over its own lam's |product|, in
+    one broadcast call.  That |product| is Python's abs of the complex
+    value, which np.abs can miss by an ulp."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    refs = product_phi_u(b, lam)
+    vals = phi_lambda(b, lam[:, None], t, x) * u_lambda(b, lam[:, None], t, x)
+    gaps = np.max(np.abs(vals - refs[:, None]), axis=-1)
+    return max(float(gap) / abs(complex(ref)) for gap, ref in zip(gaps, refs))
 
 
 @dataclass(frozen=True)
@@ -542,7 +557,8 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     the unscaled ``tol_backward``.  One RNG stream from ``seed`` feeds, in
     order, 10 quadrature, 200 zero-identity and 20 product draws; the 200
     zero-identity (t, x) pairs come from one call, which draws the numbers
-    that 200 calls for t and then x would.  Form preservation is taken
+    that 200 calls for t and then x would, and the 20 product draws, each
+    a lam and 50 t then 50 x, are taken in one broadcast ``product_spread``.  Form preservation is taken
     first, on its own small fields (``form_preservation``); closed w and
     Phi at lam = 0 and 1.5 then share one walk of ``spec``'s row blocks
     (``fine_grid_residuals``), and the transform loop walks ``tspec``'s.
@@ -590,12 +606,10 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     zero_worst = float(np.max(zero_identity_gap(b, t, x)))
     checks.append(CheckResult("second solution vanishes", "worst", zero_worst,
                               tols["tol_zero_identity"]))
-    prod_worst = 0.0
-    for _ in range(20):
-        lam = rng.uniform(-5.0, 5.0)
-        ts = rng.uniform(0.0, b.horizon_s, 50)
-        xs = rng.uniform(-2.0, 2.0, 50)
-        prod_worst = max(prod_worst, product_spread(b, lam, ts, xs))
+    draws = [(rng.uniform(-5.0, 5.0), rng.uniform(0.0, b.horizon_s, 50),
+              rng.uniform(-2.0, 2.0, 50)) for _ in range(20)]
+    lams, ts, xs = map(np.array, zip(*draws))
+    prod_worst = product_spread(b, lams, ts, xs)
     checks.append(CheckResult("product constancy", "worst", prod_worst, tols["tol_product"]))
 
     rep_v = check_vanishing_at_origin(lambda t, x: closed_w(b, t, x), 0.0,

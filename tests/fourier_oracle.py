@@ -1,9 +1,37 @@
 """Fourier-quadrature oracle for the kernel family, shared by the tests
-that hold ``kernel_n``'s recurrence against an independent quadrature."""
+that hold ``kernel_n``'s recurrence against an independent quadrature, and
+the full-node fold that ``symmetric_simpson``'s half-node fold is held
+against, with the bitwise Hermitian check it rests on."""
 
 import numpy as np
 
-from fpkit.kernels import MAX_ORDER, _check_t, default_half_width, symmetric_simpson
+from fpkit.kernels import (MAX_ORDER, _check_t, default_half_width, simpson_weights,
+                           symmetric_simpson)
+
+
+def mirrored_simpson(f, half_width: float, nodes: int) -> complex:
+    """(1/2pi) * composite Simpson of f over [-L, L] on ``nodes`` nodes mirrored
+    around 0, f taken on all of them and each pair f(lam) + f(-lam) summed
+    before weighting: ``symmetric_simpson`` as it was before it took f on
+    lam >= 0 alone."""
+    half = np.linspace(0.0, half_width, (nodes + 1) // 2)
+    lam = np.concatenate([-half[:0:-1], half])
+    w = simpson_weights(nodes, lam[1] - lam[0])
+    vals = f(lam)
+    m = nodes // 2
+    folded = w[m] * vals[m] + np.sum(w[m + 1:] * (vals[m + 1:] + vals[m - 1::-1]))
+    return folded / (2.0 * np.pi)
+
+
+def assert_hermitian_fold(f, half_width: float, nodes: int = 16001) -> None:
+    """f(-lam) equals conj(f(lam)) on every node of ``symmetric_simpson``'s
+    rule, bitwise but for the sign of a zero, which no sum of the fold sees,
+    and its half-node fold is ``mirrored_simpson``'s value."""
+    half = np.linspace(0.0, half_width, (nodes + 1) // 2)
+    lam = np.concatenate([-half[:0:-1], half])
+    assert np.array_equal(f(-lam), np.conj(f(lam)))
+    halved, full = symmetric_simpson(f, half_width, nodes), mirrored_simpson(f, half_width, nodes)
+    assert halved == full
 
 
 def fourier_quadrature_oracle(n: int, t: float, x: float,

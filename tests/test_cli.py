@@ -39,6 +39,35 @@ def test_kernels_ranges_stop_at_their_end(tmp_path):
     assert cli._parse_range("-3:3:0.1").size == 61
 
 
+@pytest.mark.parametrize("flags, t, x, orders", [
+    ([], "1", "-3:3:0.1", (0, 1)),
+    (["--t", "0.5:1:0.25", "--x", "-1:1:0.5", "--n", "0,2"], "0.5:1:0.25", "-1:1:0.5", (0, 2)),
+], ids=["defaults", "multi-t"])
+def test_kernels_csv_is_the_row_list_file_written_from_an_iterator(tmp_path, monkeypatch,
+                                                                   flags, t, x, orders):
+    # kernels.csv holds the bytes that a list of (t, x, n, value) rows, built
+    # from each kernel_n call, wrote; write_csv receives the rows as an
+    # iterator, so they are made as they are written and never held
+    from fpkit.grids import write_csv
+    from fpkit.kernels import kernel_n
+    received = []
+
+    def recording(path, header, rows):
+        received.append(rows)
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_csv", recording)
+    assert main(["kernels", *flags, "--out", str(tmp_path / "k")]) == 0
+    assert len(received) == 1 and iter(received[0]) is received[0]
+    rows, x_vals = [], cli._parse_range(x)
+    for t_val in cli._parse_range(t):
+        for n in orders:
+            vals = np.atleast_1d(kernel_n(n, float(t_val), x_vals))
+            rows.extend((t_val, x_val, n, v) for x_val, v in zip(x_vals, vals))
+    write_csv(tmp_path / "rows.csv", "t,x,n,value", rows)
+    assert (tmp_path / "k" / "kernels.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_array_past_memory_is_one_error_line(tmp_path, capsys):
     # 0:1:1e-15 asks numpy for 10^15 + 1 nodes, 7.11 PiB: no address space
     # holds them, so the allocation fails at once

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fourier_oracle import assert_hermitian_fold
 from fpkit.boundary import Boundary, boundary_potential, integral_fprime, parse_boundary
 from fpkit.grids import NumericalError
 from fpkit.kernels import (default_half_width, derived_kernel, heat_kernel, simpson_weights,
@@ -261,6 +262,17 @@ def test_second_solution_vanishes_by_lambda_quadrature():
         quad = symmetric_simpson(lambda lam: w2_lambda(B_LIN, lam, t, x), half_width, 16001)
         a = np.exp(0.5 * (rise_sq(s) - rise_sq(t)) + x * fprime(t))
         assert abs(quad) <= 1e-14 * (1.0 + a), (t, x)
+
+
+def test_w2_lambda_integrand_is_hermitian_and_its_half_fold_is_the_full_one():
+    # symmetric_simpson takes its integrand on lam >= 0 alone; the 50 w2_lambda
+    # integrands above are Hermitian on all 16,001 nodes, so it folds them as
+    # the full mirrored rule did
+    s = B_LIN.horizon_s
+    rng = np.random.default_rng(20240505)
+    for t, x in rng.uniform([0.0, 0.0], [s - 0.05, 3.0], (50, 2)):
+        half_width = default_half_width(s - t, x + integral_fprime(B_LIN, t, s))
+        assert_hermitian_fold(lambda lam: w2_lambda(B_LIN, lam, t, x), half_width)
 
 
 # ---------------------------------------------------------------- closed forms

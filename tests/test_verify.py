@@ -12,17 +12,18 @@ import pytest
 
 import fpkit.cli as cli
 import fpkit.verify as verify
+from fourier_oracle import assert_hermitian_fold
 from fpkit.boundary import Boundary, boundary_potential, integral_fprime, parse_boundary
 from fpkit.grids import GridField, GridSpec, NumericalError, sample_field, transform_grid
-from fpkit.kernels import simpson_weights
+from fpkit.kernels import HORIZON_MARGIN, default_half_width, simpson_weights
 from fpkit.parallel import run_in_order, usable_cores
 from fpkit.solutions import (GammaPoly, closed_w, closed_w_gamma, phi_lambda, phi_lambda_planes,
-                             u_lambda)
+                             product_phi_u, u_lambda, w1_lambda)
 from fpkit.transform import bluman_shtelen_w
 from fpkit.verify import (TOLERANCES, CheckResult, check_inequality, check_vanishing_at_origin,
-                          fine_grid_residuals, observed_order, product_spread, quadrature_match,
-                          residual_backward, residual_forward, run_checks, transform_loop,
-                          vanishing_probes, zero_identity_gap)
+                          fine_grid_residuals, observed_order, quadrature_match, residual_backward,
+                          residual_forward, run_checks, transform_loop, vanishing_probes,
+                          zero_identity_gap)
 
 B_LIN = parse_boundary("s=1; fprime=0.5,0.3")
 B_CONST = parse_boundary("s=1; fprime=1")
@@ -175,6 +176,50 @@ def test_row_block_seams_change_no_report(monkeypatch, nt, n_workers):
     assert form_max > 0.0 and dev > 0.0 and u_rep["max_abs"] > 0.0
     for height, result in results.items():
         assert result == whole, height
+
+
+def divided_residual(spec, w, v, time_sign):
+    """(max |residual|, t, x at its first row-major maximum, max |w|) of
+    time_sign * w_t + V w - w_xx/2 on the whole field ``w``, each stencil
+    divided by its step as the residual kernel once did: the time stencils
+    over 12 dt, then times time_sign, and the x stencil over dx^2, then
+    times 0.5."""
+    c = w[:, 1:-1]
+    wt = np.empty((spec.nt - 2, spec.nx - 2), dtype=w.dtype)
+    wt[1:-1] = (c[3:-1] - c[1:-3]) * 8.0 - c[4:] + c[:-4]
+    wt[0] = -3.0 * c[0] - 10.0 * c[1] + 18.0 * c[2] - 6.0 * c[3] + c[4]
+    wt[-1] = 3.0 * c[-1] + 10.0 * c[-2] - 18.0 * c[-3] + 6.0 * c[-4] - c[-5]
+    wt /= 12.0 * spec.dt
+    rows = w[1:-1]
+    wxx = (rows[:, 2:] - rows[:, 1:-1] * 2.0 + rows[:, :-2]) / (spec.dx * spec.dx)
+    tt, xx = spec.mesh()
+    mags = np.abs(wt * time_sign + v(tt, xx)[1:-1, 1:-1] * rows[:, 1:-1] - wxx * 0.5)
+    i, j = np.unravel_index(np.argmax(mags), mags.shape)
+    return (mags[i, j], spec.t_min + (i + 1) * spec.dt, spec.x_min + (j + 1) * spec.dx,
+            np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("height", [1, 3, 47])
+def test_block_peaks_match_the_divided_residual(monkeypatch, height):
+    # the residual kernel scales each stencil by one multiply; on the 47-row
+    # seam grid its reports keep the divided kernel's peaks to 1e-9 and their
+    # (t, x) positions exactly, for the real closed w, Phi at lam = 0 and the
+    # two planes of Phi at 1.5, streamed, and the complex sampled u at 1.5
+    spec = GridSpec(0.0, 0.8, 0.1, 2.5, 47, 61)
+    monkeypatch.setattr(verify, "BLOCK_NODES", height * spec.nx)
+    tt, xx = spec.mesh()
+    phi = phi_lambda(B_LIN, 1.5, tt, xx)
+    u = u_lambda(B_LIN, 1.5, tt, xx)
+    cases = [(closed_w(B_LIN, tt, xx), -1.0), (phi_lambda(B_LIN, 0.0, tt, xx), +1.0),
+             (phi.real.copy(), +1.0), (phi.imag.copy(), +1.0), (u, -1.0)]
+    sources = [(lambda lo, hi, out, field=field: (field[lo:hi], None), time_sign)
+               for field, time_sign in cases]
+    reports = [rep for (rep,) in verify._stream_checks(spec, sources, V_LIN)]
+    for rep, (field, time_sign) in zip(reports, cases):
+        max_abs, t_at, x_at, scale = divided_residual(spec, field, V_LIN, time_sign)
+        assert rep.max_abs == pytest.approx(max_abs, rel=1e-9, abs=0.0)
+        assert rep.max_rel == pytest.approx(max_abs / scale, rel=1e-9, abs=0.0)
+        assert (rep.t_at_max, rep.x_at_max) == (t_at, x_at)
 
 
 def whole_field_transform_loop(tspec):
@@ -441,7 +486,9 @@ def test_zero_identity_draws_in_one_call_match_the_loop(seed):
     # run_checks draws its 200 zero-identity (t, x) pairs in one call.  The
     # worst gap is the loop's over zero_identity_gap at each pair bit for
     # bit, and the RNG state after it is the loop's, so the product-constancy
-    # draws that follow, and their value, are unchanged
+    # draws that follow, and their value, are unchanged.  Their 20 draws are
+    # taken in one broadcast product_spread call, whose worst is the per-draw
+    # loop's bit for bit
     spec = GridSpec(0.0, 0.8, 0.1, 2.5, 9, 11)
     _, _, diagnostics = run_checks(B_LIN, spec, SMALL_TSPEC, TOLERANCES, seed, 1.0, None)
     s = B_LIN.horizon_s
@@ -456,10 +503,12 @@ def test_zero_identity_draws_in_one_call_match_the_loop(seed):
         x = rng.uniform(0.0, 3.0)
         zero_worst = max(zero_worst, zero_identity_gap(B_LIN, float(t), float(x)))
     prod_worst = 0.0
-    for _ in range(20):
+    for _ in range(20):  # one draw at a time, each by the per-draw formula
         lam = rng.uniform(-5.0, 5.0)
-        prod_worst = max(prod_worst, product_spread(B_LIN, lam, rng.uniform(0.0, s, 50),
-                                                    rng.uniform(-2.0, 2.0, 50)))
+        ts, xs = rng.uniform(0.0, s, 50), rng.uniform(-2.0, 2.0, 50)
+        ref = product_phi_u(B_LIN, lam)
+        vals = phi_lambda(B_LIN, lam, ts, xs) * u_lambda(B_LIN, lam, ts, xs)
+        prod_worst = max(prod_worst, float(np.max(np.abs(vals - ref)) / abs(ref)))
     assert diagnostics["zero_identity_worst"] == zero_worst
     assert diagnostics["product_constancy_worst"] == prod_worst
 
@@ -699,6 +748,20 @@ def test_quadrature_match_gamma_solution():
 def test_quadrature_match_window_precondition():
     with pytest.raises(ValueError):
         quadrature_match(B_CONST, GammaPoly((1.0,)), 0.96, 1.0)
+
+
+def test_quadrature_draws_are_hermitian_and_their_half_fold_is_the_full_one():
+    # run_checks' 10 quadrature draws at verify's default seed: each integrand
+    # Gamma(lam) w1_lambda is Hermitian on all 16,001 nodes, so
+    # symmetric_simpson's fold on lam >= 0 is the full mirrored fold bit for bit
+    s = B_LIN.horizon_s
+    rng = np.random.default_rng(cli.build_parser().parse_args(["verify"]).seed)
+    for _ in range(10):
+        t = float(rng.uniform(0.0, s - HORIZON_MARGIN))
+        x = float(rng.uniform(0.0, 2.0))
+        g = GammaPoly(tuple(rng.uniform(-1.0, 1.0, rng.integers(1, 5))))
+        half_width = default_half_width(s - t, x + integral_fprime(B_LIN, t, s))
+        assert_hermitian_fold(lambda lam: g(lam) * w1_lambda(B_LIN, lam, t, x), half_width)
 
 
 # ------------------------------------------------------------ check results
