@@ -10,10 +10,14 @@ Two estimators:
   Each step replaces the level by its chord; a path crosses inside a step
   with the Brownian-bridge probability exp(-2 d1 d2 / dt), and every
   crossing gets its exact time inside its step (``_hit_times``).  The
-  sweep strides ``COARSE_CHORDS`` steps at a time on one normal per path,
-  skips a path whose bridge over the stride meets the stride's lowest
-  level node with chance below 2**-64, and fills in the steps of every
-  other path by exact Brownian-bridge sampling (``_refine``).  The law is
+  sweep strides ``COARSE_CHORDS`` steps at a time on one normal per path.
+  Every chord of a stride lies at or above its lowest level node L, and
+  a path's bridge over the stride is tested against L in two stages:
+  a path that meets L with chance below 2**-64 skips the stride with no
+  draw, and every other path meets it or not by one exponential, exactly.
+  Only the paths that meet L are refined, from the time they meet it
+  (strong Markov): their steps are filled in by exact Brownian-bridge
+  sampling and tested chord by chord (``_refine``).  The law is
   therefore exact against the chords whatever the bins, up to at most
   n_paths * n_strides * 2**-64 expected skipped crossings per run, and a
   level with constant f' -- its own chord -- takes one step over [0, s].
@@ -67,11 +71,14 @@ BLOCK_SIZE = 1 << 13
 #: steps as a single vector
 MAX_UNIT_PATHS = 1 << 16
 #: chords per stride of the first-passage sweep; one normal per path covers
-#: a stride, and only paths within reach of the level see its chords
+#: a stride, and only paths that meet the stride's lowest level node see
+#: its chords
 COARSE_CHORDS = 8
-#: most paths of a block that one ``_refine`` call takes, which bounds its
-#: working memory (~136 bytes a path at 8 chords)
-REFINE_PATHS = 1 << 12
+#: most paths that one ``_refine`` call takes, which bounds the working
+#: memory of a unit's refinement (~220 bytes a path at 8 chords, draws
+#: included: ~1.8 MB a call); a call takes the paths of one or more whole
+#: blocks, never part of one
+REFINE_PATHS = BLOCK_SIZE
 #: -log of the largest bridge-crossing chance that a stride may skip (2**-64)
 SKIP_LOG_P = 64.0 * np.log(2.0)
 #: largest gap, sup |f''| h^2 / 8, between the level and a chord of width h
@@ -218,13 +225,14 @@ def _run_blocks(worker, seed: int, n_paths: int, n_workers: int) -> list:
     return [r for results in per_unit for r in results]
 
 
-def _hit_times(rng: np.random.Generator, a: np.ndarray, d2: np.ndarray,
-               dt: float) -> np.ndarray:
+def _hit_times(nu: np.ndarray, uniform: np.ndarray, a: np.ndarray, d2: np.ndarray,
+               dt) -> np.ndarray:
     """Exact times, inside a step of length ``dt``, at which Brownian bridges
     first meet a straight level, given that they do; ``a`` >= 0 is each
     bridge's distance below the level at the start of the step and ``d2``
-    at its end (``d2`` <= 0 is a direct hit).  Draws one normal and one
-    uniform per bridge from ``rng``; the times lie in [0, dt].
+    at its end (``d2`` <= 0 is a direct hit).  ``dt`` is one length or one
+    per bridge.  Each bridge takes one standard normal ``nu`` and one
+    uniform; the times lie in [0, dt].
 
     The time change u = r dt / (dt + r) maps the bridge onto Brownian motion
     against the line a + |d2| r / dt, so r is inverse Gaussian with mean
@@ -233,60 +241,120 @@ def _hit_times(rng: np.random.Generator, a: np.ndarray, d2: np.ndarray,
     cancels and no step divides by zero: with
     g = |nu| + sqrt(nu^2 + 4 a |d2| / dt), the smaller root is
     u = dt 4a^2 / (4a^2 + dt g^2), kept when U (dt g^2 + 4 a |d2|) <= dt g^2,
-    and the larger root is u = dt dt g^2 / (dt g^2 + 4 d2^2).
+    and the larger root is u = dt dt g^2 / (dt g^2 + 4 d2^2).  A bridge of
+    length 0 meets the level at 0: 4 a |d2| / dt is taken as 0 there.
     """
     a = np.asarray(a, dtype=np.float64)
     d2 = np.asarray(d2, dtype=np.float64)
-    nu = rng.standard_normal(a.size)
-    uniform = rng.random(a.size)
     four_ad = 4.0 * a * np.abs(d2)
-    g = np.abs(nu) + np.sqrt(nu * nu + four_ad / dt)
+    g = np.abs(nu) + np.sqrt(nu * nu + np.divide(four_ad, dt, out=np.zeros_like(four_ad),
+                                                 where=np.greater(dt, 0.0)))
     big = dt * g * g
     small_root = uniform * (big + four_ad) <= big
     num = np.where(small_root, 4.0 * a * a, big)
     den = num + np.where(small_root, big, 4.0 * d2 * d2)
-    # den = 0 needs a = nu = 0: the bridge starts on the level
+    # den = 0 needs a = nu = 0 (the bridge starts on the level) or dt = 0
     return dt * np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
-def _refine(rng: np.random.Generator, idx: np.ndarray, start: np.ndarray,
-            end: np.ndarray, level: np.ndarray, dt: float) -> tuple:
-    """Chord-by-chord crossing test, over one stride of k = level.size - 1
-    chords, of the paths ``idx`` of one block, given each one's position
-    ``start`` at the stride's first node and ``end`` at its last.
+def _bridge_nodes(tau: np.ndarray, start: np.ndarray, end: np.ndarray,
+                  normals: np.ndarray, t: np.ndarray) -> tuple:
+    """Brownian bridges, one per column, from ``start`` at time ``tau`` to
+    ``end`` at t_k, sampled at the node times ``t`` = t_0 .. t_k (float32);
+    0 <= ``tau`` <= t_k.
 
-    The block's stream ``rng`` gives k - 1 rows of normals and then k rows
-    of exponentials, one column per path of ``idx``.  The normals give the
-    k - 1 interior nodes, drawn exactly from the Brownian bridge between
-    ``start`` and ``end``: Levy's construction, node after node, sums in
-    closed form to the pinned bridge (k - i) sum_{l <= i} z_l
-    sqrt(dt / ((k - l)(k - l + 1))) at node i.  The exponentials give each
-    chord the plain step's exp(-2 d1 d2 / dt) test.  Returns, for the paths
-    that cross, their index, their first crossing chord (0 .. k-1), and
-    their distances below the level at its two ends.
+    Node i is taken at s_i = max(t_i, tau), and k - 1 rows of ``normals``
+    give the interior nodes by the sequential bridge conditional: given
+    node i - 1, node i is normal with mean x_{i-1} + f (end - x_{i-1}) and
+    variance f (t_k - s_i), where f = (s_i - s_{i-1}) / (t_k - s_{i-1}).
+    A node with s_i = s_{i-1} (every node at or before tau) has f = 0 and
+    equals the node before it exactly, and f is 0 where t_k - s_{i-1} = 0,
+    so no node divides by zero.  Returns s and the positions x, both
+    (k + 1, m) float32.
     """
-    m, k = idx.size, level.size - 1
-    # chord-major: one row per node or chord, one column per path
-    bridge = rng.standard_normal((k - 1, m), dtype=np.float32)
-    expo = rng.standard_exponential((k, m), dtype=np.float32)
-    i = np.arange(1, k)[:, None]
-    bridge *= np.sqrt(dt / ((k - i) * (k - i + 1))).astype(np.float32)
-    for row in range(1, k - 1):
-        bridge[row] += bridge[row - 1]
-    bridge *= (k - i).astype(np.float32)
-    # the level minus the path at the k + 1 nodes
-    dist = np.empty((k + 1, m), dtype=np.float32)
-    np.multiply((i / k).astype(np.float32), end - start, out=dist[1:k])
-    dist[1:k] += start
-    dist[1:k] += bridge
-    np.subtract(level[1:k, None], dist[1:k], out=dist[1:k])
-    np.subtract(level[0], start, out=dist[0])
-    np.subtract(level[k], end, out=dist[k])
-    expo *= np.float32(0.5 * dt)
-    crossing = expo > dist[:-1] * dist[1:]
+    k = t.size - 1
+    s = np.maximum(t[:, None], tau)
+    left = t[k] - s
+    # f: s_i - s_{i-1} over t_k - s_{i-1}; it is 0 (not divided) where both are
+    frac = s[1:k] - s[:k - 1]
+    np.divide(frac, left[:k - 1], out=frac, where=left[:k - 1] > 0.0)
+    # node i = (1 - f) node_{i-1} + (f end + its normal step), two
+    # operations a row in the loop
+    shift = np.sqrt(frac * left[1:k])
+    shift *= normals
+    shift += frac * end
+    np.subtract(1.0, frac, out=frac)
+    x = np.empty((k + 1, tau.size), dtype=np.float32)
+    x[0], x[k] = start, end
+    for i in range(1, k):
+        np.multiply(frac[i - 1], x[i - 1], out=x[i])
+        x[i] += shift[i - 1]
+    return s, x
+
+
+def _refine(tau: np.ndarray, start: np.ndarray, end: np.ndarray, normals: np.ndarray,
+            expo: np.ndarray, level: np.ndarray, dt: float) -> tuple:
+    """Chord-by-chord crossing test, over one stride of k = level.size - 1
+    chords of width ``dt``, of paths that are Brownian bridges from
+    ``start`` at the stride time ``tau`` to ``end`` at its last node: the
+    paths that reached the stride's lowest level node, taken from the time
+    at which they did (strong Markov), or from 0 if they started at or
+    above it.
+
+    ``normals`` (k - 1 rows) and ``expo`` (k rows of Exp(1)), one column
+    per path, are the path's draws, all float32.  ``_bridge_nodes`` gives
+    the nodes from tau on, and chord c, which holds the path from
+    s_c = max(t_c, tau) to t_{c+1}, takes the plain step's test
+    Exp(1) (t_{c+1} - s_c) / 2 >= d1 d2, with d1 the chord's level at s_c
+    minus the path there and d2 at t_{c+1}.  A chord that ends at or
+    before tau is behind the path and is not tested; the last chord is,
+    even at width 0.  ``expo`` is overwritten.  Returns, for the paths that
+    cross, their column, their first crossing chord (0 .. k-1), its start's
+    offset s_c - t_c (0 unless the chord holds tau), and d1 (clamped at 0)
+    and d2.
+    """
+    k = level.size - 1
+    t = (np.arange(k + 1) * dt).astype(np.float32)
+    s, x = _bridge_nodes(tau, start, end, normals, t)
+    # chord-major: one row per chord, one column per path; chord c's level
+    # at s_c is level_c + slope_c (s_c - t_c), level_c itself after tau
+    offset = s[:k] - t[:k, None]
+    d1 = offset * (np.diff(level) / np.float32(dt))[:, None]
+    d1 += level[:k, None]
+    d1 -= x[:k]
+    # x is not read again
+    d2 = np.subtract(level[1:, None], x[1:], out=x[1:])
+    width = np.diff(s, axis=0)
+    width *= np.float32(0.5)
+    expo *= width
+    crossing = expo >= d1 * d2
+    crossing[:k - 1] &= t[1:k, None] > tau
     cols = np.flatnonzero(crossing.any(axis=0))
     chord = crossing[:, cols].argmax(axis=0)
-    return idx[cols], chord, dist[chord, cols], dist[chord + 1, cols]
+    return (cols, chord, offset[chord, cols], np.maximum(d1[chord, cols], 0.0),
+            d2[chord, cols])
+
+
+def _block_runs(streams, idx: np.ndarray, size: int) -> list:
+    """Each block's (generator, lo, hi), where lo:hi are the positions of its
+    paths in ``idx``, sorted path indices of a unit of ``size`` paths;
+    blocks with no path in ``idx`` are left out."""
+    cuts = np.searchsorted(idx, [part.start for _, part in streams] + [size])
+    return [(rng, lo, hi) for (rng, _), lo, hi in zip(streams, cuts[:-1], cuts[1:]) if hi > lo]
+
+
+def _refine_runs(streams, idx: np.ndarray, size: int) -> list:
+    """The ``_refine`` calls over the sorted path indices ``idx`` of a unit:
+    each block's (generator, lo, hi) from ``_block_runs``, packed in order
+    into runs of at most REFINE_PATHS paths.  A block draws for its own
+    paths from its own stream, so the draws do not depend on the packing."""
+    runs = []
+    for piece in _block_runs(streams, idx, size):
+        if runs and piece[2] - runs[-1][0][1] <= REFINE_PATHS:
+            runs[-1].append(piece)
+        else:
+            runs.append([piece])
+    return runs
 
 
 def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
@@ -306,14 +374,23 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
 
     The sweep strides ``COARSE_CHORDS`` chords at a time, with one normal
     per path for its position at the stride's end.  The chords lie at or
-    above the stride's lowest level node L, so a path's chance of meeting
-    them is at most its bridge's chance of meeting L, exp(-2 d1 d2 / (k dt))
-    over k chords when the path is below L at both ends.  A path for which
-    that bound is below 2**-64 skips the stride; every other path that has
-    not crossed gets its interior nodes and per-chord tests from
-    ``_refine``.  The skipped crossings number at most
-    n_paths * n_strides * 2**-64 in expectation.  A stride of one chord is
-    the plain step: a normal and an exponential for every path.
+    above the stride's lowest level node L, so a path can meet them only
+    if its bridge over the stride meets L, which it does with chance
+    exp(-2 d1 d2 / (k dt)) over k chords when it is below L at both ends,
+    and surely otherwise.  Stage 1: a path for which that chance is below
+    2**-64 skips the stride with no draw; the skipped crossings number at
+    most n_paths * n_strides * 2**-64 in expectation.  Stage 2: every
+    other path that has not crossed draws one Exp(1) and meets L iff
+    Exp(1) k dt / 2 >= d1 d2, the plain step's test at the stride's width;
+    a path that does not is done with the stride.  A path that does meets
+    L at a time tau drawn by ``_hit_times`` (tau = 0 from at or above L),
+    and after tau it is a fresh bridge to its end (strong Markov), which
+    ``_refine`` samples at the nodes and tests chord by chord.  A crossing
+    is timed inside its chord from the chord's start or tau, whichever
+    is later.  Each block draws for its own paths from its own stream, and
+    the arithmetic runs once per unit and stride, at most REFINE_PATHS
+    paths a call.  A stride of one chord is the plain step: a normal and
+    an exponential for every path.
     """
     if not x0 > 0.0:
         raise ValueError(f"x0 must be positive, got {x0}")
@@ -342,9 +419,9 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
         e = np.empty(size, dtype=np.float32)
         d1 = np.empty(size, dtype=np.float32)
         newly = np.empty(size, dtype=bool)
-        # per stride: the paths first crossing in it, their steps, d1 and d2
-        hits = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int32),
-                 np.empty(0, dtype=np.float32), np.empty(0, dtype=np.float32))]
+        # per plain step or ``_refine`` call: the paths first crossing in it
+        # and their crossing times
+        hits = [(np.empty(0, dtype=np.intp), np.empty(0))]
         for j in range(0, n_chords, COARSE_CHORDS):
             k = min(COARSE_CHORDS, n_chords - j)
             for rng, part in streams:
@@ -364,46 +441,87 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
                 np.greater(e, z, out=newly)
                 newly &= alive
                 idx = np.flatnonzero(newly)
-                hits.append((idx, np.full(idx.size, j, dtype=np.int32), d1[idx],
-                             level[j + 1] - w[idx]))
+                # each crossing's time inside the step, block by block, which
+                # bounds the temporaries
+                times = np.empty(idx.size)
+                for rng, lo, hi in _block_runs(streams, idx, size):
+                    mine = idx[lo:hi]
+                    times[lo:hi] = _hit_times(rng.standard_normal(mine.size),
+                                              rng.random(mine.size), d1[mine],
+                                              level[j + 1] - w[mine], dt)
+                times += t_nodes[j]
+                hits.append((idx, times))
             else:
                 # z becomes the position at the stride's end and e the
                 # product q = d1 * d2 of the distances below the lowest node
                 # L; d1 is clamped at 0, so a path at or above L at either
-                # end has q <= 0 and is refined
-                low = level[j:j + k + 1].min()
+                # end has q <= 0
+                stride = level[j:j + k + 1]
+                low = stride.min()
                 np.subtract(low, w, out=d1)
                 np.maximum(d1, 0.0, out=d1)
                 z *= np.float32(np.sqrt(k * dt))
                 z += w
                 np.subtract(low, z, out=e)
                 e *= d1
-                # q is rounded thrice in float32; the 2**-20 margin keeps
-                # the skip on the safe side of the exact 2**-64
+                # stage 1, with no draw: a path whose bridge meets L with
+                # chance below 2**-64 skips the stride; q is rounded thrice
+                # in float32, and the 2**-20 margin keeps the skip on the
+                # safe side of the exact 2**-64
                 np.less_equal(e, np.float32(0.5 * SKIP_LOG_P * k * dt * (1.0 + 2.0 ** -20)),
                               out=newly)
                 newly &= alive
-                idx = np.flatnonzero(newly)
-                if idx.size:
-                    # each block's paths, REFINE_PATHS at a time and in order
-                    cuts = np.searchsorted(idx, [part.start for _, part in streams] + [size])
-                    pieces = [(rng, idx[lo:min(lo + REFINE_PATHS, last)])
-                              for (rng, _), first, last in zip(streams, cuts[:-1], cuts[1:])
-                              for lo in range(first, last, REFINE_PATHS)]
-                    refined = [_refine(rng, piece, w[piece], z[piece], level[j:j + k + 1], dt)
-                               for rng, piece in pieces]
-                    idx, chord, a, d2 = (np.concatenate(column) for column in zip(*refined))
-                    hits.append((idx, (j + chord).astype(np.int32), a, d2))
+                near = np.flatnonzero(newly)
+                # stage 2, exact: one Exp(1) per near path, which meets L iff
+                # Exp(1) * k dt / 2 >= q; every chord lies at or above L, so a
+                # path that does not is done with the stride.  Once the near
+                # paths' q are taken, e holds their exponentials
+                q = e[near]
+                expo = e[:near.size]
+                for rng, lo, hi in _block_runs(streams, near, size):
+                    rng.standard_exponential(dtype=np.float32, out=expo[lo:hi])
+                expo *= np.float32(0.5 * k * dt)
+                reach = near[expo >= q]
+                crossed = [np.empty(0, dtype=np.intp)]
+                for run in _refine_runs(streams, reach, size):
+                    first, last = run[0][1], run[-1][2]
+                    m = last - first
+                    # per path, one (normal, uniform) pair for the time it
+                    # meets L and one for its crossing time, if it crosses
+                    nu, uniform = np.empty((m, 2)), np.empty((m, 2))
+                    normals = np.empty((k - 1, m), dtype=np.float32)
+                    chord_expo = np.empty((k, m), dtype=np.float32)
+                    for rng, lo, hi in run:
+                        lo, hi = lo - first, hi - first
+                        rng.standard_normal(out=nu[lo:hi])
+                        rng.random(out=uniform[lo:hi])
+                        normals[:, lo:hi] = rng.standard_normal((k - 1, hi - lo),
+                                                                dtype=np.float32)
+                        chord_expo[:, lo:hi] = rng.standard_exponential((k, hi - lo),
+                                                                        dtype=np.float32)
+                    paths = reach[first:last]
+                    # the time tau at which each path meets L: 0 from at or
+                    # above it, and otherwise drawn inside the stride
+                    tau = _hit_times(nu[:, 0], uniform[:, 0], d1[paths], low - z[paths], k * dt)
+                    cols, chord, offset, a, d2 = _refine(
+                        tau.astype(np.float32), np.maximum(w[paths], low), z[paths],
+                        normals, chord_expo, stride, dt)
+                    # timed inside the crossed chord from its start or tau
+                    offset = offset.astype(np.float64)
+                    times = t_nodes[j + chord] + offset + _hit_times(
+                        nu[cols, 1], uniform[cols, 1], a, d2, np.maximum(dt - offset, 0.0))
+                    crossed.append(paths[cols])
+                    hits.append((crossed[-1], times))
+                idx = np.concatenate(crossed)
                 w, z = z, w
             alive[idx] = False
-        idx, step, a, d2 = (np.concatenate(column) for column in zip(*hits))
+        idx, times = (np.concatenate(column) for column in zip(*hits))
+        # t_j + dt may round past s; the last bin is closed at s
+        np.minimum(times, s, out=times)
         results = []
-        for rng, part in streams:
-            mine = (idx >= part.start) & (idx < part.stop)
-            times = t_nodes[step[mine]] + _hit_times(rng, a[mine], d2[mine], dt)
-            # t_j + dt may round past s; the last bin is closed at s
-            np.minimum(times, s, out=times)
-            results.append((np.histogram(times, bins=edges)[0], int(np.count_nonzero(mine))))
+        for _, part in streams:
+            mine = times[(idx >= part.start) & (idx < part.stop)]
+            results.append((np.histogram(mine, bins=edges)[0], mine.size))
         return results
 
     results = _run_blocks(worker, cfg.seed, cfg.n_paths, n_workers)

@@ -13,7 +13,7 @@ from fpkit.montecarlo import (BLOCK_SIZE, FK_INTERVALS, MAX_UNIT_PATHS, DensityH
                               MCConfig, bessel_bridge_fk, compare_density,
                               first_passage_histogram, fk_intervals, kappa_time_density,
                               reference_time_density, sweep_chords, _bin_masses,
-                              _hit_times, _radial_step)
+                              _bridge_nodes, _hit_times, _radial_step, _refine)
 from volterra_oracle import fk_density, hitting_bin_masses, hitting_density_at, trapezoid_density
 
 B_ZERO = parse_boundary("s=1; fprime=0")
@@ -168,7 +168,11 @@ def test_line_through_chord_sweep_matches_bachelier_levy(slope, n_bins):
     # 40 chords: falls ~1.6 per 8-chord stride near t = 0.2, where its paths
     # cross: a path above a stride's lowest node must be refined, not skipped
     (parse_boundary("s=1; fprime=0,-40"), 2.0, 40),
-], ids=["rising", "falling", "steep"])
+    # lowest at t = 0.5, inside the third stride: paths meet L mid-stride
+    (parse_boundary("s=1; fprime=-1,2"), 1.0, 36),
+    # a start near the level: most near paths reach each stride's L
+    (B_LIN, 0.2, 36),
+], ids=["rising", "falling", "steep", "dip", "near"])
 def test_strided_sweep_matches_chord_by_chord_sweep(b, x0, n_steps, monkeypatch):
     # one chord per stride is the plain per-chord sweep; 36 steps, fewer
     # than the rule's floor on either gentle level, are 36 chords, which end
@@ -191,6 +195,22 @@ def test_far_curved_level_skips_every_stride(monkeypatch):
     h = first_passage_histogram(B_LIN, 8.0, MCConfig(20000, 100, seed=5), 10)
     assert h.n_crossed == 0
     assert not np.any(h.masses)
+
+
+def test_stride_refines_only_the_paths_that_reach_its_lowest_node(monkeypatch):
+    # at the simulate size, ~82% of path-strides pass the 2**-64 bound and
+    # ~4% reach L; only those are refined
+    refined = []
+    original = montecarlo._refine
+
+    def refine(tau, *args):
+        refined.append(tau.size)
+        return original(tau, *args)
+
+    monkeypatch.setattr(montecarlo, "_refine", refine)
+    assert sweep_chords(B_LIN, 800) == 39
+    first_passage_histogram(B_LIN, 1.0, MCConfig(50000, 800, seed=7), 20, n_workers=2)
+    assert 0 < sum(refined) <= 0.1 * 50000 * 5
 
 
 @pytest.mark.parametrize("b, chords", [
@@ -239,6 +259,12 @@ def test_sweep_at_the_rule_chords_matches_volterra_oracle(b, n_steps):
     assert p > 0.001
 
 
+def _drawn_hit_times(rng, a, d2, dt):
+    """``_hit_times`` on one normal and then one uniform per bridge from ``rng``."""
+    n = np.size(a)
+    return _hit_times(rng.standard_normal(n), rng.random(n), a, d2, dt)
+
+
 @pytest.mark.parametrize("a, d2", [
     (1.0, 0.0),      # level flat against the bridge: Levy time
     (0.3, -0.7),     # endpoint past the level: a certain, direct hit
@@ -247,31 +273,137 @@ def test_sweep_at_the_rule_chords_matches_volterra_oracle(b, n_steps):
 ])
 def test_hit_times_finite_inside_step(a, d2):
     dt = 0.25
-    u = _hit_times(np.random.default_rng(8), np.full(10000, a), np.full(10000, d2), dt)
+    u = _drawn_hit_times(np.random.default_rng(8), np.full(10000, a), np.full(10000, d2), dt)
     assert np.all(np.isfinite(u))
     assert np.all((u > 0.0) & (u < dt))
 
 
 def test_hit_times_start_on_level():
-    u = _hit_times(np.random.default_rng(8), np.zeros(1000), np.full(1000, 0.5), 0.25)
+    u = _drawn_hit_times(np.random.default_rng(8), np.zeros(1000), np.full(1000, 0.5), 0.25)
     assert np.all(u == 0.0)
+
+
+def _hit_time_cdf(v, a, d2, dt):
+    """P(u <= v) for the hit time u of a bridge over a step dt: u <= v iff
+    r <= v dt / (dt - v), where r is Levy a^2 / Z^2 when d2 = 0 and inverse
+    Gaussian with mean a dt / |d2|, shape a^2 otherwise."""
+    r = v * dt / (dt - v)
+    if d2 == 0.0:
+        return 2.0 * norm.sf(a / np.sqrt(r))
+    mean, shape = a * dt / abs(d2), a * a
+    return invgauss.cdf(r, mean / shape, scale=shape)
 
 
 @pytest.mark.parametrize("d2", [0.0, 0.8, -0.8])
 def test_hit_times_law(d2):
-    # u <= v iff r <= R = v dt / (dt - v), where r is Levy a^2 / Z^2 when
-    # d2 = 0 and inverse Gaussian with mean a dt / |d2|, shape a^2 otherwise
     a, dt, n = 0.6, 0.5, 20000
-    u = _hit_times(np.random.default_rng(99), np.full(n, a), np.full(n, d2), dt)
+    u = _drawn_hit_times(np.random.default_rng(99), np.full(n, a), np.full(n, d2), dt)
+    assert kstest(u, lambda v: _hit_time_cdf(v, a, d2, dt)).pvalue > 0.001
 
-    def cdf(v):
-        r = v * dt / (dt - v)
-        if d2 == 0.0:
-            return 2.0 * norm.sf(a / np.sqrt(r))
-        mean, shape = a * dt / abs(d2), a * a
-        return invgauss.cdf(r, mean / shape, scale=shape)
 
-    assert kstest(u, cdf).pvalue > 0.001
+def test_hit_times_law_on_mixed_widths():
+    # one width per bridge: each time's own cdf maps it to a uniform
+    a, d2, n = 0.6, 0.8, 20000
+    dt = np.resize([0.5, 0.2, 0.05], n)
+    u = _drawn_hit_times(np.random.default_rng(99), np.full(n, a), np.full(n, d2), dt)
+    assert np.all((u >= 0.0) & (u <= dt))
+    assert kstest(_hit_time_cdf(u, a, d2, dt), "uniform").pvalue > 0.001
+
+
+def test_hit_times_equal_widths_match_the_scalar_call_bit_for_bit():
+    rng = np.random.default_rng(3)
+    a = rng.exponential(size=5000)
+    d2 = rng.normal(size=5000)
+    d2[:100] = 0.0
+    a[100:200] = 0.0
+    dt = 0.37
+    scalar = _drawn_hit_times(np.random.default_rng(4), a, d2, dt)
+    array = _drawn_hit_times(np.random.default_rng(4), a, d2, np.full(a.size, dt))
+    assert scalar.tobytes() == array.tobytes()
+
+
+def test_hit_times_at_zero_width_are_zero():
+    u = _drawn_hit_times(np.random.default_rng(8), np.array([0.0, 0.3, 1.0]),
+                   np.array([0.5, 0.0, -0.2]), np.zeros(3))
+    assert np.all(u == 0.0)
+
+
+def _stride_nodes(k, dt):
+    return (np.arange(k + 1) * dt).astype(np.float32)
+
+
+@pytest.mark.parametrize("tau_chords", [0.3, 3.5, 7.4], ids=["first", "mid", "last"])
+def test_bridge_nodes_follow_the_bridge_from_tau(tau_chords):
+    # from (tau, L) to (k dt, z), node i at t_i > tau is normal with mean
+    # L + (t_i - tau) / (k dt - tau) (z - L) and variance
+    # (t_i - tau) (k dt - t_i) / (k dt - tau); nodes at or before tau are L
+    k, dt, n, low, end = 8, 0.05, 20000, 0.3, -0.2
+    t = _stride_nodes(k, dt)
+    tau = np.float32(tau_chords * dt)
+    normals = np.random.default_rng(21).standard_normal((k - 1, n), dtype=np.float32)
+    s, x = _bridge_nodes(np.full(n, tau), np.full(n, low, dtype=np.float32),
+                         np.full(n, end, dtype=np.float32), normals, t)
+    big_t, tau = float(t[k]), float(tau)
+    for i in range(1, k):
+        ti = float(t[i])
+        if ti <= tau:
+            assert np.all(x[i] == np.float32(low))
+            continue
+        mean = low + (ti - tau) / (big_t - tau) * (end - low)
+        sd = np.sqrt((ti - tau) * (big_t - ti) / (big_t - tau))
+        assert kstest(x[i], norm(mean, sd).cdf).pvalue > 0.001
+    assert np.all(x[k] == np.float32(end))
+
+
+def test_refine_from_the_strides_last_instant():
+    # tau = k dt (1 - 2**-24) and tau = k dt: every interior node is the
+    # start, only the last chord is tested, over a width of ~k dt 2**-24 or
+    # 0, and only the paths that end above the level cross in it
+    k, dt, n = 8, 1.0 / 39.0, 4000
+    level = np.linspace(0.5, 0.9, k + 1).astype(np.float32)
+    t = _stride_nodes(k, dt)
+    end = np.where(np.arange(n) % 2 == 1, 1.2, 0.4).astype(np.float32)
+    rng = np.random.default_rng(5)
+    for tau in (np.float32(k * dt * (1.0 - 2.0 ** -24)), t[k]):
+        taus = np.full(n, tau, dtype=np.float32)
+        start = np.full(n, level[0])
+        normals = rng.standard_normal((k - 1, n), dtype=np.float32)
+        s, x = _bridge_nodes(taus, start, end, normals, t)
+        assert np.all(x[1:k] == start)
+        cols, chord, offset, a, d2 = _refine(taus, start, end, normals,
+                                             rng.standard_exponential((k, n), dtype=np.float32),
+                                             level, dt)
+        assert np.array_equal(cols, np.flatnonzero(end > level[k]))
+        assert np.all(chord == k - 1)
+        assert np.all(np.isfinite(a) & np.isfinite(d2)) and np.all(a >= 0.0)
+        offset = offset.astype(np.float64)
+        width = np.maximum(dt - offset, 0.0)
+        assert np.all(width <= k * dt * 2.0 ** -23)
+        u = _drawn_hit_times(rng, a, d2, width)
+        assert np.all((u >= 0.0) & (u <= width))
+
+
+def test_refine_after_a_direct_hit_of_the_lowest_node():
+    # paths below L = level[k] that end at or above it (a direct hit, d2 <= 0)
+    # meet L at a drawn tau and must cross a chord at or after it
+    k, dt, n = 8, 1.0 / 39.0, 4000
+    level = np.linspace(0.9, 0.5, k + 1).astype(np.float32)
+    low = level.min()
+    rng = np.random.default_rng(6)
+    w = np.full(n, 0.2, dtype=np.float32)
+    end = (low + np.abs(rng.standard_normal(n))).astype(np.float32)
+    end[:10] = low
+    tau = _drawn_hit_times(rng, low - w, low - end, k * dt).astype(np.float32)
+    assert np.all((tau >= 0.0) & (tau <= np.float32(k * dt)))
+    cols, chord, offset, a, d2 = _refine(
+        tau, np.full(n, low), end, rng.standard_normal((k - 1, n), dtype=np.float32),
+        rng.standard_exponential((k, n), dtype=np.float32), level, dt)
+    assert np.array_equal(cols, np.arange(n))
+    start = _stride_nodes(k, dt)[chord] + offset
+    assert np.all((start >= tau) & (start <= np.float32(k * dt)))
+    assert np.all(np.isfinite(a) & np.isfinite(d2)) and np.all(a >= 0.0)
+    u = _drawn_hit_times(rng, a, d2, np.maximum(dt - offset.astype(np.float64), 0.0))
+    assert np.all(np.isfinite(u))
 
 
 def test_kappa_and_reference_densities():
