@@ -168,11 +168,14 @@ OPTIONS = (
     Option("--paths", _MC, int, 100000, "number of paths"),
     Option("--steps", _MC, int, 2000,
            "cap n on the sweep's uniform chords: it takes min(n, "
-           f"max({mc.MIN_CHORDS}, c)), c the fewest within {mc.CHORD_GAP:g} of the level "
-           "by its sup |f''|; simulate's Feynman-Kac takes its own "
-           f"{mc.FK_INTERVALS} max(1, s/x0^2) intervals graded toward s, even and at "
-           f"most {mc.FK_MAX_INTERVALS}, whatever n is (constant f' takes one chord "
-           "and no Feynman-Kac step)"),
+           f"max({mc.MIN_STEPS}, c)), c the fewest within {mc.CHORD_GAP:g} of the level "
+           "by its sup |f''| times (paths/1e6)^(1/5); simulate's Feynman-Kac takes "
+           f"its own {mc.FK_INTERVALS} max(1, s/x0^2) (paths/1e6)^(1/8) intervals "
+           f"graded toward s, even, at least {mc.MIN_STEPS} and at most "
+           f"{mc.FK_MAX_INTERVALS}, whatever n is. Both counts are set at "
+           f"{mc.REFERENCE_PATHS:,} paths and scale so that bias stays within a fixed "
+           "share of the run's own standard error (constant f' takes one chord and "
+           "no Feynman-Kac step)"),
     Option("--seed", _MC, int, 42, "seed of the random streams"),
     Option("--bins", _MC, int, 20, "histogram bins on [0, s]"),
     Option("--threads", _MC, int, 1, "worker threads (outputs do not depend on it)"),
@@ -336,7 +339,7 @@ def cmd_simulate(args) -> int:
     _write_comparison(out, table)
     _write_json(out, "feynman_kac.json",
                 {**fk.to_json(), "n_steps": cfg.n_steps,
-                 "intervals": mc.fk_intervals(b, args.x0), "seed": cfg.seed})
+                 "intervals": mc.fk_intervals(b, args.x0, cfg.n_paths), "seed": cfg.seed})
     return 0
 
 

@@ -4,9 +4,10 @@ Two estimators:
 
 * ``first_passage_histogram`` -- first-passage times of standard
   Brownian motion to the moving level x0 + int_0^t f'.  ``n_steps`` = n
-  asks for min(n, max(MIN_CHORDS, c)) uniform steps (``sweep_chords``),
+  asks for min(n, max(MIN_STEPS, c)) uniform steps (``sweep_chords``),
   where c is the fewest chords that the level's sup |f''| keeps within
-  CHORD_GAP of it; n only caps the count.
+  CHORD_GAP of it at REFERENCE_PATHS paths, scaled by
+  (n_paths / REFERENCE_PATHS)^(1/5); n only caps the count.
   Each step replaces the level by its chord; a path crosses inside a step
   with the Brownian-bridge probability exp(-2 d1 d2 / dt), and every
   crossing gets its exact time inside its step (``_hit_times``).  The
@@ -27,9 +28,10 @@ Two estimators:
   bridge from x at time 0 to the origin at time s, realized as the
   modulus of a 3-D Brownian bridge (positivity is automatic),
   stepped on the radius alone, and averaged over mirrored path pairs.
-  FK takes m = FK_INTERVALS max(1, s / x^2) intervals of its own mesh,
-  graded toward s, rounded up to even and at most FK_MAX_INTERVALS,
-  whatever ``n_steps`` says (``fk_intervals``).  It returns the
+  FK takes m = FK_INTERVALS max(1, s / x^2) (n_paths / REFERENCE_PATHS)^(1/8)
+  intervals of its own mesh, graded toward s, rounded up to even, at
+  least MIN_STEPS and at most FK_MAX_INTERVALS, whatever ``n_steps`` says
+  (``fk_intervals``).  It returns the
   Richardson combination of the trapezoid rules at m and at m/2
   intervals, whose nodes are the even ones of the m mesh, so one path
   set serves both.  Each pair's mean of
@@ -38,6 +40,16 @@ Two estimators:
   estimator's.  A level with constant f' gives exactly 1 without
   stepping.  Each block draws its float64 normals and exponentials step
   by step from numpy's Generator.
+
+Both step rules hold their bias within a fixed share of the run's own
+standard error.  A bias that falls like h^2 in the step h, against a
+standard error that falls like n_paths^(-1/2), asks for steps that grow
+like n_paths^(1/4) (Duffie & Glynn 1995).  The measured biases fall less
+evenly, so the rules take smaller powers: the sweep 1/5, since its worst
+bin also swings with where the chords fall against the bins, and FK
+1/8, since its bias hardly falls from 16 to 24 intervals.  The bias
+tables in CHANGES.md set each rule's constant at REFERENCE_PATHS paths,
+where the scale is exactly 1, and its power at 50,000 to 262,144 paths.
 
 Reproducibility contract: random streams belong to fixed 8,192-path
 blocks, and block ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``.
@@ -81,19 +93,37 @@ COARSE_CHORDS = 8
 REFINE_PATHS = BLOCK_SIZE
 #: -log of the largest bridge-crossing chance that a stride may skip (2**-64)
 SKIP_LOG_P = 64.0 * np.log(2.0)
+#: path count at which the bias tables in CHANGES.md set both step rules;
+#: a run of n_paths scales their counts by a power of n_paths / REFERENCE_PATHS,
+#: which is exactly 1 here
+REFERENCE_PATHS = 1_000_000
+#: that power for FK's intervals.  A bias that falls like h^2 against a
+#: standard error that falls like n_paths^(-1/2) asks for 1/4, but the FK
+#: bias table in CHANGES.md reads FK's Richardson bias on the worst level
+#: at 0.2 to 0.56 of a 1M-path standard error anywhere from 16 to 24
+#: intervals, and 1/8 keeps every level within 0.1 of the run's own
+FK_PATH_POWER = 0.125
+#: that power for the sweep's chords: its worst bin swings by about +-20%
+#: with where the chords fall against the bins, and the chord bias table in
+#: CHANGES.md takes 1/5, not 1/4, to keep every level within 0.06 of the
+#: run's own standard error
+CHORD_PATH_POWER = 0.2
 #: largest gap, sup |f''| h^2 / 8, between the level and a chord of width h
-#: that ``sweep_chords`` lets a level's curvature ask for; at the rule's
-#: chords, no level of the bias table in CHANGES.md has a bin biased by
-#: 0.06 of its 1M-path standard error
+#: that ``sweep_chords`` lets a level's curvature ask for at REFERENCE_PATHS
+#: paths; at the rule's chords, no level of the bias table in CHANGES.md
+#: has a bin biased by 0.06 of the run's own standard error
 CHORD_GAP = 2.5e-5
 #: fewest chords the sweep takes of a curved level when ``n_steps`` allows
-#: them, however gentle the level
-MIN_CHORDS = 16
-#: intervals of FK's graded mesh per unit of s / x^2, and its fewest; the
-#: FK bias table in CHANGES.md set it
+#: them, however gentle the level, and fewest intervals of FK's mesh; the
+#: smallest count either bias table measured
+MIN_STEPS = 16
+#: intervals of FK's graded mesh per unit of s / x^2 at REFERENCE_PATHS
+#: paths; at the rule's intervals, no level of the FK bias table in
+#: CHANGES.md is biased by 0.1 of the run's own standard error
 FK_INTERVALS = 32
 #: most intervals of FK's graded mesh, which starts x below
-#: sqrt(FK_INTERVALS s / FK_MAX_INTERVALS) take; the table does not reach them
+#: sqrt(FK_INTERVALS s / FK_MAX_INTERVALS) take at REFERENCE_PATHS paths;
+#: the table does not reach them
 FK_MAX_INTERVALS = 4096
 
 
@@ -159,36 +189,44 @@ class DensityComparison:
     z_scores: np.ndarray
 
 
-def sweep_chords(b: Boundary, n_steps: int) -> int:
-    """Uniform chords of the first-passage sweep over [0, s] when
-    ``n_steps`` = n are asked for: 1 for a level with constant f', which
-    is its own chord, and otherwise min(n, max(MIN_CHORDS, c)), with c the
-    fewest chords of width h = s/c whose gap from the level, at most
-    sup |f''| h^2 / 8, is within CHORD_GAP.  n only caps the count."""
+def sweep_chords(b: Boundary, n_steps: int, n_paths: int) -> int:
+    """Uniform chords of the first-passage sweep of ``n_paths`` paths over
+    [0, s] when ``n_steps`` = n are asked for: 1 for a level with constant
+    f', which is its own chord, and otherwise min(n, max(MIN_STEPS, c)).
+    At REFERENCE_PATHS paths c is the fewest chords of width h = s/c whose
+    gap from the level, at most sup |f''| h^2 / 8, is within CHORD_GAP;
+    other runs scale it by (n_paths / REFERENCE_PATHS)^CHORD_PATH_POWER,
+    which holds the chords' bias within a fixed share of the run's own
+    standard error.  n only caps the count."""
     if not any(b.deriv_coeffs[1:]):
         return 1
     # a sup |f''| past float64 (inf or NaN) asks for every step
     with np.errstate(over="ignore", invalid="ignore"):
         need = b.horizon_s * math.sqrt(sup_abs_fsecond(b) / (8.0 * CHORD_GAP))
+    need *= (n_paths / REFERENCE_PATHS) ** CHORD_PATH_POWER
     if not need < n_steps:
         return n_steps
-    return min(n_steps, max(MIN_CHORDS, math.ceil(need)))
+    return min(n_steps, max(MIN_STEPS, math.ceil(need)))
 
 
-def fk_intervals(b: Boundary, x: float) -> int:
-    """Intervals m of the graded mesh that ``bessel_bridge_fk`` steps from
-    the start ``x`` on the level ``b``: 0 for a level with constant f',
-    whose estimate is exactly 1 without stepping, and otherwise
-    FK_INTERVALS max(1, s / x^2) rounded up to even, at most
-    FK_MAX_INTERVALS.  By Brownian scaling, FK from x over [0, s] is FK
-    from 1 over [0, s / x^2] with f'' rescaled, and the bias table in
-    CHANGES.md shows its bias growing with s / x^2; the rule keeps the
-    mesh's first interval, about 2 s / m, within x^2 / 16."""
+def fk_intervals(b: Boundary, x: float, n_paths: int) -> int:
+    """Intervals m of the graded mesh that ``bessel_bridge_fk`` steps with
+    ``n_paths`` paths from the start ``x`` on the level ``b``: 0 for a level
+    with constant f', whose estimate is exactly 1 without stepping, and
+    otherwise FK_INTERVALS max(1, s / x^2) scaled by
+    (n_paths / REFERENCE_PATHS)^FK_PATH_POWER, rounded up to even, at least
+    MIN_STEPS and at most FK_MAX_INTERVALS.  By Brownian scaling, FK from x
+    over [0, s] is FK from 1 over [0, s / x^2] with f'' rescaled, and the
+    bias table in CHANGES.md shows its bias growing with s / x^2.  At
+    REFERENCE_PATHS paths the rule keeps the mesh's first interval, about
+    2 s / m, within x^2 / 16; the n_paths scale holds the bias within a
+    fixed share of the run's own standard error."""
     if not any(b.deriv_coeffs[1:]):
         return 0
     # a start that is subnormal or near it asks for the most: s / x / x is inf
     half = 0.5 * FK_INTERVALS * max(1.0, b.horizon_s / x / x)
-    return 2 * math.ceil(min(half, 0.5 * FK_MAX_INTERVALS))
+    half *= (n_paths / REFERENCE_PATHS) ** FK_PATH_POWER
+    return 2 * math.ceil(min(max(half, 0.5 * MIN_STEPS), 0.5 * FK_MAX_INTERVALS))
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -362,9 +400,10 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
     """Empirical first-passage histogram of Brownian motion to the moving level.
 
     Paths start at 0; the level at time t is x0 + int_0^t f'(u) du, taken
-    as its chord over each of ``sweep_chords(b, cfg.n_steps)`` uniform
-    steps, at most ``cfg.n_steps``; the bias table in CHANGES.md, of the
-    chords against the Volterra oracle, set CHORD_GAP.  A path crosses
+    as its chord over each of ``sweep_chords(b, cfg.n_steps, cfg.n_paths)``
+    uniform steps, at most ``cfg.n_steps``; the bias table in CHANGES.md,
+    of the chords against the Volterra oracle, set CHORD_GAP at
+    REFERENCE_PATHS paths and CHORD_PATH_POWER.  A path crosses
     when an Euler endpoint reaches the level or, between two endpoints
     below it, with the Brownian-bridge probability exp(-2 d1 d2 / dt); the
     crossing time inside the step is then drawn exactly (``_hit_times``).
@@ -397,7 +436,7 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
     if n_bins < 1:
         raise ValueError("need at least one bin")
     s = b.horizon_s
-    n_chords = sweep_chords(b, cfg.n_steps)
+    n_chords = sweep_chords(b, cfg.n_steps, cfg.n_paths)
     dt = s / n_chords
     t_nodes = np.linspace(0.0, s, n_chords + 1)
     level = x0 + integral_fprime(b, 0.0, t_nodes)
@@ -636,10 +675,13 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     the origin, stepped by exact conditional sampling of the radius alone
     (``_radial_step``: one normal and one exponential per path-step).  The
     time integral uses the trapezoid rule on FK's own graded mesh
-    (``_graded_mesh``) of m = ``fk_intervals(b, x)`` intervals, crowded
-    toward s: 32 while s <= x^2, and 32 s / x^2 beyond, rounded up to even
-    and at most FK_MAX_INTERVALS.  ``cfg.n_steps`` does not enter: the FK
-    bias table in CHANGES.md, against the Volterra oracle, set m.
+    (``_graded_mesh``) of m = ``fk_intervals(b, x, cfg.n_paths)``
+    intervals, crowded toward s: at REFERENCE_PATHS paths 32 while
+    s <= x^2, and 32 s / x^2 beyond, scaled by
+    (n_paths / REFERENCE_PATHS)^(1/8), rounded up to even, at least
+    MIN_STEPS and at most FK_MAX_INTERVALS.  ``cfg.n_steps`` does not
+    enter: the FK bias table in CHANGES.md, against the Volterra oracle,
+    set m.
     Each path sums two integrals, I_m over every node and I_{m/2} over the
     even nodes, which are the m/2 mesh.  The rule's bias falls like m^-2,
     so the Richardson value
@@ -677,7 +719,7 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     """
     if not x > 0.0:
         raise ValueError(f"starting point must be positive, got {x}")
-    m = fk_intervals(b, x)
+    m = fk_intervals(b, x, cfg.n_paths)
     if not m:
         return MCEstimate(1.0, 0.0, cfg.n_paths)
     s = b.horizon_s

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fpkit.cli as cli
+from fpkit import montecarlo as mc
 from fpkit.cli import build_parser, main
 from fpkit.grids import read_field_csv
 from fpkit.verify import TOLERANCES
@@ -378,16 +379,41 @@ def test_simulate_threads_do_not_change_outputs(tmp_path):
 
 
 def test_simulate_records_the_requested_steps(tmp_path):
-    # the sweep takes 39 chords of 400 on the curved level and FK 32
-    # intervals, but both sidecars keep the --steps that was asked for, and
-    # feynman_kac.json the intervals that FK took (none for a constant f')
-    for boundary, intervals in (("s=1; fprime=0.5,0.3", 32), ("s=1; fprime=0.5", 0)):
+    # at 200 paths the sweep takes 16 chords of 400 on the curved level and
+    # FK 16 intervals, the rules' floor, but both sidecars keep the --steps
+    # that was asked for, and feynman_kac.json the intervals that FK took
+    # (none for a constant f')
+    for boundary, intervals in (("s=1; fprime=0.5,0.3", 16), ("s=1; fprime=0.5", 0)):
         out = tmp_path / str(intervals)
         assert main(["simulate", "--boundary", boundary, "--paths", "200",
                      "--steps", "400", "--out", str(out)]) == 0
         assert json.loads((out / "config.json").read_text())["steps"] == 400
         fk = json.loads((out / "feynman_kac.json").read_text())
         assert (fk["n_steps"], fk["intervals"]) == (400, intervals)
+
+
+@pytest.mark.parametrize("paths, intervals", [(50000, 24), (1000000, 32)])
+def test_simulate_records_the_intervals_that_fk_stepped(paths, intervals, tmp_path,
+                                                        monkeypatch):
+    # feynman_kac.json's intervals must be the mesh that FK took f'' on,
+    # which follows --paths; each estimator steps only the first block's
+    # paths, so the 1M-path run stays cheap while both rules see --paths
+    seen = []
+    original_fsecond, original_blocks = mc.eval_fsecond, mc._run_blocks
+
+    def fsecond(b, t):
+        seen.append(np.size(t) - 1)
+        return original_fsecond(b, t)
+
+    def first_block(worker, seed, n_paths, n_workers):
+        return original_blocks(worker, seed, min(n_paths, mc.BLOCK_SIZE), n_workers)
+
+    monkeypatch.setattr(mc, "eval_fsecond", fsecond)
+    monkeypatch.setattr(mc, "_run_blocks", first_block)
+    assert main(["simulate", "--boundary", "s=1; fprime=0.5,0.3", "--paths", str(paths),
+                 "--steps", "800", "--out", str(tmp_path)]) == 0
+    fk = json.loads((tmp_path / "feynman_kac.json").read_text())
+    assert seen == [fk["intervals"]] == [intervals]
 
 
 def test_compare_threads_do_not_change_outputs(tmp_path):

@@ -1,16 +1,20 @@
 import functools
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import invgauss, kstest, norm
 
 from chi_square import chi_square_two_sample, chi_square_vs_reference
 from fpkit import montecarlo
-from fpkit.boundary import Boundary, eval_fsecond, parse_boundary
+from fpkit.boundary import Boundary, eval_fsecond, parse_boundary, sup_abs_fsecond
 from fpkit.grids import NumericalError
-from fpkit.montecarlo import (BLOCK_SIZE, FK_INTERVALS, MAX_UNIT_PATHS, DensityHistogram,
-                              MCConfig, bessel_bridge_fk, compare_density,
+from fpkit.montecarlo import (BLOCK_SIZE, COARSE_CHORDS, MAX_UNIT_PATHS, MIN_STEPS,
+                              REFERENCE_PATHS, DensityHistogram, MCConfig,
+                              bessel_bridge_fk, compare_density,
                               first_passage_histogram, fk_intervals, kappa_time_density,
                               reference_time_density, sweep_chords, _bin_masses,
                               _bridge_nodes, _hit_times, _radial_step, _refine)
@@ -139,8 +143,8 @@ def test_constant_slope_histogram_matches_bachelier_levy(slope, n_bins):
 
 def test_curved_level_histogram_independent_of_step_grid():
     # exact in-step crossing times leave a curved level only the chord error,
-    # so 10 chords (two bins each) and the 160 that --steps 2000 takes give
-    # one law at this size
+    # so 10 chords (two bins each) and the 30 that the rule takes at
+    # 262,144 paths give one law at this size
     coarse = first_passage_histogram(B_LIN, 1.0, MCConfig(262144, 10, seed=31), 20)
     fine = first_passage_histogram(B_LIN, 1.0, MCConfig(262144, 2000, seed=32), 20)
     stat, p = chi_square_two_sample(coarse, fine)
@@ -162,22 +166,22 @@ def test_line_through_chord_sweep_matches_bachelier_levy(slope, n_bins):
     assert p > 0.001
 
 
-@pytest.mark.parametrize("b, x0, n_steps", [
-    (B_LIN, 1.0, 36),
-    (B_DOWN, 1.0, 36),
+@pytest.mark.parametrize("b, x0, n_steps, chords", [
+    (B_LIN, 1.0, 36, 30),
+    (B_DOWN, 1.0, 36, 30),
     # 40 chords: falls ~1.6 per 8-chord stride near t = 0.2, where its paths
     # cross: a path above a stride's lowest node must be refined, not skipped
-    (parse_boundary("s=1; fprime=0,-40"), 2.0, 40),
+    (parse_boundary("s=1; fprime=0,-40"), 2.0, 40, 40),
     # lowest at t = 0.5, inside the third stride: paths meet L mid-stride
-    (parse_boundary("s=1; fprime=-1,2"), 1.0, 36),
+    (parse_boundary("s=1; fprime=-1,2"), 1.0, 36, 36),
     # a start near the level: most near paths reach each stride's L
-    (B_LIN, 0.2, 36),
+    (B_LIN, 0.2, 36, 30),
 ], ids=["rising", "falling", "steep", "dip", "near"])
-def test_strided_sweep_matches_chord_by_chord_sweep(b, x0, n_steps, monkeypatch):
-    # one chord per stride is the plain per-chord sweep; 36 steps, fewer
-    # than the rule's floor on either gentle level, are 36 chords, which end
-    # on a 4-chord stride
-    assert sweep_chords(b, n_steps) == n_steps
+def test_strided_sweep_matches_chord_by_chord_sweep(b, x0, n_steps, chords, monkeypatch):
+    # one chord per stride is the plain per-chord sweep; at 262,144 paths
+    # the rule takes 30 chords of either gentle level, which end on a
+    # 6-chord stride, and the others take every requested step
+    assert sweep_chords(b, n_steps, 262144) == chords
     strided = first_passage_histogram(b, x0, MCConfig(262144, n_steps, seed=41), 20, n_workers=2)
     monkeypatch.setattr(montecarlo, "COARSE_CHORDS", 1)
     plain = first_passage_histogram(b, x0, MCConfig(262144, n_steps, seed=42), 20, n_workers=2)
@@ -190,16 +194,17 @@ def test_far_curved_level_skips_every_stride(monkeypatch):
         raise AssertionError("a stride refined a path 8 standard deviations off")
 
     monkeypatch.setattr(montecarlo, "_refine", refine)
-    # 39 chords: four 8-chord strides and a 7-chord one, none a plain step
-    assert sweep_chords(B_LIN, 100) == 39
+    # 18 chords at 20,000 paths: strides of 8, 8 and 2 chords, none a
+    # plain step
+    assert sweep_chords(B_LIN, 100, 20000) == 18
     h = first_passage_histogram(B_LIN, 8.0, MCConfig(20000, 100, seed=5), 10)
     assert h.n_crossed == 0
     assert not np.any(h.masses)
 
 
 def test_stride_refines_only_the_paths_that_reach_its_lowest_node(monkeypatch):
-    # at the simulate size, ~82% of path-strides pass the 2**-64 bound and
-    # ~4% reach L; only those are refined
+    # at the simulate size ~8% of path-strides reach L; only those are
+    # refined
     refined = []
     original = montecarlo._refine
 
@@ -208,22 +213,35 @@ def test_stride_refines_only_the_paths_that_reach_its_lowest_node(monkeypatch):
         return original(tau, *args)
 
     monkeypatch.setattr(montecarlo, "_refine", refine)
-    assert sweep_chords(B_LIN, 800) == 39
+    # 22 chords at 50,000 paths: strides of 8, 8 and 6 chords
+    n_strides = -(-sweep_chords(B_LIN, 800, 50000) // COARSE_CHORDS)
+    assert n_strides == 3
     first_passage_histogram(B_LIN, 1.0, MCConfig(50000, 800, seed=7), 20, n_workers=2)
-    assert 0 < sum(refined) <= 0.1 * 50000 * 5
+    assert 0 < sum(refined) <= 0.1 * 50000 * n_strides
 
 
 @pytest.mark.parametrize("b, chords", [
-    # c = ceil(s sqrt(sup |f''| / (8 CHORD_GAP))) is 39 at f'' = 0.3 and 123 at
-    # f'' = 3; past c, more requested steps add no chord
-    (B_LIN, [2, 10, 16, 17, 39, 39, 39]),
-    (B_STRONG, [2, 10, 16, 17, 123, 123, 123]),
-    (B_UP, [1] * 7),
+    # at REFERENCE_PATHS, c = ceil(s sqrt(sup |f''| / (8 CHORD_GAP))) is 39 at
+    # f'' = 0.3 and 123 at f'' = 3, and (n_paths / REFERENCE_PATHS)^(1/5) of
+    # it elsewhere; past c, more requested steps add no chord
+    (B_LIN, {REFERENCE_PATHS: [2, 10, 16, 17, 39, 39, 39],
+             262144: [2, 10, 16, 17, 30, 30, 30],
+             50000: [2, 10, 16, 17, 22, 22, 22],
+             16: [2, 10, 16, 16, 16, 16, 16]}),
+    (B_STRONG, {REFERENCE_PATHS: [2, 10, 16, 17, 123, 123, 123],
+                262144: [2, 10, 16, 17, 94, 94, 94],
+                50000: [2, 10, 16, 17, 68, 68, 68],
+                16: [2, 10, 16, 16, 16, 16, 16]}),
+    (B_UP, {n_paths: [1] * 7 for n_paths in (REFERENCE_PATHS, 262144, 50000, 16)}),
 ], ids=["gentle", "strong", "constant"])
 def test_sweep_chord_count_per_requested_steps(b, chords, monkeypatch):
-    # min(n, max(16, c)) chords of n requested: the sweep's level nodes say so
+    # min(n, max(16, c)) chords of n requested: the sweep's level nodes say
+    # so at 16 paths, where a curved level takes the floor, min(n, 16)
     steps = (2, 10, 16, 17, 400, 800, 2000)
-    assert [sweep_chords(b, n) for n in steps] == chords
+    for n_paths, counts in chords.items():
+        assert [sweep_chords(b, n, n_paths) for n in steps] == counts, n_paths
+    if b is not B_UP:
+        assert chords[16] == [min(n, MIN_STEPS) for n in steps]
     nodes = []
     original = montecarlo.integral_fprime
 
@@ -234,13 +252,42 @@ def test_sweep_chord_count_per_requested_steps(b, chords, monkeypatch):
     monkeypatch.setattr(montecarlo, "integral_fprime", level)
     for n in steps:
         first_passage_histogram(b, 1.0, MCConfig(16, n, seed=1), 4)
-    assert [k - 1 for k in nodes] == chords
+    assert [k - 1 for k in nodes] == chords[16]
+
+
+def _counts_at_reference_paths(b, x, n_steps):
+    """(chords, intervals) of the step rules before they scaled with the
+    path count, when every run took the counts of REFERENCE_PATHS paths."""
+    if not any(b.deriv_coeffs[1:]):
+        return 1, 0
+    need = b.horizon_s * math.sqrt(sup_abs_fsecond(b) / (8.0 * 2.5e-5))
+    chords = min(n_steps, max(16, math.ceil(need)))
+    return chords, 2 * math.ceil(min(16.0 * max(1.0, b.horizon_s / x / x), 2048.0))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.sampled_from([B_ZERO, B_UP, B_LIN, B_DOWN, B_STRONG, B_S2]),
+       st.sampled_from([2.0, 1.0, 0.5, 0.3, 1e-3]), st.integers(2, 5000),
+       st.integers(1, 10 ** 8), st.integers(1, 10 ** 8))
+def test_step_counts_grow_with_paths_from_a_floor(b, x, n_steps, n_a, n_b):
+    # nondecreasing in n_paths, never below the floor (n_steps caps the
+    # sweep's), and at REFERENCE_PATHS the counts of every run before
+    lo, hi = sorted((n_a, n_b))
+    chords, intervals = sweep_chords(b, n_steps, lo), fk_intervals(b, x, lo)
+    assert chords <= sweep_chords(b, n_steps, hi)
+    assert intervals <= fk_intervals(b, x, hi)
+    if any(b.deriv_coeffs[1:]):
+        assert chords >= min(n_steps, MIN_STEPS) and intervals >= MIN_STEPS
+    else:
+        assert (chords, intervals) == (1, 0)
+    assert ((sweep_chords(b, n_steps, REFERENCE_PATHS), fk_intervals(b, x, REFERENCE_PATHS))
+            == _counts_at_reference_paths(b, x, n_steps))
 
 
 def test_sweep_chords_take_every_step_past_float64_curvature():
     # sup |f''| overflows float64 on this level; every requested step is taken
     b = Boundary((0.0,) * 16 + (1e300,), 1e3)
-    assert sweep_chords(b, 50) == 50
+    assert sweep_chords(b, 50, 16) == sweep_chords(b, 50, REFERENCE_PATHS) == 50
 
 
 @functools.cache
@@ -251,11 +298,20 @@ def _oracle_bin_masses(b):
 @pytest.mark.parametrize("b", [B_LIN, B_STRONG], ids=["gentle", "strong"])
 @pytest.mark.parametrize("n_steps", [800, 2000])
 def test_sweep_at_the_rule_chords_matches_volterra_oracle(b, n_steps):
-    # 39 or 123 chords at both 800 and 2000 steps, whose worst bin the bias
-    # table puts within 0.016 of a 1M-path standard error
+    # 30 or 94 chords at 262,144 paths and both 800 and 2000 steps, whose
+    # worst bin the bias table puts within 0.0095 of this run's standard error
     h = first_passage_histogram(b, 1.0, MCConfig(262144, n_steps, seed=2026), 20,
                                 n_workers=2)
     stat, p = chi_square_vs_reference(h, _oracle_bin_masses(b))
+    assert p > 0.001
+
+
+def test_sweep_at_the_scaled_chords_matches_volterra_oracle():
+    # f' = 3t at 50,000 paths takes 68 chords, not the 123 of 1M paths
+    cfg = MCConfig(50000, 2000, seed=2027)
+    assert sweep_chords(B_STRONG, cfg.n_steps, cfg.n_paths) == 68
+    h = first_passage_histogram(B_STRONG, 1.0, cfg, 20, n_workers=2)
+    stat, p = chi_square_vs_reference(h, _oracle_bin_masses(B_STRONG))
     assert p > 0.001
 
 
@@ -566,7 +622,7 @@ def test_radial_step_mirror_steps_with_negated_normals():
 def test_fk_matches_a_per_block_float64_reference():
     # one block at a time, drawing per step its normals and then its
     # exponentials, as the estimator does, and stepping on the graded mesh
-    # u_j = s (1 - (1 - j/m)^2) with m = FK_INTERVALS.  Both take
+    # u_j = s (1 - (1 - j/m)^2) with the rule's m (20 at 20,000 paths).  Both take
     # the same draws in float64, so only rounding may part the means: they
     # must agree within 1e-9 standard error.  The reference sums the trapezoid
     # rules at m and at m/2 intervals (the even nodes), takes the Richardson
@@ -574,7 +630,7 @@ def test_fk_matches_a_per_block_float64_reference():
     # the same pair of the integrals with its exact mean
     cfg = MCConfig(n_paths=20000, n_steps=200, seed=23)
     est = bessel_bridge_fk(B_LIN, 1.0, cfg)
-    s, x, m = B_LIN.horizon_s, 1.0, FK_INTERVALS
+    s, x, m = B_LIN.horizon_s, 1.0, fk_intervals(B_LIN, 1.0, cfg.n_paths)
     t = s * (1.0 - (1.0 - np.arange(m + 1) / m) ** 2)
 
     def trapezoid_coef(nodes):
@@ -649,9 +705,9 @@ def test_fk_density_matches_volterra_oracle(b):
 
 
 def test_fk_richardson_on_the_coarsest_mesh_matches_volterra_oracle():
-    # FK's mesh from x0 = 1 at s = 1, m = 32 graded intervals at any --steps,
-    # where the plain trapezoid rule alone is biased by ~22 std errors at
-    # 400k paths
+    # FK's mesh from x0 = 1 at s = 1, m = 30 graded intervals at 400k paths
+    # and any --steps, where the plain trapezoid rule alone is biased by
+    # many std errors
     est = bessel_bridge_fk(B_LIN, 1.0, MCConfig(400000, 32, seed=810), n_workers=2)
     density, se = fk_density(B_LIN, 1.0, est)
     truth = hitting_density_at(B_LIN, 1.0, 1.0)[0]
@@ -676,15 +732,17 @@ def test_fk_control_variate_std_error():
 
 
 @pytest.mark.parametrize("b, x, intervals", [
-    (B_LIN, 1.0, 32), (B_STRONG, 1.0, 32), (B_LIN, 2.0, 32), (B_S2, 1.0, 64),
-    (B_LIN, 0.5, 128), (B_LIN, 0.3, 356), (B_LIN, 1e-3, 4096), (B_LIN, 5e-324, 4096),
-    (B_UP, 1.0, 0),
+    # intervals at REFERENCE_PATHS, 262,144, 50,000 and 16 paths
+    (B_LIN, 1.0, (32, 28, 24, 16)), (B_STRONG, 1.0, (32, 28, 24, 16)),
+    (B_LIN, 2.0, (32, 28, 24, 16)), (B_S2, 1.0, (64, 56, 46, 18)),
+    (B_LIN, 0.5, (128, 110, 90, 34)), (B_LIN, 0.3, (356, 302, 246, 90)),
+    (B_LIN, 1e-3, (4096,) * 4), (B_LIN, 5e-324, (4096,) * 4), (B_UP, 1.0, (0,) * 4),
 ], ids=["gentle", "strong", "far", "s2", "near", "nearer", "capped", "subnormal",
         "constant"])
 def test_fk_interval_count_per_level(b, x, intervals, monkeypatch):
-    # 32 max(1, s / x^2) intervals, even and at most 4096, and not --steps:
-    # the nodes that f'' is taken on say so (the run stops there), and a
-    # constant f' takes none
+    # 32 max(1, s / x^2) (n_paths / REFERENCE_PATHS)^(1/8) intervals, even,
+    # at least 16 and at most 4096, and not --steps: the nodes that f'' is
+    # taken on say so (the run stops there), and a constant f' takes none
     class Taken(Exception):
         pass
 
@@ -692,14 +750,19 @@ def test_fk_interval_count_per_level(b, x, intervals, monkeypatch):
         raise Taken(np.size(t) - 1)
 
     monkeypatch.setattr(montecarlo, "eval_fsecond", fsecond)
-    assert fk_intervals(b, x) == intervals
+    counts = [fk_intervals(b, x, n_paths) for n_paths in (REFERENCE_PATHS, 262144, 50000, 16)]
+    assert tuple(counts) == intervals
+    # 16 paths scale the count by 0.25, so they take the floor wherever
+    # s / x^2 < 2
+    if intervals[0] and b.horizon_s < 2.0 * x * x:
+        assert intervals[-1] == MIN_STEPS
     for n in (2, 32, 400, 800, 2000):
-        if not intervals:
+        if not intervals[-1]:
             assert bessel_bridge_fk(b, x, MCConfig(16, n, seed=1)).mean == 1.0
             continue
         with pytest.raises(Taken) as taken:
             bessel_bridge_fk(b, x, MCConfig(16, n, seed=1))
-        assert taken.value.args == (intervals,)
+        assert taken.value.args == (intervals[-1],)
 
 
 def test_fk_at_the_rule_intervals_matches_volterra_oracle():
@@ -708,6 +771,16 @@ def test_fk_at_the_rule_intervals_matches_volterra_oracle():
     b = parse_boundary("s=1; fprime=0,0,2")
     est = bessel_bridge_fk(b, 1.0, MCConfig(1_000_000, 2000, seed=812), n_workers=2)
     density, se = fk_density(b, 1.0, est)
+    truth = hitting_density_at(b, 1.0, 1.0)[0]
+    assert abs(density - truth) <= 4.0 * se
+
+
+def test_fk_at_the_scaled_intervals_matches_volterra_oracle():
+    # f' = 2t^2 at 50,000 paths takes 24 intervals, not the 32 of 1M paths
+    b = parse_boundary("s=1; fprime=0,0,2")
+    cfg = MCConfig(50000, 2000, seed=813)
+    assert fk_intervals(b, 1.0, cfg.n_paths) == 24
+    density, se = fk_density(b, 1.0, bessel_bridge_fk(b, 1.0, cfg, n_workers=2))
     truth = hitting_density_at(b, 1.0, 1.0)[0]
     assert abs(density - truth) <= 4.0 * se
 
