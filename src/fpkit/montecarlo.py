@@ -4,14 +4,18 @@ Two estimators:
 
 * ``first_passage_histogram`` -- first-passage times of standard
   Brownian motion to the moving level x0 + int_0^t f'.  ``n_steps`` = n
-  asks for min(n, max(MIN_STEPS, c)) uniform steps (``sweep_chords``),
-  where c is the fewest chords that the level's sup |f''| keeps within
-  CHORD_GAP of it at REFERENCE_PATHS paths, scaled by
-  (n_paths / REFERENCE_PATHS)^(1/5); n only caps the count.
-  Each step replaces the level by its chord; a path crosses inside a step
+  asks for min(n, c) uniform steps (``sweep_chords``), where c is the
+  fewest chords that the level's sup |f''| keeps within
+  CHORD_GAP min(1, x0) of it at REFERENCE_PATHS paths, scaled by
+  (n_paths / REFERENCE_PATHS)^(1/5), and at least COARSE_CHORDS; n only
+  caps the count.  Each step replaces the level by its chord through
+  nodes lowered by the chords' mean gap, f''(t_j) h^2 / 12
+  (``sweep_level``); a path crosses inside a step
   with the Brownian-bridge probability exp(-2 d1 d2 / dt), and every
   crossing gets its exact time inside its step (``_hit_times``).  The
-  sweep strides ``COARSE_CHORDS`` steps at a time on one normal per path.
+  sweep strides over its steps in the fewest strides of at most
+  ``COARSE_CHORDS`` steps, as even as the steps allow, on one normal per
+  path a stride.
   Every chord of a stride lies at or above its lowest level node L, and
   a path's bridge over the stride is tested against L in two stages:
   a path that meets L with chance below 2**-64 skips the stride with no
@@ -49,7 +53,9 @@ evenly, so the rules take smaller powers: the sweep 1/5, since its worst
 bin also swings with where the chords fall against the bins, and FK
 1/8, since its bias hardly falls from 16 to 24 intervals.  The bias
 tables in CHANGES.md set each rule's constant at REFERENCE_PATHS paths,
-where the scale is exactly 1, and its power at 50,000 to 262,144 paths.
+where the scale is exactly 1, and its power at 50,000 to 262,144 paths;
+``tests/step_bias.py`` reprints the sweep's table, with a scan of every
+chord count that the rule takes between 50,000 and 1,000,000 paths.
 
 Reproducibility contract: random streams belong to fixed 8,192-path
 blocks, and block ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``.
@@ -82,9 +88,9 @@ BLOCK_SIZE = 1 << 13
 #: most paths in one work unit, the contiguous run of blocks one worker
 #: steps as a single vector
 MAX_UNIT_PATHS = 1 << 16
-#: chords per stride of the first-passage sweep; one normal per path covers
-#: a stride, and only paths that meet the stride's lowest level node see
-#: its chords
+#: most chords per stride of the first-passage sweep, and the fewest chords
+#: of a curved level (one stride); one normal per path covers a stride, and
+#: only paths that meet the stride's lowest level node see its chords
 COARSE_CHORDS = 8
 #: most paths that one ``_refine`` call takes, which bounds the working
 #: memory of a unit's refinement (~220 bytes a path at 8 chords, draws
@@ -103,19 +109,18 @@ REFERENCE_PATHS = 1_000_000
 #: at 0.2 to 0.56 of a 1M-path standard error anywhere from 16 to 24
 #: intervals, and 1/8 keeps every level within 0.1 of the run's own
 FK_PATH_POWER = 0.125
-#: that power for the sweep's chords: its worst bin swings by about +-20%
-#: with where the chords fall against the bins, and the chord bias table in
-#: CHANGES.md takes 1/5, not 1/4, to keep every level within 0.06 of the
-#: run's own standard error
+#: that power for the sweep's chords: the chord bias table in CHANGES.md
+#: holds every level within 0.06 of the run's own standard error at 1/5
+#: and CHORD_GAP, across its chord scan from 50,000 to 1,000,000 paths; the
+#: worst bin swings by up to 2x with where the chords fall against the bins
 CHORD_PATH_POWER = 0.2
-#: largest gap, sup |f''| h^2 / 8, between the level and a chord of width h
-#: that ``sweep_chords`` lets a level's curvature ask for at REFERENCE_PATHS
-#: paths; at the rule's chords, no level of the bias table in CHANGES.md
-#: has a bin biased by 0.06 of the run's own standard error
-CHORD_GAP = 2.5e-5
-#: fewest chords the sweep takes of a curved level when ``n_steps`` allows
-#: them, however gentle the level, and fewest intervals of FK's mesh; the
-#: smallest count either bias table measured
+#: largest gap, sup |f''| h^2 / (8 min(1, x0)), between the level and a
+#: chord of width h, in units of the start x0 when x0 < 1, that
+#: ``sweep_chords`` lets a level's curvature ask for at REFERENCE_PATHS
+#: paths; the sweep's nodes are shifted by the chords' mean gap, so this
+#: bounds the gap that the shift leaves in shape, not in mean
+CHORD_GAP = 1.25e-4
+#: fewest intervals of FK's mesh; the smallest count its bias table measured
 MIN_STEPS = 16
 #: intervals of FK's graded mesh per unit of s / x^2 at REFERENCE_PATHS
 #: paths; at the rule's intervals, no level of the FK bias table in
@@ -189,24 +194,40 @@ class DensityComparison:
     z_scores: np.ndarray
 
 
-def sweep_chords(b: Boundary, n_steps: int, n_paths: int) -> int:
-    """Uniform chords of the first-passage sweep of ``n_paths`` paths over
-    [0, s] when ``n_steps`` = n are asked for: 1 for a level with constant
-    f', which is its own chord, and otherwise min(n, max(MIN_STEPS, c)).
-    At REFERENCE_PATHS paths c is the fewest chords of width h = s/c whose
-    gap from the level, at most sup |f''| h^2 / 8, is within CHORD_GAP;
-    other runs scale it by (n_paths / REFERENCE_PATHS)^CHORD_PATH_POWER,
-    which holds the chords' bias within a fixed share of the run's own
-    standard error.  n only caps the count."""
+def sweep_chords(b: Boundary, x0: float, n_steps: int, n_paths: int) -> int:
+    """Uniform chords of the first-passage sweep of ``n_paths`` paths from
+    ``x0`` over [0, s] when ``n_steps`` = n are asked for: 1 for a level with
+    constant f', which is its own chord, and otherwise min(n, c), c at
+    least COARSE_CHORDS, one stride.  At REFERENCE_PATHS paths c is the
+    fewest chords of width h = s / c whose gap from the level, at most
+    sup |f''| h^2 / 8, is within CHORD_GAP min(1, x0): by Brownian
+    scaling, the sweep from x0 is the sweep from 1 with the gap divided by
+    x0.  Other runs scale that count by
+    (n_paths / REFERENCE_PATHS)^CHORD_PATH_POWER, which holds the chords'
+    bias within a fixed share of the run's own standard error.  n only caps
+    the count."""
     if not any(b.deriv_coeffs[1:]):
         return 1
-    # a sup |f''| past float64 (inf or NaN) asks for every step
+    # a sup |f''| past float64 (inf or NaN), or a subnormal start, asks for
+    # every step
     with np.errstate(over="ignore", invalid="ignore"):
         need = b.horizon_s * math.sqrt(sup_abs_fsecond(b) / (8.0 * CHORD_GAP))
-    need *= (n_paths / REFERENCE_PATHS) ** CHORD_PATH_POWER
+    need *= (n_paths / REFERENCE_PATHS) ** CHORD_PATH_POWER / math.sqrt(min(1.0, x0))
     if not need < n_steps:
         return n_steps
-    return min(n_steps, max(MIN_STEPS, math.ceil(need)))
+    return min(n_steps, max(COARSE_CHORDS, math.ceil(need)))
+
+
+def sweep_level(b: Boundary, x0: float, n_chords: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep's ``n_chords`` + 1 uniform node times t_j on [0, s] and its
+    level there, x0 + int_0^t_j f' - f''(t_j) h^2 / 12 with h = s / n_chords.
+    A chord of width h lies f'' h^2 / 12 above a level of curvature f'' on
+    average, and the shift removes that mean gap; a level with constant f'
+    takes a shift of exactly 0."""
+    t_nodes = np.linspace(0.0, b.horizon_s, n_chords + 1)
+    h = b.horizon_s / n_chords
+    shift = eval_fsecond(b, t_nodes) * (h * h / 12.0)
+    return t_nodes, x0 + integral_fprime(b, 0.0, t_nodes) - shift
 
 
 def fk_intervals(b: Boundary, x: float, n_paths: int) -> int:
@@ -400,18 +421,23 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
     """Empirical first-passage histogram of Brownian motion to the moving level.
 
     Paths start at 0; the level at time t is x0 + int_0^t f'(u) du, taken
-    as its chord over each of ``sweep_chords(b, cfg.n_steps, cfg.n_paths)``
-    uniform steps, at most ``cfg.n_steps``; the bias table in CHANGES.md,
-    of the chords against the Volterra oracle, set CHORD_GAP at
-    REFERENCE_PATHS paths and CHORD_PATH_POWER.  A path crosses
+    as a chord over each of ``sweep_chords(b, x0, cfg.n_steps, cfg.n_paths)``
+    uniform steps, at most ``cfg.n_steps``.  The chords join the nodes of
+    ``sweep_level``, each lowered by f''(t_j) h^2 / 12: a chord lies that
+    far above a level of curvature f'' on average, and the shift gives 1.6
+    to 14 times less bias at equal chords.  The bias table in CHANGES.md
+    (``tests/step_bias.py``), of the chords against the Volterra oracle,
+    set CHORD_GAP at REFERENCE_PATHS paths and CHORD_PATH_POWER.  A path crosses
     when an Euler endpoint reaches the level or, between two endpoints
     below it, with the Brownian-bridge probability exp(-2 d1 d2 / dt); the
     crossing time inside the step is then drawn exactly (``_hit_times``).
-    A level with constant f' is its own chord, so it takes one step over
-    [0, s] and its histogram is exact in law; a curved level errs only by
-    the chords, however the bins sit against the steps.
+    A level with constant f' is its own chord and takes a shift of 0, so
+    it takes one step over [0, s] and its histogram is exact in law; a
+    curved level errs only by the chords, however the bins sit against the
+    steps.
 
-    The sweep strides ``COARSE_CHORDS`` chords at a time, with one normal
+    The sweep takes its chords in the fewest strides of at most
+    ``COARSE_CHORDS`` chords, as even as the chords allow, with one normal
     per path for its position at the stride's end.  The chords lie at or
     above the stride's lowest level node L, so a path can meet them only
     if its bridge over the stride meets L, which it does with chance
@@ -428,18 +454,17 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
     is timed inside its chord from the chord's start or tau, whichever
     is later.  Each block draws for its own paths from its own stream, and
     the arithmetic runs once per unit and stride, at most REFINE_PATHS
-    paths a call.  A stride of one chord is the plain step: a normal and
-    an exponential for every path.
+    paths a call.  A stride of one chord, a level with constant f', is the
+    plain step: a normal and an exponential for every path.
     """
     if not x0 > 0.0:
         raise ValueError(f"x0 must be positive, got {x0}")
     if n_bins < 1:
         raise ValueError("need at least one bin")
     s = b.horizon_s
-    n_chords = sweep_chords(b, cfg.n_steps, cfg.n_paths)
+    n_chords = sweep_chords(b, x0, cfg.n_steps, cfg.n_paths)
     dt = s / n_chords
-    t_nodes = np.linspace(0.0, s, n_chords + 1)
-    level = x0 + integral_fprime(b, 0.0, t_nodes)
+    t_nodes, level = sweep_level(b, x0, n_chords)
     # the sweep's float32 products of two distances below the level, d1 d2,
     # stay finite (below 3.4e38) while |level| < 1e19
     peak = float(np.max(np.abs(level)))
@@ -447,6 +472,10 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
         raise NumericalError(f"level x0 + int_0^t f' reaches {peak:.3g}; the float32 "
                              "sweep takes |level| < 1e19")
     level = level.astype(np.float32)
+    # the fewest strides of at most COARSE_CHORDS chords, as even as the
+    # chords allow: no stride is a lone chord unless the level is one
+    n_strides = -(-n_chords // COARSE_CHORDS)
+    cuts = [i * n_chords // n_strides for i in range(n_strides + 1)]
     edges = np.linspace(0.0, s, n_bins + 1)
     sqrt_dt = np.float32(np.sqrt(dt))
     half_dt = np.float32(0.5 * dt)
@@ -461,8 +490,8 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
         # per plain step or ``_refine`` call: the paths first crossing in it
         # and their crossing times
         hits = [(np.empty(0, dtype=np.intp), np.empty(0))]
-        for j in range(0, n_chords, COARSE_CHORDS):
-            k = min(COARSE_CHORDS, n_chords - j)
+        for j, end in zip(cuts, cuts[1:]):
+            k = end - j
             for rng, part in streams:
                 rng.standard_normal(dtype=np.float32, out=z[part])
             if k == 1:

@@ -379,10 +379,10 @@ def test_simulate_threads_do_not_change_outputs(tmp_path):
 
 
 def test_simulate_records_the_requested_steps(tmp_path):
-    # at 200 paths the sweep takes 16 chords of 400 on the curved level and
-    # FK 16 intervals, the rules' floor, but both sidecars keep the --steps
-    # that was asked for, and feynman_kac.json the intervals that FK took
-    # (none for a constant f')
+    # at 200 paths the sweep takes one 8-chord stride of 400 on the curved
+    # level and FK 16 intervals, the rules' floors, but both sidecars keep
+    # the --steps that was asked for, and feynman_kac.json the intervals
+    # that FK took (none for a constant f')
     for boundary, intervals in (("s=1; fprime=0.5,0.3", 16), ("s=1; fprime=0.5", 0)):
         out = tmp_path / str(intervals)
         assert main(["simulate", "--boundary", boundary, "--paths", "200",
@@ -399,16 +399,16 @@ def test_simulate_records_the_intervals_that_fk_stepped(paths, intervals, tmp_pa
     # which follows --paths; each estimator steps only the first block's
     # paths, so the 1M-path run stays cheap while both rules see --paths
     seen = []
-    original_fsecond, original_blocks = mc.eval_fsecond, mc._run_blocks
+    original_mesh, original_blocks = mc._graded_mesh, mc._run_blocks
 
-    def fsecond(b, t):
-        seen.append(np.size(t) - 1)
-        return original_fsecond(b, t)
+    def mesh(s, m):
+        seen.append(m)
+        return original_mesh(s, m)
 
     def first_block(worker, seed, n_paths, n_workers):
         return original_blocks(worker, seed, min(n_paths, mc.BLOCK_SIZE), n_workers)
 
-    monkeypatch.setattr(mc, "eval_fsecond", fsecond)
+    monkeypatch.setattr(mc, "_graded_mesh", mesh)
     monkeypatch.setattr(mc, "_run_blocks", first_block)
     assert main(["simulate", "--boundary", "s=1; fprime=0.5,0.3", "--paths", str(paths),
                  "--steps", "800", "--out", str(tmp_path)]) == 0

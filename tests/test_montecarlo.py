@@ -10,14 +10,16 @@ from scipy.stats import invgauss, kstest, norm
 
 from chi_square import chi_square_two_sample, chi_square_vs_reference
 from fpkit import montecarlo
-from fpkit.boundary import Boundary, eval_fsecond, parse_boundary, sup_abs_fsecond
+from fpkit.boundary import (Boundary, eval_fsecond, integral_fprime, parse_boundary,
+                            sup_abs_fsecond)
 from fpkit.grids import NumericalError
 from fpkit.montecarlo import (BLOCK_SIZE, COARSE_CHORDS, MAX_UNIT_PATHS, MIN_STEPS,
                               REFERENCE_PATHS, DensityHistogram, MCConfig,
                               bessel_bridge_fk, compare_density,
                               first_passage_histogram, fk_intervals, kappa_time_density,
-                              reference_time_density, sweep_chords, _bin_masses,
+                              reference_time_density, sweep_chords, sweep_level, _bin_masses,
                               _bridge_nodes, _hit_times, _radial_step, _refine)
+from step_bias import worst_bin
 from volterra_oracle import fk_density, hitting_bin_masses, hitting_density_at, trapezoid_density
 
 B_ZERO = parse_boundary("s=1; fprime=0")
@@ -143,7 +145,7 @@ def test_constant_slope_histogram_matches_bachelier_levy(slope, n_bins):
 
 def test_curved_level_histogram_independent_of_step_grid():
     # exact in-step crossing times leave a curved level only the chord error,
-    # so 10 chords (two bins each) and the 30 that the rule takes at
+    # so 10 chords (two bins each) and the 14 that the rule takes at
     # 262,144 paths give one law at this size
     coarse = first_passage_histogram(B_LIN, 1.0, MCConfig(262144, 10, seed=31), 20)
     fine = first_passage_histogram(B_LIN, 1.0, MCConfig(262144, 2000, seed=32), 20)
@@ -153,8 +155,8 @@ def test_curved_level_histogram_independent_of_step_grid():
 
 @pytest.mark.parametrize("slope, n_bins", [(0.7, 20), (-0.5, 17)])
 def test_line_through_chord_sweep_matches_bachelier_levy(slope, n_bins):
-    # a 1e-300 curvature keeps the chord sweep (16 chords at --steps 200),
-    # strides and bridge refinement included, while the level equals
+    # a 1e-300 curvature keeps the chord sweep (one 8-chord stride at
+    # --steps 200), bridge refinement included, while the level equals
     # x0 + c t to float64; the strided chords are then exact, so
     # Bachelier-Levy is the law
     x0 = 1.0
@@ -167,23 +169,25 @@ def test_line_through_chord_sweep_matches_bachelier_levy(slope, n_bins):
 
 
 @pytest.mark.parametrize("b, x0, n_steps, chords", [
-    (B_LIN, 1.0, 36, 30),
-    (B_DOWN, 1.0, 36, 30),
+    (B_LIN, 1.0, 36, 14),
+    (B_DOWN, 1.0, 36, 14),
     # 40 chords: falls ~1.6 per 8-chord stride near t = 0.2, where its paths
     # cross: a path above a stride's lowest node must be refined, not skipped
     (parse_boundary("s=1; fprime=0,-40"), 2.0, 40, 40),
     # lowest at t = 0.5, inside the third stride: paths meet L mid-stride
-    (parse_boundary("s=1; fprime=-1,2"), 1.0, 36, 36),
+    (parse_boundary("s=1; fprime=-1,2"), 1.0, 36, 35),
     # a start near the level: most near paths reach each stride's L
     (B_LIN, 0.2, 36, 30),
 ], ids=["rising", "falling", "steep", "dip", "near"])
 def test_strided_sweep_matches_chord_by_chord_sweep(b, x0, n_steps, chords, monkeypatch):
-    # one chord per stride is the plain per-chord sweep; at 262,144 paths
-    # the rule takes 30 chords of either gentle level, which end on a
-    # 6-chord stride, and the others take every requested step
-    assert sweep_chords(b, n_steps, 262144) == chords
+    # one chord per stride is the plain per-chord sweep, on the same chords;
+    # at 262,144 paths the rule takes 14 chords of either gentle level from
+    # x0 = 1 (two strides of 7), 30 from x0 = 0.2 and 35 of the dip (five
+    # strides of 7), and the steep level takes every requested step
+    assert sweep_chords(b, x0, n_steps, 262144) == chords
     strided = first_passage_histogram(b, x0, MCConfig(262144, n_steps, seed=41), 20, n_workers=2)
     monkeypatch.setattr(montecarlo, "COARSE_CHORDS", 1)
+    assert sweep_chords(b, x0, n_steps, 262144) == chords
     plain = first_passage_histogram(b, x0, MCConfig(262144, n_steps, seed=42), 20, n_workers=2)
     stat, p = chi_square_two_sample(strided, plain)
     assert p > 0.001
@@ -194,16 +198,15 @@ def test_far_curved_level_skips_every_stride(monkeypatch):
         raise AssertionError("a stride refined a path 8 standard deviations off")
 
     monkeypatch.setattr(montecarlo, "_refine", refine)
-    # 18 chords at 20,000 paths: strides of 8, 8 and 2 chords, none a
-    # plain step
-    assert sweep_chords(B_LIN, 100, 20000) == 18
+    # one 8-chord stride at 20,000 paths, not a plain step
+    assert sweep_chords(B_LIN, 8.0, 100, 20000) == COARSE_CHORDS
     h = first_passage_histogram(B_LIN, 8.0, MCConfig(20000, 100, seed=5), 10)
     assert h.n_crossed == 0
     assert not np.any(h.masses)
 
 
 def test_stride_refines_only_the_paths_that_reach_its_lowest_node(monkeypatch):
-    # at the simulate size ~8% of path-strides reach L; only those are
+    # on 3t at 50,000 paths ~5% of path-strides reach L; only those are
     # refined
     refined = []
     original = montecarlo._refine
@@ -213,35 +216,36 @@ def test_stride_refines_only_the_paths_that_reach_its_lowest_node(monkeypatch):
         return original(tau, *args)
 
     monkeypatch.setattr(montecarlo, "_refine", refine)
-    # 22 chords at 50,000 paths: strides of 8, 8 and 6 chords
-    n_strides = -(-sweep_chords(B_LIN, 800, 50000) // COARSE_CHORDS)
-    assert n_strides == 3
-    first_passage_histogram(B_LIN, 1.0, MCConfig(50000, 800, seed=7), 20, n_workers=2)
+    # 31 chords at 50,000 paths: four strides of 7 or 8 chords
+    n_strides = -(-sweep_chords(B_STRONG, 1.0, 800, 50000) // COARSE_CHORDS)
+    assert n_strides == 4
+    first_passage_histogram(B_STRONG, 1.0, MCConfig(50000, 800, seed=7), 20, n_workers=2)
     assert 0 < sum(refined) <= 0.1 * 50000 * n_strides
 
 
 @pytest.mark.parametrize("b, chords", [
-    # at REFERENCE_PATHS, c = ceil(s sqrt(sup |f''| / (8 CHORD_GAP))) is 39 at
-    # f'' = 0.3 and 123 at f'' = 3, and (n_paths / REFERENCE_PATHS)^(1/5) of
-    # it elsewhere; past c, more requested steps add no chord
-    (B_LIN, {REFERENCE_PATHS: [2, 10, 16, 17, 39, 39, 39],
-             262144: [2, 10, 16, 17, 30, 30, 30],
-             50000: [2, 10, 16, 17, 22, 22, 22],
-             16: [2, 10, 16, 16, 16, 16, 16]}),
-    (B_STRONG, {REFERENCE_PATHS: [2, 10, 16, 17, 123, 123, 123],
-                262144: [2, 10, 16, 17, 94, 94, 94],
-                50000: [2, 10, 16, 17, 68, 68, 68],
-                16: [2, 10, 16, 16, 16, 16, 16]}),
+    # from x0 = 1 at REFERENCE_PATHS, c = ceil(s sqrt(sup |f''| / (8 CHORD_GAP)))
+    # is 18 at f'' = 0.3 and 55 at f'' = 3, and it scales by
+    # (n_paths / REFERENCE_PATHS)^(1/5) elsewhere, one 8-chord stride at
+    # least; past c, more requested steps add no chord
+    (B_LIN, {REFERENCE_PATHS: [2, 10, 16, 17, 18, 18, 18],
+             262144: [2, 10, 14, 14, 14, 14, 14],
+             50000: [2, 10, 10, 10, 10, 10, 10],
+             16: [2, 8, 8, 8, 8, 8, 8]}),
+    (B_STRONG, {REFERENCE_PATHS: [2, 10, 16, 17, 55, 55, 55],
+                262144: [2, 10, 16, 17, 42, 42, 42],
+                50000: [2, 10, 16, 17, 31, 31, 31],
+                16: [2, 8, 8, 8, 8, 8, 8]}),
     (B_UP, {n_paths: [1] * 7 for n_paths in (REFERENCE_PATHS, 262144, 50000, 16)}),
 ], ids=["gentle", "strong", "constant"])
 def test_sweep_chord_count_per_requested_steps(b, chords, monkeypatch):
-    # min(n, max(16, c)) chords of n requested: the sweep's level nodes say
-    # so at 16 paths, where a curved level takes the floor, min(n, 16)
+    # min(n, c) chords of n requested: the sweep's level nodes say so at 16
+    # paths, where a curved level takes one stride, min(n, 8)
     steps = (2, 10, 16, 17, 400, 800, 2000)
     for n_paths, counts in chords.items():
-        assert [sweep_chords(b, n, n_paths) for n in steps] == counts, n_paths
+        assert [sweep_chords(b, 1.0, n, n_paths) for n in steps] == counts, n_paths
     if b is not B_UP:
-        assert chords[16] == [min(n, MIN_STEPS) for n in steps]
+        assert chords[16] == [min(n, COARSE_CHORDS) for n in steps]
     nodes = []
     original = montecarlo.integral_fprime
 
@@ -256,12 +260,13 @@ def test_sweep_chord_count_per_requested_steps(b, chords, monkeypatch):
 
 
 def _counts_at_reference_paths(b, x, n_steps):
-    """(chords, intervals) of the step rules before they scaled with the
-    path count, when every run took the counts of REFERENCE_PATHS paths."""
+    """(chords, intervals) of the step rules at REFERENCE_PATHS paths: the
+    chords within a gap of 1.25e-4 min(1, x) of the level, 8 at least, and
+    FK's count of every run before the rules scaled with the path count."""
     if not any(b.deriv_coeffs[1:]):
         return 1, 0
-    need = b.horizon_s * math.sqrt(sup_abs_fsecond(b) / (8.0 * 2.5e-5))
-    chords = min(n_steps, max(16, math.ceil(need)))
+    need = b.horizon_s * math.sqrt(sup_abs_fsecond(b) / (8.0 * 1.25e-4)) / math.sqrt(min(1.0, x))
+    chords = min(n_steps, max(8, math.ceil(need)))
     return chords, 2 * math.ceil(min(16.0 * max(1.0, b.horizon_s / x / x), 2048.0))
 
 
@@ -270,24 +275,24 @@ def _counts_at_reference_paths(b, x, n_steps):
        st.sampled_from([2.0, 1.0, 0.5, 0.3, 1e-3]), st.integers(2, 5000),
        st.integers(1, 10 ** 8), st.integers(1, 10 ** 8))
 def test_step_counts_grow_with_paths_from_a_floor(b, x, n_steps, n_a, n_b):
-    # nondecreasing in n_paths, never below the floor (n_steps caps the
-    # sweep's), and at REFERENCE_PATHS the counts of every run before
+    # nondecreasing in n_paths, never below the floors (n_steps caps the
+    # sweep's), and at REFERENCE_PATHS the counts written out above
     lo, hi = sorted((n_a, n_b))
-    chords, intervals = sweep_chords(b, n_steps, lo), fk_intervals(b, x, lo)
-    assert chords <= sweep_chords(b, n_steps, hi)
+    chords, intervals = sweep_chords(b, x, n_steps, lo), fk_intervals(b, x, lo)
+    assert chords <= sweep_chords(b, x, n_steps, hi)
     assert intervals <= fk_intervals(b, x, hi)
     if any(b.deriv_coeffs[1:]):
-        assert chords >= min(n_steps, MIN_STEPS) and intervals >= MIN_STEPS
+        assert chords >= min(n_steps, COARSE_CHORDS) and intervals >= MIN_STEPS
     else:
         assert (chords, intervals) == (1, 0)
-    assert ((sweep_chords(b, n_steps, REFERENCE_PATHS), fk_intervals(b, x, REFERENCE_PATHS))
+    assert ((sweep_chords(b, x, n_steps, REFERENCE_PATHS), fk_intervals(b, x, REFERENCE_PATHS))
             == _counts_at_reference_paths(b, x, n_steps))
 
 
 def test_sweep_chords_take_every_step_past_float64_curvature():
     # sup |f''| overflows float64 on this level; every requested step is taken
     b = Boundary((0.0,) * 16 + (1e300,), 1e3)
-    assert sweep_chords(b, 50, 16) == sweep_chords(b, 50, REFERENCE_PATHS) == 50
+    assert sweep_chords(b, 1.0, 50, 16) == sweep_chords(b, 1.0, 50, REFERENCE_PATHS) == 50
 
 
 @functools.cache
@@ -298,8 +303,8 @@ def _oracle_bin_masses(b):
 @pytest.mark.parametrize("b", [B_LIN, B_STRONG], ids=["gentle", "strong"])
 @pytest.mark.parametrize("n_steps", [800, 2000])
 def test_sweep_at_the_rule_chords_matches_volterra_oracle(b, n_steps):
-    # 30 or 94 chords at 262,144 paths and both 800 and 2000 steps, whose
-    # worst bin the bias table puts within 0.0095 of this run's standard error
+    # 14 or 42 chords at 262,144 paths and both 800 and 2000 steps, whose
+    # worst bin the bias table puts within 0.06 of this run's standard error
     h = first_passage_histogram(b, 1.0, MCConfig(262144, n_steps, seed=2026), 20,
                                 n_workers=2)
     stat, p = chi_square_vs_reference(h, _oracle_bin_masses(b))
@@ -307,12 +312,77 @@ def test_sweep_at_the_rule_chords_matches_volterra_oracle(b, n_steps):
 
 
 def test_sweep_at_the_scaled_chords_matches_volterra_oracle():
-    # f' = 3t at 50,000 paths takes 68 chords, not the 123 of 1M paths
+    # f' = 3t at 50,000 paths takes 31 chords, not the 55 of 1M paths
     cfg = MCConfig(50000, 2000, seed=2027)
-    assert sweep_chords(B_STRONG, cfg.n_steps, cfg.n_paths) == 68
+    assert sweep_chords(B_STRONG, 1.0, cfg.n_steps, cfg.n_paths) == 31
     h = first_passage_histogram(B_STRONG, 1.0, cfg, 20, n_workers=2)
     stat, p = chi_square_vs_reference(h, _oracle_bin_masses(B_STRONG))
     assert p > 0.001
+
+
+def test_sweep_from_a_small_start_matches_volterra_oracle():
+    # 0.5 + 0.3t from x0 = 0.3, the tightest level of the unshifted chords'
+    # bias table, takes 25 chords at 262,144 paths
+    cfg = MCConfig(262144, 2000, seed=2028)
+    assert sweep_chords(B_LIN, 0.3, cfg.n_steps, cfg.n_paths) == 25
+    h = first_passage_histogram(B_LIN, 0.3, cfg, 20, n_workers=2)
+    stat, p = chi_square_vs_reference(h, hitting_bin_masses(B_LIN, 0.3, 20))
+    assert p > 0.001
+
+
+@pytest.mark.parametrize("b", [B_UP, B_ZERO, parse_boundary("s=2; fprime=-0.7"),
+                               Boundary((0.7, 1e-300), 1.0)],
+                         ids=["rising", "fixed", "falling-s2", "line-through"])
+def test_sweep_level_of_a_line_is_unshifted(b):
+    # the shift -f''(t_j) h^2 / 12 is exactly 0 where f' is constant (and
+    # rounds away at a curvature of 1e-300): the nodes are x0 + int_0^t f'
+    for chords in (1, 7, 22):
+        t, level = sweep_level(b, 1.3, chords)
+        assert t.tobytes() == np.linspace(0.0, b.horizon_s, chords + 1).tobytes()
+        assert level.tobytes() == (1.3 + integral_fprime(b, 0.0, t)).tobytes()
+
+
+@pytest.mark.parametrize("b", [B_LIN, B_STRONG, B_S2, parse_boundary("s=1; fprime=0,0,2")],
+                         ids=["gentle", "strong", "s2", "quadratic"])
+def test_sweep_level_shifts_each_node_by_the_chords_mean_gap(b, monkeypatch):
+    # a chord of width h lies f'' h^2 / 12 above the level on average; each
+    # node is lowered by f''(t_j) h^2 / 12, and the sweep steps those nodes
+    cfg = MCConfig(20000, 2000, seed=3)
+    chords = sweep_chords(b, 1.0, cfg.n_steps, cfg.n_paths)
+    h = b.horizon_s / chords
+    t, level = sweep_level(b, 1.0, chords)
+    unshifted = 1.0 + integral_fprime(b, 0.0, t)
+    np.testing.assert_allclose(unshifted - level, eval_fsecond(b, t) * h * h / 12.0,
+                               rtol=1e-9, atol=1e-15)
+    strides = []
+    original = montecarlo._refine
+
+    def refine(tau, start, end, normals, expo, stride, dt):
+        strides.append(stride)
+        return original(tau, start, end, normals, expo, stride, dt)
+
+    monkeypatch.setattr(montecarlo, "_refine", refine)
+    first_passage_histogram(b, 1.0, cfg, 10)
+    # the first stride's level nodes, in the sweep's float32
+    assert strides[0].size > 2
+    assert strides[0].tobytes() == level[:strides[0].size].astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("spec, x0", [("s=1; fprime=0.5,0.3", 0.3), ("s=1; fprime=0,3", 0.5)],
+                         ids=["gentle-from-0.3", "strong-from-0.5"])
+@pytest.mark.parametrize("n_paths", [50000, REFERENCE_PATHS])
+def test_rule_chords_hold_the_bias_table(spec, x0, n_paths):
+    # the chord bias table's tightest rows: at the rule's own chords the
+    # shifted chord level's worst bin is within 0.06 of the run's standard
+    # error, against the smooth level's Volterra bin masses
+    chords = sweep_chords(parse_boundary(spec), x0, 2000, n_paths)
+    assert worst_bin(spec, x0, chords, n_paths) <= 0.06
+
+
+def test_bias_table_reprints_an_unshifted_cell():
+    # 22 unshifted chords on 0.5 + 0.3t from x0 = 1 at 50,000 paths:
+    # CHANGES.md's table printed 0.0065
+    assert round(worst_bin("s=1; fprime=0.5,0.3", 1.0, 22, 50000, shifted=False), 4) == 0.0065
 
 
 def _drawn_hit_times(rng, a, d2, dt):
