@@ -167,18 +167,9 @@ OPTIONS = (
     Option("--x0", _MC, float, 1.0, "initial distance to the level"),
     Option("--paths", _MC, int, 100000, "number of paths"),
     Option("--steps", _MC, int, 2000,
-           "cap n on the sweep's uniform chords, and on nothing else: the sweep "
-           "takes min(n, c), c the fewest chords within "
-           f"{mc.CHORD_GAP:g} min(1, x0) of the level by its sup |f''|, times "
-           f"(paths/1e6)^(1/5), at least {mc.COARSE_CHORDS} (one stride), through "
-           "nodes lowered by the chords' mean gap f'' h^2/12; simulate's Feynman-Kac "
-           f"takes its own {mc.FK_INTERVALS} max(1, s/x0^2) (paths/1e6)^(1/8) "
-           f"intervals graded toward s, even, at least {mc.MIN_STEPS} and at most "
-           f"{mc.FK_MAX_INTERVALS}, whatever n is, and feynman_kac.json's n_steps is "
-           "this cap, which it does not read. Both counts are set at "
-           f"{mc.REFERENCE_PATHS:,} paths and scale so that bias stays within a fixed "
-           "share of the run's own standard error (constant f' takes one chord and "
-           "no Feynman-Kac step)"),
+           "cap on the first-passage sweep's uniform chords, whose count the "
+           "sweep's own rule sets (see README); Feynman-Kac does not read it, and "
+           "feynman_kac.json's n_steps is this cap"),
     Option("--seed", _MC, int, 42, "seed of the random streams"),
     Option("--bins", _MC, int, 20, "histogram bins on [0, s]"),
     Option("--threads", _MC, int, 1, "worker threads (outputs do not depend on it)"),

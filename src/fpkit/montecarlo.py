@@ -62,12 +62,13 @@ blocks, and block ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``.
 Work is handed out in units of contiguous blocks, at most 65,536 paths
 each, that are stepped as one vector, and the units run on the shared
 runner (``parallel.run_in_order``), which returns their results in unit
-order.  Every block fills its own slice of the unit's arrays, draws for
-its own paths alone from its own stream -- a stride's refinement and the
-crossing times included -- and reports its own partial result, and
-partials are reduced in block order.  A block's draws and result are
-therefore a pure function of (seed, block index, n_paths), and outputs
-are bit for bit the same for any thread count.
+order.  Every block draws for its own paths alone from its own stream --
+a stride's refinement and the crossing times included -- into its slice
+of the unit's arrays or of a run of whole blocks' paths, and the
+arithmetic on the draws is elementwise.  FK's float sums are kept per
+block and reduced in block order; the sweep's integer bin counts are
+exact in any grouping, so each unit keeps one histogram.  Outputs are
+therefore bit for bit the same for any thread count.
 """
 
 from __future__ import annotations
@@ -92,10 +93,10 @@ MAX_UNIT_PATHS = 1 << 16
 #: of a curved level (one stride); one normal per path covers a stride, and
 #: only paths that meet the stride's lowest level node see its chords
 COARSE_CHORDS = 8
-#: most paths that one ``_refine`` call takes, which bounds the working
-#: memory of a unit's refinement (~220 bytes a path at 8 chords, draws
-#: included: ~1.8 MB a call); a call takes the paths of one or more whole
-#: blocks, never part of one
+#: most paths in one plain step's ``_hit_times`` call or one ``_refine``
+#: call, which bounds their working memory (``_refine``: ~220 bytes a path
+#: at 8 chords, draws included, ~1.8 MB a call); a call takes the paths of
+#: one or more whole blocks, never part of one
 REFINE_PATHS = BLOCK_SIZE
 #: -log of the largest bridge-crossing chance that a stride may skip (2**-64)
 SKIP_LOG_P = 64.0 * np.log(2.0)
@@ -267,12 +268,11 @@ def _units(n_paths: int, n_workers: int) -> list[range]:
 
 
 def _run_blocks(worker, seed: int, n_paths: int, n_workers: int) -> list:
-    """Per-block results of ``worker`` in block order, its units run on
-    ``n_workers`` threads by ``run_in_order``.
+    """Results of ``worker``, one per work unit in unit order, its units run
+    on ``n_workers`` threads by ``run_in_order``.
 
     ``worker(streams, size)`` steps one work unit of ``size`` paths, where
-    ``streams`` holds each block's (generator, slice of the unit), and
-    returns one result per block.
+    ``streams`` holds each block's (generator, slice of the unit).
     """
     def unit(blocks: range):
         size = min(blocks.stop * BLOCK_SIZE, n_paths) - blocks.start * BLOCK_SIZE
@@ -280,8 +280,7 @@ def _run_blocks(worker, seed: int, n_paths: int, n_workers: int) -> list:
                    for block, lo in zip(blocks, range(0, size, BLOCK_SIZE))]
         return worker(streams, size)
 
-    per_unit = run_in_order(unit, _units(n_paths, n_workers), n_workers)
-    return [r for results in per_unit for r in results]
+    return run_in_order(unit, _units(n_paths, n_workers), n_workers)
 
 
 def _hit_times(nu: np.ndarray, uniform: np.ndarray, a: np.ndarray, d2: np.ndarray,
@@ -394,25 +393,21 @@ def _refine(tau: np.ndarray, start: np.ndarray, end: np.ndarray, normals: np.nda
             d2[chord, cols])
 
 
-def _block_runs(streams, idx: np.ndarray, size: int) -> list:
-    """Each block's (generator, lo, hi), where lo:hi are the positions of its
-    paths in ``idx``, sorted path indices of a unit of ``size`` paths;
-    blocks with no path in ``idx`` are left out."""
+def _runs(streams, idx: np.ndarray, size: int) -> list:
+    """Runs (first, last, draws) of the sorted path indices ``idx`` of a
+    unit of ``size`` paths, in order: idx[first:last] are the paths of one
+    or more whole blocks, at most REFINE_PATHS unless one block holds more,
+    and draws holds each such block's (generator, lo, hi), lo:hi its paths'
+    positions in the run.  The draws do not depend on the packing."""
     cuts = np.searchsorted(idx, [part.start for _, part in streams] + [size])
-    return [(rng, lo, hi) for (rng, _), lo, hi in zip(streams, cuts[:-1], cuts[1:]) if hi > lo]
-
-
-def _refine_runs(streams, idx: np.ndarray, size: int) -> list:
-    """The ``_refine`` calls over the sorted path indices ``idx`` of a unit:
-    each block's (generator, lo, hi) from ``_block_runs``, packed in order
-    into runs of at most REFINE_PATHS paths.  A block draws for its own
-    paths from its own stream, so the draws do not depend on the packing."""
     runs = []
-    for piece in _block_runs(streams, idx, size):
-        if runs and piece[2] - runs[-1][0][1] <= REFINE_PATHS:
-            runs[-1].append(piece)
-        else:
-            runs.append([piece])
+    for (rng, _), lo, hi in zip(streams, cuts[:-1], cuts[1:]):
+        if hi > lo:
+            if not runs or hi - runs[-1][0] > REFINE_PATHS:
+                runs.append([lo, hi, []])
+            run = runs[-1]
+            run[1] = hi
+            run[2].append((rng, lo - run[0], hi - run[0]))
     return runs
 
 
@@ -453,9 +448,11 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
     ``_refine`` samples at the nodes and tests chord by chord.  A crossing
     is timed inside its chord from the chord's start or tau, whichever
     is later.  Each block draws for its own paths from its own stream, and
-    the arithmetic runs once per unit and stride, at most REFINE_PATHS
-    paths a call.  A stride of one chord, a level with constant f', is the
-    plain step: a normal and an exponential for every path.
+    the arithmetic runs once per unit and stride, or once per run of at
+    most REFINE_PATHS paths (``_runs``), which adds its crossing times,
+    clamped at s, to the unit's integer bin counts.  A stride of one chord,
+    a level with constant f', is the plain step: a normal and an
+    exponential for every path.
     """
     if not x0 > 0.0:
         raise ValueError(f"x0 must be positive, got {x0}")
@@ -487,9 +484,13 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
         e = np.empty(size, dtype=np.float32)
         d1 = np.empty(size, dtype=np.float32)
         newly = np.empty(size, dtype=bool)
-        # per plain step or ``_refine`` call: the paths first crossing in it
-        # and their crossing times
-        hits = [(np.empty(0, dtype=np.intp), np.empty(0))]
+        counts = np.zeros(n_bins, dtype=np.intp)
+
+        def cross(paths, times):
+            # t_j + dt may round past s; the last bin is closed at s
+            alive[paths] = False
+            counts[:] += np.histogram(np.minimum(times, s), bins=edges)[0]
+
         for j, end in zip(cuts, cuts[1:]):
             k = end - j
             for rng, part in streams:
@@ -509,16 +510,15 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
                 np.greater(e, z, out=newly)
                 newly &= alive
                 idx = np.flatnonzero(newly)
-                # each crossing's time inside the step, block by block, which
-                # bounds the temporaries
-                times = np.empty(idx.size)
-                for rng, lo, hi in _block_runs(streams, idx, size):
-                    mine = idx[lo:hi]
-                    times[lo:hi] = _hit_times(rng.standard_normal(mine.size),
-                                              rng.random(mine.size), d1[mine],
-                                              level[j + 1] - w[mine], dt)
-                times += t_nodes[j]
-                hits.append((idx, times))
+                # each crossing's time inside the step: a normal and a uniform
+                for first, last, draws in _runs(streams, idx, size):
+                    nu, uniform = np.empty((2, last - first))
+                    for rng, lo, hi in draws:
+                        rng.standard_normal(out=nu[lo:hi])
+                        rng.random(out=uniform[lo:hi])
+                    paths = idx[first:last]
+                    cross(paths, t_nodes[j] + _hit_times(nu, uniform, d1[paths],
+                                                         level[j + 1] - w[paths], dt))
             else:
                 # z becomes the position at the stride's end and e the
                 # product q = d1 * d2 of the distances below the lowest node
@@ -546,21 +546,19 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
                 # paths' q are taken, e holds their exponentials
                 q = e[near]
                 expo = e[:near.size]
-                for rng, lo, hi in _block_runs(streams, near, size):
-                    rng.standard_exponential(dtype=np.float32, out=expo[lo:hi])
+                for first, last, draws in _runs(streams, near, size):
+                    for rng, lo, hi in draws:
+                        rng.standard_exponential(dtype=np.float32, out=expo[first:last][lo:hi])
                 expo *= np.float32(0.5 * k * dt)
                 reach = near[expo >= q]
-                crossed = [np.empty(0, dtype=np.intp)]
-                for run in _refine_runs(streams, reach, size):
-                    first, last = run[0][1], run[-1][2]
+                for first, last, draws in _runs(streams, reach, size):
                     m = last - first
                     # per path, one (normal, uniform) pair for the time it
                     # meets L and one for its crossing time, if it crosses
                     nu, uniform = np.empty((m, 2)), np.empty((m, 2))
                     normals = np.empty((k - 1, m), dtype=np.float32)
                     chord_expo = np.empty((k, m), dtype=np.float32)
-                    for rng, lo, hi in run:
-                        lo, hi = lo - first, hi - first
+                    for rng, lo, hi in draws:
                         rng.standard_normal(out=nu[lo:hi])
                         rng.random(out=uniform[lo:hi])
                         normals[:, lo:hi] = rng.standard_normal((k - 1, hi - lo),
@@ -576,26 +574,14 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
                         normals, chord_expo, stride, dt)
                     # timed inside the crossed chord from its start or tau
                     offset = offset.astype(np.float64)
-                    times = t_nodes[j + chord] + offset + _hit_times(
-                        nu[cols, 1], uniform[cols, 1], a, d2, np.maximum(dt - offset, 0.0))
-                    crossed.append(paths[cols])
-                    hits.append((crossed[-1], times))
-                idx = np.concatenate(crossed)
+                    cross(paths[cols], t_nodes[j + chord] + offset + _hit_times(
+                        nu[cols, 1], uniform[cols, 1], a, d2, np.maximum(dt - offset, 0.0)))
                 w, z = z, w
-            alive[idx] = False
-        idx, times = (np.concatenate(column) for column in zip(*hits))
-        # t_j + dt may round past s; the last bin is closed at s
-        np.minimum(times, s, out=times)
-        results = []
-        for _, part in streams:
-            mine = times[(idx >= part.start) & (idx < part.stop)]
-            results.append((np.histogram(mine, bins=edges)[0], mine.size))
-        return results
+        return counts
 
-    results = _run_blocks(worker, cfg.seed, cfg.n_paths, n_workers)
-    counts = np.sum([r[0] for r in results], axis=0)
-    n_crossed = int(sum(r[1] for r in results))
-    return DensityHistogram(edges, counts / cfg.n_paths, n_crossed, cfg.n_paths)
+    # integer counts are exact in any grouping, so their sum is too
+    counts = sum(_run_blocks(worker, cfg.seed, cfg.n_paths, n_workers))
+    return DensityHistogram(edges, counts / cfg.n_paths, int(counts.sum()), cfg.n_paths)
 
 
 def _time_density(density, t) -> np.ndarray:
@@ -819,7 +805,8 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
         return [(yb.size, *(float(np.sum(v)) for v in (yb, cb, yb * yb, cb * cb, yb * cb)))
                 for yb, cb in blocks]
 
-    results = _run_blocks(worker, cfg.seed, cfg.n_paths, n_workers)
+    results = [r for unit in _run_blocks(worker, cfg.seed, cfg.n_paths, n_workers)
+               for r in unit]
     count, sum_y, sum_c, sum_yy, sum_cc, sum_yc = (sum(col) for col in zip(*results))
     # sums of squares and products about the sample means
     ss_y = sum_yy - sum_y * sum_y / count

@@ -80,6 +80,47 @@ def test_montecarlo_draws_only_numpy_samplers():
     assert not calls & {"np.sin", "np.cos", "np.log1p"}
 
 
+#: expression nodes of slice bookkeeping: names, constants, attributes,
+#: subscripts, slices, tuples, and integer + and -
+_BOOKKEEPING = (ast.Name, ast.Constant, ast.Attribute, ast.Subscript, ast.Slice, ast.Tuple,
+                ast.Load, ast.Store, ast.BinOp, ast.Add, ast.Sub)
+
+
+def _bookkeeping(node: ast.AST) -> bool:
+    return all(isinstance(n, _BOOKKEEPING) for n in ast.walk(node))
+
+
+def _draw(node: ast.AST) -> bool:
+    # a call on the block's generator, with bookkeeping arguments
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and ast.unparse(node.func.value) == "rng"
+            and all(map(_bookkeeping, node.args + [k.value for k in node.keywords])))
+
+
+def _draw_or_bookkeeping(stmt: ast.stmt) -> bool:
+    if isinstance(stmt, ast.Expr):
+        return _draw(stmt.value)
+    if isinstance(stmt, ast.Assign) and all(map(_bookkeeping, stmt.targets)):
+        return _draw(stmt.value) or (
+            _bookkeeping(stmt.value)
+            and all(isinstance(n, (ast.Name, ast.Tuple, ast.Store)) for target in stmt.targets
+                    for n in ast.walk(target)))
+    return False
+
+
+def test_montecarlo_blocks_draw_and_runs_compute():
+    # a loop over the blocks' generators only draws: the arithmetic on the
+    # draws (crossing times, histograms, sums) runs once per unit or run of
+    # whole blocks' paths, never once per block
+    bodies = [(fn.name, stmt) for fn in _functions("montecarlo.py") for node in ast.walk(fn)
+              if isinstance(node, ast.For) and isinstance(node.target, ast.Tuple)
+              and ast.unparse(node.target.elts[0]) == "rng"
+              for stmt in node.body + node.orelse]
+    assert {name for name, _ in bodies} == {"first_passage_histogram", "bessel_bridge_fk"}
+    for name, stmt in bodies:
+        assert _draw_or_bookkeeping(stmt), (name, ast.unparse(stmt))
+
+
 def test_package_imports_numpy_and_the_standard_library_alone():
     # pyproject.toml's one dependency is numpy; scipy and the rest are test-only
     imported = set()  # (file, top-level module) of every absolute import

@@ -53,7 +53,7 @@ def test_histogram_mass_and_fields():
     cfg = MCConfig(n_paths=20000, n_steps=100, seed=5)
     h = first_passage_histogram(B_ZERO, 1.0, cfg, 20)
     assert h.masses.sum() <= 1.0
-    assert h.masses.sum() == pytest.approx(h.n_crossed / h.n_total)
+    assert h.n_crossed == round(h.masses.sum() * h.n_total)
     assert h.bin_edges[0] == 0.0 and h.bin_edges[-1] == 1.0
     assert h.n_total == 20000
 
@@ -623,6 +623,42 @@ def test_outputs_bitwise_independent_of_worker_count(n_paths, falling):
         assert h.masses.tobytes() == hists[0].masses.tobytes()
         assert h.n_crossed == hists[0].n_crossed
         assert (fk.mean, fk.std_error) == (fks[0].mean, fks[0].std_error)
+
+
+@pytest.mark.parametrize("b, x0", [
+    (B_ZERO, 1.0),  # the plain step, whose crossing times run in packs
+    (B_LIN, 0.05),  # five strides, in which most paths reach L
+], ids=["plain", "strided"])
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_packing_does_not_change_the_histogram(b, x0, n_workers, monkeypatch):
+    # blocks draw into runs of whole blocks' paths, so each block its own
+    # run, each unit one run, and each block its own unit give the same
+    # bytes; only the number of runs changes
+    cfg = MCConfig(n_paths=3 * BLOCK_SIZE + 100, n_steps=100, seed=23)
+    original = montecarlo._runs
+
+    def histogram(**constants):
+        runs = []
+
+        def counted(*args):
+            packed = original(*args)
+            runs.extend(packed)
+            return packed
+
+        with monkeypatch.context() as patch:
+            for name, value in constants.items():
+                patch.setattr(montecarlo, name, value)
+            patch.setattr(montecarlo, "_runs", counted)
+            return first_passage_histogram(b, x0, cfg, 20, n_workers), len(runs)
+
+    default, n_default = histogram()
+    one_block, n_one_block = histogram(REFINE_PATHS=1)
+    one_unit, n_one_unit = histogram(REFINE_PATHS=MAX_UNIT_PATHS)
+    small_units, _ = histogram(MAX_UNIT_PATHS=BLOCK_SIZE)
+    assert n_one_block > n_default >= n_one_unit
+    for h in (one_block, one_unit, small_units):
+        assert h.masses.tobytes() == default.masses.tobytes()
+        assert h.n_crossed == default.n_crossed > 0
 
 
 def test_lowest_failing_unit_raises_and_the_pool_serves_the_next_call(monkeypatch):
