@@ -168,8 +168,7 @@ OPTIONS = (
     Option("--paths", _MC, int, 100000, "number of paths"),
     Option("--steps", _MC, int, 2000,
            "cap on the first-passage sweep's uniform chords, whose count the "
-           "sweep's own rule sets (see README); Feynman-Kac does not read it, and "
-           "feynman_kac.json's n_steps is this cap"),
+           "sweep's own rule sets (see README); Feynman-Kac does not read it"),
     Option("--seed", _MC, int, 42, "seed of the random streams"),
     Option("--bins", _MC, int, 20, "histogram bins on [0, s]"),
     Option("--threads", _MC, int, 1, "worker threads (outputs do not depend on it)"),
@@ -331,9 +330,7 @@ def cmd_simulate(args) -> int:
     write_csv(os.path.join(out, "fpt_histogram.csv"), "bin_lo,bin_hi,mass",
               zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses))
     _write_comparison(out, table)
-    _write_json(out, "feynman_kac.json",
-                {**fk.to_json(), "n_steps": cfg.n_steps,
-                 "intervals": mc.fk_intervals(b, args.x0, cfg.n_paths), "seed": cfg.seed})
+    _write_json(out, "feynman_kac.json", {**fk.to_json(), "seed": cfg.seed})
     return 0
 
 

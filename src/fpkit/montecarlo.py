@@ -30,20 +30,19 @@ Two estimators:
 * ``bessel_bridge_fk`` -- Feynman-Kac estimate of
   E[exp(-int_0^s f''(u) R_u du)] where R is a three-dimensional Bessel
   bridge from x at time 0 to the origin at time s, realized as the
-  modulus of a 3-D Brownian bridge (positivity is automatic),
-  stepped on the radius alone, and averaged over mirrored path pairs.
-  FK takes m = FK_INTERVALS max(1, s / x^2) (n_paths / REFERENCE_PATHS)^(1/8)
+  modulus of a 3-D Brownian bridge (positivity is automatic), stepped on
+  the radius alone, and averaged over mirrored path pairs.  FK takes
+  m = FK_INTERVALS max(1, s / x^2) (n_paths / REFERENCE_PATHS)^(1/8)
   intervals of its own mesh, graded toward s, rounded up to even, at
   least MIN_STEPS and at most FK_MAX_INTERVALS, whatever ``n_steps`` says
-  (``fk_intervals``).  It returns the
-  Richardson combination of the trapezoid rules at m and at m/2
-  intervals, whose nodes are the even ones of the m mesh, so one path
-  set serves both.  Each pair's mean of
+  (``fk_intervals``).  It returns the Richardson combination of the
+  trapezoid rules at m and at m/2 intervals, whose nodes are the even
+  ones of the m mesh, so one path set serves both.  Each pair's mean of
   the same combination of the two integrals is a control variate with an
   exact discrete mean, and the reported std_error is that control-variate
-  estimator's.  A level with constant f' gives exactly 1 without
-  stepping.  Each block draws its float64 normals and exponentials step
-  by step from numpy's Generator.
+  estimator's, from two passes over the samples.  A level with constant
+  f' gives exactly 1 without stepping.  Each block draws its float64
+  normals and exponentials step by step from numpy's Generator.
 
 Both step rules hold their bias within a fixed share of the run's own
 standard error.  A bias that falls like h^2 in the step h, against a
@@ -57,24 +56,23 @@ where the scale is exactly 1, and its power at 50,000 to 262,144 paths;
 ``tests/step_bias.py`` reprints the sweep's table, with a scan of every
 chord count that the rule takes between 50,000 and 1,000,000 paths.
 
-Reproducibility contract: random streams belong to fixed 8,192-path
-blocks, and block ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``.
-Work is handed out in units of contiguous blocks, at most 65,536 paths
-each, that are stepped as one vector, and the units run on the shared
-runner (``parallel.run_in_order``), which returns their results in unit
-order.  Every block draws for its own paths alone from its own stream --
-a stride's refinement and the crossing times included -- into its slice
-of the unit's arrays or of a run of whole blocks' paths, and the
-arithmetic on the draws is elementwise.  FK's float sums are kept per
-block and reduced in block order; the sweep's integer bin counts are
-exact in any grouping, so each unit keeps one histogram.  Outputs are
-therefore bit for bit the same for any thread count.
+Reproducibility contract: blocks draw, units compute, and unit results
+join in block order.  Random streams belong to fixed 8,192-path blocks;
+block ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))`` for its own
+paths alone -- a stride's refinement and the crossing times included --
+into its slice of the unit's arrays or of a run of whole blocks' paths.
+A work unit is a run of contiguous blocks, at most 65,536 paths, stepped
+as one vector with elementwise arithmetic on the draws, and the shared
+runner (``parallel.run_in_order``) returns the units' results in unit
+order, which is block order: FK's samples join into the same arrays, and
+the sweep's integer bin counts into the same sums, whatever the units.
+Outputs are therefore bit for bit the same for any thread count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -153,13 +151,14 @@ class MCEstimate:
     mean: float
     std_error: float
     n_paths: int
+    intervals: int  # of the mesh that FK stepped (``fk_intervals``), 0 if none
 
     def __post_init__(self):
         if self.std_error < 0.0:
             raise ValueError("standard error cannot be negative")
 
     def to_json(self) -> dict:
-        return {"mean": self.mean, "std_error": self.std_error, "n_paths": self.n_paths}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -268,8 +267,9 @@ def _units(n_paths: int, n_workers: int) -> list[range]:
 
 
 def _run_blocks(worker, seed: int, n_paths: int, n_workers: int) -> list:
-    """Results of ``worker``, one per work unit in unit order, its units run
-    on ``n_workers`` threads by ``run_in_order``.
+    """Results of ``worker``, one per work unit in unit order, which is block
+    order, since units hold contiguous blocks; the units run on
+    ``n_workers`` threads by ``run_in_order``.
 
     ``worker(streams, size)`` steps one work unit of ``size`` paths, where
     ``streams`` holds each block's (generator, slice of the unit).
@@ -459,11 +459,15 @@ def first_passage_histogram(b: Boundary, x0: float, cfg: MCConfig,
     if n_bins < 1:
         raise ValueError("need at least one bin")
     s = b.horizon_s
+    # the sweep's float32 steps, sqrt(dt) and dt / 2, and its products of
+    # two distances below the level, d1 d2, stay finite (below 3.4e38) while
+    # s < 1e19 and |level| < 1e19
+    if not s < 1e19:
+        raise NumericalError(f"horizon s = {s:.3g}; the float32 sweep takes s < 1e19")
     n_chords = sweep_chords(b, x0, cfg.n_steps, cfg.n_paths)
     dt = s / n_chords
-    t_nodes, level = sweep_level(b, x0, n_chords)
-    # the sweep's float32 products of two distances below the level, d1 d2,
-    # stay finite (below 3.4e38) while |level| < 1e19
+    with np.errstate(over="ignore", invalid="ignore"):  # past float64: refused below
+        t_nodes, level = sweep_level(b, x0, n_chords)
     peak = float(np.max(np.abs(level)))
     if not peak < 1e19:
         raise NumericalError(f"level x0 + int_0^t f' reaches {peak:.3g}; the float32 "
@@ -713,11 +717,13 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     with beta = cov(y, c) / var(c) taken from the same samples; that costs
     a bias of O(1/count).  std_error is this estimator's: the residual
     variance over count - 2 degrees of freedom, over the sample count, so
-    1 or 2 paths give a single sample and a std_error of 0.0.  A level with
-    constant f' has f'' = 0, so the estimate is exactly 1 with std_error
-    0.0, and no path is stepped.  Streams come per fixed block and blocks
-    report their sums, reduced in block order, so the estimate is bit for
-    bit the same for any ``n_workers``.
+    1 or 2 paths give a single sample and a std_error of 0.0.  Two passes
+    over the samples, the means and then the centred sums of products, keep
+    these free of one-pass cancellation (Chan, Golub & LeVeque 1983).  A
+    level with constant f' has f'' = 0, so the estimate is exactly 1 with
+    std_error 0.0 and intervals 0, and no path is stepped.  Each unit
+    returns its samples, which join in block order, so the estimate, which
+    names the m it stepped, is bit for bit the same for any ``n_workers``.
 
     At each step every block draws its float64 normals, then its
     exponentials, from its Generator (``standard_normal`` and
@@ -727,7 +733,7 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
     An estimate that is not a finite float64 raises NumericalError: from a
     start so far from the origin that the squared radius overflows, or so
     near it (subnormal) that E[R]'s closed form divides by an underflowed
-    mean, or with weights exp(-I) past float64 where f'' < 0.  A centre
+    mean, or with weights exp(-I) past float64 where f'' < 0.  An
     exp(-E[c]) that is not finite is refused before any path steps; other
     such arithmetic runs on to inf or NaN, with numpy's floating-point
     warnings off, and is refused at the end.
@@ -736,7 +742,7 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
         raise ValueError(f"starting point must be positive, got {x}")
     m = fk_intervals(b, x, cfg.n_paths)
     if not m:
-        return MCEstimate(1.0, 0.0, cfg.n_paths)
+        return MCEstimate(1.0, 0.0, cfg.n_paths, 0)
     s = b.horizon_s
     # m is even, so that the m/2 mesh of the Richardson pair is its even nodes
     nodes, left = _graded_mesh(s, m)
@@ -748,18 +754,14 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
         gap = np.diff(nodes[::stride])
         row[::stride] = 0.5 * fsecond[::stride] * (np.append(gap, 0.0) + np.append(0.0, gap))
     weight = coef[:, 1:-1]
-    # E[I_m] and E[I_{m/2}] of the discrete rules; samples are centred at
-    # E[c] and at exp(-E[c]) before they are summed
+    # E[I_m] and E[I_{m/2}] of the discrete rules, and from them E[c]
     means = coef[:, 0] * x + np.sum(
         weight * _bridge_radius_mean(x, s, nodes[1:-1], left[1:-1]), axis=1)
     mean_integral = float(4.0 * means[0] - means[1]) / 3.0
-    try:
-        y_centre = math.exp(-mean_integral)
-    except OverflowError:
-        y_centre = math.inf
-    # refused before stepping: a NaN or inf centre makes the estimate one too
-    if not math.isfinite(y_centre):
-        raise NumericalError(f"Feynman-Kac centre exp({-mean_integral:.3g}) is not a finite "
+    # refused before stepping: the weights exp(-I) of paths near E[c] are
+    # past float64 when exp(-E[c]) is
+    if not np.isfinite(np.exp(-mean_integral)):
+        raise NumericalError(f"Feynman-Kac weight exp({-mean_integral:.3g}) is not a finite "
                              "float64")
     # step j runs from u_j to u_{j+1}, over the time s - u_j left to the bridge
     shrink = left[1:-1] / left[:-2]
@@ -799,26 +801,21 @@ def bessel_bridge_fk(b: Boundary, x: float, cfg: MCConfig,
             # last block, the last lead path is alone and is its own sample
             return np.append(0.5 * (v[:n_pairs] + v[n_lead:]), v[n_pairs:n_lead])
 
-        c = pair_means((4.0 * integral[0] - integral[1]) / 3.0) - mean_integral
-        y = pair_means((4.0 * np.exp(-integral[0]) - np.exp(-integral[1])) / 3.0) - y_centre
-        blocks = [(y[lo:hi], c[lo:hi]) for lo, hi in zip(lead_cuts[:-1], lead_cuts[1:])]
-        return [(yb.size, *(float(np.sum(v)) for v in (yb, cb, yb * yb, cb * cb, yb * cb)))
-                for yb, cb in blocks]
+        return (pair_means((4.0 * np.exp(-integral[0]) - np.exp(-integral[1])) / 3.0),
+                pair_means((4.0 * integral[0] - integral[1]) / 3.0))
 
-    results = [r for unit in _run_blocks(worker, cfg.seed, cfg.n_paths, n_workers)
-               for r in unit]
-    count, sum_y, sum_c, sum_yy, sum_cc, sum_yc = (sum(col) for col in zip(*results))
-    # sums of squares and products about the sample means
-    ss_y = sum_yy - sum_y * sum_y / count
-    ss_c = sum_cc - sum_c * sum_c / count
-    sp_yc = sum_yc - sum_y * sum_c / count
-    beta = sp_yc / ss_c if ss_c > 0.0 else 0.0
-    mean = y_centre + (sum_y - beta * sum_c) / count
-    dof = count - 2 if beta else count - 1
-    if dof > 0:
-        std_error = math.sqrt(max(ss_y - beta * sp_yc, 0.0) / (dof * count))
-    else:
-        std_error = 0.0
+    units = _run_blocks(worker, cfg.seed, cfg.n_paths, n_workers)
+    y, c = (np.concatenate(v) for v in zip(*units))
+    # two passes: the means, then the regression on the centred samples
+    y_bar, c_bar = np.mean(y), np.mean(c)
+    y -= y_bar
+    c -= c_bar
+    ss_c = np.sum(c * c)
+    beta = np.sum(y * c) / ss_c if ss_c > 0.0 else 0.0
+    mean = y_bar - beta * (c_bar - mean_integral)
+    dof = y.size - 2 if beta else y.size - 1
+    y -= beta * c
+    std_error = math.sqrt(np.sum(y * y) / (dof * y.size)) if dof > 0 else 0.0
     if not (math.isfinite(mean) and math.isfinite(std_error)):
         raise NumericalError(f"Feynman-Kac estimate from x = {x} is not a finite float64")
-    return MCEstimate(float(mean), std_error, cfg.n_paths)
+    return MCEstimate(float(mean), std_error, cfg.n_paths, m)

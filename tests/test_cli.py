@@ -380,16 +380,17 @@ def test_simulate_threads_do_not_change_outputs(tmp_path):
 
 def test_simulate_records_the_requested_steps(tmp_path):
     # at 200 paths the sweep takes one 8-chord stride of 400 on the curved
-    # level and FK 16 intervals, the rules' floors, but both sidecars keep
-    # the --steps that was asked for, and feynman_kac.json the intervals
-    # that FK took (none for a constant f')
+    # level and FK 16 intervals, the rules' floors, but config.json keeps
+    # the --steps that was asked for, and feynman_kac.json, which holds FK's
+    # estimate alone, the intervals that FK took (none for a constant f')
     for boundary, intervals in (("s=1; fprime=0.5,0.3", 16), ("s=1; fprime=0.5", 0)):
         out = tmp_path / str(intervals)
         assert main(["simulate", "--boundary", boundary, "--paths", "200",
                      "--steps", "400", "--out", str(out)]) == 0
         assert json.loads((out / "config.json").read_text())["steps"] == 400
         fk = json.loads((out / "feynman_kac.json").read_text())
-        assert (fk["n_steps"], fk["intervals"]) == (400, intervals)
+        assert set(fk) == {"mean", "std_error", "n_paths", "intervals", "seed"}
+        assert (fk["n_paths"], fk["intervals"], fk["seed"]) == (200, intervals, 42)
 
 
 @pytest.mark.parametrize("paths, intervals", [(50000, 24), (1000000, 32)])

@@ -136,3 +136,30 @@ def test_package_imports_numpy_and_the_standard_library_alone():
     assert ("verify.py", "numpy") in imported
     assert not {(file, root) for file, root in imported
                 if root != "numpy" and root not in sys.stdlib_module_names}
+
+
+#: numpy names that hand their work to the BLAS
+_BLAS = {"np.dot", "np.vdot", "np.inner", "np.matmul", "np.tensordot", "np.einsum", "np.linalg"}
+
+
+def test_package_calls_no_blas():
+    # reductions are np.sum and np.mean.  FK's three sums of products, taken
+    # by `@` (OpenBLAS ddot) in a prototype, slowed the fastest in-process
+    # 50,000-path simulate op (2 threads, 2-core host) from 13.2-14.0 ms to
+    # 18.6-21.2 ms in 4 of 4 alternating 4 s pairs; by np.sum it read
+    # 14.3-15.7 ms.  OpenBLAS's own threads contending with the workers are
+    # the likely cause, not confirmed
+    found = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(_tree(path.name)):
+            if isinstance(node, ast.MatMult):
+                found.append((path.name, "@"))
+            elif isinstance(node, ast.Attribute) and ast.unparse(node) in _BLAS:
+                found.append((path.name, ast.unparse(node)))
+            elif isinstance(node, ast.ImportFrom) and node.module and "numpy" in node.module:
+                found += [(path.name, alias.name) for alias in node.names
+                          if "np." + alias.name in _BLAS or "linalg" in node.module]
+            elif isinstance(node, ast.Import):
+                found += [(path.name, alias.name) for alias in node.names
+                          if "linalg" in alias.name]
+    assert not found

@@ -84,8 +84,8 @@ def test_x0_validation():
 
 
 def test_fk_past_float64_raises_numerical_error():
-    # the squared radius, the weights exp(-I) and the centre exp(-E[c]) each
-    # overflow float64 in turn, and at a subnormal start E[R] divides by an
+    # the squared radius, the weights exp(-I) and exp(-E[c]) each overflow
+    # float64 in turn, and at a subnormal start E[R] divides by an
     # underflowed mean: refused, never returned as NaN or inf, and no
     # numpy warning escapes, in the pool's thread either (40,000 paths make
     # two work units); a start of 1e150 still gives a finite 0
@@ -105,6 +105,18 @@ def test_sweep_refuses_a_level_past_its_float32_range():
         with pytest.raises(NumericalError, match="float32 sweep"):
             first_passage_histogram(B_LIN, x0, cfg, 10)
     assert first_passage_histogram(B_LIN, 1e18, cfg, 10).n_crossed == 0
+
+
+def test_sweep_refuses_a_horizon_past_its_float32_range():
+    # sqrt(dt) overflows float32 from s ~ 1.2e77, and the shift's h^2 float64
+    # from s ~ 1.3e154: refused, with no numpy warning, and never a share
+    # crossed by paths that stepped to -inf
+    cfg = MCConfig(1000, 10, seed=1)
+    for spec in ("s=1e78; fprime=0", "s=1e160; fprime=0", "s=1e300; fprime=0,1"):
+        with pytest.raises(NumericalError, match="float32 sweep"):
+            first_passage_histogram(parse_boundary(spec), 1.0, cfg, 10)
+    flat = parse_boundary("s=1e18; fprime=0")
+    assert first_passage_histogram(flat, 1.0, cfg, 10).n_crossed == 1000
 
 
 def test_fixed_level_histogram_matches_exact_density():
@@ -729,8 +741,9 @@ def test_fk_matches_a_per_block_float64_reference():
     # one block at a time, drawing per step its normals and then its
     # exponentials, as the estimator does, and stepping on the graded mesh
     # u_j = s (1 - (1 - j/m)^2) with the rule's m (20 at 20,000 paths).  Both take
-    # the same draws in float64, so only rounding may part the means: they
-    # must agree within 1e-9 standard error.  The reference sums the trapezoid
+    # the same draws in float64, so only rounding may part them: the means
+    # must agree within 1e-9 standard error and the standard errors within
+    # 1e-9 of their own.  The reference sums the trapezoid
     # rules at m and at m/2 intervals (the even nodes), takes the Richardson
     # pair (4 exp(-I_m) - exp(-I_{m/2})) / 3 and, as its control variate,
     # the same pair of the integrals with its exact mean
@@ -775,8 +788,12 @@ def test_fk_matches_a_per_block_float64_reference():
             out.append(np.append(0.5 * (vals[:trail] + vals[lead:]), vals[trail:lead]))
     y, c = np.concatenate(ys), np.concatenate(cs)
     cov = np.cov(y, c)
-    mean64 = y.mean() - cov[0, 1] / cov[1, 1] * (c.mean() - mean_integral)
+    beta = cov[0, 1] / cov[1, 1]
+    mean64 = y.mean() - beta * (c.mean() - mean_integral)
+    # the residual variance over count - 2 degrees of freedom, over the count
+    se64 = np.sqrt((cov[0, 0] - beta * cov[0, 1]) * (y.size - 1) / (y.size - 2) / y.size)
     assert abs(est.mean - mean64) <= 1e-9 * est.std_error
+    assert est.std_error == pytest.approx(se64, rel=1e-9)
 
 
 @pytest.mark.parametrize("slope", [0.7, -0.5])
@@ -952,7 +969,7 @@ def test_histogram_invariants_enforced():
 def test_estimate_and_bin_count_preconditions():
     from fpkit.montecarlo import MCEstimate
     with pytest.raises(ValueError, match="negative"):
-        MCEstimate(0.5, -1.0, 10)
+        MCEstimate(0.5, -1.0, 10, 16)
     with pytest.raises(ValueError, match="at least one bin"):
         first_passage_histogram(B_ZERO, 1.0, MCConfig(10, 10, seed=1), 0)
 
