@@ -256,9 +256,9 @@ def cmd_solution(args) -> int:
     x_nonneg = x_nodes[x_nodes >= 0.0]
     kap = kappa(b, x_nonneg)
     out = _out_dir(args)
-    rows = [(t, x, w[i, j]) for i, t in enumerate(spec.t_nodes())
-            for j, x in enumerate(x_nodes)]
-    write_csv(os.path.join(out, "w.csv"), "t,x,value", rows)
+    # the rows are made as they are written, so only w itself is held
+    write_csv(os.path.join(out, "w.csv"), "t,x,value",
+              ((t, x, v) for t, row in zip(spec.t_nodes(), w) for x, v in zip(x_nodes, row)))
     write_csv(os.path.join(out, "kappa.csv"), "x,value", zip(x_nonneg, np.atleast_1d(kap)))
     return 0
 
@@ -290,6 +290,8 @@ def cmd_verify(args) -> int:
 
 def cmd_transform(args) -> int:
     b = _boundary(args)
+    if not np.isfinite(args.lam):
+        raise ConfigError(f"--lam must be finite, got {args.lam}")
     spec = _parse_grid(args.grid, b, engine=True, flag="--grid")
     u = sample_field(spec, lambda t, x: u_lambda(b, args.lam, t, x))
     phi = sample_field(spec, lambda t, x: phi_lambda(b, args.lam, t, x))

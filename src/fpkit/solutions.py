@@ -14,7 +14,8 @@ D = x - int_0^t f' + t r.  ``closed_w`` is its member Gamma = (1,), whose
 sums are 1 and empty.  ``closed_w2_terms`` returns the two equal terms of the
 second antiderivative variant, whose difference vanishes identically: a
 tested artifact rather than an assumption.  ``kappa`` is the resulting
-closed-form approximation to the first hitting time density.
+closed-form approximation to the first hitting time density, the one that
+``kappa.csv`` (at the horizon) and ``montecarlo.compare_density`` take.
 
 ``_args`` checks t against the horizon and makes every argument a
 float64 array.  Every public closed form returns through
@@ -46,6 +47,8 @@ class GammaPoly:
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coeffs) or (1.0,)
+        if not all(np.isfinite(coeffs)):
+            raise ValueError("non-finite Gamma coefficient")
         if len(coeffs) - 1 > MAX_GAMMA_DEGREE:
             raise ValueError(f"Gamma degree {len(coeffs) - 1} exceeds cap {MAX_GAMMA_DEGREE}")
         object.__setattr__(self, "coeffs", coeffs)
@@ -272,11 +275,12 @@ def closed_w2_terms(b: Boundary, t, x):
 
 
 @closed_form
-def kappa(b: Boundary, x):
-    """Closed-form approximation to the first hitting time density at the horizon:
-    x * k(s, x + int_0^s f').  Requires x >= 0."""
+def kappa(b: Boundary, x, t=None):
+    """Closed-form approximation to the first hitting time density at the
+    times t > 0, the horizon s when t is omitted: x * k(t, x + int_0^t f').
+    Requires x >= 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("kappa requires x >= 0")
-    s = b.horizon_s
-    return x * heat_kernel(s, x + integral_fprime(b, 0.0, s))
+    t = b.horizon_s if t is None else t
+    return x * heat_kernel(t, x + integral_fprime(b, 0.0, t))

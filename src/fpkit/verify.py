@@ -76,14 +76,15 @@ fixed-boundary case with s > 1 does).
 ``run_checks`` is the suite behind ``fpkit verify``; the acceptance tests
 share its definitions: ``fine_grid_residuals``, ``observed_order`` (its
 reports under nested grid halving, and their ratios),
-``form_preservation``, ``transform_loop``, ``vanishing_probes`` and the
+``form_preservation``, ``transform_loop``, ``check_vanishing_at_origin``
+(which takes its probes, ``vanishing_probes``, from the horizon) and the
 per-point measures ``zero_identity_gap`` and ``product_spread``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -414,9 +415,9 @@ def vanishing_probes(s: float) -> tuple[float, ...]:
     return tuple(probes)
 
 
-def check_vanishing_at_origin(w_eval: Callable[[float, float], float], t: float,
-                              x_probes: Sequence[float]) -> DiagnosticReport:
-    """Probe |w(t, x)| on a decreasing sequence x_k -> 0.
+def check_vanishing_at_origin(w0: Callable[[float], float], s: float) -> DiagnosticReport:
+    """Probe |w(0, x)|, given as ``w0(x)``, on the decreasing probes
+    ``vanishing_probes(s)`` of the horizon s.
 
     Linear decay is the pass criterion: every derived solution carries
     an explicit factor of x at t = 0.  The check requires (a) the
@@ -428,12 +429,8 @@ def check_vanishing_at_origin(w_eval: Callable[[float, float], float], t: float,
     ratio per step and fails (b); linear or faster decay keeps the
     slope essentially constant and passes.
     """
-    probes = np.asarray(list(x_probes), dtype=float)
-    if probes.size < 3 or np.any(probes <= 0.0) or np.any(np.diff(probes) >= 0.0):
-        raise ValueError("probes must be at least 3 positive decreasing values")
-    if probes[-1] > 1e-6:
-        raise ValueError("probe sequence must reach <= 1e-6")
-    vals = np.array([abs(complex(w_eval(t, xk))) for xk in probes])
+    probes = np.array(vanishing_probes(s))
+    vals = np.array([abs(complex(w0(xk))) for xk in probes])
     slack = 1e-9
     decrease_viol = int(np.count_nonzero(vals[1:] > vals[:-1] * (1.0 + slack) + 1e-300))
     worst_decrease = float(np.min(vals[:-1] - vals[1:]))
@@ -612,8 +609,7 @@ def run_checks(b: Boundary, spec: GridSpec, tspec: GridSpec, tols: dict, seed: i
     prod_worst = product_spread(b, lams, ts, xs)
     checks.append(CheckResult("product constancy", "worst", prod_worst, tols["tol_product"]))
 
-    rep_v = check_vanishing_at_origin(lambda t, x: closed_w(b, t, x), 0.0,
-                                      vanishing_probes(b.horizon_s))
+    rep_v = check_vanishing_at_origin(lambda x: closed_w(b, 0.0, x), b.horizon_s)
     checks.append(CheckResult("vanishing at origin (t=0)", "violations",
                               rep_v.violation_count, 0))
 

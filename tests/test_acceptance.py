@@ -25,7 +25,7 @@ from fpkit.solutions import GammaPoly
 from fpkit.transform import log_phi_xx
 from fpkit.verify import (check_inequality, check_vanishing_at_origin, form_preservation,
                           observed_order, product_spread, quadrature_match, transform_loop,
-                          vanishing_probes, zero_identity_gap)
+                          zero_identity_gap)
 from volterra_oracle import fk_density, hitting_density_at
 
 B_ACC = fp.parse_boundary("s=1; fprime=0.5,0.3")
@@ -150,10 +150,10 @@ def test_criterion_08_vanishing_at_origin():
     exact_zero = (fp.closed_w(B_ACC, 0.0, 0.0) == 0.0)
     g = GammaPoly((0.4, -0.7, 0.2))
     exact_zero &= (fp.closed_w_gamma(B_ACC, g, 0.0, 0.0) == 0.0)
-    probes = vanishing_probes(B_ACC.horizon_s)  # the probes of fpkit verify's check, s = 1
-    rep_w = check_vanishing_at_origin(lambda t, x: fp.closed_w(B_ACC, t, x), 0.0, probes)
+    # fpkit verify's check, on its probes at the horizon s = 1
+    rep_w = check_vanishing_at_origin(lambda x: fp.closed_w(B_ACC, 0.0, x), B_ACC.horizon_s)
     rep_g = check_vanishing_at_origin(
-        lambda t, x: fp.closed_w_gamma(B_ACC, GammaPoly((0.0, 1.0)), t, x), 0.0, probes)
+        lambda x: fp.closed_w_gamma(B_ACC, GammaPoly((0.0, 1.0)), 0.0, x), B_ACC.horizon_s)
     probes_passed = rep_w.violation_count == 0 and rep_g.violation_count == 0
     ok = exact_zero and probes_passed
     report(8, ok, f"exact zeros at (0,0): {exact_zero}; probe checks passed: {probes_passed}")

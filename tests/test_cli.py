@@ -118,6 +118,45 @@ def test_solution_gamma_table(tmp_path):
         closed_w_gamma(b, GammaPoly((0.0, 1.0)), float(r["t"]), float(r["x"])), rel=1e-15)
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
+def test_solution_streams_w_csv_below_55mb(tmp_path):
+    # the child reads its own high-water mark, VmHWM.  A list of every
+    # (t, x, value) row of this 301 x 1001 grid peaked at 73 MB; rows made
+    # as they are written hold w alone, 43 MB
+    probe = (
+        "import sys\n"
+        "from fpkit.cli import main\n"
+        "rc = main(['solution', '--boundary', 's=1; fprime=0.5,0.3', '--gamma', '0,1',\n"
+        "           '--grid', '0:0.8:301,0:3:1001', '--out', sys.argv[1]])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    hwm = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+        "print(rc, hwm)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out")], env=env,
+                         capture_output=True, text=True, check=True)
+    rc, max_rss_kb = map(int, run.stdout.splitlines()[-1].split())
+    assert rc == 0
+    assert max_rss_kb / 1024 < 55.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["solution", "--gamma", "nan"],
+    ["solution", "--gamma", "0,inf"],
+    ["transform", "--lam", "nan"],
+    ["transform", "--lam", "inf"],
+    ["transform", "--lam", "-inf"],
+], ids=["gamma-nan", "gamma-inf", "lam-nan", "lam-inf", "lam-minus-inf"])
+def test_non_finite_gamma_or_lam_is_a_usage_error(tmp_path, capsys, argv):
+    # refused before anything is sampled, not as a closed form's exit 3
+    out = tmp_path / "o"
+    assert main([*argv, "--boundary", "s=1; fprime=0.5,0.3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_solution_requires_boundary(tmp_path):
     assert main(["solution", "--out", str(tmp_path)]) == 1
 

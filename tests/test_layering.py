@@ -72,6 +72,16 @@ def test_kernels_take_one_gaussian():
     assert callers == {"kernel_n"}
 
 
+def test_kappa_has_one_definition():
+    # outside kernels, only solutions.kappa takes the heat kernel: the kappa
+    # of kappa.csv and of comparison.csv is one function
+    callers = {(path.name, fn.name) for path in SRC.glob("*.py") if path.name != "kernels.py"
+               for fn in _functions(path.name) for node in ast.walk(fn)
+               if isinstance(node, (ast.Name, ast.Attribute))
+               and ast.unparse(node).split(".")[-1] == "heat_kernel"}
+    assert callers == {("solutions.py", "kappa")}
+
+
 def test_montecarlo_draws_only_numpy_samplers():
     # normals and exponentials come from the Generator's own samplers, so
     # no hand-made transform of uniforms (Box-Muller, -log(1 - U)) returns

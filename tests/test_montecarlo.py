@@ -16,9 +16,9 @@ from fpkit.grids import NumericalError
 from fpkit.montecarlo import (BLOCK_SIZE, COARSE_CHORDS, MAX_UNIT_PATHS, MIN_STEPS,
                               REFERENCE_PATHS, DensityHistogram, MCConfig,
                               bessel_bridge_fk, compare_density,
-                              first_passage_histogram, fk_intervals, kappa_time_density,
-                              reference_time_density, sweep_chords, sweep_level, _bin_masses,
-                              _bridge_nodes, _hit_times, _radial_step, _refine)
+                              first_passage_histogram, fk_intervals, sweep_chords,
+                              sweep_level, _bin_masses, _bridge_nodes, _hit_times,
+                              _radial_step, _refine)
 from step_bias import worst_bin
 from volterra_oracle import fk_density, hitting_bin_masses, hitting_density_at, trapezoid_density
 
@@ -542,14 +542,6 @@ def test_refine_after_a_direct_hit_of_the_lowest_node():
     assert np.all(np.isfinite(a) & np.isfinite(d2)) and np.all(a >= 0.0)
     u = _drawn_hit_times(rng, a, d2, np.maximum(dt - offset.astype(np.float64), 0.0))
     assert np.all(np.isfinite(u))
-
-
-def test_kappa_and_reference_densities():
-    # fixed level: kappa(t)/h(t) = t, and the reference is the exact density
-    ts = np.array([0.25, 0.5, 0.75, 1.0])
-    ratio = kappa_time_density(B_ZERO, 1.0, ts) / reference_time_density(B_ZERO, 1.0, ts)
-    np.testing.assert_allclose(ratio, ts, rtol=1e-12)
-    assert kappa_time_density(B_ZERO, 1.0, np.array([0.0]))[0] == 0.0
 
 
 def test_compare_density_table():

@@ -444,11 +444,17 @@ def test_kappa_examples():
 
 
 def test_kappa_over_h_equals_horizon_for_fixed_level():
+    # on f' = 0, kappa(t, x) / h(t, x) = t: at the horizon, and at the times
+    # t < s where compare_density integrates kappa
+    xs = np.linspace(0.05, 3.0, 20)
     for s in (0.5, 1.0, 2.0):
         b = Boundary((0.0,), s)
-        for x in np.linspace(0.05, 3.0, 20):
+        for x in xs:
             ratio = kappa(b, float(x)) / derived_kernel(s, float(x))
             assert ratio == pytest.approx(s, rel=1e-12)
+        ts = s * np.array([0.1, 0.25, 0.5, 0.75])
+        ratio = kappa(b, xs[:, None], ts) / derived_kernel(ts, xs[:, None])
+        np.testing.assert_allclose(ratio, np.broadcast_to(ts, ratio.shape), rtol=1e-12)
 
 
 def test_product_and_b2_overflow_raises():

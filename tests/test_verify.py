@@ -684,20 +684,19 @@ def test_inequality_rejects_complex_and_bad_grid():
 # ------------------------------------------------------- vanishing at x -> 0
 
 def test_vanishing_closed_w_passes():
-    rep = check_vanishing_at_origin(lambda t, x: closed_w(B_LIN, t, x), 0.0,
-                                    vanishing_probes(B_LIN.horizon_s))
+    rep = check_vanishing_at_origin(lambda x: closed_w(B_LIN, 0.0, x), B_LIN.horizon_s)
     assert rep.violation_count == 0
 
 
 def test_vanishing_gamma_solution_passes():
     g = GammaPoly((0.0, 1.0))
-    rep = check_vanishing_at_origin(lambda t, x: closed_w_gamma(B_LIN, g, t, x),
-                                    0.0, vanishing_probes(B_LIN.horizon_s))
+    rep = check_vanishing_at_origin(lambda x: closed_w_gamma(B_LIN, g, 0.0, x),
+                                    B_LIN.horizon_s)
     assert rep.violation_count == 0
 
 
 def test_vanishing_constant_field_fails():
-    rep = check_vanishing_at_origin(lambda t, x: 1.0, 0.0, vanishing_probes(1.0))
+    rep = check_vanishing_at_origin(lambda x: 1.0, 1.0)
     assert rep.violation_count > 0
     assert rep.worst_margin < 0.0
 
@@ -720,15 +719,6 @@ def test_vanishing_line_passes_on_a_short_horizon():
     (line,) = [c for c in checks if c.name == "vanishing at origin (t=0)"]
     assert line.value == 0 and line.passed
     assert diagnostics["vanishing_at_origin"]["total"] == 19
-
-
-def test_vanishing_probe_validation():
-    with pytest.raises(ValueError):
-        check_vanishing_at_origin(lambda t, x: x, 0.0, [0.5, 0.25])  # too short
-    with pytest.raises(ValueError):
-        check_vanishing_at_origin(lambda t, x: x, 0.0, [0.5, 0.25, 0.125])  # > 1e-6
-    with pytest.raises(ValueError):
-        check_vanishing_at_origin(lambda t, x: x, 0.0, [0.25, 0.5, 1e-7])
 
 
 # ---------------------------------------------------------- quadrature match
